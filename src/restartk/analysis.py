@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import gammainc
 
-from .distributions import nu_weights
+from .distributions import _double_factorial_odd, nu_weights
 from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified
 from .kernels import RestartedProcess, RestartSpec
 from .processes import BrownianWithDrift, FiniteCTMC, GeometricBrownian
@@ -103,14 +103,6 @@ def _weight_poly(m, lam, t):
     return math.factorial(m) / lam**m * float(gammainc(m + 1, lam * t))
 
 
-def _double_factorial_odd(m):
-    out = 1.0
-    while m > 1:
-        out *= m
-        m -= 2
-    return out
-
-
 def bm_modified_moment(p, restart, k, t, x):
     """E_x[X(t)^k] for restarted drifted Brownian motion, closed form; t may be inf.
 
@@ -180,13 +172,10 @@ def ctmc_modified_moment(p, restart, k, t, x):
         raise DomainError("restart rate must be positive")
     vk = p.values ** int(k)
     w = nu_weights(restart.nu, p.space)
-    n = p.space.n
-    R = p.resolvent_matrix(lam)
     if math.isinf(t):
-        M = lam * R
-        return float(w @ M @ vk)
+        return float(p.stationary_vector(lam, w) @ vk)
     decay = math.exp(-lam * t) * p.transition_matrix(t)
-    M = lam * (np.eye(n) - decay) @ R
+    M = lam * (np.eye(p.space.n) - decay) @ p.resolvent_matrix(lam)
     return float(decay[int(x)] @ vk + w @ M @ vk)
 
 
@@ -400,7 +389,7 @@ def small_lambda_sweep(kernel, nu, target_sets, lambda_grid, rel_tol=DEFAULT_REL
         w = nu_weights(nu, kernel.space)
         pi = kernel.stationary_distribution()
         for lam in lams:
-            q = lam * (w @ kernel.resolvent_matrix(lam))
+            q = kernel.stationary_vector(lam, w)
             masses = tuple(float(sum(q[i] for i in g.indices)) for g in target_sets)
             rows.append(SweepRow(lam, masses, float(np.abs(q - pi).sum())))
         devs = np.array([r.l1_deviation for r in rows])

@@ -44,6 +44,18 @@ def _double_factorial_odd(m):
     return out
 
 
+def categorical_cdf(probs):
+    """Distribution function of a weight vector, built as Generator.choice builds it.
+
+    ``int(cdf.searchsorted(rng.random(), side="right"))`` then draws the same
+    index from the same single uniform as ``rng.choice(len(probs), p=probs)``,
+    without re-checking the weights on every draw.
+    """
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class PointMass:
     """All mass at a single state.
@@ -89,11 +101,10 @@ class FiniteSupport:
         if abs(wsum - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {wsum!r}, expected 1 within 1e-12")
         object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "_cdf", categorical_cdf([w for _, w in pts]))
 
     def sample(self, rng):
-        probs = [w for _, w in self.points]
-        i = rng.choice(len(self.points), p=probs)
-        return self.points[i][0]
+        return self.points[int(self._cdf.searchsorted(rng.random(), side="right"))][0]
 
     def expect(self, f):
         return sum(w * f(s) for s, w in self.points)

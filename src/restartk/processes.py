@@ -4,7 +4,10 @@ Drifted Brownian motion on the line, geometric Brownian motion on the
 positive half line, and finite-state chains in continuous time given by a
 generator matrix.  All three expose exact densities/matrices, exact samplers
 and closed-form moments, so they serve both as base processes for restarting
-and as the analytic reference in tests.
+and as the analytic reference in tests.  All three also answer the invariant
+law of their restarted process exactly: the diffusions through the
+asymmetric Laplace law of the restart-averaged position, the chain through
+one linear solve against lam*I - Q.
 """
 
 from __future__ import annotations
@@ -17,12 +20,52 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import ndtr
 
-from .distributions import gaussian_raw_moment
+from .distributions import categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
 from .kernels import MarkovKernel
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+
+
+def _positive_rate(lam):
+    lam = float(lam)
+    if not (lam > 0.0) or not math.isfinite(lam):
+        raise DomainError(f"restart rate must be positive and finite, got {lam}")
+    return lam
+
+
+def _laplace_law_mass(mu, sigma, lam, y, lower, upper):
+    """Mass of [lower, upper] under lam * int_0^inf exp(-lam*s) P(s, y, .) ds
+    for Brownian motion with drift mu and volatility sigma started at y.
+
+    The law is asymmetric Laplace (Evans & Majumdar, PRL 106:160601, 2011):
+    density lam/alpha * exp((mu*u - alpha*|u|)/sigma^2) in u = z - y, with
+    alpha = sqrt(mu^2 + 2*lam*sigma^2).  The side above y holds mass
+    (alpha + mu)/(2*alpha) and decays at rate (alpha - mu)/sigma^2, the side
+    below the mirror image.  Each side's mass is taken from its own tail, so
+    no mass is a difference of two numbers near 1, and alpha - |mu| is
+    written as 2*lam*sigma^2/(alpha + |mu|), which does not cancel at small
+    lam.
+    """
+    s2 = sigma * sigma
+    alpha = math.sqrt(mu * mu + 2.0 * lam * s2)
+    wide = alpha + abs(mu)
+    narrow = 2.0 * lam * s2 / wide
+    a_minus_mu, a_plus_mu = (narrow, wide) if mu >= 0.0 else (wide, narrow)
+    mass = 0.0
+    if upper > y:
+        mass += _side_mass(a_plus_mu / (2.0 * alpha), a_minus_mu / s2, max(lower, y) - y, upper - y)
+    if lower < y:
+        mass += _side_mass(a_minus_mu / (2.0 * alpha), a_plus_mu / s2, y - min(upper, y), y - lower)
+    return mass
+
+
+def _side_mass(p, rate, near, far):
+    # p * (exp(-rate*near) - exp(-rate*far)) for 0 <= near <= far <= inf
+    if near >= far:
+        return 0.0
+    return -p * math.exp(-rate * near) * math.expm1(-rate * (far - near))
 
 
 @dataclass(frozen=True)
@@ -57,6 +100,11 @@ class BrownianWithDrift(MarkovKernel):
         sd = self.sigma * math.sqrt(t)
         m = x + self.mu * t
         return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
+
+    def stationary_probability(self, lam, y, target, rel_tol=None):
+        """The asymmetric Laplace mass of the target, in closed form."""
+        lam = _positive_rate(lam)
+        return _laplace_law_mass(self.mu, self.sigma, lam, float(y), target.lower, target.upper)
 
     def sample_transition(self, t, x, rng):
         if t < 0.0:
@@ -114,6 +162,22 @@ class GeometricBrownian(MarkovKernel):
         hi = ndtr((math.log(target.upper) - m) / sd) if target.upper > 0 else 0.0
         lo = ndtr((math.log(target.lower) - m) / sd) if target.lower > 0 else 0.0
         return float(hi - lo)
+
+    def stationary_probability(self, lam, y, target, rel_tol=None):
+        """The Laplace mass of the target in log space, in closed form.
+
+        log X is Brownian motion with drift mu - sigma^2/2, so the invariant
+        law of log X is the asymmetric Laplace law of that drift.
+        """
+        lam = _positive_rate(lam)
+        if y <= 0.0:
+            raise DomainError(f"state must be positive, got y={y}")
+        if target.upper <= 0.0:
+            return 0.0
+        lo = math.log(target.lower) if target.lower > 0.0 else -math.inf
+        return _laplace_law_mass(
+            self.mu - 0.5 * self.sigma**2, self.sigma, lam, math.log(y), lo, math.log(target.upper)
+        )
 
     def sample_transition(self, t, x, rng):
         if t < 0.0:
@@ -173,6 +237,25 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
+        # per state: its total jump rate and the distribution function of
+        # where it jumps, built as Generator.choice would build it per draw
+        self._jumps = []
+        for i in range(n):
+            probs = Q[i].copy()
+            probs[i] = 0.0
+            rate = -Q[i, i]
+            self._jumps.append((rate, categorical_cdf(probs / rate) if rate > 0.0 else None))
+        self._expm_cache = {}
+
+    # exp(Q*t) by t, at most this many; quadrature revisits the same nodes
+    # across targets and horizons, so most matrices are asked for repeatedly
+    expm_cache_size = 1024
+
+    def __getstate__(self):
+        # keep pickles (ensemble workers) small: the cache is rebuilt on demand
+        state = self.__dict__.copy()
+        state["_expm_cache"] = {}
+        return state
 
     def __repr__(self):
         return f"FiniteCTMC(n={self.space.n})"
@@ -185,18 +268,25 @@ class FiniteCTMC(MarkovKernel):
         return float(self.values[int(x)])
 
     def transition_matrix(self, t):
+        t = float(t)
         if t < 0.0 or math.isnan(t):
             raise DomainError(f"time must be nonnegative, got {t}")
         if t == 0.0:
             return np.eye(self.space.n)
-        with np.errstate(over="ignore", invalid="ignore"):
-            P = expm(self.Q * t)
-        if not np.all(np.isfinite(P)):
-            raise DomainError(
-                f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t:.3e}; "
-                "rescale the generator"
-            )
-        return P
+        cache = self._expm_cache
+        P = cache.get(t)
+        if P is None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                P = expm(self.Q * t)
+            if not np.all(np.isfinite(P)):
+                raise DomainError(
+                    f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t:.3e}; "
+                    "rescale the generator"
+                )
+            if len(cache) >= self.expm_cache_size:
+                del cache[next(iter(cache))]
+            cache[t] = P
+        return P.copy()
 
     def transition_probability(self, t, x, target):
         if t == 0.0:
@@ -207,19 +297,16 @@ class FiniteCTMC(MarkovKernel):
     def sample_transition(self, t, x, rng):
         if t < 0.0:
             raise DomainError(f"time must be nonnegative, got {t}")
-        n = self.space.n
         state = int(x)
         elapsed = 0.0
         while True:
-            rate = -self.Q[state, state]
+            rate, cdf = self._jumps[state]
             if rate <= 0.0:
                 return state
             elapsed += rng.exponential(1.0 / rate)
             if elapsed >= t:
                 return state
-            probs = self.Q[state].copy()
-            probs[state] = 0.0
-            state = int(rng.choice(n, p=probs / rate))
+            state = int(cdf.searchsorted(rng.random(), side="right"))
 
     def moment(self, k, t, x):
         row = self.transition_matrix(t)[int(x)]
@@ -244,6 +331,18 @@ class FiniteCTMC(MarkovKernel):
         if lam <= 0.0:
             raise DomainError(f"resolvent needs a positive rate, got {lam}")
         return np.linalg.inv(lam * np.eye(self.space.n) - self.Q)
+
+    def stationary_probability(self, lam, y, target, rel_tol=None):
+        """Row y of lam*(lam*I - Q)^(-1) summed over the target: one linear solve."""
+        lam = _positive_rate(lam)
+        g = np.zeros(self.space.n)
+        g[list(target.indices)] = 1.0
+        return float(lam * np.linalg.solve(lam * np.eye(self.space.n) - self.Q, g)[int(y)])
+
+    def stationary_vector(self, lam, w, rel_tol=None):
+        """lam * w (lam*I - Q)^(-1), by one linear solve."""
+        lam = _positive_rate(lam)
+        return lam * np.linalg.solve((lam * np.eye(self.space.n) - self.Q).T, w)
 
     def restarted_generator(self, lam, nu_vec):
         """Generator of the chain with rate-lam restarts redrawn from nu_vec."""

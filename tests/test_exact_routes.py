@@ -1,0 +1,269 @@
+"""Exact invariant-law routes, each against an independent oracle.
+
+The diffusions' closed-form Laplace masses are checked against the
+quadrature definition ``kernels.resolvent``, the chains' linear solves
+against the long-time exponential of the restarted generator.  Also here:
+the per-chain memo of exp(Q*t), and categorical draws that reproduce
+``Generator.choice`` draw for draw.
+"""
+
+import math
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import expm
+
+import restartk.processes
+from restartk import (
+    BrownianWithDrift,
+    FiniteCTMC,
+    FiniteSupport,
+    GeometricBrownian,
+    Interval,
+    PointMass,
+    RestartSpec,
+    RestartedProcess,
+    Subset,
+    resolvent,
+    whole_space,
+)
+from restartk.kernels import MarkovKernel
+
+from conftest import finite_support_from_weights, random_generator, random_restart_weights
+
+PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
+
+rates = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
+
+
+def _nus(atoms):
+    two_atoms = st.tuples(atoms, atoms, st.floats(0.05, 0.95)).map(
+        lambda a: FiniteSupport(((a[0], a[2]), (a[1], 1.0 - a[2])))
+    )
+    return st.one_of(atoms.map(PointMass), two_atoms)
+
+
+def _bm_case():
+    base = st.builds(BrownianWithDrift, st.floats(-2.0, 2.0), st.floats(0.2, 2.0))
+    cuts = st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3, unique=True).map(sorted)
+    return st.tuples(base, rates, _nus(st.floats(-2.0, 2.0)), cuts)
+
+
+def _gbm_case():
+    base = st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.2, 1.0))
+    log_cuts = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3, unique=True)
+    cuts = log_cuts.map(lambda c: sorted(math.exp(v) for v in c))
+    return st.tuples(base, rates, _nus(st.floats(0.2, 5.0)), cuts)
+
+
+cases = st.one_of(_bm_case(), _gbm_case())
+
+
+class TestDiffusionLaplaceLaw:
+    @PROPERTY
+    @given(cases)
+    def test_matches_quadrature_resolvent(self, case):
+        base, lam, nu, (a, b, _) = case
+        proc = RestartedProcess(base, RestartSpec(lam, nu))
+        target = Interval(a, b)
+        q = proc.invariant_measure(target)
+        want = nu.expect(lambda y: lam * resolvent(base, lam, y, target))
+        assert abs(q - want) <= 1e-12 + 1e-8 * abs(q)
+
+    @PROPERTY
+    @given(cases)
+    def test_whole_space_mass_is_one(self, case):
+        base, lam, nu, _ = case
+        proc = RestartedProcess(base, RestartSpec(lam, nu))
+        assert abs(proc.invariant_measure(whole_space(proc.space)) - 1.0) <= 1e-14
+
+    @PROPERTY
+    @given(cases)
+    def test_masses_add_over_adjacent_intervals(self, case):
+        base, lam, nu, (a, b, c) = case
+        proc = RestartedProcess(base, RestartSpec(lam, nu))
+        q = proc.invariant_measure
+        lo = whole_space(proc.space).lower
+        assert abs(q(Interval(a, b)) + q(Interval(b, c)) - q(Interval(a, c))) <= 1e-15
+        pieces = [Interval(lo, a), Interval(a, b), Interval(b, c), Interval(c, math.inf)]
+        assert abs(sum(q(g) for g in pieces) - 1.0) <= 1e-14
+
+    def test_small_rate_side_mass_does_not_cancel(self):
+        # with mu > 0 and tiny lam, the mass below the restart point is
+        # (alpha - mu)/(2 alpha) with alpha - mu ~ lam*sigma^2/mu; 50 digits
+        # of mpmath stand in for the exact value
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 50
+        for mu, sigma, lam in ((1.0, 1.0, 1e-12), (2.5, 0.3, 1e-9), (-1.5, 0.7, 1e-11)):
+            alpha = mp.sqrt(mp.mpf(mu) ** 2 + 2 * mp.mpf(lam) * mp.mpf(sigma) ** 2)
+            below = float((alpha - mu) / (2 * alpha))
+            got = BrownianWithDrift(mu, sigma).stationary_probability(lam, 0.0, Interval(-math.inf, 0.0))
+            assert abs(got - below) <= 1e-14 * below
+
+    def test_gbm_target_at_or_below_zero(self):
+        gbm = GeometricBrownian(0.1, 0.4)
+        assert gbm.stationary_probability(2.0, 1.0, Interval(-1.0, 0.0)) == 0.0
+        assert gbm.stationary_probability(2.0, 1.0, Interval(-1.0, math.inf)) == 1.0
+
+
+class _QuadratureOnly(MarkovKernel):
+    """Delegates the transition law and nothing else, so the defaults apply."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def transition_probability(self, t, x, target):
+        return self.inner.transition_probability(t, x, target)
+
+    def transition_matrix(self, t):
+        return self.inner.transition_matrix(t)
+
+    def sample_transition(self, t, x, rng):
+        return self.inner.sample_transition(t, x, rng)
+
+
+class TestDefaultRoute:
+    def test_scalar_default_agrees_with_closed_form(self):
+        bm = BrownianWithDrift(0.4, 0.8)
+        for lam in (0.05, 1.0, 30.0):
+            for target in (Interval(-1.0, 0.5), Interval(0.2, math.inf)):
+                want = bm.stationary_probability(lam, 0.1, target)
+                got = _QuadratureOnly(bm).stationary_probability(lam, 0.1, target)
+                assert abs(got - want) <= 1e-12 + 1e-8 * want
+
+    def test_vector_default_agrees_with_solve(self, three_state_chain):
+        w = np.array([0.2, 0.5, 0.3])
+        want = three_state_chain.stationary_vector(1.5, w)
+        got = _QuadratureOnly(three_state_chain).stationary_vector(1.5, w)
+        assert np.abs(got - want).max() < 1e-10
+
+
+def _twelve_state_chain():
+    rng = np.random.default_rng(12)
+    return FiniteCTMC(random_generator(rng, 12), np.arange(12.0) - 5.5), random_restart_weights(rng, 12)
+
+
+class TestChainResolvent:
+    @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_invariant_vector_is_long_time_row(self, lam, n, three_state_chain):
+        if n == 3:
+            chain, w = three_state_chain, np.array([0.2, 0.5, 0.3])
+        else:
+            chain, w = _twelve_state_chain()
+        proc = RestartedProcess(chain, RestartSpec(lam, finite_support_from_weights(w)))
+        q = proc.invariant_vector()
+        assert abs(q.sum() - 1.0) < 1e-12
+        # the restarted chain forgets its start at least at rate lam
+        w = proc.restart.nu.weights(chain.space)
+        far = expm(chain.restarted_generator(lam, w) * (60.0 / lam))
+        assert np.abs(far - q).max() < 1e-10
+
+    def test_point_restart_vector_and_measures(self):
+        chain, _ = _twelve_state_chain()
+        proc = RestartedProcess(chain, RestartSpec(0.7, PointMass(4)))
+        q = proc.invariant_vector()
+        for g in (Subset([4]), Subset([0, 3, 11]), Subset(range(12))):
+            assert abs(proc.invariant_measure(g) - sum(q[i] for i in g.indices)) < 1e-13
+
+    def test_probability_matches_quadrature_resolvent(self, three_state_chain):
+        for lam in (0.1, 2.0, 40.0):
+            for y in range(3):
+                g = Subset([0, 2])
+                got = three_state_chain.stationary_probability(lam, y, g)
+                assert abs(got - lam * resolvent(three_state_chain, lam, y, g)) < 1e-10
+
+
+class _CountingExpm:
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, A):
+        self.calls += 1
+        return expm(A)
+
+
+class TestExpmMemo:
+    def test_returned_matrix_is_a_copy(self, three_state_chain):
+        P = three_state_chain.transition_matrix(0.7)
+        want = P.copy()
+        P[:] = 0.0
+        assert np.array_equal(three_state_chain.transition_matrix(0.7), want)
+
+    def test_pickle_carries_no_cache(self, three_state_chain):
+        empty = len(pickle.dumps(three_state_chain))
+        for t in np.linspace(0.1, 5.0, 50):
+            three_state_chain.transition_matrix(t)
+        blob = pickle.dumps(three_state_chain)
+        assert len(blob) == empty
+        clone = pickle.loads(blob)
+        assert np.array_equal(clone.transition_matrix(1.3), three_state_chain.transition_matrix(1.3))
+
+    def test_repeated_probability_makes_no_new_expm(self, three_state_chain, monkeypatch):
+        counting = _CountingExpm()
+        monkeypatch.setattr(restartk.processes, "expm", counting)
+        first = three_state_chain.transition_probability(0.9, 1, Subset([0, 2]))
+        assert counting.calls == 1
+        assert three_state_chain.transition_probability(0.9, 1, Subset([0, 2])) == first
+        three_state_chain.transition_probability(0.9, 2, Subset([1]))
+        three_state_chain.moment(2, 0.9, 0)
+        assert counting.calls == 1
+
+    def test_cache_is_bounded(self, three_state_chain, monkeypatch):
+        counting = _CountingExpm()
+        monkeypatch.setattr(restartk.processes, "expm", counting)
+        three_state_chain.expm_cache_size = 4
+        times = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
+        for t in times:
+            three_state_chain.transition_matrix(t)
+        three_state_chain.transition_matrix(0.6)
+        assert counting.calls == 6
+        # the oldest entries went first
+        three_state_chain.transition_matrix(0.1)
+        assert counting.calls == 7
+
+
+def _choice_walk(Q, t, x, rng):
+    """The chain's jump loop with each jump drawn by Generator.choice."""
+    n = Q.shape[0]
+    state, elapsed = x, 0.0
+    while True:
+        rate = -Q[state, state]
+        elapsed += rng.exponential(1.0 / rate)
+        if elapsed >= t:
+            return state
+        probs = Q[state].copy()
+        probs[state] = 0.0
+        state = int(rng.choice(n, p=probs / rate))
+
+
+class TestCategoricalDraws:
+    @pytest.mark.parametrize(
+        "weights",
+        [(1.0,), (0.5, 0.5), (0.2, 0.0, 0.8), (0.1, 0.2, 0.3, 0.4), (1 / 3, 1 / 3, 1 - 2 / 3), (0.999, 0.001)],
+    )
+    def test_finite_support_draws_like_choice(self, weights):
+        dist = FiniteSupport(tuple((10.0 * i, w) for i, w in enumerate(weights)))
+        probs = [w for _, w in dist.points]
+        a, b = np.random.default_rng(11), np.random.default_rng(11)
+        got = [dist.sample(a) for _ in range(3000)]
+        want = [dist.points[b.choice(len(probs), p=probs)][0] for _ in range(3000)]
+        assert got == want
+        assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [2, 5, 12])
+    def test_chain_jumps_draw_like_choice(self, n):
+        Q = random_generator(np.random.default_rng(n), n)
+        chain = FiniteCTMC(Q)
+        a, b = np.random.default_rng(3), np.random.default_rng(3)
+        for i in range(300):
+            t, x = 0.05 * (i % 40 + 1), i % n
+            assert chain.sample_transition(t, x, a) == _choice_walk(Q, t, x, b)
+        assert a.random() == b.random()
