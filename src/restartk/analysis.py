@@ -22,7 +22,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammainc
 
 from .distributions import _double_factorial_odd, nu_weights
@@ -55,12 +54,11 @@ class Divergent:
 
 @dataclass
 class MomentReport:
-    """Analytic moment value with optional bound and empirical counterpart."""
+    """Analytic moment value with its optional empirical counterpart."""
 
     k: int
     t: float
     analytic: object
-    bound: float = None
     empirical: object = None
     finiteness_threshold: float = None
 
@@ -71,20 +69,24 @@ class MomentReport:
         gap = abs(self.analytic - self.empirical.estimate)
         return gap <= 3.0 * self.empirical.std_error
 
+    def analytic_cell(self):
+        """The analytic value, or the growth law as text when it diverges."""
+        an = self.analytic
+        return an.description if isinstance(an, Divergent) else an
+
     def table(self):
-        cols = ["k", "t", "analytic", "bound", "empirical", "std_error", "n", "threshold"]
-        an = self.analytic.description if isinstance(self.analytic, Divergent) else self.analytic
+        cols = ["k", "t", "analytic", "empirical", "std_error", "n", "threshold", "consistent"]
         emp = self.empirical
         return cols, [
             (
                 self.k,
                 self.t,
-                an,
-                self.bound,
+                self.analytic_cell(),
                 emp.estimate if emp else None,
                 emp.std_error if emp else None,
                 emp.n if emp else None,
                 self.finiteness_threshold,
+                self.consistent(),
             )
         ]
 
@@ -216,7 +218,7 @@ def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
         analytic = proc.moment(k, t, x, rel_tol=rel_tol)
         if analytic is None:
             raise DomainError(f"{type(base).__name__} exposes no closed-form moments")
-    return MomentReport(k, float(t), analytic, None, empirical, threshold)
+    return MomentReport(k, float(t), analytic, empirical, threshold)
 
 
 def moment_bound(proc, k, c_fn, eta, absolute=False):

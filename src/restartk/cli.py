@@ -25,7 +25,6 @@ from .errors import (
     ConfigError,
     DomainError,
     EtaNotLessThanLambda,
-    QuadratureFailure,
     RestartkError,
     SingularityAtOrigin,
     TailBoundViolated,
@@ -298,23 +297,10 @@ def build_process(spec, config_dir):
 
 def build_distribution(spec, space):
     kind = spec["type"]
-    finite = isinstance(space, FiniteSet)
     if kind == "point":
-        x = spec["x"]
-        if finite:
-            if x != int(x):
-                raise ConfigError(f"point distribution on a finite space needs an integer index, got {x}")
-            x = int(x)
-        dist = PointMass(x)
+        dist = PointMass(_state_for(space, spec["x"]))
     elif kind == "finite":
-        pts = []
-        for s, w in spec["points"]:
-            if finite:
-                if s != int(s):
-                    raise ConfigError(f"finite-space states are integer indices, got {s}")
-                s = int(s)
-            pts.append((s, w))
-        dist = FiniteSupport(tuple(pts))
+        dist = FiniteSupport(tuple((_state_for(space, s), w) for s, w in spec["points"]))
     elif kind == "gaussian":
         dist = gaussian(spec["mean"], spec["std"])
     elif kind == "exponential":
@@ -324,14 +310,6 @@ def build_distribution(spec, space):
     if not dist.supported_in(space):
         raise ConfigError(f"distribution {dist!r} is not supported in {space!r}")
     return dist
-
-
-def _parse_bound(v):
-    if v == "inf":
-        return math.inf
-    if v == "-inf":
-        return -math.inf
-    return float(v)
 
 
 def build_targets(specs, space):
@@ -347,7 +325,7 @@ def build_targets(specs, space):
         else:
             if len(raw) != 2:
                 raise ConfigError(f"interval target needs [lower, upper], got {raw}")
-            targets.append(Interval(_parse_bound(raw[0]), _parse_bound(raw[1])))
+            targets.append(Interval(*raw))
     return targets
 
 
@@ -359,11 +337,16 @@ def _describe(target):
 
 
 def _state_for(space, x):
+    """The state a config number names: an integer index on a finite space."""
     if isinstance(space, FiniteSet):
         if x != int(x):
             raise ConfigError(f"finite-space states are integer indices, got {x}")
-        return int(x)
-    return float(x)
+        x = int(x)
+    else:
+        x = float(x)
+    if not space.contains(x):
+        raise ConfigError(f"state {x} is not in {space!r}")
+    return x
 
 
 class _Runner:
@@ -441,21 +424,10 @@ class _Runner:
         for z in task.get("density_points", []):
             rows.append(("density", str(z), self.proc.invariant_density(z, rel_tol=self.rel_tol)))
         for k in task.get("moments", []):
-            rows.append((f"moment_{k}", "stationary", self._stationary_moment(k)))
+            rep = analysis.modified_moment(self.proc, k, math.inf, 1.0)
+            rows.append((f"moment_{k}", "stationary", rep.analytic_cell()))
         self._emit("stationary", ["kind", "where", "value"], rows, out_path, fmt)
         return 0
-
-    def _stationary_moment(self, k):
-        if isinstance(self.base, BrownianWithDrift):
-            if k == 1:
-                return analysis.bm_stationary_moments(self.base, self.proc.restart)[0]
-            if k == 2:
-                return analysis.bm_stationary_moments(self.base, self.proc.restart)[1]
-            return analysis.bm_modified_moment(self.base, self.proc.restart, k, math.inf, 0.0)
-        if isinstance(self.base, GeometricBrownian):
-            v = analysis.gbm_stationary_moment(self.base, self.proc.restart, k)
-            return v.description if isinstance(v, analysis.Divergent) else v
-        return analysis.ctmc_modified_moment(self.base, self.proc.restart, k, math.inf, 0)
 
     def task_simulate(self, task, out_path, fmt):
         if fmt != "csv":
@@ -471,12 +443,9 @@ class _Runner:
         return 0
 
     def task_moments(self, task, out_path, fmt):
-        space = self.proc.space
-        x = _state_for(space, task["x"])
+        x = _state_for(self.proc.space, task["x"])
         times = sorted(set(float(t) for t in task["t"]))
         use_mc = task.get("monte_carlo", True)
-        ensemble = None
-        cfg = None
         if use_mc:
             cfg = simulation.PathConfig(
                 seed=self.seed,
@@ -487,7 +456,6 @@ class _Runner:
             )
             self._log(f"simulating {cfg.n_paths} paths to t={cfg.horizon}")
             ensemble = simulation.run_ensemble(self.proc, cfg, workers=self.threads)
-        columns = ["k", "t", "analytic", "empirical", "std_error", "n", "threshold", "consistent"]
         rows = []
         for k in task["k"]:
             for t in times:
@@ -495,19 +463,8 @@ class _Runner:
                 if use_mc:
                     emp = simulation.monte_carlo_moment(self.proc, cfg, k, t, ensemble=ensemble)
                 rep = analysis.modified_moment(self.proc, k, t, x, empirical=emp, rel_tol=self.rel_tol)
-                an = rep.analytic
-                rows.append(
-                    (
-                        k,
-                        t,
-                        an.description if isinstance(an, analysis.Divergent) else an,
-                        emp.estimate if emp else None,
-                        emp.std_error if emp else None,
-                        emp.n if emp else None,
-                        rep.finiteness_threshold,
-                        rep.consistent(),
-                    )
-                )
+                columns, row = rep.table()
+                rows += row
         self._emit("moments", columns, rows, out_path, fmt)
         return 0
 

@@ -68,11 +68,15 @@ class PointMass:
     def sample(self, rng):
         return self.x
 
-    def expect(self, f):
+    def expect(self, f, rel_tol=None):
         return f(self.x)
 
     def moment(self, k):
         return float(self.x) ** k
+
+    def cdf(self, grid):
+        """Distribution function on a grid of points."""
+        return (np.asarray(grid, dtype=float) >= float(self.x)).astype(float)
 
     def supported_in(self, space):
         return space.contains(self.x)
@@ -106,11 +110,19 @@ class FiniteSupport:
     def sample(self, rng):
         return self.points[int(self._cdf.searchsorted(rng.random(), side="right"))][0]
 
-    def expect(self, f):
+    def expect(self, f, rel_tol=None):
         return sum(w * f(s) for s, w in self.points)
 
     def moment(self, k):
         return sum(w * float(s) ** k for s, w in self.points)
+
+    def cdf(self, grid):
+        """Distribution function on a grid of points."""
+        grid = np.asarray(grid, dtype=float)
+        out = np.zeros_like(grid)
+        for s, w in self.points:
+            out += w * (grid >= float(s))
+        return out
 
     def supported_in(self, space):
         return all(space.contains(s) for s, _ in self.points)
@@ -163,6 +175,16 @@ class DensityDistribution:
         if self._moment_fn is None:
             return None
         return self._moment_fn(int(k))
+
+    def cdf(self, grid):
+        """Distribution function on a grid of points, by quadrature of the density."""
+        grid = np.asarray(grid, dtype=float)
+        a, _ = self.support
+        out = np.empty_like(grid)
+        for i, g in enumerate(grid):
+            lo = a if math.isfinite(a) else min(g - 50.0, -50.0)
+            out[i], _ = integrate.quad(self.pdf, lo, g, epsabs=1e-11, epsrel=1e-9, limit=200)
+        return np.clip(out, 0.0, 1.0)
 
     def total_mass(self):
         """Integral of the density over its support; should be 1."""
@@ -273,30 +295,6 @@ def nu_weights(nu, space):
     return nu.weights(space)
 
 
-def cdf_of(dist, grid):
-    """Distribution function of ``dist`` evaluated on a grid, where available.
-
-    Used by statistical tests comparing empirical post-restart states to the
-    restart law.
-    """
-    grid = np.asarray(grid, dtype=float)
-    if isinstance(dist, PointMass):
-        return (grid >= float(dist.x)).astype(float)
-    if isinstance(dist, FiniteSupport):
-        out = np.zeros_like(grid)
-        for s, w in dist.points:
-            out += w * (grid >= float(s))
-        return out
-    if isinstance(dist, DensityDistribution):
-        a, _ = dist.support
-        out = np.empty_like(grid)
-        for i, g in enumerate(grid):
-            lo = a if math.isfinite(a) else min(g - 50.0, -50.0)
-            out[i], _ = integrate.quad(dist.pdf, lo, g, epsabs=1e-11, epsrel=1e-9, limit=200)
-        return np.clip(out, 0.0, 1.0)
-    raise DomainError(f"no distribution function for {type(dist).__name__}")
-
-
 __all__ = [
     "PointMass",
     "FiniteSupport",
@@ -306,5 +304,4 @@ __all__ = [
     "lognormal",
     "gaussian_raw_moment",
     "nu_weights",
-    "cdf_of",
 ]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import DensityDistribution, nu_weights
+from .distributions import nu_weights
 from .errors import DomainError, SingularityAtOrigin
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
 from .spaces import FiniteSet, indicator, validate_target
@@ -52,10 +52,10 @@ class MarkovKernel(abc.ABC):
         """One exact draw of the state at time t started from x."""
 
     def transition_density(self, t, x, z):
-        raise NotImplementedError(f"{type(self).__name__} has no transition density")
+        raise DomainError(f"{type(self).__name__} has no transition density")
 
     def transition_matrix(self, t):
-        raise NotImplementedError(f"{type(self).__name__} has no transition matrix")
+        raise DomainError(f"{type(self).__name__} has no transition matrix")
 
     def moment(self, k, t, x):
         """E_x[X(t)^k] in closed form, or None when the kernel has none."""
@@ -97,7 +97,7 @@ class MarkovKernel(abc.ABC):
         default refuses, which keeps kernels without a certified envelope
         out of density-based stationary computations.
         """
-        raise NotImplementedError(f"{type(self).__name__} has no density envelope")
+        raise DomainError(f"{type(self).__name__} has no density envelope")
 
     def certifies_absolute_moment(self, k):
         """Whether E_x|X(s)|^k is finite for all s in compacts, with a proof.
@@ -171,30 +171,15 @@ class RestartedProcess(MarkovKernel):
         validate_target(self.space, target)
         if t == 0.0:
             return indicator(target, x)
-        lam = self.rate
-        term1 = math.exp(-lam * t) * self.base.transition_probability(t, x, target)
-        if lam == 0.0:
-            return term1
-        return term1 + self._nu_expect(
-            lambda y: self._weighted(
-                lambda s: self.base.transition_probability(s, y, target), t, rel_tol
-            ),
-            rel_tol,
+        return self._compose(
+            lambda s, y: self.base.transition_probability(s, y, target), t, x, rel_tol
         )
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
-        t = float(t)
+        t = _check_time(t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
-        t = _check_time(t)
-        lam = self.rate
-        term1 = math.exp(-lam * t) * self.base.transition_density(t, x, z)
-        if lam == 0.0:
-            return term1
-        return term1 + self._nu_expect(
-            lambda y: self._weighted(lambda s: self.base.transition_density(s, y, z), t, rel_tol),
-            rel_tol,
-        )
+        return self._compose(lambda s, y: self.base.transition_density(s, y, z), t, x, rel_tol)
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
         t = _check_time(t)
@@ -230,17 +215,9 @@ class RestartedProcess(MarkovKernel):
         t = _check_time(t)
         if t == 0.0:
             return self.base.state_value(x) ** k
-        term1_base = self.base.moment(k, t, x)
-        if term1_base is None:
+        if self.base.moment(k, t, x) is None:
             return None
-        lam = self.rate
-        term1 = math.exp(-lam * t) * term1_base
-        if lam == 0.0:
-            return term1
-        return term1 + self._nu_expect(
-            lambda y: self._weighted(lambda s: self.base.moment(k, s, y), t, rel_tol),
-            rel_tol,
-        )
+        return self._compose(lambda s, y: self.base.moment(k, s, y), t, x, rel_tol)
 
     # -- stationary law --------------------------------------------------
 
@@ -283,17 +260,28 @@ class RestartedProcess(MarkovKernel):
             raise DomainError("rate 0 never restarts; no stationary law exists")
         return self.rate
 
+    def _compose(self, f, t, x, rel_tol):
+        """exp(-lam*t) f(t, x) + int nu(dy) int_0^t lam exp(-lam*s) f(s, y) ds.
+
+        The split of the restarted law over the age of the restart clock,
+        applied to any base quantity f(s, y) of the time and start state.
+        """
+        term1 = math.exp(-self.rate * t) * f(t, x)
+        if self.rate == 0.0:
+            return term1
+        return term1 + self._nu_expect(
+            lambda y: self._weighted(lambda s: f(s, y), t, rel_tol), rel_tol
+        )
+
     def _weighted(self, f, upper, rel_tol, **kw):
         return exp_weighted_integral(
             f, self.rate, upper, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL, **kw
         ).value
 
     def _nu_expect(self, inner, rel_tol):
-        nu = self.restart.nu
-        if isinstance(nu, DensityDistribution):
-            # nested quadrature: inner time integral per y, outer over nu
-            return nu.expect(inner, rel_tol=max(rel_tol, 1e-10))
-        return nu.expect(inner)
+        # a density nu integrates the inner time integral once more, never
+        # tighter than 1e-10; point and finite laws sum exactly
+        return self.restart.nu.expect(inner, rel_tol=max(rel_tol, 1e-10))
 
 
 def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):

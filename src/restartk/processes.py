@@ -23,7 +23,7 @@ from scipy.special import ndtr
 from .distributions import categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
 from .kernels import MarkovKernel
-from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
+from .spaces import FiniteSet, HalfLinePositive, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 

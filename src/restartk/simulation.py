@@ -127,7 +127,11 @@ def _run_path(proc, config, path_index, events=None):
     nu = proc.restart.nu
     ri = 0
     now = 0.0
-    for j, g in enumerate(grid):
+    # event logs also cover restarts between the last grid time and the
+    # horizon, through one more pass that stops at infinity and records
+    # nothing; grid recordings are unaffected
+    stops = grid + (math.inf,) if events is not None else grid
+    for j, g in enumerate(stops):
         while ri < len(restarts) and restarts[ri] <= g:
             dt = restarts[ri] - now
             if dt > 0.0:
@@ -137,6 +141,8 @@ def _run_path(proc, config, path_index, events=None):
             ri += 1
             if events is not None:
                 events.append((now, state, "restart"))
+        if j == len(grid):
+            break
         dt = g - now
         if dt > 0.0:
             state = base.sample_transition(dt, state, rng)
@@ -146,17 +152,6 @@ def _run_path(proc, config, path_index, events=None):
         ages[j] = now - restarts[ri - 1] if ri > 0 else math.nan
         if events is not None:
             events.append((g, state, "grid"))
-    if events is not None:
-        # event logs also cover restarts between the last grid time and the
-        # horizon; grid recordings above are unaffected
-        while ri < len(restarts):
-            dt = restarts[ri] - now
-            if dt > 0.0:
-                state = base.sample_transition(dt, state, rng)
-            state = nu.sample(rng)
-            now = restarts[ri]
-            ri += 1
-            events.append((now, state, "restart"))
     return states, counts, ages, restarts
 
 
@@ -382,7 +377,7 @@ def empirical_distribution(
             raise WindowTooNarrow(
                 f"window ({a}, {b}) misses {ref_out:.3e} of the reference mass (limit 1e-4)"
             )
-        tv = 0.5 * (float(np.abs(emp - ref).sum()) + abs(emp_out - ref_out))
+        tv = histogram_tv(emp, emp_out, ref, ref_out)
     return HistogramReport(
         edges, emp, emp_out, ref, ref_out, tv, math.sqrt(bins / n), n
     )

@@ -11,6 +11,8 @@ from restartk import (
     ConfigError,
     DomainError,
     EtaNotLessThanLambda,
+    FiniteCTMC,
+    FiniteSupport,
     GeometricBrownian,
     PointMass,
     RestartSpec,
@@ -20,12 +22,15 @@ from restartk import (
     ToleranceNotMet,
     UnsupportedTarget,
     bm_stationary_moments,
+    modified_moment,
 )
 from restartk.analysis import ErgodicityReport, ErgodicityRow
 from restartk.cli import exit_code_for, main
 
 BM = {"type": "bm", "mu": 0.5, "sigma": 1.0}
 RESTART = {"rate": 2.0, "nu": {"type": "point", "x": 0.0}}
+CHAIN2 = {"type": "ctmc", "Q": [[-1.0, 1.0], [1.0, -1.0]]}
+CHAIN2_RESTART = {"rate": 1.0, "nu": {"type": "point", "x": 0}}
 
 
 def write_config(tmp_path, task, process=BM, restart=RESTART, fmt="json",
@@ -129,6 +134,28 @@ class TestStationary:
         assert abs(by_kind["moment_2"] - second) < 1e-12
         assert 0.0 < by_kind["measure"] < 1.0
         assert by_kind["density"] > 0.0
+
+        task["moments"] = [3]
+        path, out = write_config(tmp_path, task)
+        assert run_cli(path) == 0
+        rows = json.loads(open(out).read())["rows"]
+        want = modified_moment(RestartedProcess(p, restart), 3, math.inf, 0.0).analytic
+        assert [r[2] for r in rows if r[0] == "moment_3"] == [want]
+
+        chain = {"type": "ctmc", "Q": [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]],
+                 "values": [0.3, -1.2, 2.5]}
+        nu = {"type": "finite", "points": [[0, 0.5], [2, 0.5]]}
+        task = {"name": "stationary", "targets": [[0]], "moments": [1, 2]}
+        path, out = write_config(tmp_path, task, process=chain, restart={"rate": 2.0, "nu": nu})
+        assert run_cli(path) == 0
+        rows = json.loads(open(out).read())["rows"]
+        proc = RestartedProcess(
+            FiniteCTMC(chain["Q"], chain["values"]),
+            RestartSpec(2.0, FiniteSupport(((0, 0.5), (2, 0.5)))),
+        )
+        for k in (1, 2):
+            want = modified_moment(proc, k, math.inf, 0).analytic
+            assert [r[2] for r in rows if r[0] == f"moment_{k}"] == [want]
 
     def test_divergent_moment_reported_as_text(self, tmp_path):
         gbm = {"type": "gbm", "mu": 0.5, "sigma": 1.0}
@@ -329,6 +356,35 @@ class TestConfigValidation:
         task = {"name": "stationary", "targets": [[0.0, 1.0, 2.0]]}
         path, _ = write_config(tmp_path, task)
         assert run_cli(path) == 2
+
+    @pytest.mark.parametrize(
+        "task",
+        [
+            {"name": "kernel-eval", "t": [0.5], "x": 5, "targets": [[0]]},
+            {"name": "moments", "k": [1], "x": 5, "t": [0.5], "monte_carlo": False},
+        ],
+        ids=["kernel-eval", "moments"],
+    )
+    def test_chain_start_state_out_of_range(self, tmp_path, capsys, task):
+        path, _ = write_config(tmp_path, task, process=CHAIN2, restart=CHAIN2_RESTART)
+        assert run_cli(path) == 2
+        assert "validation error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "task, missing",
+        [
+            (
+                {"name": "kernel-eval", "t": [0.5], "x": 0, "targets": [[0]], "density_points": [0.0]},
+                "no transition density",
+            ),
+            ({"name": "stationary", "targets": [[0]], "density_points": [0.0]}, "no density envelope"),
+        ],
+        ids=["kernel-eval", "stationary"],
+    )
+    def test_chain_density_points_rejected(self, tmp_path, capsys, task, missing):
+        path, _ = write_config(tmp_path, task, process=CHAIN2, restart=CHAIN2_RESTART)
+        assert run_cli(path) == 2
+        assert missing in capsys.readouterr().err
 
     def test_nu_must_fit_space(self, tmp_path):
         gbm = {"type": "gbm", "mu": 0.1, "sigma": 0.5}

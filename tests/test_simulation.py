@@ -341,3 +341,18 @@ class TestPathCsv:
         out = tmp_path / "p.csv"
         write_path_csv(proc, cfg, str(out))
         assert buf.getvalue() == out.read_text()
+
+    def test_grid_rows_equal_ensemble_states(self):
+        # the event log walks each path with the same draws as the ensemble,
+        # restarts after the last grid time included
+        proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
+        cfg = PathConfig(
+            seed=8, horizon=2.0, record_grid=(0.25, 0.5, 1.0), n_paths=6, initial=PointMass(0.0)
+        )
+        buf = io.StringIO()
+        write_path_csv(proc, cfg, buf)
+        rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
+        grid = np.array([[float(r[2]) for r in rows if int(r[0]) == i and r[3] == "grid"]
+                         for i in range(cfg.n_paths)])
+        assert np.array_equal(grid, run_ensemble(proc, cfg).states)
+        assert any(r[3] == "restart" and float(r[1]) > 1.0 for r in rows)

@@ -16,7 +16,6 @@ from restartk import (
     RealLine,
     Subset,
     UnsupportedTarget,
-    cdf_of,
     exponential,
     gaussian,
     gaussian_raw_moment,
@@ -230,20 +229,20 @@ class TestHelpers:
             nu_weights(gaussian(0.0, 1.0), space)
 
     def test_cdf_of_point_mass(self):
-        vals = cdf_of(PointMass(1.0), [0.5, 1.0, 1.5])
+        vals = PointMass(1.0).cdf([0.5, 1.0, 1.5])
         assert vals.tolist() == [0.0, 1.0, 1.0]
 
     def test_cdf_of_finite_support(self):
         dist = FiniteSupport(((0.0, 0.25), (2.0, 0.75)))
-        vals = cdf_of(dist, [-1.0, 0.0, 1.0, 2.0])
+        vals = dist.cdf([-1.0, 0.0, 1.0, 2.0])
         assert vals.tolist() == [0.0, 0.25, 0.25, 1.0]
 
     def test_cdf_of_gaussian(self):
-        vals = cdf_of(gaussian(0.0, 1.0), [0.0, 1.0])
+        vals = gaussian(0.0, 1.0).cdf([0.0, 1.0])
         assert abs(vals[0] - 0.5) < 1e-8
         assert abs(vals[1] - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))) < 1e-8
 
     def test_cdf_of_exponential(self):
-        vals = cdf_of(exponential(2.0), [0.5, 1.0])
+        vals = exponential(2.0).cdf([0.5, 1.0])
         assert abs(vals[0] - (1.0 - math.exp(-1.0))) < 1e-8
         assert abs(vals[1] - (1.0 - math.exp(-2.0))) < 1e-8
