@@ -10,9 +10,6 @@ simulation and matrix-exponential references.
 
 from .analysis import (
     Divergent,
-    ErgodicityReport,
-    MomentReport,
-    SweepReport,
     bm_stationary_moments,
     ergodicity_check,
     gbm_stationary_moment,
@@ -53,14 +50,9 @@ from .processes import (
     ctmc_from_dict,
     ctmc_from_json,
 )
-from .quadrature import QuadratureResult, exp_weighted_integral, tail_truncation_point
+from .quadrature import exp_weighted_integral, tail_truncation_point
 from .simulation import (
-    AgeReport,
-    EnsembleResult,
-    EstimatorReport,
-    HistogramReport,
     PathConfig,
-    PathSample,
     age_distribution_test,
     empirical_distribution,
     histogram_tv,
@@ -83,15 +75,11 @@ from .spaces import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgeReport",
     "BrownianWithDrift",
     "ConfigError",
     "DensityDistribution",
     "Divergent",
     "DomainError",
-    "EnsembleResult",
-    "ErgodicityReport",
-    "EstimatorReport",
     "EtaNotLessThanLambda",
     "FiniteCTMC",
     "FiniteSet",
@@ -99,23 +87,18 @@ __all__ = [
     "FubiniUnverified",
     "GeometricBrownian",
     "HalfLinePositive",
-    "HistogramReport",
     "Interval",
     "MarkovKernel",
-    "MomentReport",
     "MomentUnstable",
     "PathConfig",
-    "PathSample",
     "PointMass",
     "QuadratureFailure",
-    "QuadratureResult",
     "RealLine",
     "RestartSpec",
     "RestartedProcess",
     "RestartkError",
     "SingularityAtOrigin",
     "Subset",
-    "SweepReport",
     "TailBoundViolated",
     "ToleranceNotMet",
     "UnsupportedTarget",

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import gammainc
 
-from .distributions import _double_factorial_odd, nu_weights
+from .distributions import _double_factorial_odd
 from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified
 from .kernels import RestartedProcess, RestartSpec
 from .processes import BrownianWithDrift, FiniteCTMC, GeometricBrownian
@@ -164,21 +164,17 @@ def gbm_modified_moment(p, restart, k, t, x):
 
 
 def ctmc_modified_moment(p, restart, k, t, x):
-    """E_x[X(t)^k] for a restarted finite chain, by resolvent linear algebra.
+    """E_x[X(t)^k] for a restarted finite chain; t may be inf.
 
-    int_0^t lam e^{-lam s} e^{Qs} ds = lam (I - e^{-lam t} e^{Qt}) (lam I - Q)^{-1}
-    exactly, so no quadrature enters this route.
+    The row of the restarted transition matrix (the invariant vector at
+    t = inf) against the k-th powers of the state values; the chain's
+    resolvent linear algebra gives both exactly, so no quadrature enters.
     """
-    lam = restart.rate
-    if lam <= 0.0:
+    if restart.rate <= 0.0:
         raise DomainError("restart rate must be positive")
-    vk = p.values ** int(k)
-    w = nu_weights(restart.nu, p.space)
-    if math.isinf(t):
-        return float(p.stationary_vector(lam, w) @ vk)
-    decay = math.exp(-lam * t) * p.transition_matrix(t)
-    M = lam * (np.eye(p.space.n) - decay) @ p.resolvent_matrix(lam)
-    return float(decay[int(x)] @ vk + w @ M @ vk)
+    proc = RestartedProcess(p, restart)
+    q = proc.invariant_vector() if math.isinf(t) else proc.transition_matrix(t)[int(x)]
+    return float(q @ p.values ** int(k))
 
 
 def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
@@ -358,8 +354,8 @@ class SweepRow:
 
 @dataclass
 class SweepReport:
-    """q as a function of the restart rate, against the base chain's own
-    stationary law when the base process has one."""
+    """q as a function of the restart rate, against the base process's own
+    stationary law when it has one."""
 
     rows: list
     comparison: object = None
@@ -374,33 +370,25 @@ class SweepReport:
 def small_lambda_sweep(kernel, nu, target_sets, lambda_grid, rel_tol=DEFAULT_REL_TOL):
     """Invariant masses along a decreasing grid of restart rates.
 
-    For a finite chain the invariant law has the exact resolvent form
-    lam * nu (lam I - Q)^{-1}; the report carries its l1 distance to the
-    chain's own stationary law and a fitted convergence order in lam.  For
-    diffusions with no stationary law of their own the masses are reported
-    as they are -- typically draining to zero on bounded windows -- and no
-    limit is asserted.
+    When the base kernel knows its own stationary law (a finite chain), the
+    report carries the l1 distance of the invariant vector to it and a
+    fitted convergence order in lam.  For diffusions with no stationary law
+    of their own the masses are reported as they are -- typically draining
+    to zero on bounded windows -- and no limit is asserted.
     """
     lams = [float(l) for l in lambda_grid]
     if not lams or any(l <= 0.0 for l in lams):
         raise DomainError("lambda_grid must be positive")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise DomainError("lambda_grid must be strictly decreasing")
+    pi = kernel.stationary_distribution()
     rows = []
-    if isinstance(kernel, FiniteCTMC):
-        w = nu_weights(nu, kernel.space)
-        pi = kernel.stationary_distribution()
-        for lam in lams:
-            q = kernel.stationary_vector(lam, w)
-            masses = tuple(float(sum(q[i] for i in g.indices)) for g in target_sets)
-            rows.append(SweepRow(lam, masses, float(np.abs(q - pi).sum())))
-        devs = np.array([r.l1_deviation for r in rows])
-        order = None
-        if np.all(devs > 0.0):
-            order = float(np.polyfit(np.log(lams), np.log(devs), 1)[0])
-        return SweepReport(rows, comparison=pi, fitted_order=order)
     for lam in lams:
         proc = RestartedProcess(kernel, RestartSpec(lam, nu))
         masses = tuple(proc.invariant_measure(g, rel_tol=rel_tol) for g in target_sets)
-        rows.append(SweepRow(lam, masses))
-    return SweepReport(rows)
+        dev = None if pi is None else float(np.abs(proc.invariant_vector(rel_tol=rel_tol) - pi).sum())
+        rows.append(SweepRow(lam, masses, dev))
+    order = None
+    if pi is not None and all(r.l1_deviation > 0.0 for r in rows):
+        order = float(np.polyfit(np.log(lams), np.log([r.l1_deviation for r in rows]), 1)[0])
+    return SweepReport(rows, comparison=pi, fitted_order=order)

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .kernels import RestartedProcess, RestartSpec
 from .processes import BrownianWithDrift, GeometricBrownian, ctmc_from_dict, ctmc_from_json
+from .quadrature import DEFAULT_REL_TOL
 from .reporting import table_payload, write_csv, write_json
 from .spaces import FiniteSet, Interval, Subset
 
@@ -265,9 +266,8 @@ def exit_code_for(exc):
     numerical = (TailBoundViolated, SingularityAtOrigin, EtaNotLessThanLambda, ArithmeticError)
     if isinstance(exc, numerical):
         return 3
-    if isinstance(exc, (ConfigError, DomainError, UnsupportedTarget, jsonschema.ValidationError)):
-        return 2
-    if isinstance(exc, (OSError, ValueError)):
+    # ConfigError and DomainError are ValueErrors
+    if isinstance(exc, (ValueError, UnsupportedTarget, jsonschema.ValidationError, OSError)):
         return 2
     return 1
 
@@ -359,7 +359,7 @@ class _Runner:
         nu = build_distribution(restart["nu"], self.base.space)
         self.proc = RestartedProcess(self.base, RestartSpec(restart["rate"], nu))
         self.seed = self._resolve_seed()
-        self.rel_tol = config.get("tolerances", {}).get("quad_rel_tol", 1e-9)
+        self.rel_tol = config.get("tolerances", {}).get("quad_rel_tol", DEFAULT_REL_TOL)
 
     def _resolve_seed(self):
         env = os.environ.get("RESTARTK_SEED")

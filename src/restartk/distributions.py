@@ -177,13 +177,20 @@ class DensityDistribution:
         return self._moment_fn(int(k))
 
     def cdf(self, grid):
-        """Distribution function on a grid of points, by quadrature of the density."""
-        grid = np.asarray(grid, dtype=float)
+        """Distribution function on a grid of points, by quadrature of the density.
+
+        A support unbounded below is integrated from -inf to the mean (0
+        without one), then over the finite range from there to each point,
+        so a wide law keeps its left tail and a far point its bulk.
+        """
+
+        def mass(lo, hi):
+            return integrate.quad(self.pdf, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)[0]
+
         a, _ = self.support
-        out = np.empty_like(grid)
-        for i, g in enumerate(grid):
-            lo = a if math.isfinite(a) else min(g - 50.0, -50.0)
-            out[i], _ = integrate.quad(self.pdf, lo, g, epsabs=1e-11, epsrel=1e-9, limit=200)
+        mid = a if math.isfinite(a) else (self.moment(1) or 0.0)
+        below = mass(a, mid)
+        out = [below + mass(mid, g) if g >= mid else mass(a, g) for g in np.asarray(grid, dtype=float)]
         return np.clip(out, 0.0, 1.0)
 
     def total_mass(self):

@@ -18,7 +18,9 @@ how badly the base process escapes.  That law is the nu-average of the base
 kernel's Laplace transform at the restart rate, which the base kernel
 supplies itself (``stationary_probability``, ``stationary_vector``): exactly
 where it has a closed form or a linear-algebra route, by quadrature
-otherwise.
+otherwise.  On a finite space ``stationary_vector`` also takes a finite
+horizon, so the restarted transition matrix is the base kernel's answer
+plus the no-restart term, exact on chains.
 """
 
 from __future__ import annotations
@@ -27,12 +29,10 @@ import abc
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .distributions import nu_weights
 from .errors import DomainError, SingularityAtOrigin
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
-from .spaces import FiniteSet, indicator, validate_target
+from .spaces import indicator, validate_target
 
 
 class MarkovKernel(abc.ABC):
@@ -68,23 +68,21 @@ class MarkovKernel(abc.ABC):
         rate lam to the point y.  The default is certified quadrature;
         kernels that know their Laplace transform override it.
         """
-        return exp_weighted_integral(
-            lambda s: self.transition_probability(s, y, target),
-            lam,
-            math.inf,
-            rel_tol=rel_tol,
-            abs_tol=DEFAULT_ABS_TOL,
-        ).value
+        return lam * resolvent(self, lam, y, target, rel_tol=rel_tol)
 
-    def stationary_vector(self, lam, w, rel_tol=DEFAULT_REL_TOL):
-        """lam * w int_0^inf exp(-lam*s) P(s) ds for a weight vector w.
+    def stationary_vector(self, lam, w, t=math.inf, rel_tol=DEFAULT_REL_TOL):
+        """lam * w int_0^t exp(-lam*s) P(s) ds for a weight vector w.
 
-        The invariant law on a finite space under rate-lam restarts drawn
-        from w.  The default is certified quadrature of the transition
-        matrices.
+        At t = inf this is the invariant law on a finite space under
+        rate-lam restarts drawn from w; at finite t it is the part of the
+        restarted transition matrix's rows that the restarts contribute.
+        The default is certified quadrature of the transition matrices.
         """
-        M = exp_weighted_integral(self.transition_matrix, lam, math.inf, rel_tol=rel_tol).value
-        return w @ M
+        return w @ exp_weighted_integral(self.transition_matrix, lam, t, rel_tol=rel_tol).value
+
+    def stationary_distribution(self):
+        """The process's own stationary law as a vector, or None when the kernel supplies none."""
+        return None
 
     def state_value(self, x):
         """Numeric value of a state (the label, for finite spaces)."""
@@ -188,10 +186,8 @@ class RestartedProcess(MarkovKernel):
         if lam == 0.0 or t == 0.0:
             return P
         w = nu_weights(self.restart.nu, self.space)
-        M = exp_weighted_integral(
-            self.base.transition_matrix, lam, t, rel_tol=rel_tol
-        ).value
-        return math.exp(-lam * t) * P + np.outer(np.ones(self.space.n), w @ M)
+        # the restarts add the same row whatever the start state
+        return math.exp(-lam * t) * P + self.base.stationary_vector(lam, w, t, rel_tol=rel_tol)
 
     def sample_transition(self, t, x, rng):
         t = _check_time(t)
@@ -248,8 +244,6 @@ class RestartedProcess(MarkovKernel):
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):
         """Invariant weight vector on a finite state space."""
         lam = self._positive_rate()
-        if not isinstance(self.space, FiniteSet):
-            raise DomainError("invariant_vector needs a finite state space")
         w = nu_weights(self.restart.nu, self.space)
         return self.base.stationary_vector(lam, w, rel_tol=rel_tol)
 

@@ -7,7 +7,8 @@ and closed-form moments, so they serve both as base processes for restarting
 and as the analytic reference in tests.  All three also answer the invariant
 law of their restarted process exactly: the diffusions through the
 asymmetric Laplace law of the restart-averaged position, the chain through
-one linear solve against lam*I - Q.
+one linear solve against lam*I - Q, which with the memoised exp(Q*t) also
+gives the restarted chain's transition matrix at any finite t.
 """
 
 from __future__ import annotations
@@ -315,7 +316,8 @@ class FiniteCTMC(MarkovKernel):
     def certifies_absolute_moment(self, k):
         return True
 
-    # exact linear-algebra companions, used as independent references
+    # exact linear-algebra companions: the chain's own stationary law (the
+    # small-rate sweep compares against it) and references for the tests
 
     def stationary_distribution(self):
         """Solve pi Q = 0, pi summing to 1, by least squares."""
@@ -339,10 +341,18 @@ class FiniteCTMC(MarkovKernel):
         g[list(target.indices)] = 1.0
         return float(lam * np.linalg.solve(lam * np.eye(self.space.n) - self.Q, g)[int(y)])
 
-    def stationary_vector(self, lam, w, rel_tol=None):
-        """lam * w (lam*I - Q)^(-1), by one linear solve."""
+    def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
+        """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly.
+
+        The integral is lam * w (lam*I - Q)^(-1) (I - exp(-lam*t) exp(Q*t)):
+        one linear solve gives v = lam * w (lam*I - Q)^(-1), the value at
+        t = inf, and a finite horizon subtracts exp(-lam*t) v exp(Q*t).
+        """
         lam = _positive_rate(lam)
-        return lam * np.linalg.solve((lam * np.eye(self.space.n) - self.Q).T, w)
+        v = lam * np.linalg.solve((lam * np.eye(self.space.n) - self.Q).T, w)
+        if math.isinf(t):
+            return v
+        return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
 
     def restarted_generator(self, lam, nu_vec):
         """Generator of the chain with rate-lam restarts redrawn from nu_vec."""

@@ -2,7 +2,8 @@
 
 The diffusions' closed-form Laplace masses are checked against the
 quadrature definition ``kernels.resolvent``, the chains' linear solves
-against the long-time exponential of the restarted generator.  Also here:
+against the exponential of the restarted generator, at long and at finite
+times.  Also here:
 the per-chain memo of exp(Q*t), and categorical draws that reproduce
 ``Generator.choice`` draw for draw.
 """
@@ -140,9 +141,10 @@ class TestDefaultRoute:
 
     def test_vector_default_agrees_with_solve(self, three_state_chain):
         w = np.array([0.2, 0.5, 0.3])
-        want = three_state_chain.stationary_vector(1.5, w)
-        got = _QuadratureOnly(three_state_chain).stationary_vector(1.5, w)
-        assert np.abs(got - want).max() < 1e-10
+        for t in (math.inf, 0.05, 0.8, 6.0):
+            want = three_state_chain.stationary_vector(1.5, w, t)
+            got = _QuadratureOnly(three_state_chain).stationary_vector(1.5, w, t)
+            assert np.abs(got - want).max() < 1e-10
 
 
 def _twelve_state_chain():
@@ -163,8 +165,12 @@ class TestChainResolvent:
         assert abs(q.sum() - 1.0) < 1e-12
         # the restarted chain forgets its start at least at rate lam
         w = proc.restart.nu.weights(chain.space)
-        far = expm(chain.restarted_generator(lam, w) * (60.0 / lam))
-        assert np.abs(far - q).max() < 1e-10
+        G = chain.restarted_generator(lam, w)
+        assert np.abs(expm(G * (60.0 / lam)) - q).max() < 1e-10
+        # and at finite times its kernel is the restarted generator's exponential
+        for lam_t in (0.01, 1.0, 30.0):
+            t = lam_t / lam
+            assert np.abs(proc.transition_matrix(t) - expm(G * t)).max() < 1e-10
 
     def test_point_restart_vector_and_measures(self):
         chain, _ = _twelve_state_chain()

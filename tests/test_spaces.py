@@ -238,9 +238,11 @@ class TestHelpers:
         assert vals.tolist() == [0.0, 0.25, 0.25, 1.0]
 
     def test_cdf_of_gaussian(self):
-        vals = gaussian(0.0, 1.0).cdf([0.0, 1.0])
-        assert abs(vals[0] - 0.5) < 1e-8
-        assert abs(vals[1] - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))) < 1e-8
+        # a wide law must keep its left tail: the support is unbounded below
+        for std in (1.0, 100.0):
+            vals = gaussian(0.0, std).cdf([0.0, std])
+            assert abs(vals[0] - 0.5) < 1e-8
+            assert abs(vals[1] - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))) < 1e-8
 
     def test_cdf_of_exponential(self):
         vals = exponential(2.0).cdf([0.5, 1.0])
