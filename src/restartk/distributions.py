@@ -65,8 +65,8 @@ class PointMass:
 
     x: object
 
-    def sample(self, rng):
-        return self.x
+    def sample(self, rng, size=None):
+        return self.x if size is None else np.full(size, self.x)
 
     def expect(self, f, rel_tol=None):
         return f(self.x)
@@ -106,9 +106,12 @@ class FiniteSupport:
             raise DomainError(f"weights sum to {wsum!r}, expected 1 within 1e-12")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_cdf", categorical_cdf([w for _, w in pts]))
+        object.__setattr__(self, "_states", np.asarray([s for s, _ in pts]))
 
-    def sample(self, rng):
-        return self.points[int(self._cdf.searchsorted(rng.random(), side="right"))][0]
+    def sample(self, rng, size=None):
+        if size is None:
+            return self.points[int(self._cdf.searchsorted(rng.random(), side="right"))][0]
+        return self._states[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def expect(self, f, rel_tol=None):
         return sum(w * f(s) for s, w in self.points)
@@ -142,7 +145,7 @@ class DensityDistribution:
     pdf : callable
         Density, evaluated pointwise.
     sampler : callable
-        rng -> one exact draw.
+        (rng, size=None) -> one exact draw, or an array of ``size`` draws.
     support : (float, float)
         Interval outside which the density vanishes.
     moment_fn : callable or None
@@ -161,8 +164,8 @@ class DensityDistribution:
     def __repr__(self):
         return f"DensityDistribution({self.name})"
 
-    def sample(self, rng):
-        return self._sampler(rng)
+    def sample(self, rng, size=None):
+        return self._sampler(rng) if size is None else self._sampler(rng, size)
 
     def expect(self, f, rel_tol=1e-10):
         a, b = self.support
@@ -216,8 +219,8 @@ def _gauss_pdf(y, mean, std):
     return math.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
 
 
-def _gauss_sample(rng, mean, std):
-    return mean + std * rng.standard_normal()
+def _gauss_sample(rng, size=None, *, mean, std):
+    return mean + std * rng.standard_normal(size)
 
 
 def _gauss_moment(k, mean, std):
@@ -242,8 +245,8 @@ def _exp_pdf(y, rate):
     return rate * math.exp(-rate * y) if y >= 0.0 else 0.0
 
 
-def _exp_sample(rng, rate):
-    return rng.exponential(1.0 / rate)
+def _exp_sample(rng, size=None, *, rate):
+    return rng.exponential(1.0 / rate, size)
 
 
 def _exp_moment(k, rate):
@@ -271,8 +274,10 @@ def _lognorm_pdf(y, m, s):
     return math.exp(-0.5 * z * z) / (y * s * math.sqrt(2.0 * math.pi))
 
 
-def _lognorm_sample(rng, m, s):
-    return math.exp(m + s * rng.standard_normal())
+def _lognorm_sample(rng, size=None, *, m, s):
+    if size is None:
+        return math.exp(m + s * rng.standard_normal())
+    return np.exp(m + s * rng.standard_normal(size))
 
 
 def _lognorm_moment(k, m, s):

@@ -12,7 +12,9 @@ otherwise the state was redrawn from nu at some time t-s in the past and the
 base kernel acts for the remaining s, which is exponentially distributed and
 independent of everything before.  Every quantity of the restarted process is
 therefore an exponentially weighted time integral of the corresponding base
-quantity, evaluated here by certified quadrature.  Letting the horizon grow
+quantity, evaluated here by certified quadrature.  The same split drives the
+sampler (``restart_step``): one age draw, at most one redraw from nu and one
+base transition per path, however often the clock rang.  Letting the horizon grow
 gives the invariant law, which the restarted process always has, no matter
 how badly the base process escapes.  That law is the nu-average of the base
 kernel's Laplace transform at the restart rate, which the base kernel
@@ -28,6 +30,8 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .distributions import nu_weights
 from .errors import DomainError, SingularityAtOrigin
@@ -50,6 +54,16 @@ class MarkovKernel(abc.ABC):
     @abc.abstractmethod
     def sample_transition(self, t, x, rng):
         """One exact draw of the state at time t started from x."""
+
+    def sample_transitions(self, t, x, rng):
+        """One exact draw per entry of the state array x, each after its time in t.
+
+        t is a scalar or an array shaped like x.  The default draws path by
+        path through ``sample_transition``; kernels with an array sampler
+        override it.
+        """
+        t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(x))
+        return np.array([self.sample_transition(float(s), y, rng) for s, y in zip(t, x)])
 
     def transition_density(self, t, x, z):
         raise DomainError(f"{type(self).__name__} has no transition density")
@@ -190,21 +204,37 @@ class RestartedProcess(MarkovKernel):
         return math.exp(-lam * t) * P + self.base.stationary_vector(lam, w, t, rel_tol=rel_tol)
 
     def sample_transition(self, t, x, rng):
-        t = _check_time(t)
+        return self.sample_transitions(_check_time(t), np.asarray([x]), rng)[0].item()
+
+    def sample_transitions(self, t, x, rng):
+        return self.restart_step(t, x, rng)[0]
+
+    def restart_step(self, t, x, rng):
+        """Advance every state in the array x by its time in t under the restart clock.
+
+        Only the last restart before t matters.  Looking back from t, the
+        clock last rang an Exp(lam) time ago; when that exceeds t it did not
+        ring at all.  Otherwise the state was redrawn from nu that long ago,
+        and the clock rang Poisson(lam*(t - age)) more times before.  So
+        each state takes at most one nu draw and exactly one base
+        transition, over the age or over t.  Returns the new states, the
+        number of restarts and the age of the last one (NaN where none).
+        """
+        x = np.asarray(x)
+        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
         lam = self.rate
-        state = x
-        elapsed = 0.0
-        while True:
-            gap = rng.exponential(1.0 / lam) if lam > 0.0 else math.inf
-            if elapsed + gap >= t:
-                dt = t - elapsed
-                if dt > 0.0:
-                    state = self.base.sample_transition(dt, state, rng)
-                return state
-            if gap > 0.0:
-                state = self.base.sample_transition(gap, state, rng)
-            state = self.restart.nu.sample(rng)
-            elapsed += gap
+        back = rng.exponential(1.0 / lam, x.shape) if lam > 0.0 else np.full(x.shape, math.inf)
+        hit = back < t
+        counts = np.zeros(x.shape, dtype=np.int64)
+        ages = np.where(hit, back, math.nan)
+        start = x
+        if hit.any():
+            counts[hit] = 1 + rng.poisson(lam * (t[hit] - back[hit]))
+            redrawn = self.restart.nu.sample(rng, int(hit.sum()))
+            start = x.astype(np.result_type(x, redrawn))
+            start[hit] = redrawn
+        states = self.base.sample_transitions(np.where(hit, back, t), start, rng)
+        return states, counts, ages
 
     def moment(self, k, t, x, rel_tol=DEFAULT_REL_TOL):
         """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""

@@ -3,11 +3,12 @@
 Drifted Brownian motion on the line, geometric Brownian motion on the
 positive half line, and finite-state chains in continuous time given by a
 generator matrix.  All three expose exact densities/matrices, exact samplers
-and closed-form moments, so they serve both as base processes for restarting
-and as the analytic reference in tests.  All three also answer the invariant
-law of their restarted process exactly: the diffusions through the
-asymmetric Laplace law of the restart-averaged position, the chain through
-one linear solve against lam*I - Q, which with the memoised exp(Q*t) also
+(one path, or a whole array of paths with their own times) and closed-form
+moments, so they serve both as base processes for restarting and as the
+analytic reference in tests.  All three also answer the invariant law of
+their restarted process exactly: the diffusions through the asymmetric
+Laplace law of the restart-averaged position, the chain through one linear
+solve against lam*I - Q per rate, which with the memoised exp(Q*t) also
 gives the restarted chain's transition matrix at any finite t.
 """
 
@@ -34,6 +35,14 @@ def _positive_rate(lam):
     if not (lam > 0.0) or not math.isfinite(lam):
         raise DomainError(f"restart rate must be positive and finite, got {lam}")
     return lam
+
+
+def _check_times(t, shape):
+    """Transition times as an array of the given shape (a scalar is shared)."""
+    t = np.broadcast_to(np.asarray(t, dtype=float), shape)
+    if not np.all(t >= 0.0):
+        raise DomainError("times must be nonnegative")
+    return t
 
 
 def _laplace_law_mass(mu, sigma, lam, y, lower, upper):
@@ -111,6 +120,10 @@ class BrownianWithDrift(MarkovKernel):
         if t < 0.0:
             raise DomainError(f"time must be nonnegative, got {t}")
         return x + self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
+
+    def sample_transitions(self, t, x, rng):
+        t = _check_times(t, np.shape(x))
+        return x + self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
 
     def moment(self, k, t, x):
         return gaussian_raw_moment(k, x + self.mu * t, self.sigma * math.sqrt(t))
@@ -190,6 +203,15 @@ class GeometricBrownian(MarkovKernel):
         m, sd = self._log_params(t, x)
         return math.exp(m + sd * rng.standard_normal())
 
+    def sample_transitions(self, t, x, rng):
+        x = np.asarray(x, dtype=float)
+        t = _check_times(t, x.shape)
+        if np.any(x <= 0.0):
+            raise DomainError("states must be positive")
+        drift = (self.mu - 0.5 * self.sigma**2) * t
+        moved = np.exp(np.log(x) + drift + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape))
+        return np.where(t > 0.0, moved, x)
+
     def moment_growth_rate(self, k):
         """Exponential rate eta_k of E_x[X(t)^k] = x^k * exp(eta_k * t)."""
         k = float(k)
@@ -246,17 +268,32 @@ class FiniteCTMC(MarkovKernel):
             probs[i] = 0.0
             rate = -Q[i, i]
             self._jumps.append((rate, categorical_cdf(probs / rate) if rate > 0.0 else None))
+        # the same, stacked for whole blocks of paths (absorbing rows unused)
+        self._rates = np.array([rate for rate, _ in self._jumps])
+        self._jump_cdfs = np.array([np.ones(n) if cdf is None else cdf for _, cdf in self._jumps])
         self._expm_cache = {}
+        self._resolvent_cache = {}
 
-    # exp(Q*t) by t, at most this many; quadrature revisits the same nodes
-    # across targets and horizons, so most matrices are asked for repeatedly
+    # exp(Q*t) by t and lam*(lam*I - Q)^(-1) by lam, at most this many each;
+    # quadrature revisits the same nodes across targets and horizons, and
+    # every target and restart law at one rate reads the same resolvent
     expm_cache_size = 1024
 
     def __getstate__(self):
-        # keep pickles (ensemble workers) small: the cache is rebuilt on demand
+        # keep pickles (ensemble workers) small: the caches are rebuilt on demand
         state = self.__dict__.copy()
         state["_expm_cache"] = {}
+        state["_resolvent_cache"] = {}
         return state
+
+    def _memoised(self, cache, key, build):
+        value = cache.get(key)
+        if value is None:
+            value = build()
+            if len(cache) >= self.expm_cache_size:
+                del cache[next(iter(cache))]
+            cache[key] = value
+        return value
 
     def __repr__(self):
         return f"FiniteCTMC(n={self.space.n})"
@@ -274,20 +311,17 @@ class FiniteCTMC(MarkovKernel):
             raise DomainError(f"time must be nonnegative, got {t}")
         if t == 0.0:
             return np.eye(self.space.n)
-        cache = self._expm_cache
-        P = cache.get(t)
-        if P is None:
-            with np.errstate(over="ignore", invalid="ignore"):
-                P = expm(self.Q * t)
-            if not np.all(np.isfinite(P)):
-                raise DomainError(
-                    f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t:.3e}; "
-                    "rescale the generator"
-                )
-            if len(cache) >= self.expm_cache_size:
-                del cache[next(iter(cache))]
-            cache[t] = P
-        return P.copy()
+        return self._memoised(self._expm_cache, t, lambda: self._expm(t)).copy()
+
+    def _expm(self, t):
+        with np.errstate(over="ignore", invalid="ignore"):
+            P = expm(self.Q * t)
+        if not np.all(np.isfinite(P)):
+            raise DomainError(
+                f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t:.3e}; "
+                "rescale the generator"
+            )
+        return P
 
     def transition_probability(self, t, x, target):
         if t == 0.0:
@@ -308,6 +342,21 @@ class FiniteCTMC(MarkovKernel):
             if elapsed >= t:
                 return state
             state = int(cdf.searchsorted(rng.random(), side="right"))
+
+    def sample_transitions(self, t, x, rng):
+        """The jump loop of ``sample_transition``, run for every path at once."""
+        state = np.array(x, dtype=np.int64)
+        t = _check_times(t, state.shape)
+        elapsed = np.zeros(state.shape)
+        live = np.flatnonzero(self._rates[state] > 0.0)
+        while live.size:
+            elapsed[live] += rng.exponential(1.0 / self._rates[state[live]])
+            live = live[elapsed[live] < t[live]]
+            u = rng.random(live.size)
+            # searchsorted(side="right") of each path's own row, all at once
+            state[live] = (self._jump_cdfs[state[live]] <= u[:, None]).sum(axis=1)
+            live = live[self._rates[state[live]] > 0.0]
+        return state
 
     def moment(self, k, t, x):
         row = self.transition_matrix(t)[int(x)]
@@ -334,22 +383,28 @@ class FiniteCTMC(MarkovKernel):
             raise DomainError(f"resolvent needs a positive rate, got {lam}")
         return np.linalg.inv(lam * np.eye(self.space.n) - self.Q)
 
-    def stationary_probability(self, lam, y, target, rel_tol=None):
-        """Row y of lam*(lam*I - Q)^(-1) summed over the target: one linear solve."""
+    def _stationary_matrix(self, lam):
+        """lam * (lam*I - Q)^(-1), one linear solve per rate, memoised."""
         lam = _positive_rate(lam)
-        g = np.zeros(self.space.n)
-        g[list(target.indices)] = 1.0
-        return float(lam * np.linalg.solve(lam * np.eye(self.space.n) - self.Q, g)[int(y)])
+        eye = np.eye(self.space.n)
+        return self._memoised(
+            self._resolvent_cache, lam, lambda: np.linalg.solve(lam * eye - self.Q, lam * eye)
+        )
+
+    def stationary_probability(self, lam, y, target, rel_tol=None):
+        """Row y of lam*(lam*I - Q)^(-1) summed over the target."""
+        return float(self._stationary_matrix(lam)[int(y), list(target.indices)].sum())
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
         """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly.
 
         The integral is lam * w (lam*I - Q)^(-1) (I - exp(-lam*t) exp(Q*t)):
-        one linear solve gives v = lam * w (lam*I - Q)^(-1), the value at
-        t = inf, and a finite horizon subtracts exp(-lam*t) v exp(Q*t).
+        the rate's memoised resolvent gives v = lam * w (lam*I - Q)^(-1),
+        the value at t = inf, and a finite horizon subtracts
+        exp(-lam*t) v exp(Q*t).
         """
         lam = _positive_rate(lam)
-        v = lam * np.linalg.solve((lam * np.eye(self.space.n) - self.Q).T, w)
+        v = np.asarray(w, dtype=float) @ self._stationary_matrix(lam)
         if math.isinf(t):
             return v
         return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))

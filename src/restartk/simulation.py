@@ -1,11 +1,20 @@
-"""Exact event-driven simulation of restarted processes.
+"""Exact simulation of restarted processes.
 
-No time discretisation anywhere: restart times are drawn from the
-exponential clock, the base kernel is sampled exactly over each inter-event
-interval, and the state is recorded on the requested grid.  Path i of a run
-seeded with s draws from the substream SeedSequence((s, i)), so results are
-reproducible path by path and independent of how paths are distributed over
-workers.
+No time discretisation anywhere.  Ensembles (``run_ensemble``) advance
+blocks of BLOCK paths one grid interval at a time, all paths of a block at
+once: per interval each path takes the age of its last restart, at most one
+redraw from nu and one exact base transition (``RestartedProcess.restart_step``).
+Block b of a run seeded with s draws from the stream
+SeedSequence(s, spawn_key=(b,)), so the result depends on the seed and the
+path count only, never on how blocks are spread over workers.
+
+Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
+one path event by event instead: restart times are drawn from the
+exponential clock, the base kernel is sampled over each inter-event
+interval, and path i draws from its own stream SeedSequence((s, i)).  The
+two contracts share no stream: a block stream's entropy is the seed padded
+to four words plus the block key, longer than any path stream's for seeds
+below 2**96.
 """
 
 from __future__ import annotations
@@ -19,6 +28,10 @@ import numpy as np
 
 from .errors import DomainError, MomentUnstable, WindowTooNarrow
 from .spaces import FiniteSet
+
+# paths per ensemble block: the unit of vectorisation, of random streams and
+# of work handed to a worker
+BLOCK = 1024
 
 # heavy-tail diagnostics for Monte Carlo moments: excess kurtosis of the
 # k-th powers, and the largest single path's share of their absolute sum
@@ -96,6 +109,11 @@ def path_rng(seed, path_index):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, path_index))))
 
 
+def block_rng(seed, block):
+    """The dedicated random stream of one ensemble block."""
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
+
+
 def draw_restart_times(rng, rate, horizon):
     """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
     if rate == 0.0:
@@ -162,51 +180,57 @@ def simulate_path(proc, config, path_index=0):
     return PathSample(states, restarts, int(len(restarts)))
 
 
-def _ensemble_chunk(proc, config, lo, hi):
-    m = hi - lo
+def _run_block(proc, config, block):
+    """Advance one block of paths from grid time to grid time."""
+    rng = block_rng(config.seed, block)
+    m = min(BLOCK, config.n_paths - block * BLOCK)
     g = len(config.record_grid)
     states = np.empty((m, g))
     counts = np.empty((m, g), dtype=np.int64)
     ages = np.empty((m, g))
-    n_restarts = np.empty(m, dtype=np.int64)
-    for i in range(lo, hi):
-        s, c, a, r = _run_path(proc, config, i)
-        states[i - lo] = s
-        counts[i - lo] = c
-        ages[i - lo] = a
-        n_restarts[i - lo] = len(r)
-    return states, counts, ages, n_restarts
+    state = config.initial.sample(rng, m)
+    count = np.zeros(m, dtype=np.int64)
+    age = np.full(m, math.nan)
+    now = 0.0
+    for j, t in enumerate(config.record_grid):
+        if t > now:
+            state, fired, last = proc.restart_step(t - now, state, rng)
+            count += fired
+            age = np.where(fired > 0, last, age + (t - now))
+            now = t
+        states[:, j] = state
+        counts[:, j] = count
+        ages[:, j] = age
+    if config.horizon > now:
+        count = count + rng.poisson(proc.rate * (config.horizon - now), m)
+    return states, counts, ages, count
+
+
+def _run_blocks(proc, config, lo, hi):
+    return [_run_block(proc, config, b) for b in range(lo, hi)]
 
 
 def run_ensemble(proc, config, workers=1):
     """Simulate the whole ensemble; worker count never changes the draws.
 
-    Parallel execution needs the process and config to be picklable, which
-    holds for all kernels and distributions shipped here.
+    Workers take whole blocks.  Parallel execution needs the process and
+    config to be picklable, which holds for all kernels and distributions
+    shipped here.
     """
     _check_initial(proc, config)
-    n = config.n_paths
-    workers = max(1, int(workers))
-    if workers == 1 or n < 2 * workers:
-        parts = [_ensemble_chunk(proc, config, 0, n)]
+    n_blocks = -(-config.n_paths // BLOCK)
+    workers = min(max(1, int(workers)), n_blocks)
+    if workers == 1:
+        blocks = _run_blocks(proc, config, 0, n_blocks)
     else:
-        bounds = np.linspace(0, n, workers + 1).astype(int)
+        bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(
-                    _ensemble_chunk,
-                    [proc] * workers,
-                    [config] * workers,
-                    bounds[:-1],
-                    bounds[1:],
-                )
+            chunks = pool.map(
+                _run_blocks, [proc] * workers, [config] * workers, bounds[:-1], bounds[1:]
             )
+            blocks = [block for chunk in chunks for block in chunk]
     return EnsembleResult(
-        np.asarray(config.record_grid),
-        np.concatenate([p[0] for p in parts]),
-        np.concatenate([p[1] for p in parts]),
-        np.concatenate([p[2] for p in parts]),
-        np.concatenate([p[3] for p in parts]),
+        np.asarray(config.record_grid), *(np.concatenate(arrays) for arrays in zip(*blocks))
     )
 
 
@@ -408,6 +432,16 @@ def write_path_csv(proc, config, out):
     same instant.  States on finite spaces are written as labels.
     """
     _check_initial(proc, config)
+    if isinstance(proc.space, FiniteSet):
+        labels = [format(proc.state_value(i), ".17g") for i in range(proc.space.n)]
+
+        def show(state):
+            return labels[int(state)]
+    else:
+
+        def show(state):
+            return format(state, ".17g")
+
     own = isinstance(out, str)
     fh = open(out, "w") if own else out
     try:
@@ -416,8 +450,7 @@ def write_path_csv(proc, config, out):
             events = []
             _run_path(proc, config, i, events=events)
             for time, state, kind in events:
-                label = proc.state_value(state) if isinstance(proc.space, FiniteSet) else state
-                fh.write(f"{i},{format(time, '.17g')},{format(label, '.17g')},{kind}\n")
+                fh.write(f"{i},{format(time, '.17g')},{show(state)},{kind}\n")
     finally:
         if own:
             fh.close()

@@ -4,6 +4,7 @@ import json
 import math
 
 import jsonschema
+import numpy as np
 import pytest
 
 from restartk import (
@@ -156,6 +157,23 @@ class TestStationary:
         for k in (1, 2):
             want = modified_moment(proc, k, math.inf, 0).analytic
             assert [r[2] for r in rows if r[0] == f"moment_{k}"] == [want]
+
+    def test_chain_answers_every_target_from_one_solve_per_rate(self, tmp_path, monkeypatch):
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *a: solves.append(1) or solve(*a))
+        chain = {"type": "ctmc", "Q": [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]}
+        nu = {"type": "finite", "points": [[0, 0.4], [2, 0.6]]}
+        targets = [[0], [1], [2], [0, 1], [1, 2], [0, 2]]
+        task = {"name": "stationary", "targets": targets, "moments": [1, 2, 3]}
+        path, _ = write_config(tmp_path, task, process=chain, restart={"rate": 0.7, "nu": nu})
+        assert run_cli(path) == 0
+        assert len(solves) == 1
+        solves.clear()
+        task = {"name": "sweep-lambda", "lambdas": [20.0, 5.0, 1.0, 0.2, 0.04, 0.008], "targets": targets[:3]}
+        path, _ = write_config(tmp_path, task, process=chain, restart={"rate": 1.0, "nu": nu})
+        assert run_cli(path) == 0
+        assert len(solves) == 6
 
     def test_divergent_moment_reported_as_text(self, tmp_path):
         gbm = {"type": "gbm", "mu": 0.5, "sigma": 1.0}

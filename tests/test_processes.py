@@ -255,6 +255,65 @@ class TestFiniteCTMC:
             three_state_chain.transition_matrix(-0.1)
 
 
+class TestArraySamplers:
+    """``sample_transitions``: one exact draw per path, each after its own time."""
+
+    def test_brownian_scores_are_standard_normal(self):
+        p = BrownianWithDrift(mu=0.7, sigma=1.3)
+        n = 40000
+        t = np.where(np.arange(n) % 2 == 0, 0.3, 2.1)
+        x = np.linspace(-1.0, 1.0, n)
+        z = (p.sample_transitions(t, x, np.random.default_rng(4)) - x - 0.7 * t) / (1.3 * np.sqrt(t))
+        assert abs(z.mean()) < 4.5 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 4.5 * math.sqrt(2.0 / n)
+        assert np.array_equal(p.sample_transitions(0.0, x, np.random.default_rng(4)), x)
+
+    def test_geometric_log_scores_are_standard_normal(self):
+        p = GeometricBrownian(mu=0.2, sigma=0.6)
+        n = 40000
+        t = np.where(np.arange(n) % 2 == 0, 0.5, 1.7)
+        x = np.full(n, 2.0)
+        draws = p.sample_transitions(t, x, np.random.default_rng(6))
+        z = (np.log(draws / x) - (0.2 - 0.18) * t) / (0.6 * np.sqrt(t))
+        assert abs(z.mean()) < 4.5 / math.sqrt(n)
+        assert abs(z.var() - 1.0) < 4.5 * math.sqrt(2.0 / n)
+        assert np.array_equal(p.sample_transitions(0.0, x, np.random.default_rng(6)), x)
+
+    def test_chain_frequencies_match_matrix_rows(self, three_state_chain):
+        n = 30000
+        starts = np.tile([0, 2], n // 2)
+        t = np.repeat([0.4, 1.5], n // 2)
+        draws = three_state_chain.sample_transitions(t, starts, np.random.default_rng(8))
+        assert draws.dtype == np.int64
+        for time in (0.4, 1.5):
+            for start in (0, 2):
+                mine = draws[(t == time) & (starts == start)]
+                row = three_state_chain.transition_matrix(time)[start]
+                for i in range(3):
+                    sd = math.sqrt(row[i] * (1.0 - row[i]) / len(mine))
+                    assert abs(np.mean(mine == i) - row[i]) < 4.5 * sd
+
+    def test_chain_absorbing_state_stays(self):
+        chain = FiniteCTMC([[-1.0, 1.0], [0.0, 0.0]])
+        n, t = 20000, 0.8
+        draws = chain.sample_transitions(t, np.tile([0, 1], n // 2), np.random.default_rng(2))
+        assert np.all(draws[1::2] == 1)
+        stay = math.exp(-t)
+        assert abs(np.mean(draws[::2] == 0) - stay) < 4.5 * math.sqrt(stay * (1 - stay) / (n // 2))
+
+    def test_validation(self, three_state_chain):
+        rng = np.random.default_rng(0)
+        for kernel, x in (
+            (BrownianWithDrift(), np.zeros(3)),
+            (GeometricBrownian(), np.ones(3)),
+            (three_state_chain, np.zeros(3, dtype=int)),
+        ):
+            with pytest.raises(DomainError):
+                kernel.sample_transitions(np.array([0.1, -0.1, 0.2]), x, rng)
+        with pytest.raises(DomainError):
+            GeometricBrownian().sample_transitions(1.0, np.array([1.0, 0.0]), rng)
+
+
 class TestChainLoading:
     def test_from_dict(self):
         chain = ctmc_from_dict({"Q": [[-1.0, 1.0], [2.0, -2.0]], "values": [5.0, 7.0]})

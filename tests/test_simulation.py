@@ -12,6 +12,7 @@ from restartk import (
     FiniteCTMC,
     FiniteSupport,
     GeometricBrownian,
+    Interval,
     MomentUnstable,
     PathConfig,
     PointMass,
@@ -20,13 +21,16 @@ from restartk import (
     WindowTooNarrow,
     age_distribution_test,
     empirical_distribution,
+    gaussian,
     histogram_tv,
     monte_carlo_moment,
     run_ensemble,
     simulate_path,
     write_path_csv,
 )
-from restartk.simulation import draw_restart_times, path_rng
+from restartk.kernels import MarkovKernel
+from restartk.simulation import BLOCK, block_rng, draw_restart_times, path_rng
+from restartk.spaces import RealLine, indicator
 
 
 def bm_process(mu=0.0, sigma=1.0, rate=2.0, nu=None):
@@ -66,6 +70,12 @@ class TestRandomness:
         c = path_rng(7, 4).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    def test_block_streams_reuse_no_path_stream(self):
+        paths = {tuple(path_rng(7, i).random(2)) for i in range(50)}
+        blocks = {tuple(block_rng(7, b).random(2)) for b in range(50)}
+        assert len(paths | blocks) == 100
+        assert np.array_equal(block_rng(7, 2).random(3), block_rng(7, 2).random(3))
 
     def test_restart_times_properties(self):
         rng = path_rng(1, 0)
@@ -193,25 +203,41 @@ class TestMonteCarloMoment:
             rep = monte_carlo_moment(proc, cfg, 2, 6.0)
         assert rep.heavy_tailed
 
-    def test_divergent_moment_prefix_maxima_keep_growing(self):
-        # empirical witness for the divergence flag: along one growing sample
-        # the running maximum of X(t)^2 never saturates
+    @staticmethod
+    def gbm_squares(rate):
         proc = RestartedProcess(
-            GeometricBrownian(mu=0.5, sigma=1.0), RestartSpec(1.0, PointMass(1.0))
+            GeometricBrownian(mu=0.5, sigma=1.0), RestartSpec(rate, PointMass(1.0))
         )
         cfg = PathConfig(
             seed=8, horizon=6.0, record_grid=(6.0,), n_paths=32000, initial=PointMass(1.0)
         )
-        vals = run_ensemble(proc, cfg).states[:, 0] ** 2
+        return run_ensemble(proc, cfg).states[:, 0] ** 2
+
+    def test_divergent_moment_prefix_maxima_keep_growing(self):
+        # empirical witness for the divergence flag: log X(6) is driftless
+        # and Laplace-distributed with decay sqrt(2*lam), so X(6)^2 has a
+        # Pareto tail of index sqrt(2*lam)/2 = 0.71 < 1 at lam = 1: its mean
+        # is infinite and the sample maximum keeps growing with the sample
+        vals = self.gbm_squares(1.0)
         maxes = [vals[:n].max() for n in (500, 2000, 8000, 32000)]
-        assert all(b > a for a, b in zip(maxes, maxes[1:]))
         assert maxes[-1] / maxes[0] > 10.0
+        assert _hill_tail_index(vals) < 1.0
+
+    def test_finite_moment_has_tail_index_above_one(self):
+        # the control: at lam = 4 the index is sqrt(8)/2 = 1.41 and E[X(6)^2] is finite
+        assert _hill_tail_index(self.gbm_squares(4.0)) > 1.0
 
     def test_off_grid_time_rejected(self):
         proc = bm_process()
         cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0.0))
         with pytest.raises(DomainError):
             monte_carlo_moment(proc, cfg, 1, 0.7)
+
+
+def _hill_tail_index(vals, frac=0.01):
+    """Hill estimate of the Pareto tail index over the top frac of the sample."""
+    top = np.sort(vals)[::-1][: int(frac * len(vals)) + 1]
+    return 1.0 / float(np.mean(np.log(top[:-1] / top[-1])))
 
 
 class TestAgeDistribution:
@@ -342,8 +368,8 @@ class TestPathCsv:
         write_path_csv(proc, cfg, str(out))
         assert buf.getvalue() == out.read_text()
 
-    def test_grid_rows_equal_ensemble_states(self):
-        # the event log walks each path with the same draws as the ensemble,
+    def test_grid_rows_equal_walker_states(self):
+        # the event log and simulate_path walk each path with the same draws,
         # restarts after the last grid time included
         proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
         cfg = PathConfig(
@@ -352,7 +378,157 @@ class TestPathCsv:
         buf = io.StringIO()
         write_path_csv(proc, cfg, buf)
         rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
-        grid = np.array([[float(r[2]) for r in rows if int(r[0]) == i and r[3] == "grid"]
-                         for i in range(cfg.n_paths)])
-        assert np.array_equal(grid, run_ensemble(proc, cfg).states)
+        for i in range(cfg.n_paths):
+            grid = [float(r[2]) for r in rows if int(r[0]) == i and r[3] == "grid"]
+            assert np.array_equal(grid, simulate_path(proc, cfg, i).states)
         assert any(r[3] == "restart" and float(r[1]) > 1.0 for r in rows)
+
+    def test_ensemble_and_walker_agree_in_law(self):
+        # the block sampler and the event walker draw differently but must
+        # give the same law: means and variances at every grid time, and the
+        # restart count at the horizon, within 4 joint standard errors
+        proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
+        n = 4000
+        cfg = PathConfig(
+            seed=8, horizon=2.0, record_grid=(0.25, 0.5, 1.0), n_paths=n, initial=PointMass(0.0)
+        )
+        ens = run_ensemble(proc, cfg)
+        walks = [simulate_path(proc, cfg, i) for i in range(n)]
+        walked = np.array([w.states for w in walks])
+        for a, b in [(ens.states[:, j], walked[:, j]) for j in range(3)] + [
+            (ens.n_restarts_at_horizon, np.array([w.n_restarts_at_horizon for w in walks]))
+        ]:
+            assert abs(a.mean() - b.mean()) < 4.0 * math.hypot(_se_mean(a), _se_mean(b))
+            assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * math.hypot(_se_var(a), _se_var(b))
+
+
+def _se_mean(v):
+    return float(np.std(v, ddof=1)) / math.sqrt(len(v))
+
+
+def _se_var(v):
+    # sqrt((m4 - var^2) / n), the large-sample error of the sample variance
+    c = v - v.mean()
+    return math.sqrt(max(float(np.mean(c**4)) - float(np.mean(c**2)) ** 2, 0.0) / len(v))
+
+
+def _poisson_bands(counts, mean, z=4.0):
+    """Sample mean and variance of counts against Poisson(mean), within z errors."""
+    n = len(counts)
+    assert abs(counts.mean() - mean) < z * math.sqrt(mean / n)
+    # the fourth central moment of Poisson(m) is m + 3m^2
+    assert abs(counts.var(ddof=1) - mean) < z * math.sqrt((mean + 2.0 * mean**2) / n)
+
+
+class _ScalarOnly(MarkovKernel):
+    """A kernel with only the scalar sampler, so ensembles take the generic default."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    @property
+    def space(self):
+        return self.inner.space
+
+    def transition_probability(self, t, x, target):
+        return self.inner.transition_probability(t, x, target)
+
+    def sample_transition(self, t, x, rng):
+        return self.inner.sample_transition(t, x, rng)
+
+
+class _Drift(MarkovKernel):
+    """X(t) = x + t, deterministic: the state shows the restart age exactly."""
+
+    @property
+    def space(self):
+        return RealLine()
+
+    def transition_probability(self, t, x, target):
+        return indicator(target, x + t)
+
+    def sample_transition(self, t, x, rng):
+        return x + t
+
+
+class TestBlockSampler:
+    def test_restart_counts_and_ages_are_exact_in_law(self):
+        lam, n = 1.5, 6000
+        grid = (0.2, 0.9, 2.0)
+        proc = bm_process(rate=lam)
+        cfg = PathConfig(seed=41, horizon=3.0, record_grid=grid, n_paths=n, initial=PointMass(0.0))
+        ens = run_ensemble(proc, cfg)
+        for j, g in enumerate(grid):
+            _poisson_bands(ens.restart_counts[:, j], lam * g)
+            ages = ens.ages[:, j]
+            # an atom of mass exp(-lam*g) at 'never restarted', then
+            # P[age <= s] = 1 - exp(-lam*s) on [0, g]; DKW makes the sup
+            # deviation exceed 2/sqrt(n) with probability below 1e-3
+            never = math.exp(-lam * g)
+            assert abs(np.isnan(ages).mean() - never) < 4.0 * math.sqrt(never * (1 - never) / n)
+            s = np.linspace(0.0, g, 101)
+            emp = np.searchsorted(np.sort(ages[~np.isnan(ages)]), s, side="right") / n
+            assert np.abs(emp - (1.0 - np.exp(-lam * s))).max() < 2.0 / math.sqrt(n)
+        _poisson_bands(ens.n_restarts_at_horizon, lam * 3.0)
+
+    def test_ages_are_the_time_since_the_last_restart(self):
+        # X(t) = x + t shows the age itself wherever the clock rang
+        proc = RestartedProcess(_Drift(), RestartSpec(2.0, PointMass(0.0)))
+        cfg = PathConfig(
+            seed=3, horizon=1.5, record_grid=(0.0, 0.4, 1.5), n_paths=500, initial=PointMass(10.0)
+        )
+        ens = run_ensemble(proc, cfg)
+        want = np.where(np.isnan(ens.ages), 10.0 + ens.grid, ens.ages)
+        assert np.allclose(ens.states, want, rtol=0.0, atol=1e-12)
+        assert np.all(ens.states[:, 0] == 10.0) and np.all(ens.restart_counts[:, 0] == 0)
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
+    def test_worker_count_never_changes_blocks(self, kind, three_state_chain):
+        base, nu, x = {
+            "bm": (BrownianWithDrift(0.2, 0.7), FiniteSupport(((-1.0, 0.5), (1.0, 0.5))), 0.0),
+            "gbm": (GeometricBrownian(0.1, 0.3), PointMass(1.0), 1.5),
+            "chain": (three_state_chain, FiniteSupport(((0, 0.3), (2, 0.7))), 1),
+        }[kind]
+        proc = RestartedProcess(base, RestartSpec(1.2, nu))
+        cfg = PathConfig(
+            seed=17, horizon=2.5, record_grid=(0.5, 2.0), n_paths=2 * BLOCK + 77,
+            initial=PointMass(x),
+        )
+        serial = run_ensemble(proc, cfg, workers=1)
+        parallel = run_ensemble(proc, cfg, workers=3)
+        for field in ("states", "restart_counts", "ages", "n_restarts_at_horizon"):
+            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
+        assert serial.states.shape == (2 * BLOCK + 77, 2)
+
+    def test_chain_frequencies_at_two_times(self, three_state_chain):
+        proc = RestartedProcess(three_state_chain, RestartSpec(1.3, FiniteSupport(((1, 0.6), (2, 0.4)))))
+        n, grid = 5000, (0.35, 1.6)
+        cfg = PathConfig(seed=57, horizon=1.6, record_grid=grid, n_paths=n, initial=PointMass(0))
+        ens = run_ensemble(proc, cfg)
+        for j, t in enumerate(grid):
+            row = proc.transition_matrix(t)[0]
+            for i in range(3):
+                freq = float(np.mean(ens.states[:, j] == i))
+                assert abs(freq - row[i]) < 4.5 * math.sqrt(row[i] * (1.0 - row[i]) / n)
+
+    def test_gaussian_restart_masses(self):
+        proc = bm_process(mu=-0.4, sigma=0.8, rate=1.7, nu=gaussian(0.5, 0.7))
+        n, t = 5000, 1.2
+        cfg = PathConfig(seed=61, horizon=t, record_grid=(t,), n_paths=n, initial=PointMass(1.0))
+        vals = run_ensemble(proc, cfg).states[:, 0]
+        for a, b in ((-math.inf, 0.0), (0.0, 0.8), (0.8, math.inf)):
+            p = proc.transition_probability(t, 1.0, Interval(a, b), rel_tol=1e-6)
+            freq = float(np.mean((vals >= a) & (vals <= b)))
+            assert abs(freq - p) < 4.5 * math.sqrt(p * (1.0 - p) / n)
+
+    def test_scalar_only_kernel_takes_the_generic_default(self, three_state_chain):
+        # the generic sample_transitions loops over sample_transition, so a
+        # wrapped kernel gives a valid ensemble with the same law
+        for base, x in ((three_state_chain, 0), (BrownianWithDrift(0.3, 1.0), 0.0)):
+            proc = RestartedProcess(_ScalarOnly(base), RestartSpec(2.0, PointMass(x)))
+            n, t = 3000, 0.7
+            cfg = PathConfig(seed=71, horizon=t, record_grid=(t,), n_paths=n, initial=PointMass(x))
+            vals = run_ensemble(proc, cfg).states[:, 0]
+            want = RestartedProcess(base, RestartSpec(2.0, PointMass(x))).moment(1, t, x)
+            labels = np.asarray(base.space.values)[vals.astype(int)] if base is three_state_chain else vals
+            assert abs(labels.mean() - want) < 4.5 * _se_mean(labels)

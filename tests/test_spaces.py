@@ -196,6 +196,24 @@ class TestDensityDistributions:
             sd = math.sqrt(second - mean * mean)
             assert abs(draws.mean() - mean) < 5.0 * sd / math.sqrt(n)
 
+    def test_sized_draws_are_the_scalar_draws(self):
+        # a sized draw takes the same variates, in order, as repeated scalar
+        # draws on a twin generator (lognormal exponentiates through numpy)
+        for dist in (
+            PointMass(1.5),
+            FiniteSupport(((0.5, 0.2), (1.5, 0.3), (3.0, 0.5))),
+            FiniteSupport(((0, 0.4), (2, 0.6))),
+            gaussian(0.5, 2.0),
+            exponential(1.5),
+            lognormal(0.0, 0.3),
+        ):
+            a, b = np.random.default_rng(5), np.random.default_rng(5)
+            sized = dist.sample(a, 500)
+            scalar = np.array([dist.sample(b) for _ in range(500)])
+            assert sized.shape == (500,) and sized.dtype == scalar.dtype
+            assert np.allclose(sized, scalar, rtol=1e-14, atol=0.0)
+            assert a.random() == b.random()
+
     def test_supported_in(self):
         assert gaussian(0.0, 1.0).supported_in(RealLine())
         assert not gaussian(0.0, 1.0).supported_in(HalfLinePositive())
