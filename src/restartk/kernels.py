@@ -12,7 +12,9 @@ otherwise the state was redrawn from nu at some time t-s in the past and the
 base kernel acts for the remaining s, which is exponentially distributed and
 independent of everything before.  Every quantity of the restarted process is
 therefore an exponentially weighted time integral of the corresponding base
-quantity, evaluated here by certified quadrature.  The same split drives the
+quantity, evaluated here by certified quadrature of the base kernel's
+array-in-time form (``transition_probabilities`` and its siblings), which
+answers a whole refinement round of times in one call.  The same split drives the
 sampler (``restart_step``): one age draw, at most one redraw from nu and one
 base transition per path, however often the clock rang.  Letting the horizon grow
 gives the invariant law, which the restarted process always has, no matter
@@ -75,6 +77,22 @@ class MarkovKernel(abc.ABC):
         """E_x[X(t)^k] in closed form, or None when the kernel has none."""
         return None
 
+    # The same four quantities at every time of a 1-D array t, stacked along
+    # a leading axis: the form the quadrature integrates.  The defaults loop
+    # over the scalar methods; kernels with array formulas override them.
+
+    def transition_probabilities(self, t, x, target):
+        return np.array([self.transition_probability(s, x, target) for s in np.asarray(t).tolist()])
+
+    def transition_densities(self, t, x, z):
+        return np.array([self.transition_density(s, x, z) for s in np.asarray(t).tolist()])
+
+    def transition_matrices(self, t):
+        return np.array([self.transition_matrix(s) for s in np.asarray(t).tolist()])
+
+    def moments(self, k, t, x):
+        return np.array([self.moment(k, s, x) for s in np.asarray(t).tolist()])
+
     def stationary_probability(self, lam, y, target, rel_tol=DEFAULT_REL_TOL):
         """lam * int_0^inf exp(-lam*s) P(s, y, target) ds.
 
@@ -92,7 +110,7 @@ class MarkovKernel(abc.ABC):
         restarted transition matrix's rows that the restarts contribute.
         The default is certified quadrature of the transition matrices.
         """
-        return w @ exp_weighted_integral(self.transition_matrix, lam, t, rel_tol=rel_tol).value
+        return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
 
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
@@ -184,14 +202,20 @@ class RestartedProcess(MarkovKernel):
         if t == 0.0:
             return indicator(target, x)
         return self._compose(
-            lambda s, y: self.base.transition_probability(s, y, target), t, x, rel_tol
+            lambda s, y: self.base.transition_probability(s, y, target),
+            lambda s, y: self.base.transition_probabilities(s, y, target),
+            t, x, rel_tol
         )
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
         t = _check_time(t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
-        return self._compose(lambda s, y: self.base.transition_density(s, y, z), t, x, rel_tol)
+        return self._compose(
+            lambda s, y: self.base.transition_density(s, y, z),
+            lambda s, y: self.base.transition_densities(s, y, z),
+            t, x, rel_tol
+        )
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
         t = _check_time(t)
@@ -243,7 +267,11 @@ class RestartedProcess(MarkovKernel):
             return self.base.state_value(x) ** k
         if self.base.moment(k, t, x) is None:
             return None
-        return self._compose(lambda s, y: self.base.moment(k, s, y), t, x, rel_tol)
+        return self._compose(
+            lambda s, y: self.base.moment(k, s, y),
+            lambda s, y: self.base.moments(k, s, y),
+            t, x, rel_tol
+        )
 
     # -- stationary law --------------------------------------------------
 
@@ -262,7 +290,7 @@ class RestartedProcess(MarkovKernel):
         env = self.base.density_envelope(z, s_min)
         return self._nu_expect(
             lambda y: self._weighted(
-                lambda s: self.base.transition_density(s, y, z),
+                lambda s: self.base.transition_densities(s, y, z),
                 math.inf,
                 rel_tol,
                 growth_bound=env,
@@ -284,17 +312,19 @@ class RestartedProcess(MarkovKernel):
             raise DomainError("rate 0 never restarts; no stationary law exists")
         return self.rate
 
-    def _compose(self, f, t, x, rel_tol):
+    def _compose(self, f, f_many, t, x, rel_tol):
         """exp(-lam*t) f(t, x) + int nu(dy) int_0^t lam exp(-lam*s) f(s, y) ds.
 
         The split of the restarted law over the age of the restart clock,
         applied to any base quantity f(s, y) of the time and start state.
+        f_many(s, y) is the same quantity at every time of an array s, which
+        the time integral evaluates a refinement round at a time.
         """
         term1 = math.exp(-self.rate * t) * f(t, x)
         if self.rate == 0.0:
             return term1
         return term1 + self._nu_expect(
-            lambda y: self._weighted(lambda s: f(s, y), t, rel_tol), rel_tol
+            lambda y: self._weighted(lambda s: f_many(s, y), t, rel_tol), rel_tol
         )
 
     def _weighted(self, f, upper, rel_tol, **kw):
@@ -321,6 +351,6 @@ def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):
         raise DomainError(f"resolvent needs a positive rate, got {lam}")
     validate_target(kernel.space, target)
     weighted = exp_weighted_integral(
-        lambda s: kernel.transition_probability(s, y, target), lam, math.inf, rel_tol=rel_tol
+        lambda s: kernel.transition_probabilities(s, y, target), lam, math.inf, rel_tol=rel_tol
     ).value
     return weighted / lam

@@ -4,8 +4,9 @@ Drifted Brownian motion on the line, geometric Brownian motion on the
 positive half line, and finite-state chains in continuous time given by a
 generator matrix.  All three expose exact densities/matrices, exact samplers
 (one path, or a whole array of paths with their own times) and closed-form
-moments, so they serve both as base processes for restarting and as the
-analytic reference in tests.  All three also answer the invariant law of
+moments, each also at a whole array of times in one call (the form the
+quadrature integrates), so they serve both as base processes for restarting
+and as the analytic reference in tests.  All three also answer the invariant law of
 their restarted process exactly: the diffusions through the asymmetric
 Laplace law of the restart-averaged position, the chain through one linear
 solve against lam*I - Q per rate, which with the memoised exp(Q*t) also
@@ -37,11 +38,14 @@ def _positive_rate(lam):
     return lam
 
 
-def _check_times(t, shape):
-    """Transition times as an array of the given shape (a scalar is shared)."""
-    t = np.broadcast_to(np.asarray(t, dtype=float), shape)
-    if not np.all(t >= 0.0):
-        raise DomainError("times must be nonnegative")
+def _check_times(t, shape=None, positive=False):
+    """Transition times as an array, broadcast to shape when one is given
+    (a scalar is then shared); each must be nonnegative, or positive."""
+    t = np.asarray(t, dtype=float)
+    if shape is not None:
+        t = np.broadcast_to(t, shape)
+    if not (t > 0.0 if positive else t >= 0.0).all():
+        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'}")
     return t
 
 
@@ -111,6 +115,20 @@ class BrownianWithDrift(MarkovKernel):
         m = x + self.mu * t
         return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
 
+    def transition_densities(self, t, x, z):
+        t = _check_times(t, positive=True)
+        sd = self.sigma * np.sqrt(t)
+        u = (z - x - self.mu * t) / sd
+        return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
+
+    def transition_probabilities(self, t, x, target):
+        t = _check_times(t)
+        sd = self.sigma * np.sqrt(t)
+        m = x + self.mu * t
+        with np.errstate(divide="ignore", invalid="ignore"):
+            p = ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd)
+        return np.where(t > 0.0, p, indicator(target, x))
+
     def stationary_probability(self, lam, y, target, rel_tol=None):
         """The asymmetric Laplace mass of the target, in closed form."""
         lam = _positive_rate(lam)
@@ -127,6 +145,10 @@ class BrownianWithDrift(MarkovKernel):
 
     def moment(self, k, t, x):
         return gaussian_raw_moment(k, x + self.mu * t, self.sigma * math.sqrt(t))
+
+    def moments(self, k, t, x):
+        t = _check_times(t)
+        return gaussian_raw_moment(k, x + self.mu * t, self.sigma * np.sqrt(t))
 
     def density_envelope(self, z, s_min):
         # the Gaussian peak is the prefactor; past s_min it only flattens
@@ -177,6 +199,26 @@ class GeometricBrownian(MarkovKernel):
         lo = ndtr((math.log(target.lower) - m) / sd) if target.lower > 0 else 0.0
         return float(hi - lo)
 
+    def transition_densities(self, t, x, z):
+        t = _check_times(t, positive=True)
+        if x <= 0.0 or z <= 0.0:
+            raise DomainError(f"states must be positive, got x={x}, z={z}")
+        m = math.log(x) + (self.mu - 0.5 * self.sigma**2) * t
+        sd = self.sigma * np.sqrt(t)
+        u = (math.log(z) - m) / sd
+        return np.exp(-0.5 * u * u) / (z * sd * _SQRT_2PI)
+
+    def transition_probabilities(self, t, x, target):
+        t = _check_times(t)
+        if x <= 0.0:
+            raise DomainError(f"state must be positive, got x={x}")
+        m = math.log(x) + (self.mu - 0.5 * self.sigma**2) * t
+        sd = self.sigma * np.sqrt(t)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            hi = ndtr((math.log(target.upper) - m) / sd) if target.upper > 0 else 0.0
+            lo = ndtr((math.log(target.lower) - m) / sd) if target.lower > 0 else 0.0
+        return np.where(t > 0.0, hi - lo, indicator(target, x))
+
     def stationary_probability(self, lam, y, target, rel_tol=None):
         """The Laplace mass of the target in log space, in closed form.
 
@@ -219,6 +261,15 @@ class GeometricBrownian(MarkovKernel):
 
     def moment(self, k, t, x):
         return x**k * math.exp(self.moment_growth_rate(k) * t)
+
+    def moments(self, k, t, x):
+        t = _check_times(t)
+        with np.errstate(over="ignore"):
+            growth = np.exp(self.moment_growth_rate(k) * t)
+        if not np.isfinite(growth).all():
+            # where the scalar moment's math.exp raises
+            raise OverflowError(f"E[X(t)^{k}] overflows by t = {t.max()}")
+        return x**k * growth
 
     def density_envelope(self, z, s_min):
         if z <= 0.0:
@@ -290,10 +341,13 @@ class FiniteCTMC(MarkovKernel):
         value = cache.get(key)
         if value is None:
             value = build()
-            if len(cache) >= self.expm_cache_size:
-                del cache[next(iter(cache))]
-            cache[key] = value
+            self._remember(cache, key, value)
         return value
+
+    def _remember(self, cache, key, value):
+        if len(cache) >= self.expm_cache_size:
+            del cache[next(iter(cache))]
+        cache[key] = value
 
     def __repr__(self):
         return f"FiniteCTMC(n={self.space.n})"
@@ -313,12 +367,30 @@ class FiniteCTMC(MarkovKernel):
             return np.eye(self.space.n)
         return self._memoised(self._expm_cache, t, lambda: self._expm(t)).copy()
 
+    def transition_matrices(self, t):
+        """exp(Q*s) for every time s of the 1-D array t, stacked.
+
+        Memoised times are read from the memo; the rest take one stacked
+        expm, whose matrices equal those of one expm per time.
+        """
+        times = _check_times(t).tolist()
+        cache = self._expm_cache
+        found = {s: cache[s] for s in times if s in cache}
+        missing = [s for s in dict.fromkeys(times) if s not in found]
+        if missing:
+            for s, P in zip(missing, self._expm(np.array(missing))):
+                found[s] = P
+                self._remember(cache, s, P)
+        return np.array([found[s] for s in times])
+
     def _expm(self, t):
+        # exp(Q*t) for a time or an array of times
+        t = np.asarray(t, dtype=float)
         with np.errstate(over="ignore", invalid="ignore"):
-            P = expm(self.Q * t)
+            P = expm(self.Q * t[..., None, None])
         if not np.all(np.isfinite(P)):
             raise DomainError(
-                f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t:.3e}; "
+                f"matrix exponential overflowed at ||Q||*t = {np.abs(self.Q).max() * t.max():.3e}; "
                 "rescale the generator"
             )
         return P
@@ -328,6 +400,9 @@ class FiniteCTMC(MarkovKernel):
             return indicator(target, x)
         row = self.transition_matrix(t)[int(x)]
         return float(sum(row[i] for i in target.indices))
+
+    def transition_probabilities(self, t, x, target):
+        return self.transition_matrices(t)[:, int(x), list(target.indices)].sum(axis=1)
 
     def sample_transition(self, t, x, rng):
         if t < 0.0:
@@ -362,11 +437,14 @@ class FiniteCTMC(MarkovKernel):
         row = self.transition_matrix(t)[int(x)]
         return float(row @ self.values**k)
 
+    def moments(self, k, t, x):
+        return self.transition_matrices(t)[:, int(x)] @ self.values**k
+
     def certifies_absolute_moment(self, k):
         return True
 
     # exact linear-algebra companions: the chain's own stationary law (the
-    # small-rate sweep compares against it) and references for the tests
+    # small-rate sweep compares against it) and the restarted generator
 
     def stationary_distribution(self):
         """Solve pi Q = 0, pi summing to 1, by least squares."""
@@ -376,12 +454,6 @@ class FiniteCTMC(MarkovKernel):
         b[-1] = 1.0
         pi, *_ = np.linalg.lstsq(A, b, rcond=None)
         return pi
-
-    def resolvent_matrix(self, lam):
-        """(lam*I - Q)^(-1), the Laplace transform of the transition matrices."""
-        if lam <= 0.0:
-            raise DomainError(f"resolvent needs a positive rate, got {lam}")
-        return np.linalg.inv(lam * np.eye(self.space.n) - self.Q)
 
     def _stationary_matrix(self, lam):
         """lam * (lam*I - Q)^(-1), one linear solve per rate, memoised."""

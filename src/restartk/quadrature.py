@@ -6,24 +6,29 @@ the form
     I = int_0^U  lam * exp(-lam*s) * f(s) ds,        U finite or infinite,
 
 where f(s) is a transition probability, density, matrix, or moment of the
-underlying process.  This module evaluates such integrals adaptively
-(Gauss-Kronrod via scipy), handles the 1/sqrt(s) endpoint behaviour of
-diffusion densities by a square-root substitution near the origin, and for
-U = inf truncates at a point where a user-supplied growth bound certifies
-that the discarded tail is negligible.  The truncated mass is charged to the
-reported error estimate, so the estimate stays honest.
+underlying process.  This module evaluates such integrals adaptively,
+handles the 1/sqrt(s) endpoint behaviour of diffusion densities by a
+square-root substitution near the origin, and for U = inf truncates at a
+point where a user-supplied growth bound certifies that the discarded tail
+is negligible.  The truncated mass is charged to the reported error
+estimate, so the estimate stays honest.
 
-f may return scalars or ndarrays; for arrays the error is controlled in the
-max norm.
+The rule is QUADPACK's 21-point Gauss-Kronrod pair with its error estimate
+(Piessens et al., QUADPACK, Springer 1983), refined globally as
+scipy.integrate.quad_vec refines it: each round bisects up to 128 intervals
+of largest error.  A round evaluates f once, on the nodes of all its
+intervals, so f maps a 1-D array of times to an array with that leading
+axis: shape (n,) for scalar integrands, (n, ...) for array-valued ones,
+whose error is controlled in the max norm.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad_vec
 
 from .errors import DomainError, TailBoundViolated, ToleranceNotMet
 
@@ -32,6 +37,37 @@ DEFAULT_ABS_TOL = 1e-12
 
 # smallest positive normal float; keeps u*u from underflowing to exactly 0
 _TINY = np.finfo(float).tiny
+_EPS = float(np.finfo(float).eps)
+
+# the 21-point Kronrod rule on [-1, 1], nodes from +1 down, and the 10-point
+# Gauss rule embedded in it at every second node (QUADPACK's qk21)
+_XK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
+_GK_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
+_GK_GAUSS = np.concatenate([_WG, _WG[::-1]])
+
+# intervals bisected per refinement round at most
+_ROUND = 128
 
 
 @dataclass
@@ -106,9 +142,10 @@ def exp_weighted_integral(
     Parameters
     ----------
     f : callable
-        Maps s > 0 to a float or ndarray.  Never called at s = 0, so
-        integrable endpoint singularities such as the 1/sqrt(s) prefactor
-        of a diffusion density are acceptable.
+        Maps a 1-D array of times s > 0 to an array of values with that
+        leading axis.  Never called at s = 0, so integrable endpoint
+        singularities such as the 1/sqrt(s) prefactor of a diffusion
+        density are acceptable.
     lam : float
         Restart rate, must be positive.
     upper : float
@@ -150,7 +187,7 @@ def exp_weighted_integral(
             raise DomainError(f"upper limit must be nonnegative, got {upper}")
 
     if U == 0.0:
-        probe = np.asarray(f(_TINY), dtype=float) * 0.0
+        probe = np.asarray(f(np.array([_TINY])), dtype=float)[0] * 0.0
         value = float(probe) if probe.ndim == 0 else probe
         return QuadratureResult(value, tail_err, 0, truncated_at)
 
@@ -162,17 +199,15 @@ def exp_weighted_integral(
     seg_abs = abs_tol / 4.0
 
     def near(u):
-        s = u * u
-        if s < _TINY:
-            s = _TINY
-        return (2.0 * u * lam * math.exp(-lam * s)) * np.asarray(f(s), dtype=float)
+        s = np.maximum(u * u, _TINY)
+        return _weigh(2.0 * u * lam * np.exp(-lam * s), f(s))
 
     value, err, nodes, ok = _segment(near, 0.0, math.sqrt(split), seg_abs, seg_rel, max_subdivisions)
 
     if U > split:
 
         def far(s):
-            return (lam * math.exp(-lam * s)) * np.asarray(f(s), dtype=float)
+            return _weigh(lam * np.exp(-lam * s), f(s))
 
         v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, max_subdivisions)
         value = value + v2
@@ -197,13 +232,110 @@ def exp_weighted_integral(
     return result
 
 
-def _segment(g, a, b, epsabs, epsrel, limit):
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        val, err, info = quad_vec(
-            g, a, b, epsabs=epsabs, epsrel=epsrel, norm="max", limit=limit, full_output=True
+def _weigh(weights, values):
+    """weights[i] * values[i] for the values of f at n times."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[:1] != weights.shape:
+        raise DomainError(
+            f"integrand returned shape {values.shape} for {len(weights)} times; "
+            "it must map an array of times to an array with that leading axis"
         )
-    ok = bool(info.success) and np.all(np.isfinite(np.asarray(val)))
-    if not math.isfinite(err):
+    return weights.reshape(weights.shape + (1,) * (values.ndim - 1)) * values
+
+
+def _gk21(g, lo, hi):
+    """The 21-point Gauss-Kronrod rule on each interval [lo[i], hi[i]].
+
+    One call of g on all 21*m nodes; the rule's sums are dot products.
+    Returns the integrals, shaped (m, *value shape), and per interval
+    QUADPACK's error and rounding estimates in the max norm.
+    """
+    m = len(lo)
+    h = [0.5 * (b - a) for a, b in zip(lo, hi)]
+    c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
+    half = np.array(h)[:, None]
+    values = g((c[:, None] + half * _GK_NODES).ravel())
+    F = values.reshape(m, len(_GK_NODES), -1)
+    kronrod = _GK_KRONROD @ F
+    # max norms taken before the scaling by h > 0, which commutes with them
+    diff = np.abs(kronrod - _GK_GAUSS @ F[:, 1::2]).max(axis=1)
+    spread = (_GK_KRONROD @ np.abs(F - (kronrod / 2.0)[:, None])).max(axis=1)
+    size = (_GK_KRONROD @ np.abs(F)).max(axis=1)
+    estimates = list(map(_gk_error, h, diff.tolist(), spread.tolist(), size.tolist()))
+    return (half * kronrod).reshape((m,) + values.shape[1:]), estimates
+
+
+def _gk_error(h, diff, spread, size):
+    """QUADPACK's error estimate and rounding error of one interval."""
+    err = diff * h
+    dabs = spread * h
+    if dabs != 0 and err != 0:
+        err = dabs * min(1.0, (200 * err / dabs) ** 1.5)
+    rounding = 50 * _EPS * h * size
+    if rounding > _TINY:
+        err = max(err, rounding)
+    return err, rounding
+
+
+def _segment(g, a, b, epsabs, epsrel, limit):
+    """Globally adaptive GK21 on [a, b]: value, error, node count, converged.
+
+    The refinement of scipy.integrate.quad_vec: a heap of (-error, lo, hi),
+    rounds that bisect the intervals of largest error until their errors
+    cover all but tol/8 of the total, and the same exits (total error below
+    tol/8, below the rounding error, or the interval limit).  Only the
+    evaluation differs: all the bisected halves of a round share one call
+    of g.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        integral, [(error, round_error)] = _gk21(g, [a], [b])
+        value = integral[0]
+        cache = {(a, b): value}
+        heap = [(-error, a, b)]
+        nodes = len(_GK_NODES)
+        converged = False
+        while heap and len(heap) < limit:
+            tol = max(epsabs, epsrel * float(np.abs(value).max()))
+            batch = []
+            popped = 0.0
+            while heap and len(batch) < _ROUND and not (batch and popped > error - tol / 8):
+                neg, lo, hi = heapq.heappop(heap)
+                batch.append((lo, hi, 0.5 * (lo + hi), -neg, cache.pop((lo, hi), None)))
+                popped -= neg
+            # the two halves of every interval, then each interval whose own
+            # integral was not kept (a degenerate interval met twice)
+            redo = [iv for iv in batch if iv[4] is None]
+            integral, estimates = _gk21(
+                g,
+                [iv[0] for iv in batch] + [iv[2] for iv in batch] + [iv[0] for iv in redo],
+                [iv[2] for iv in batch] + [iv[1] for iv in batch] + [iv[1] for iv in redo],
+            )
+            nodes += len(_GK_NODES) * len(integral)
+            m = len(batch)
+            redone = iter(integral[2 * m :])
+            # in interval order, as quad_vec adds them
+            for j, (lo, hi, mid, old_err, old) in enumerate(batch):
+                left, right = integral[j], integral[m + j]
+                (e1, r1), (e2, r2) = estimates[j], estimates[m + j]
+                value = value + (left + right - (next(redone) if old is None else old))
+                error += e1 + e2 - old_err
+                round_error += r1 + r2
+                cache[(lo, mid)] = left
+                cache[(mid, hi)] = right
+                heapq.heappush(heap, (-e1, lo, mid))
+                heapq.heappush(heap, (-e2, mid, hi))
+            if len(heap) >= 2:
+                tol = max(epsabs, epsrel * float(np.abs(value).max()))
+                if error < tol / 8:
+                    converged = True
+                    break
+                if error < round_error:
+                    break
+            if not (math.isfinite(error) and math.isfinite(round_error)):
+                break
+    ok = converged and bool(np.all(np.isfinite(value)))
+    total = error + round_error
+    if not math.isfinite(total):
         ok = False
-        err = math.inf
-    return np.asarray(val, dtype=float), float(err), int(info.neval), ok
+        total = math.inf
+    return np.asarray(value, dtype=float), total, nodes, ok

@@ -14,6 +14,11 @@ def random_generator(rng, n, scale=1.0):
     return Q
 
 
+def resolvent_matrix(chain, lam):
+    """(lam*I - Q)^(-1), the Laplace transform of a chain's transition matrices."""
+    return np.linalg.inv(lam * np.eye(chain.space.n) - chain.Q)
+
+
 def random_restart_weights(rng, n):
     w = rng.uniform(0.2, 1.0, size=n)
     return w / w.sum()

@@ -147,6 +147,22 @@ class TestDefaultRoute:
             assert np.abs(got - want).max() < 1e-10
 
 
+    def test_array_forms_loop_over_the_scalar_methods(self, three_state_chain):
+        bm = BrownianWithDrift(0.4, 0.8)
+        g = Interval(-1.0, 0.5)
+        t = np.array([0.0, 0.2, 1.5])
+        got = _QuadratureOnly(bm).transition_probabilities(t, 0.1, g)
+        assert np.array_equal(got, [bm.transition_probability(s, 0.1, g) for s in t])
+        got = _QuadratureOnly(three_state_chain).transition_matrices(t)
+        assert np.array_equal(got, [three_state_chain.transition_matrix(s) for s in t])
+        # the restarted kernel integrates a scalar-only kernel through them
+        for base, x, target in ((bm, 0.1, g), (three_state_chain, 1, Subset([0, 2]))):
+            restart = RestartSpec(1.5, PointMass(x))
+            want = RestartedProcess(base, restart).transition_probability(0.8, x, target)
+            got = RestartedProcess(_QuadratureOnly(base), restart).transition_probability(0.8, x, target)
+            assert abs(got - want) < 1e-12
+
+
 def _twelve_state_chain():
     rng = np.random.default_rng(12)
     return FiniteCTMC(random_generator(rng, 12), np.arange(12.0) - 5.5), random_restart_weights(rng, 12)

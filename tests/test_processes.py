@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.linalg import expm
 
+import restartk.processes
 from restartk import (
     BrownianWithDrift,
     DomainError,
@@ -18,6 +20,8 @@ from restartk import (
     ctmc_from_json,
     exp_weighted_integral,
 )
+
+from conftest import resolvent_matrix
 
 
 def _phi(u):
@@ -199,9 +203,9 @@ class TestFiniteCTMC:
     def test_resolvent_matches_weighted_time_integral(self, three_state_chain):
         # lam*(lam I - Q)^(-1) is the exponentially weighted average of e^{Qs}
         lam = 1.3
-        R = lam * three_state_chain.resolvent_matrix(lam)
+        R = lam * resolvent_matrix(three_state_chain, lam)
         r = exp_weighted_integral(
-            three_state_chain.transition_matrix, lam, math.inf, rel_tol=1e-11
+            three_state_chain.transition_matrices, lam, math.inf, rel_tol=1e-11
         )
         assert np.abs(r.value - R).max() < 1e-9
 
@@ -312,6 +316,103 @@ class TestArraySamplers:
                 kernel.sample_transitions(np.array([0.1, -0.1, 0.2]), x, rng)
         with pytest.raises(DomainError):
             GeometricBrownian().sample_transitions(1.0, np.array([1.0, 0.0]), rng)
+
+
+def _within_ulps(got, want, n):
+    want = np.asarray(want, dtype=float)
+    return bool(np.all(np.abs(got - want) <= n * np.spacing(np.abs(want))))
+
+
+class TestArrayForms:
+    """The array-in-time forms the quadrature integrates, against the scalar forms."""
+
+    times = np.concatenate([[0.0], np.geomspace(1e-3, 50.0, 60)])
+
+    @pytest.mark.parametrize(
+        "base, x, z, target",
+        [
+            (BrownianWithDrift(0.7, 1.3), 0.4, -0.9, Interval(-0.5, 2.0)),
+            (BrownianWithDrift(-1.5, 0.2), -1.0, 3.0, Interval(0.1, math.inf)),
+            (GeometricBrownian(0.3, 0.6), 1.4, 0.8, Interval(0.5, 2.5)),
+            (GeometricBrownian(-0.2, 1.1), 0.3, 5.0, Interval(-1.0, 0.9)),
+        ],
+    )
+    def test_diffusions_agree_with_scalar_forms(self, base, x, z, target):
+        t = self.times
+        probs = base.transition_probabilities(t, x, target)
+        assert probs.shape == t.shape
+        # the same ndtr on the same arguments, so the same floats
+        assert np.array_equal(probs, [base.transition_probability(s, x, target) for s in t])
+        # np.exp and math.exp differ by at most 1 ulp, which the division or
+        # product that follows can carry to 2
+        dens = base.transition_densities(t[1:], x, z)
+        assert _within_ulps(dens, [base.transition_density(s, x, z) for s in t[1:]], 2)
+        for k in (1, 2, 3):
+            got = base.moments(k, t, x)
+            assert _within_ulps(got, [base.moment(k, s, x) for s in t], 2)
+
+    def test_diffusion_arrays_validate_times(self):
+        with pytest.raises(DomainError):
+            BrownianWithDrift().transition_probabilities(np.array([0.5, -0.1]), 0.0, Interval(0.0, 1.0))
+        with pytest.raises(DomainError):
+            GeometricBrownian().transition_densities(np.array([0.0, 1.0]), 1.0, 1.0)
+
+    def test_gbm_moment_overflow_raises_like_the_scalar(self):
+        gbm = GeometricBrownian(0.5, 1.0)
+        with pytest.raises(OverflowError):
+            gbm.moment(2, 700.0, 1.0)
+        with pytest.raises(OverflowError):
+            gbm.moments(2, np.array([1.0, 700.0]), 1.0)
+
+    def test_stacked_matrices_are_the_scalar_matrices(self, three_state_chain):
+        Q = three_state_chain.Q
+        t = np.array([0.3, 1e-4, 2.0, 0.3, 0.0, 17.5, 0.9])
+        stacked = FiniteCTMC(Q).transition_matrices(t)
+        scalar = FiniteCTMC(Q)
+        assert stacked.shape == (7, 3, 3)
+        assert np.array_equal(stacked, [scalar.transition_matrix(s) for s in t])
+        # partly memoised: the memo's matrices and the stacked misses agree
+        partly = FiniteCTMC(Q)
+        partly.transition_matrix(2.0)
+        assert np.array_equal(partly.transition_matrices(t), stacked)
+
+    def test_misses_take_one_stacked_expm(self, three_state_chain, monkeypatch):
+        calls = []
+
+        def counting(A):
+            calls.append(A.shape)
+            return expm(A)
+
+        monkeypatch.setattr(restartk.processes, "expm", counting)
+        three_state_chain.transition_matrix(0.5)
+        t = np.linspace(1.1, 4.0, 30)
+        first = three_state_chain.transition_matrices(np.append(t, 0.5))
+        assert calls == [(3, 3), (30, 3, 3)]
+        assert np.array_equal(three_state_chain.transition_matrices(t), first[:-1])
+        assert len(calls) == 2
+
+    def test_memo_keeps_its_bound_over_a_large_round(self, three_state_chain):
+        chain = FiniteCTMC(three_state_chain.Q)
+        chain.expm_cache_size = 8
+        t = np.linspace(5.0, 6.0, 20)
+        got = chain.transition_matrices(t)
+        assert len(chain._expm_cache) == 8
+        assert np.array_equal(got, FiniteCTMC(chain.Q).transition_matrices(t))
+
+    def test_stacked_overflow_is_a_domain_error(self):
+        chain = FiniteCTMC([[-1e200, 1e200], [1e200, -1e200]])
+        with pytest.raises(DomainError, match="rescale"):
+            chain.transition_matrices(np.array([0.5, 1.0]))
+
+    def test_chain_rows_agree_with_scalar_forms(self, three_state_chain):
+        t = self.times
+        target = Subset([0, 2])
+        probs = three_state_chain.transition_probabilities(t, 1, target)
+        want = [three_state_chain.transition_probability(s, 1, target) for s in t]
+        assert _within_ulps(probs, want, 1)
+        for k in (1, 2):
+            got = three_state_chain.moments(k, t, 2)
+            assert np.allclose(got, [three_state_chain.moment(k, s, 2) for s in t], rtol=1e-15, atol=1e-15)
 
 
 class TestChainLoading:

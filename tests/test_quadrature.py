@@ -4,7 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad_vec
 
+from restartk import quadrature
 from restartk import (
     DomainError,
     TailBoundViolated,
@@ -18,7 +22,7 @@ INF = math.inf
 
 def test_weight_total_mass_semi_infinite():
     for lam in (0.3, 1.0, 2.0, 7.5):
-        r = exp_weighted_integral(lambda s: 1.0, lam, INF)
+        r = exp_weighted_integral(np.ones_like, lam, INF)
         assert abs(r.value - 1.0) < 1e-9
         assert abs(r.value - 1.0) <= r.abs_error_estimate
         assert r.truncated_at is not None and r.reliable
@@ -26,7 +30,7 @@ def test_weight_total_mass_semi_infinite():
 
 def test_exponential_integrand_resolvent_value():
     # int_0^inf lam e^{-lam s} e^{eta s} ds = lam/(lam-eta); lam=2, eta=1 -> 2
-    r = exp_weighted_integral(lambda s: math.exp(s), 2.0, INF, growth_bound=(1.0, 1.0))
+    r = exp_weighted_integral(np.exp, 2.0, INF, growth_bound=(1.0, 1.0))
     assert abs(r.value - 2.0) < 2e-9
 
 
@@ -40,7 +44,7 @@ def test_linear_integrand_finite_horizon():
 def _exact_cases():
     cases = []
     for lam, t in ((1.0, 2.0), (3.0, 0.7)):
-        cases.append((lambda s: 1.0, lam, t, 1.0 - math.exp(-lam * t)))
+        cases.append((np.ones_like, lam, t, 1.0 - math.exp(-lam * t)))
         cases.append((lambda s: s, lam, t, (1.0 - (1.0 + lam * t) * math.exp(-lam * t)) / lam))
         cases.append(
             (
@@ -50,12 +54,12 @@ def _exact_cases():
                 (2.0 - (lam * lam * t * t + 2 * lam * t + 2) * math.exp(-lam * t)) / lam**2,
             )
         )
-    cases.append((lambda s: math.exp(0.5 * s), 2.0, 3.0, 2.0 / 1.5 * (1 - math.exp(-1.5 * 3.0))))
-    cases.append((lambda s: math.sin(s), 2.0, INF, 2.0 / (4.0 + 1.0)))
-    cases.append((lambda s: math.cos(s), 2.0, INF, 4.0 / (4.0 + 1.0)))
-    cases.append((lambda s: 1.0 / math.sqrt(s), 2.0, INF, math.sqrt(math.pi * 2.0)))
+    cases.append((lambda s: np.exp(0.5 * s), 2.0, 3.0, 2.0 / 1.5 * (1 - math.exp(-1.5 * 3.0))))
+    cases.append((np.sin, 2.0, INF, 2.0 / (4.0 + 1.0)))
+    cases.append((np.cos, 2.0, INF, 4.0 / (4.0 + 1.0)))
+    cases.append((lambda s: 1.0 / np.sqrt(s), 2.0, INF, math.sqrt(math.pi * 2.0)))
     cases.append(
-        (lambda s: 1.0 / math.sqrt(s), 1.5, 2.0, math.sqrt(math.pi * 1.5) * math.erf(math.sqrt(3.0)))
+        (lambda s: 1.0 / np.sqrt(s), 1.5, 2.0, math.sqrt(math.pi * 1.5) * math.erf(math.sqrt(3.0)))
     )
     # s^3 <= 1.35 e^s everywhere (max of s^3 e^-s is 27/e^3 ~ 1.344)
     cases.append((lambda s: s**3, 1.7, INF, 6.0 / 1.7**3, (1.35, 1.0)))
@@ -79,7 +83,7 @@ def test_error_estimates_conservative_on_analytic_library():
 
 def test_sqrt_singularity_at_origin_is_cheap():
     # the substitution keeps the node count modest despite s^{-1/2}
-    r = exp_weighted_integral(lambda s: 1.0 / math.sqrt(s), 2.0, INF)
+    r = exp_weighted_integral(lambda s: 1.0 / np.sqrt(s), 2.0, INF)
     assert abs(r.value - math.sqrt(2.0 * math.pi)) < 1e-9
     assert r.nodes_used < 2000
 
@@ -88,9 +92,9 @@ def test_integrand_never_called_at_zero():
     seen = []
 
     def f(s):
-        assert s > 0.0
-        seen.append(s)
-        return 1.0 / math.sqrt(s)
+        assert np.all(s > 0.0)
+        seen.append(s.min())
+        return 1.0 / np.sqrt(s)
 
     exp_weighted_integral(f, 1.0, 1.0)
     assert min(seen) > 0.0
@@ -98,7 +102,7 @@ def test_integrand_never_called_at_zero():
 
 def test_matrix_valued_integrand():
     def f(s):
-        return np.array([[math.cos(s), math.sin(s)], [-math.sin(s), math.cos(s)]])
+        return np.moveaxis(np.array([[np.cos(s), np.sin(s)], [-np.sin(s), np.cos(s)]]), -1, 0)
 
     r = exp_weighted_integral(f, 2.0, INF)
     # entrywise Laplace transforms of cos/sin at lam=2
@@ -127,12 +131,12 @@ def test_tail_bound_violated():
     with pytest.raises(TailBoundViolated):
         tail_truncation_point(1.0, 1.0, 1.0, 1e-9)
     with pytest.raises(TailBoundViolated):
-        exp_weighted_integral(lambda s: math.exp(2 * s), 1.0, INF, growth_bound=(1.0, 2.0))
+        exp_weighted_integral(lambda s: np.exp(2 * s), 1.0, INF, growth_bound=(1.0, 2.0))
 
 
 def test_truncation_respects_bound_validity_window():
     r = exp_weighted_integral(
-        lambda s: 1.0, 1.0, INF, growth_bound=(1.0, 0.0), bound_valid_from=40.0
+        np.ones_like, 1.0, INF, growth_bound=(1.0, 0.0), bound_valid_from=40.0
     )
     assert r.truncated_at >= 40.0
     assert abs(r.value - 1.0) < 1e-9
@@ -140,7 +144,7 @@ def test_truncation_respects_bound_validity_window():
 
 def test_tolerance_not_met_raises_with_partial_result():
     def nasty(s):
-        return 1.0 / math.sqrt(abs(s - 0.5)) + math.sin(40.0 * s)
+        return 1.0 / np.sqrt(abs(s - 0.5)) + np.sin(40.0 * s)
 
     with pytest.raises(ToleranceNotMet) as err:
         exp_weighted_integral(nasty, 1.0, 1.0, rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4)
@@ -150,7 +154,7 @@ def test_tolerance_not_met_raises_with_partial_result():
 
 def test_non_strict_mode_flags_instead_of_raising():
     def nasty(s):
-        return 1.0 / math.sqrt(abs(s - 0.5)) + math.sin(40.0 * s)
+        return 1.0 / np.sqrt(abs(s - 0.5)) + np.sin(40.0 * s)
 
     r = exp_weighted_integral(
         nasty, 1.0, 1.0, rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4, strict=False
@@ -172,5 +176,130 @@ def test_domain_errors():
 
 
 def test_zero_upper_limit():
-    r = exp_weighted_integral(lambda s: 5.0, 1.0, 0.0)
+    r = exp_weighted_integral(lambda s: np.full_like(s, 5.0), 1.0, 0.0)
     assert r.value == 0.0 and r.nodes_used == 0
+
+
+# -- the batched rule against scipy's quad_vec, its independent oracle ---------
+
+_RATES = np.linspace(0.0, 0.8, 9)
+_KINDS = ("smooth", "oscillating", "density", "pure 1/sqrt(s)", "3x3 matrix")
+
+
+def _integrand(kind, lam):
+    """An integrand of the array contract, its growth bound (C, eta) and where that holds from."""
+    if kind == "smooth":
+        return lambda s: s / (1.0 + s) + np.exp(-0.7 * s), (2.0, 0.0), 0.0
+    if kind == "oscillating":
+        # ~130 periods under the weight whatever the rate: rounds bisect many intervals
+        return lambda s: np.cos(25.0 * lam * s), (1.0, 0.0), 0.0
+    if kind == "3x3 matrix":
+        return lambda s: np.exp(-np.outer(s, _RATES)).reshape(-1, 3, 3), (1.0, 0.0), 0.0
+    # Gaussian densities in time, ~1/sqrt(s) at the origin, whose envelope
+    # holds past the peak, as the kernels' density envelopes do
+    c = 0.09 if kind == "density" else 0.0
+    s_min = min(1.0 / lam, 1.0)
+    bound = (1.0 / math.sqrt(2.0 * math.pi * s_min), 0.0)
+    return lambda s: np.exp(-c / s) / np.sqrt(2.0 * np.pi * s), bound, s_min
+
+
+def _segments_of(f, lam, upper, **kw):
+    """exp_weighted_integral's result, and each (integrand, a, b, ...) it handed to _segment."""
+    seen = []
+    real = quadrature._segment
+
+    def spy(*args):
+        out = real(*args)
+        seen.append((args, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "_segment", spy)
+        result = exp_weighted_integral(f, lam, upper, strict=False, **kw)
+    return result, seen
+
+
+def _quad_vec(g, a, b, epsabs, epsrel, limit):
+    """scipy's quad_vec on the same segment, one node per call."""
+    with np.errstate(all="ignore"):
+        want, err, info = quad_vec(
+            lambda s: g(np.array([s]))[0],
+            a, b, epsabs=epsabs, epsrel=epsrel, norm="max", limit=limit, full_output=True,
+        )
+    return np.asarray(want), err, info
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(-4.0, 4.0).map(lambda e: 10.0**e),
+    lam_t=st.one_of(st.just(INF), st.floats(0.01, 40.0)),
+    kind=st.sampled_from(_KINDS),
+    rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)),
+)
+def test_batched_rule_matches_quad_vec(lam, lam_t, kind, rel_tol):
+    f, bound, valid_from = _integrand(kind, lam)
+    result, seen = _segments_of(
+        f, lam, lam_t / lam, rel_tol=rel_tol, growth_bound=bound, bound_valid_from=valid_from
+    )
+    assert seen
+    nodes = 0
+    for args, (value, err, used, converged) in seen:
+        want, want_err, info = _quad_vec(*args)
+        assert used == info.neval
+        assert converged == (info.success and bool(np.all(np.isfinite(want))))
+        assert np.max(np.abs(value - want)) <= 1e-15 * max(1.0, float(np.max(np.abs(want))))
+        # the sums' order differs, and the Kronrod-Gauss difference cancels
+        assert abs(err - want_err) <= 0.01 * want_err
+        nodes += info.neval
+    assert result.nodes_used == nodes
+
+
+@pytest.mark.parametrize(
+    "w, epsabs, epsrel",
+    [
+        # rounds of many intervals, ending where the batch rule ends them
+        (12.090368556724892, 1e-14, 1e-11),
+        (24.813139367296976, 1e-14, 1e-9),
+        (99.62077586469734, 1e-14, 1e-9),
+        # out of reach in floating point: the rounding-error exit
+        (3.0, 1e-300, 1e-15),
+    ],
+)
+def test_segment_matches_quad_vec_on_oscillations(w, epsabs, epsrel):
+    def g(s):
+        return np.cos(w * s) * np.exp(-s)
+
+    value, err, used, converged = quadrature._segment(g, 0.0, 3.0, epsabs, epsrel, 10000)
+    want, want_err, info = _quad_vec(g, 0.0, 3.0, epsabs, epsrel, 10000)
+    assert used == info.neval and converged == info.success
+    assert abs(value - want) <= 1e-15 and abs(err - want_err) <= 0.01 * want_err
+
+
+def test_repeated_degenerate_intervals_count_like_quad_vec():
+    # bisecting a one-ulp interval makes zero-width intervals, some met
+    # twice; quad_vec integrates such a repeat afresh, so its nodes count
+    b = math.nextafter(1.0, 2.0)
+    for limit in (8, 30):
+        value, _, used, converged = quadrature._segment(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
+        want, _, info = _quad_vec(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
+        assert used == info.neval
+        assert value == want == 0.0 and not converged and not info.success
+
+
+def test_round_evaluates_the_integrand_once():
+    # 21 nodes for the first rule, then one call per refinement round
+    calls = []
+
+    def f(s):
+        calls.append(len(s))
+        return np.sin(40.0 * s)
+
+    r = exp_weighted_integral(f, 1.0, 1.0)
+    assert sum(calls) == r.nodes_used
+    assert all(n == 21 or n % 42 == 0 for n in calls)
+    assert max(calls) > 42
+
+
+def test_integrand_must_keep_the_time_axis():
+    with pytest.raises(DomainError, match="leading axis"):
+        exp_weighted_integral(lambda s: 1.0, 1.0, 1.0)

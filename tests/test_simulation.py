@@ -2,10 +2,12 @@
 
 import io
 import math
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
+import restartk.simulation
 from restartk import (
     BrownianWithDrift,
     DomainError,
@@ -29,7 +31,13 @@ from restartk import (
     write_path_csv,
 )
 from restartk.kernels import MarkovKernel
-from restartk.simulation import BLOCK, block_rng, draw_restart_times, path_rng
+from restartk.simulation import (
+    BLOCK,
+    POOL_BLOCKS_PER_WORKER,
+    block_rng,
+    draw_restart_times,
+    path_rng,
+)
 from restartk.spaces import RealLine, indicator
 
 
@@ -134,6 +142,33 @@ class TestEnsemble:
             serial.ages[~np.isnan(serial.ages)], parallel.ages[~np.isnan(parallel.ages)]
         )
         assert np.array_equal(serial.n_restarts_at_horizon, parallel.n_restarts_at_horizon)
+
+    def test_small_ensemble_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a 3-block ensemble started a process pool")
+
+        monkeypatch.setattr(restartk.simulation, "ProcessPoolExecutor", refuse)
+        cfg = PathConfig(seed=5, horizon=1.0, record_grid=(1.0,), n_paths=3 * BLOCK, initial=PointMass(0.0))
+        ens = run_ensemble(bm_process(), cfg, workers=2)
+        assert ens.states.shape == (3 * BLOCK, 1)
+
+    def test_large_ensemble_uses_the_pool_and_matches_serial(self, monkeypatch):
+        pools = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(restartk.simulation, "ProcessPoolExecutor", CountingPool)
+        n = 2 * POOL_BLOCKS_PER_WORKER * BLOCK + 5
+        cfg = PathConfig(seed=6, horizon=1.0, record_grid=(1.0,), n_paths=n, initial=PointMass(0.0))
+        serial = run_ensemble(bm_process(), cfg, workers=1)
+        assert pools == []
+        parallel = run_ensemble(bm_process(), cfg, workers=2)
+        assert pools == [2]
+        for field in ("states", "restart_counts", "ages", "n_restarts_at_horizon"):
+            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
 
     def test_age_and_count_bookkeeping(self):
         proc = bm_process(rate=1.0)
