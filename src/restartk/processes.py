@@ -44,9 +44,16 @@ def _check_times(t, shape=None, positive=False):
     t = np.asarray(t, dtype=float)
     if shape is not None:
         t = np.broadcast_to(t, shape)
-    if not (t > 0.0 if positive else t >= 0.0).all():
-        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'}")
+    ok = t > 0.0 if positive else t >= 0.0
+    if not ok.all():
+        bad = t[~ok].flat[0]
+        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'}, got {bad}")
     return t
+
+
+def _at_one_time(array_form, t, *args):
+    """A scalar transition law: the one-time case of its array-in-time form."""
+    return float(array_form(np.array([float(t)]), *args)[0])
 
 
 def _laplace_law_mass(mu, sigma, lam, y, lower, upper):
@@ -100,20 +107,10 @@ class BrownianWithDrift(MarkovKernel):
         return RealLine()
 
     def transition_density(self, t, x, z):
-        if not (t > 0.0):
-            raise DomainError(f"density needs t > 0, got t={t}")
-        sd = self.sigma * math.sqrt(t)
-        u = (z - x - self.mu * t) / sd
-        return math.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
+        return _at_one_time(self.transition_densities, t, x, z)
 
     def transition_probability(self, t, x, target):
-        if t < 0.0 or math.isnan(t):
-            raise DomainError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            return indicator(target, x)
-        sd = self.sigma * math.sqrt(t)
-        m = x + self.mu * t
-        return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
+        return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_densities(self, t, x, z):
         t = _check_times(t, positive=True)
@@ -144,7 +141,7 @@ class BrownianWithDrift(MarkovKernel):
         return x + self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
 
     def moment(self, k, t, x):
-        return gaussian_raw_moment(k, x + self.mu * t, self.sigma * math.sqrt(t))
+        return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
         t = _check_times(t)
@@ -179,25 +176,10 @@ class GeometricBrownian(MarkovKernel):
         return math.log(x) + (self.mu - 0.5 * self.sigma**2) * t, self.sigma * math.sqrt(t)
 
     def transition_density(self, t, x, z):
-        if not (t > 0.0):
-            raise DomainError(f"density needs t > 0, got t={t}")
-        if x <= 0.0 or z <= 0.0:
-            raise DomainError(f"states must be positive, got x={x}, z={z}")
-        m, sd = self._log_params(t, x)
-        u = (math.log(z) - m) / sd
-        return math.exp(-0.5 * u * u) / (z * sd * _SQRT_2PI)
+        return _at_one_time(self.transition_densities, t, x, z)
 
     def transition_probability(self, t, x, target):
-        if t < 0.0 or math.isnan(t):
-            raise DomainError(f"time must be nonnegative, got {t}")
-        if x <= 0.0:
-            raise DomainError(f"state must be positive, got x={x}")
-        if t == 0.0:
-            return indicator(target, x)
-        m, sd = self._log_params(t, x)
-        hi = ndtr((math.log(target.upper) - m) / sd) if target.upper > 0 else 0.0
-        lo = ndtr((math.log(target.lower) - m) / sd) if target.lower > 0 else 0.0
-        return float(hi - lo)
+        return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_densities(self, t, x, z):
         t = _check_times(t, positive=True)
@@ -260,14 +242,14 @@ class GeometricBrownian(MarkovKernel):
         return k * (self.mu - 0.5 * self.sigma**2) + 0.5 * k * k * self.sigma**2
 
     def moment(self, k, t, x):
-        return x**k * math.exp(self.moment_growth_rate(k) * t)
+        return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
         t = _check_times(t)
         with np.errstate(over="ignore"):
             growth = np.exp(self.moment_growth_rate(k) * t)
         if not np.isfinite(growth).all():
-            # where the scalar moment's math.exp raises
+            # as math.exp would: a moment past the float range is a failure
             raise OverflowError(f"E[X(t)^{k}] overflows by t = {t.max()}")
         return x**k * growth
 
@@ -377,10 +359,14 @@ class FiniteCTMC(MarkovKernel):
         cache = self._expm_cache
         found = {s: cache[s] for s in times if s in cache}
         missing = [s for s in dict.fromkeys(times) if s not in found]
-        if missing:
-            for s, P in zip(missing, self._expm(np.array(missing))):
+        # in chunks the memo's size, each entry its own copy, so neither
+        # expm's temporaries nor a memo entry holds more than the memo's bound
+        step = self.expm_cache_size
+        for lo in range(0, len(missing), step):
+            chunk = missing[lo : lo + step]
+            for s, P in zip(chunk, self._expm(np.array(chunk))):
                 found[s] = P
-                self._remember(cache, s, P)
+                self._remember(cache, s, P.copy())
         return np.array([found[s] for s in times])
 
     def _expm(self, t):

@@ -39,6 +39,9 @@ BLOCK = 1024
 # won that time back, and only for the 3-state chain
 POOL_BLOCKS_PER_WORKER = 64
 
+# most exponential gaps age_distribution_test draws at once (8 MB of floats)
+AGE_TEST_GAPS = 1 << 20
+
 # heavy-tail diagnostics for Monte Carlo moments: excess kurtosis of the
 # k-th powers, and the largest single path's share of their absolute sum
 KURTOSIS_THRESHOLD = 1000.0
@@ -334,13 +337,21 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     rng = np.random.default_rng(seed)
+    # gaps per path and draw: the mean count plus six standard deviations,
+    # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS
+    # gaps over all paths
+    mean = lam * t
+    chunk = max(1, min(int(mean + 6.0 * math.sqrt(mean) + 10.0), AGE_TEST_GAPS // n_paths))
     clock = np.zeros(n_paths)
     last = np.full(n_paths, -math.inf)
     live = np.arange(n_paths)
     while live.size:
-        clock[live] += rng.exponential(1.0 / lam, live.size)
-        live = live[clock[live] <= t]
-        last[live] = clock[live]
+        times = clock[live, None] + np.cumsum(rng.exponential(1.0 / lam, (live.size, chunk)), axis=1)
+        inside = np.count_nonzero(times <= t, axis=1)
+        hit = inside > 0
+        last[live[hit]] = times[hit, inside[hit] - 1]
+        clock[live] = times[:, -1]
+        live = live[times[:, -1] <= t]
     ages = np.sort(t - last)  # inf where no restart happened
     grid = np.linspace(0.0, t, grid_points)
     empirical = np.searchsorted(ages, grid, side="right") / n_paths

@@ -339,17 +339,16 @@ class TestArrayForms:
     )
     def test_diffusions_agree_with_scalar_forms(self, base, x, z, target):
         t = self.times
+        # each scalar form is the one-time case of its array form, and the
+        # array forms work elementwise, so the floats are the same
         probs = base.transition_probabilities(t, x, target)
         assert probs.shape == t.shape
-        # the same ndtr on the same arguments, so the same floats
         assert np.array_equal(probs, [base.transition_probability(s, x, target) for s in t])
-        # np.exp and math.exp differ by at most 1 ulp, which the division or
-        # product that follows can carry to 2
         dens = base.transition_densities(t[1:], x, z)
-        assert _within_ulps(dens, [base.transition_density(s, x, z) for s in t[1:]], 2)
+        assert np.array_equal(dens, [base.transition_density(s, x, z) for s in t[1:]])
         for k in (1, 2, 3):
             got = base.moments(k, t, x)
-            assert _within_ulps(got, [base.moment(k, s, x) for s in t], 2)
+            assert np.array_equal(got, [base.moment(k, s, x) for s in t])
 
     def test_diffusion_arrays_validate_times(self):
         with pytest.raises(DomainError):
@@ -398,6 +397,23 @@ class TestArrayForms:
         got = chain.transition_matrices(t)
         assert len(chain._expm_cache) == 8
         assert np.array_equal(got, FiniteCTMC(chain.Q).transition_matrices(t))
+        # each entry owns its matrix, so the memo does not keep a round alive
+        assert all(P.base is None for P in chain._expm_cache.values())
+
+    def test_misses_are_computed_in_chunks_of_the_memo_bound(self, three_state_chain, monkeypatch):
+        shapes = []
+
+        def counting(A):
+            shapes.append(A.shape[0])
+            return expm(A)
+
+        t = np.linspace(5.0, 6.0, 20)
+        want = FiniteCTMC(three_state_chain.Q).transition_matrices(t)
+        monkeypatch.setattr(restartk.processes, "expm", counting)
+        chain = FiniteCTMC(three_state_chain.Q)
+        chain.expm_cache_size = 8
+        assert np.array_equal(chain.transition_matrices(t), want)
+        assert shapes == [8, 8, 4]
 
     def test_stacked_overflow_is_a_domain_error(self):
         chain = FiniteCTMC([[-1e200, 1e200], [1e200, -1e200]])
