@@ -9,7 +9,6 @@ simulation and matrix-exponential references.
 """
 
 from .analysis import (
-    Divergent,
     bm_stationary_moments,
     ergodicity_check,
     gbm_stationary_moment,
@@ -42,7 +41,7 @@ from .errors import (
     UnsupportedTarget,
     WindowTooNarrow,
 )
-from .kernels import MarkovKernel, RestartedProcess, RestartSpec, resolvent
+from .kernels import Divergent, MarkovKernel, RestartedProcess, RestartSpec, resolvent
 from .processes import (
     BrownianWithDrift,
     FiniteCTMC,
@@ -68,8 +67,6 @@ from .spaces import (
     RealLine,
     Subset,
     indicator,
-    validate_target,
-    whole_space,
 )
 
 __version__ = "0.1.0"
@@ -127,7 +124,5 @@ __all__ = [
     "simulate_path",
     "small_lambda_sweep",
     "tail_truncation_point",
-    "validate_target",
-    "whole_space",
     "write_path_csv",
 ]

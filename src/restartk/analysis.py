@@ -8,7 +8,9 @@ The k-th moment of the restarted process splits like the kernel itself:
 For drifted Brownian motion the inner integrand is a polynomial in s, for
 geometric Brownian motion a pure exponential; both integrate in closed form,
 which is the 'analytic' route tested against quadrature and Monte Carlo.
-Finite chains get an exact resolvent form.  Stationary values follow by
+Finite chains get an exact resolvent form.  Each base kernel carries its
+own form (``restarted_moment``) and threshold (``moment_growth_rate``);
+kernels without one fall back to quadrature.  Stationary values follow by
 letting t grow; geometric Brownian motion keeps its k-th moment only while
 the restart rate beats the moment growth rate eta_k, and the boundary and
 supercritical cases are reported as explicit Divergent values rather than
@@ -22,34 +24,12 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
 
-from .distributions import _double_factorial_odd
+from .distributions import _nu_moment
 from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified
-from .kernels import RestartedProcess, RestartSpec
-from .processes import BrownianWithDrift, FiniteCTMC, GeometricBrownian
+from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet
-
-
-@dataclass(frozen=True)
-class Divergent:
-    """Marker for a moment that grows without bound, with its growth law.
-
-    For exponential escape, value_at(t) ~ const * exp(rate*t); at the
-    resonance lam = eta_k the growth is exactly linear, intercept + slope*t.
-    """
-
-    description: str
-    intercept: float = None
-    slope: float = None
-    rate: float = None
-
-    def value_at(self, t):
-        """The finite-t moment along the divergent branch, when exact."""
-        if self.intercept is None or self.slope is None:
-            raise DomainError(f"no exact finite-t law attached: {self.description}")
-        return self.intercept + self.slope * t
 
 
 @dataclass
@@ -91,121 +71,36 @@ class MomentReport:
         ]
 
 
-def _nu_moment(nu, j, rel_tol=1e-10):
-    m = nu.moment(j)
-    if m is not None:
-        return m
-    return nu.expect(lambda y: float(y) ** j, rel_tol=rel_tol)
-
-
-def _weight_poly(m, lam, t):
-    """int_0^t lam*exp(-lam*s)*s^m ds in closed form; t may be inf."""
-    if math.isinf(t):
-        return math.factorial(m) / lam**m
-    return math.factorial(m) / lam**m * float(gammainc(m + 1, lam * t))
-
-
 def bm_modified_moment(p, restart, k, t, x):
-    """E_x[X(t)^k] for restarted drifted Brownian motion, closed form; t may be inf.
-
-    The base moment is a polynomial in s with coefficients polynomial in the
-    start point, so the time integral reduces to incomplete-gamma weights and
-    the restart average to moments of nu.
-    """
-    lam = restart.rate
-    if lam <= 0.0:
-        raise DomainError("restart rate must be positive")
-    k = int(k)
-    mu, sigma = p.mu, p.sigma
-    if math.isinf(t):
-        term1 = 0.0
-    else:
-        term1 = math.exp(-lam * t) * p.moment(k, t, x)
-    term2 = 0.0
-    for j in range(0, k + 1, 2):
-        cj = math.comb(k, j) * _double_factorial_odd(j - 1) * sigma**j
-        for i in range(0, k - j + 1):
-            coef = cj * math.comb(k - j, i) * mu**i
-            m = j // 2 + i
-            r = k - j - i
-            term2 += coef * _weight_poly(m, lam, t) * _nu_moment(restart.nu, r)
-    return term1 + term2
+    """E_x[X(t)^k] of base kernel p under ``restart``, by p's closed form; t may be inf."""
+    return p.restarted_moment(restart, k, t, x)
 
 
-def gbm_modified_moment(p, restart, k, t, x):
-    """E_x[X(t)^k] for restarted geometric Brownian motion; t may be inf.
-
-    Returns a float while the value is finite and a Divergent otherwise:
-    at t = inf for lam <= eta_k, where eta_k is the base moment's growth
-    rate; the resonance lam = eta_k grows exactly linearly in t.
-    """
-    lam = restart.rate
-    if lam <= 0.0:
-        raise DomainError("restart rate must be positive")
-    eta = p.moment_growth_rate(k)
-    mk = _nu_moment(restart.nu, k)
-    if lam == eta:
-        return Divergent(
-            f"linear growth: x^k + lam*t*nu_moment = {x**k} + {lam * mk}*t "
-            f"(resonance lam = eta_{k} = {eta})",
-            intercept=float(x) ** k,
-            slope=lam * mk,
-        )
-    if math.isinf(t):
-        if lam < eta:
-            return Divergent(
-                f"exponential growth at rate eta_{k} - lam = {eta - lam}",
-                rate=eta - lam,
-            )
-        return lam / (lam - eta) * mk
-    term1 = math.exp(-lam * t) * p.moment(k, t, x)
-    term2 = mk * lam * (1.0 - math.exp(-(lam - eta) * t)) / (lam - eta)
-    return term1 + term2
-
-
-def ctmc_modified_moment(p, restart, k, t, x):
-    """E_x[X(t)^k] for a restarted finite chain; t may be inf.
-
-    The row of the restarted transition matrix (the invariant vector at
-    t = inf) against the k-th powers of the state values; the chain's
-    resolvent linear algebra gives both exactly, so no quadrature enters.
-    """
-    if restart.rate <= 0.0:
-        raise DomainError("restart rate must be positive")
-    proc = RestartedProcess(p, restart)
-    q = proc.invariant_vector() if math.isinf(t) else proc.transition_matrix(t)[int(x)]
-    return float(q @ p.values ** int(k))
+gbm_modified_moment = ctmc_modified_moment = bm_modified_moment
 
 
 def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
     """Time-t moment of a restarted process: the analytic route, as a report.
 
-    Dispatches to the closed forms for the shipped kernels and falls back to
-    quadrature of the base kernel's moments otherwise.  Warns FubiniUnverified
-    when the base kernel cannot certify that absolute moments stay finite on
-    compact time intervals, the hypothesis behind swapping the time integral
-    and the expectation.
+    Takes the base kernel's closed form (``restarted_moment``) and its
+    finiteness threshold (``moment_growth_rate``), and falls back to
+    quadrature of the base kernel's moments where it has no closed form.
+    Warns FubiniUnverified when the base kernel cannot certify that absolute
+    moments stay finite on compact time intervals, the hypothesis behind
+    swapping the time integral and the expectation.
     """
     k = int(k)
     if k < 1:
         raise DomainError(f"moment order must be a positive integer, got {k}")
     base = proc.base
-    restart = proc.restart
     if not proc.certifies_absolute_moment(k):
         warnings.warn(
             f"absolute-moment condition for k={k} not certified by "
             f"{type(base).__name__}; formula applied unverified",
             FubiniUnverified,
         )
-    threshold = None
-    if isinstance(base, BrownianWithDrift):
-        analytic = bm_modified_moment(base, restart, k, t, x)
-    elif isinstance(base, GeometricBrownian):
-        analytic = gbm_modified_moment(base, restart, k, t, x)
-        threshold = base.moment_growth_rate(k)
-    elif isinstance(base, FiniteCTMC):
-        analytic = ctmc_modified_moment(base, restart, k, t, x)
-    else:
+    analytic = base.restarted_moment(proc.restart, k, t, x)
+    if analytic is None:
         if math.isinf(t):
             raise DomainError(
                 f"no stationary moment route for {type(base).__name__}; "
@@ -214,7 +109,7 @@ def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
         analytic = proc.moment(k, t, x, rel_tol=rel_tol)
         if analytic is None:
             raise DomainError(f"{type(base).__name__} exposes no closed-form moments")
-    return MomentReport(k, float(t), analytic, empirical, threshold)
+    return MomentReport(k, float(t), analytic, empirical, base.moment_growth_rate(k))
 
 
 def moment_bound(proc, k, c_fn, eta, absolute=False):

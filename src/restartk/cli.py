@@ -19,6 +19,7 @@ import os
 import sys
 
 import jsonschema
+from jsonschema.exceptions import best_match
 
 from . import analysis, simulation
 from .distributions import FiniteSupport, PointMass, exponential, gaussian, lognormal
@@ -35,7 +36,6 @@ from .kernels import RestartedProcess, RestartSpec
 from .processes import BrownianWithDrift, GeometricBrownian, ctmc_from_dict, ctmc_from_json
 from .quadrature import DEFAULT_REL_TOL
 from .reporting import table_payload, write_csv, write_json
-from .spaces import FiniteSet, Interval, Subset
 
 _logger = logging.getLogger("restartk")
 
@@ -280,8 +280,21 @@ def exit_code_for(exc):
 
 
 def _schema_error_message(err):
+    # a oneOf over objects keyed by a const field (process and nu "type",
+    # task "name"): report the best error inside the branch the key selects
+    while err.validator == "oneOf" and isinstance(err.instance, dict):
+        keyed = {i for i, branch in enumerate(err.validator_value) if _key_matches(branch, err.instance)}
+        inside = [e for e in err.context if e.relative_schema_path[0] in keyed]
+        if not inside:
+            break
+        err = best_match(inside)
     path = ".".join(str(p) for p in err.absolute_path) or "(top level)"
     return f"config error at {path}: {err.message}"
+
+
+def _key_matches(branch, instance):
+    keys = {k: v["const"] for k, v in branch.get("properties", {}).items() if "const" in v}
+    return bool(keys) and all(k in instance and instance[k] == v for k, v in keys.items())
 
 
 def build_process(spec, config_dir):
@@ -305,9 +318,9 @@ def build_process(spec, config_dir):
 def build_distribution(spec, space):
     kind = spec["type"]
     if kind == "point":
-        dist = PointMass(_state_for(space, spec["x"]))
+        dist = PointMass(space.state(spec["x"]))
     elif kind == "finite":
-        dist = FiniteSupport(tuple((_state_for(space, s), w) for s, w in spec["points"]))
+        dist = FiniteSupport(tuple((space.state(s), w) for s, w in spec["points"]))
     elif kind == "gaussian":
         dist = gaussian(spec["mean"], spec["std"])
     elif kind == "exponential":
@@ -317,43 +330,6 @@ def build_distribution(spec, space):
     if not dist.supported_in(space):
         raise ConfigError(f"distribution {dist!r} is not supported in {space!r}")
     return dist
-
-
-def build_targets(specs, space):
-    targets = []
-    for raw in specs:
-        if isinstance(space, FiniteSet):
-            idx = []
-            for v in raw:
-                if isinstance(v, str) or v != int(v):
-                    raise ConfigError(f"finite-space targets are integer index lists, got {raw}")
-                idx.append(int(v))
-            targets.append(Subset(idx))
-        else:
-            if len(raw) != 2:
-                raise ConfigError(f"interval target needs [lower, upper], got {raw}")
-            targets.append(Interval(*raw))
-    return targets
-
-
-def _describe(target):
-    # comma-free so the descriptor stays one CSV cell
-    if isinstance(target, Subset):
-        return "{" + " ".join(str(i) for i in sorted(target.indices)) + "}"
-    return f"[{target.lower} .. {target.upper}]"
-
-
-def _state_for(space, x):
-    """The state a config number names: an integer index on a finite space."""
-    if isinstance(space, FiniteSet):
-        if x != int(x):
-            raise ConfigError(f"finite-space states are integer indices, got {x}")
-        x = int(x)
-    else:
-        x = float(x)
-    if not space.contains(x):
-        raise ConfigError(f"state {x} is not in {space!r}")
-    return x
 
 
 class _Runner:
@@ -393,6 +369,9 @@ class _Runner:
         }[name]
         return handler(task, out_path, fmt)
 
+    def _targets(self, task):
+        return [self.proc.space.target(raw) for raw in task["targets"]]
+
     def _emit(self, name, columns, rows, out_path, fmt, extra=None):
         if fmt == "csv":
             write_csv(out_path, columns, rows)
@@ -403,14 +382,13 @@ class _Runner:
             write_json(out_path, payload)
 
     def task_kernel_eval(self, task, out_path, fmt):
-        space = self.proc.space
-        x = _state_for(space, task["x"])
-        targets = build_targets(task["targets"], space)
+        x = self.proc.space.state(task["x"])
+        targets = self._targets(task)
         rows = []
         for t in task["t"]:
             for g in targets:
                 v = self.proc.transition_probability(t, x, g, rel_tol=self.rel_tol)
-                rows.append(("probability", t, _describe(g), v))
+                rows.append(("probability", t, str(g), v))
             for z in task.get("density_points", []):
                 v = self.proc.transition_density(t, x, z, rel_tol=self.rel_tol)
                 rows.append(("density", t, str(z), v))
@@ -418,11 +396,9 @@ class _Runner:
         return 0
 
     def task_stationary(self, task, out_path, fmt):
-        space = self.proc.space
-        targets = build_targets(task["targets"], space)
         rows = []
-        for g in targets:
-            rows.append(("measure", _describe(g), self.proc.invariant_measure(g, rel_tol=self.rel_tol)))
+        for g in self._targets(task):
+            rows.append(("measure", str(g), self.proc.invariant_measure(g, rel_tol=self.rel_tol)))
         for z in task.get("density_points", []):
             rows.append(("density", str(z), self.proc.invariant_density(z, rel_tol=self.rel_tol)))
         for k in task.get("moments", []):
@@ -445,7 +421,7 @@ class _Runner:
         return 0
 
     def task_moments(self, task, out_path, fmt):
-        x = _state_for(self.proc.space, task["x"])
+        x = self.proc.space.state(task["x"])
         times = sorted(set(float(t) for t in task["t"]))
         use_mc = task.get("monte_carlo", True)
         if use_mc:
@@ -471,9 +447,8 @@ class _Runner:
         return 0
 
     def task_ergodicity(self, task, out_path, fmt):
-        space = self.proc.space
-        x = _state_for(space, task["x"])
-        targets = build_targets(task["targets"], space)
+        x = self.proc.space.state(task["x"])
+        targets = self._targets(task)
         report = analysis.ergodicity_check(self.proc, x, task["t_grid"], targets, rel_tol=self.rel_tol)
         cols, rows = report.table()
         self._emit("ergodicity", cols, rows, out_path, fmt, extra={"passed": report.passed})
@@ -483,8 +458,7 @@ class _Runner:
         return 0
 
     def task_sweep(self, task, out_path, fmt):
-        space = self.proc.space
-        targets = build_targets(task["targets"], space)
+        targets = self._targets(task)
         lams = sorted(set(float(l) for l in task["lambdas"]), reverse=True)
         report = analysis.small_lambda_sweep(
             self.base, self.proc.restart.nu, targets, lams, rel_tol=self.rel_tol

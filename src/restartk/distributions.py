@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .errors import DomainError
-from .spaces import FiniteSet, HalfLinePositive, RealLine
+from .spaces import FiniteSet, Interval
 
 
 def gaussian_raw_moment(k, mean, std):
@@ -32,6 +32,14 @@ def gaussian_raw_moment(k, mean, std):
     for j in range(0, k + 1, 2):
         total += math.comb(k, j) * mean ** (k - j) * std**j * _double_factorial_odd(j - 1)
     return total
+
+
+def _nu_moment(nu, j, rel_tol=1e-10):
+    """The j-th raw moment of nu: closed form where the law has one, else quadrature."""
+    m = nu.moment(j)
+    if m is not None:
+        return m
+    return nu.expect(lambda y: float(y) ** j, rel_tol=rel_tol)
 
 
 def _double_factorial_odd(m):
@@ -198,11 +206,8 @@ class DensityDistribution:
         return _quad(self.pdf, a, b, epsabs=1e-13, epsrel=1e-11)
 
     def supported_in(self, space):
-        if isinstance(space, FiniteSet):
-            return False
-        if isinstance(space, HalfLinePositive):
-            return self.support[0] >= 0.0
-        return isinstance(space, RealLine)
+        whole = space.whole()
+        return isinstance(whole, Interval) and whole.lower <= self.support[0]
 
 
 def _quad(f, a, b, epsabs, epsrel):

@@ -25,6 +25,9 @@ where it has a closed form or a linear-algebra route, by quadrature
 otherwise.  On a finite space ``stationary_vector`` also takes a finite
 horizon, so the restarted transition matrix is the base kernel's answer
 plus the no-restart term, exact on chains.
+Kernels state the moment formulas themselves: ``restarted_moment`` (the
+restarted k-th moment in closed form, or a :class:`Divergent`) and
+``moment_growth_rate`` (eta_k, the finiteness threshold), both None by default.
 """
 
 from __future__ import annotations
@@ -38,7 +41,27 @@ import numpy as np
 from .distributions import nu_weights
 from .errors import DomainError, SingularityAtOrigin
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
-from .spaces import indicator, validate_target
+from .spaces import indicator
+
+
+@dataclass(frozen=True)
+class Divergent:
+    """Marker for a moment that grows without bound, with its growth law.
+
+    For exponential escape, value_at(t) ~ const * exp(rate*t); at the
+    resonance lam = eta_k the growth is exactly linear, intercept + slope*t.
+    """
+
+    description: str
+    intercept: float = None
+    slope: float = None
+    rate: float = None
+
+    def value_at(self, t):
+        """The finite-t moment along the divergent branch, when exact."""
+        if self.intercept is None or self.slope is None:
+            raise DomainError(f"no exact finite-t law attached: {self.description}")
+        return self.intercept + self.slope * t
 
 
 class MarkovKernel(abc.ABC):
@@ -75,6 +98,15 @@ class MarkovKernel(abc.ABC):
 
     def moment(self, k, t, x):
         """E_x[X(t)^k] in closed form, or None when the kernel has none."""
+        return None
+
+    def restarted_moment(self, restart, k, t, x):
+        """E_x[X(t)^k] under ``restart`` in closed form, t may be inf: a float,
+        a Divergent, or None when the kernel has no closed form."""
+        return None
+
+    def moment_growth_rate(self, k):
+        """eta_k, the rate a finite stationary k-th moment needs the restarts to beat, or None."""
         return None
 
     # The same four quantities at every time of a 1-D array t, stacked along
@@ -118,7 +150,7 @@ class MarkovKernel(abc.ABC):
 
     def state_value(self, x):
         """Numeric value of a state (the label, for finite spaces)."""
-        return float(x)
+        return float(self.space.labels(x))
 
     def density_envelope(self, z, s_min):
         """(C, eta) with p(s, y, z) <= C*exp(eta*s) for all y and s >= s_min.
@@ -184,9 +216,6 @@ class RestartedProcess(MarkovKernel):
     def rate(self):
         return self.restart.rate
 
-    def state_value(self, x):
-        return self.base.state_value(x)
-
     def certifies_absolute_moment(self, k):
         return self.base.certifies_absolute_moment(k)
 
@@ -198,7 +227,7 @@ class RestartedProcess(MarkovKernel):
 
     def transition_probability(self, t, x, target, rel_tol=DEFAULT_REL_TOL):
         t = _check_time(t)
-        validate_target(self.space, target)
+        self.space.check_target(target)
         if t == 0.0:
             return indicator(target, x)
         return self._compose(
@@ -277,7 +306,7 @@ class RestartedProcess(MarkovKernel):
 
     def invariant_measure(self, target, rel_tol=DEFAULT_REL_TOL):
         """Mass the unique invariant law puts on the target set."""
-        validate_target(self.space, target)
+        self.space.check_target(target)
         lam = self._positive_rate()
         return self._nu_expect(
             lambda y: self.base.stationary_probability(lam, y, target, rel_tol=rel_tol), rel_tol
@@ -349,7 +378,7 @@ def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):
     lam = float(lam)
     if lam <= 0.0:
         raise DomainError(f"resolvent needs a positive rate, got {lam}")
-    validate_target(kernel.space, target)
+    kernel.space.check_target(target)
     weighted = exp_weighted_integral(
         lambda s: kernel.transition_probabilities(s, y, target), lam, math.inf, rel_tol=rel_tol
     ).value

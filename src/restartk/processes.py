@@ -6,11 +6,13 @@ generator matrix.  All three expose exact densities/matrices, exact samplers
 (one path, or a whole array of paths with their own times) and closed-form
 moments, each also at a whole array of times in one call (the form the
 quadrature integrates), so they serve both as base processes for restarting
-and as the analytic reference in tests.  All three also answer the invariant law of
-their restarted process exactly: the diffusions through the asymmetric
-Laplace law of the restart-averaged position, the chain through one linear
-solve against lam*I - Q per rate, which with the memoised exp(Q*t) also
-gives the restarted chain's transition matrix at any finite t.
+and as the analytic reference in tests.  All three also answer the moments
+(``restarted_moment``) and the invariant law of their restarted process
+exactly: the moments by integrating the base moments over the restart age
+in closed form, the invariant law of the diffusions through the asymmetric
+Laplace law of the restart-averaged position, and the chain's through one
+linear solve against lam*I - Q per rate, which with the memoised exp(Q*t)
+also gives the restarted chain's transition matrix at any finite t.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import ndtr
+from scipy.special import gammainc, ndtr
 
-from .distributions import categorical_cdf, gaussian_raw_moment
+from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
-from .kernels import MarkovKernel
+from .kernels import Divergent, MarkovKernel, RestartedProcess
 from .spaces import FiniteSet, HalfLinePositive, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -80,6 +82,13 @@ def _laplace_law_mass(mu, sigma, lam, y, lower, upper):
     if lower < y:
         mass += _side_mass(a_minus_mu / (2.0 * alpha), a_plus_mu / s2, y - min(upper, y), y - lower)
     return mass
+
+
+def _weight_poly(m, lam, t):
+    """int_0^t lam*exp(-lam*s)*s^m ds in closed form; t may be inf."""
+    if math.isinf(t):
+        return math.factorial(m) / lam**m
+    return math.factorial(m) / lam**m * float(gammainc(m + 1, lam * t))
 
 
 def _side_mass(p, rate, near, far):
@@ -150,6 +159,29 @@ class BrownianWithDrift(MarkovKernel):
     def density_envelope(self, z, s_min):
         # the Gaussian peak is the prefactor; past s_min it only flattens
         return (1.0 / (self.sigma * math.sqrt(2.0 * math.pi * s_min)), 0.0)
+
+    def restarted_moment(self, restart, k, t, x):
+        """E_x[X(t)^k] restarted, closed form; t may be inf.
+
+        The base moment is a polynomial in s with coefficients polynomial in the
+        start point, so the time integral reduces to incomplete-gamma weights and
+        the restart average to moments of nu.
+        """
+        lam = restart.rate
+        if lam <= 0.0:
+            raise DomainError("restart rate must be positive")
+        k = int(k)
+        mu, sigma = self.mu, self.sigma
+        term1 = 0.0 if math.isinf(t) else math.exp(-lam * t) * self.moment(k, t, x)
+        term2 = 0.0
+        for j in range(0, k + 1, 2):
+            cj = math.comb(k, j) * _double_factorial_odd(j - 1) * sigma**j
+            for i in range(0, k - j + 1):
+                coef = cj * math.comb(k - j, i) * mu**i
+                m = j // 2 + i
+                r = k - j - i
+                term2 += coef * _weight_poly(m, lam, t) * _nu_moment(restart.nu, r)
+        return term1 + term2
 
     def certifies_absolute_moment(self, k):
         return True
@@ -240,6 +272,36 @@ class GeometricBrownian(MarkovKernel):
         """Exponential rate eta_k of E_x[X(t)^k] = x^k * exp(eta_k * t)."""
         k = float(k)
         return k * (self.mu - 0.5 * self.sigma**2) + 0.5 * k * k * self.sigma**2
+
+    def restarted_moment(self, restart, k, t, x):
+        """E_x[X(t)^k] restarted; t may be inf.
+
+        Returns a float while the value is finite and a Divergent otherwise:
+        at t = inf for lam <= eta_k, where eta_k is the base moment's growth
+        rate; the resonance lam = eta_k grows exactly linearly in t.
+        """
+        lam = restart.rate
+        if lam <= 0.0:
+            raise DomainError("restart rate must be positive")
+        eta = self.moment_growth_rate(k)
+        mk = _nu_moment(restart.nu, k)
+        if lam == eta:
+            return Divergent(
+                f"linear growth: x^k + lam*t*nu_moment = {x**k} + {lam * mk}*t "
+                f"(resonance lam = eta_{k} = {eta})",
+                intercept=float(x) ** k,
+                slope=lam * mk,
+            )
+        if math.isinf(t):
+            if lam < eta:
+                return Divergent(
+                    f"exponential growth at rate eta_{k} - lam = {eta - lam}",
+                    rate=eta - lam,
+                )
+            return lam / (lam - eta) * mk
+        term1 = math.exp(-lam * t) * self.moment(k, t, x)
+        term2 = mk * lam * (1.0 - math.exp(-(lam - eta) * t)) / (lam - eta)
+        return term1 + term2
 
     def moment(self, k, t, x):
         return float(self.moments(k, np.array([float(t)]), x)[0])
@@ -338,9 +400,6 @@ class FiniteCTMC(MarkovKernel):
     def space(self):
         return self._space
 
-    def state_value(self, x):
-        return float(self.values[int(x)])
-
     def transition_matrix(self, t):
         t = float(t)
         if t < 0.0 or math.isnan(t):
@@ -425,6 +484,19 @@ class FiniteCTMC(MarkovKernel):
 
     def moments(self, k, t, x):
         return self.transition_matrices(t)[:, int(x)] @ self.values**k
+
+    def restarted_moment(self, restart, k, t, x):
+        """E_x[X(t)^k] restarted; t may be inf.
+
+        The row of the restarted transition matrix (the invariant vector at
+        t = inf) against the k-th powers of the state values; the chain's
+        resolvent linear algebra gives both exactly, so no quadrature enters.
+        """
+        if restart.rate <= 0.0:
+            raise DomainError("restart rate must be positive")
+        proc = RestartedProcess(self, restart)
+        q = proc.invariant_vector() if math.isinf(t) else proc.transition_matrix(t)[int(x)]
+        return float(q @ self.values ** int(k))
 
     def certifies_absolute_moment(self, k):
         return True

@@ -86,8 +86,8 @@ class QuadratureResult:
     truncated_at : float or None
         Truncation point for U = inf, None for finite U.
     reliable : bool
-        False when the estimate did not meet the requested tolerance and
-        the caller asked not to raise.
+        False when the estimate did not meet the requested tolerance; such
+        a result only travels on the ToleranceNotMet that reports it.
     """
 
     value: object
@@ -134,7 +134,6 @@ def exp_weighted_integral(
     abs_tol=DEFAULT_ABS_TOL,
     growth_bound=(1.0, 0.0),
     bound_valid_from=0.0,
-    strict=True,
     max_subdivisions=10000,
 ):
     """Evaluate int_0^upper lam*exp(-lam*s)*f(s) ds, weight included.
@@ -157,13 +156,11 @@ def exp_weighted_integral(
         First s at which the growth bound is claimed.  The truncation point
         is never taken below it, so envelopes that only hold past an initial
         transient (diffusion densities, say) stay honest.
-    strict : bool
-        If True raise ToleranceNotMet when the certified error exceeds the
-        tolerance; otherwise return the result flagged ``reliable=False``.
 
     Returns
     -------
-    QuadratureResult
+    QuadratureResult; ToleranceNotMet, carrying it, when the certified
+    error exceeds the tolerance.
     """
     lam = float(lam)
     if not (lam > 0.0) or not math.isfinite(lam):
@@ -223,7 +220,7 @@ def exp_weighted_integral(
     if np.ndim(value) == 0:
         value = float(value)
     result = QuadratureResult(value, err_total, nodes, truncated_at, reliable)
-    if not reliable and strict:
+    if not reliable:
         raise ToleranceNotMet(
             f"certified error {err_total:.3e} exceeds tolerance {tol:.3e} "
             f"(adaptive rule {'converged' if ok else 'did not converge'})",

@@ -259,13 +259,6 @@ def _grid_index(config, t):
     return int(hits[0])
 
 
-def state_labels(proc, states):
-    """Map recorded states to their numeric values (labels on finite spaces)."""
-    if isinstance(proc.space, FiniteSet):
-        return np.asarray(proc.space.values)[states.astype(int)]
-    return states
-
-
 def monte_carlo_moment(proc, config, k, t, ensemble=None, workers=1):
     """Estimate E[X(t)^k] over the ensemble, with heavy-tail diagnostics.
 
@@ -277,7 +270,7 @@ def monte_carlo_moment(proc, config, k, t, ensemble=None, workers=1):
     j = _grid_index(config, t)
     if ensemble is None:
         ensemble = run_ensemble(proc, config, workers=workers)
-    vals = state_labels(proc, ensemble.states[:, j]) ** k
+    vals = proc.space.labels(ensemble.states[:, j]) ** k
     n = len(vals)
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0

@@ -3,7 +3,10 @@
 Three state spaces are supported: the real line, the strictly positive half
 line, and finite sets of labelled states.  Probabilities are always requested
 for a *target*: an :class:`Interval` on a continuous space, or a
-:class:`Subset` of state indices on a finite space.
+:class:`Subset` of state indices on a finite space.  Each space answers for
+its own kind: its whole-space target (``whole``), the targets it takes
+(``check_target``), the state and target a config value names (``state``,
+``target``) and the numeric labels of an array of states (``labels``).
 """
 
 from __future__ import annotations
@@ -13,20 +16,54 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedTarget
+from .errors import ConfigError, DomainError, UnsupportedTarget
+
+
+def _member(space, x):
+    if not space.contains(x):
+        raise ConfigError(f"state {x} is not in {space!r}")
+    return x
+
+
+class _Continuous:
+    """The real line and the half line: float states, Interval targets from ``lower`` up."""
+
+    def whole(self):
+        return Interval(self.lower, math.inf)
+
+    def check_target(self, target):
+        if not isinstance(target, Interval):
+            raise UnsupportedTarget(
+                f"continuous state space takes Interval targets, got {type(target).__name__}"
+            )
+
+    def state(self, x):
+        return _member(self, float(x))
+
+    def target(self, raw):
+        if len(raw) != 2:
+            raise ConfigError(f"interval target needs [lower, upper], got {raw}")
+        return Interval(*raw)
+
+    def labels(self, states):
+        return states
 
 
 @dataclass(frozen=True)
-class RealLine:
+class RealLine(_Continuous):
     """The real line."""
+
+    lower = -math.inf
 
     def contains(self, x):
         return bool(np.isfinite(x))
 
 
 @dataclass(frozen=True)
-class HalfLinePositive:
+class HalfLinePositive(_Continuous):
     """The open half line (0, inf)."""
+
+    lower = 0.0
 
     def contains(self, x):
         return bool(np.isfinite(x)) and x > 0.0
@@ -59,6 +96,32 @@ class FiniteSet:
     def contains(self, x):
         return isinstance(x, (int, np.integer)) and 0 <= int(x) < self.n
 
+    def whole(self):
+        return Subset(range(self.n))
+
+    def check_target(self, target):
+        if not isinstance(target, Subset):
+            raise UnsupportedTarget(
+                f"finite state space takes Subset targets, got {type(target).__name__}"
+            )
+        bad = [i for i in target.indices if i < 0 or i >= self.n]
+        if bad:
+            raise DomainError(f"state indices {sorted(bad)} out of range for n={self.n}")
+
+    def state(self, x):
+        if x != int(x):
+            raise ConfigError(f"finite-space states are integer indices, got {x}")
+        return _member(self, int(x))
+
+    def target(self, raw):
+        # indices only: check_target, on use, checks their range
+        if any(isinstance(v, str) or v != int(v) for v in raw):
+            raise ConfigError(f"finite-space targets are integer index lists, got {raw}")
+        return Subset(int(v) for v in raw)
+
+    def labels(self, states):
+        return np.asarray(self.values)[np.asarray(states, dtype=int)]
+
 
 @dataclass(frozen=True)
 class Interval:
@@ -76,6 +139,10 @@ class Interval:
         object.__setattr__(self, "lower", lo)
         object.__setattr__(self, "upper", hi)
 
+    def __str__(self):
+        # comma-free, as is Subset's, so the descriptor stays one CSV cell
+        return f"[{self.lower} .. {self.upper}]"
+
     def contains(self, x):
         return self.lower <= x <= self.upper
 
@@ -89,40 +156,11 @@ class Subset:
     def __init__(self, indices):
         object.__setattr__(self, "indices", frozenset(int(i) for i in indices))
 
+    def __str__(self):
+        return "{" + " ".join(str(i) for i in sorted(self.indices)) + "}"
+
     def contains(self, x):
         return int(x) in self.indices
-
-
-def whole_space(space):
-    """The target describing all of ``space``."""
-    if isinstance(space, FiniteSet):
-        return Subset(range(space.n))
-    if isinstance(space, HalfLinePositive):
-        return Interval(0.0, math.inf)
-    return Interval(-math.inf, math.inf)
-
-
-def validate_target(space, target):
-    """Check that ``target`` makes sense on ``space``.
-
-    Raises UnsupportedTarget on a space/target mismatch and DomainError for
-    out-of-range indices.
-    """
-    if isinstance(space, FiniteSet):
-        if not isinstance(target, Subset):
-            raise UnsupportedTarget(
-                f"finite state space takes Subset targets, got {type(target).__name__}"
-            )
-        bad = [i for i in target.indices if i < 0 or i >= space.n]
-        if bad:
-            raise DomainError(f"state indices {sorted(bad)} out of range for n={space.n}")
-    elif isinstance(space, (RealLine, HalfLinePositive)):
-        if not isinstance(target, Interval):
-            raise UnsupportedTarget(
-                f"continuous state space takes Interval targets, got {type(target).__name__}"
-            )
-    else:
-        raise UnsupportedTarget(f"unknown state space {type(space).__name__}")
 
 
 def indicator(target, x):

@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from restartk import FiniteCTMC, FiniteSupport
+from restartk import FiniteCTMC, FiniteSupport, PointMass
 
 
 def random_generator(rng, n, scale=1.0):
@@ -32,7 +33,19 @@ def finite_support_from_weights(w):
     return FiniteSupport(pts)
 
 
-@pytest.fixture
-def three_state_chain():
+def point_or_two_atom_laws(atoms):
+    """Hypothesis strategy: a point mass or a two-atom law on states drawn from ``atoms``."""
+    two_atoms = st.tuples(atoms, atoms, st.floats(0.05, 0.95)).map(
+        lambda a: FiniteSupport(((a[0], a[2]), (a[1], 1.0 - a[2])))
+    )
+    return st.one_of(atoms.map(PointMass), two_atoms)
+
+
+def make_three_state_chain():
     Q = np.array([[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]])
     return FiniteCTMC(Q, [0.3, -1.2, 2.5])
+
+
+@pytest.fixture
+def three_state_chain():
+    return make_three_state_chain()

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from restartk import (
     BrownianWithDrift,
@@ -37,6 +39,8 @@ from restartk.analysis import (
 )
 from restartk.simulation import EstimatorReport
 from restartk.spaces import indicator
+
+from conftest import make_three_state_chain, point_or_two_atom_laws
 
 
 class TestBrownianMoments:
@@ -194,6 +198,58 @@ class _Drift(MarkovKernel):
 
     def moment(self, k, t, x):
         return (x + t) ** k
+
+
+class _ClosedFormDrift(_Drift):
+    """_Drift stating a closed form and a threshold of its own."""
+
+    def restarted_moment(self, restart, k, t, x):
+        self.asked = (restart, k, t, x)
+        return 42.0
+
+    def moment_growth_rate(self, k):
+        return 0.25 * k
+
+
+def _with_nu_and_start(base, atoms):
+    return st.tuples(base, point_or_two_atom_laws(atoms), atoms)
+
+
+_moment_cases = st.one_of(
+    _with_nu_and_start(
+        st.builds(BrownianWithDrift, st.floats(-2.0, 2.0), st.floats(0.2, 2.0)), st.floats(-2.0, 2.0)
+    ),
+    _with_nu_and_start(
+        st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.2, 1.0)), st.floats(0.2, 5.0)
+    ),
+    _with_nu_and_start(st.just(make_three_state_chain()), st.integers(0, 2)),
+)
+
+
+class TestRestartedMomentCapability:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        _moment_cases,
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, 1.0).map(lambda e: 10.0**e),
+        st.integers(1, 3),
+    )
+    def test_closed_form_matches_quadrature_route(self, case, lam, t, k):
+        # the quadrature of the base moments over the restart age is the
+        # independent oracle: it never reads restarted_moment
+        base, nu, x = case
+        restart = RestartSpec(lam, nu)
+        closed = base.restarted_moment(restart, k, t, x)
+        quad = RestartedProcess(base, restart).moment(k, t, x)
+        assert abs(closed - quad) <= 1e-12 + 1e-9 * abs(quad)
+
+    def test_modified_moment_takes_the_kernels_closed_form_and_threshold(self):
+        base = _ClosedFormDrift()
+        restart = RestartSpec(2.0, PointMass(0.0))
+        with pytest.warns(FubiniUnverified):
+            rep = modified_moment(RestartedProcess(base, restart), 2, math.inf, 0.5)
+        assert (rep.analytic, rep.finiteness_threshold) == (42.0, 0.5)
+        assert base.asked == (restart, 2, math.inf, 0.5)
 
 
 class TestModifiedMomentDispatch:

@@ -502,6 +502,23 @@ class TestSchemaDialect:
         assert all(e is not None for e in errors)
         assert _schema_error_message(errors[0]) == _schema_error_message(errors[1])
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("negative-sigma", "process.sigma: -1.0 is less than or equal to the minimum of 0"),
+            ("gaussian-nu-without-mean", "restart.nu: 'mean' is a required property"),
+            ("empty-t", "task.t: [] should be non-empty"),
+            ("unknown-process", "process: {'type': 'ou', 'mu': 0.5, 'sigma': 1.0} is not valid under any of the given schemas"),
+        ],
+    )
+    def test_keyed_branch_error_names_the_field(self, case, message):
+        # the branch a process/nu "type" or task "name" selects reports its
+        # own failing field; an unknown key still reports the whole object
+        config = mutated(readme_config(), *SCHEMA_MUTATIONS[case])
+        for validator in self.validators():
+            err = best_match(validator.iter_errors(config))
+            assert _schema_error_message(err) == f"config error at {message}"
+
 
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs ~0.2 s to import and only density laws use it

@@ -29,35 +29,32 @@ from restartk import (
     RestartedProcess,
     Subset,
     resolvent,
-    whole_space,
 )
 from restartk.kernels import MarkovKernel
 
-from conftest import finite_support_from_weights, random_generator, random_restart_weights
+from conftest import (
+    finite_support_from_weights,
+    point_or_two_atom_laws,
+    random_generator,
+    random_restart_weights,
+)
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
 
 rates = st.floats(-4.0, 4.0).map(lambda e: 10.0**e)
 
 
-def _nus(atoms):
-    two_atoms = st.tuples(atoms, atoms, st.floats(0.05, 0.95)).map(
-        lambda a: FiniteSupport(((a[0], a[2]), (a[1], 1.0 - a[2])))
-    )
-    return st.one_of(atoms.map(PointMass), two_atoms)
-
-
 def _bm_case():
     base = st.builds(BrownianWithDrift, st.floats(-2.0, 2.0), st.floats(0.2, 2.0))
     cuts = st.lists(st.floats(-6.0, 6.0), min_size=3, max_size=3, unique=True).map(sorted)
-    return st.tuples(base, rates, _nus(st.floats(-2.0, 2.0)), cuts)
+    return st.tuples(base, rates, point_or_two_atom_laws(st.floats(-2.0, 2.0)), cuts)
 
 
 def _gbm_case():
     base = st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.2, 1.0))
     log_cuts = st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3, unique=True)
     cuts = log_cuts.map(lambda c: sorted(math.exp(v) for v in c))
-    return st.tuples(base, rates, _nus(st.floats(0.2, 5.0)), cuts)
+    return st.tuples(base, rates, point_or_two_atom_laws(st.floats(0.2, 5.0)), cuts)
 
 
 cases = st.one_of(_bm_case(), _gbm_case())
@@ -79,7 +76,7 @@ class TestDiffusionLaplaceLaw:
     def test_whole_space_mass_is_one(self, case):
         base, lam, nu, _ = case
         proc = RestartedProcess(base, RestartSpec(lam, nu))
-        assert abs(proc.invariant_measure(whole_space(proc.space)) - 1.0) <= 1e-14
+        assert abs(proc.invariant_measure(proc.space.whole()) - 1.0) <= 1e-14
 
     @PROPERTY
     @given(cases)
@@ -87,7 +84,7 @@ class TestDiffusionLaplaceLaw:
         base, lam, nu, (a, b, c) = case
         proc = RestartedProcess(base, RestartSpec(lam, nu))
         q = proc.invariant_measure
-        lo = whole_space(proc.space).lower
+        lo = proc.space.whole().lower
         assert abs(q(Interval(a, b)) + q(Interval(b, c)) - q(Interval(a, c))) <= 1e-15
         pieces = [Interval(lo, a), Interval(a, b), Interval(b, c), Interval(c, math.inf)]
         assert abs(sum(q(g) for g in pieces) - 1.0) <= 1e-14

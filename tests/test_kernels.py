@@ -22,7 +22,6 @@ from restartk import (
     exponential,
     gaussian,
     resolvent,
-    whole_space,
 )
 
 from conftest import resolvent_matrix
@@ -126,7 +125,7 @@ class TestBrownianComposition:
         assert abs(got - want) < 1e-8
 
     def test_invariant_measure_normalised(self, restarted_bm):
-        assert abs(restarted_bm.invariant_measure(whole_space(restarted_bm.space)) - 1.0) < 1e-8
+        assert abs(restarted_bm.invariant_measure(restarted_bm.space.whole()) - 1.0) < 1e-8
 
     def test_transition_density_normalised_and_consistent(self, restarted_bm):
         t, x = 0.7, 0.4
@@ -183,7 +182,7 @@ class TestDensityRestartLaw:
         proc = RestartedProcess(
             GeometricBrownian(mu=0.3, sigma=0.4), RestartSpec(1.5, exponential(1.0))
         )
-        got = proc.invariant_measure(whole_space(proc.space), rel_tol=1e-8)
+        got = proc.invariant_measure(proc.space.whole(), rel_tol=1e-8)
         assert abs(got - 1.0) < 1e-6
 
     def test_gbm_invariant_measure_monotone_in_target(self):

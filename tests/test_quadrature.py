@@ -152,16 +152,6 @@ def test_tolerance_not_met_raises_with_partial_result():
     assert not err.value.result.reliable
 
 
-def test_non_strict_mode_flags_instead_of_raising():
-    def nasty(s):
-        return 1.0 / np.sqrt(abs(s - 0.5)) + np.sin(40.0 * s)
-
-    r = exp_weighted_integral(
-        nasty, 1.0, 1.0, rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4, strict=False
-    )
-    assert not r.reliable
-
-
 def test_domain_errors():
     with pytest.raises(DomainError):
         exp_weighted_integral(lambda s: 1.0, 0.0, 1.0)
@@ -215,7 +205,10 @@ def _segments_of(f, lam, upper, **kw):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "_segment", spy)
-        result = exp_weighted_integral(f, lam, upper, strict=False, **kw)
+        try:
+            result = exp_weighted_integral(f, lam, upper, **kw)
+        except ToleranceNotMet as exc:
+            result = exc.result
     return result, seen
 
 

@@ -22,8 +22,6 @@ from restartk import (
     indicator,
     lognormal,
     nu_weights,
-    validate_target,
-    whole_space,
 )
 
 
@@ -73,23 +71,22 @@ class TestSpaces:
         assert sub.contains(2) and not sub.contains(1)
 
     def test_whole_space(self):
-        assert whole_space(FiniteSet((1.0, 2.0))).indices == frozenset({0, 1})
-        hl = whole_space(HalfLinePositive())
+        assert FiniteSet((1.0, 2.0)).whole().indices == frozenset({0, 1})
+        hl = HalfLinePositive().whole()
         assert hl.lower == 0.0 and hl.upper == math.inf
-        rl = whole_space(RealLine())
+        rl = RealLine().whole()
         assert rl.lower == -math.inf and rl.upper == math.inf
 
     def test_validate_target(self):
-        validate_target(RealLine(), Interval(0.0, 1.0))
-        validate_target(FiniteSet((1.0, 2.0)), Subset([0]))
+        RealLine().check_target(Interval(0.0, 1.0))
+        HalfLinePositive().check_target(Interval(0.0, 1.0))
+        FiniteSet((1.0, 2.0)).check_target(Subset([0]))
         with pytest.raises(UnsupportedTarget):
-            validate_target(RealLine(), Subset([0]))
+            RealLine().check_target(Subset([0]))
         with pytest.raises(UnsupportedTarget):
-            validate_target(FiniteSet((1.0, 2.0)), Interval(0.0, 1.0))
+            FiniteSet((1.0, 2.0)).check_target(Interval(0.0, 1.0))
         with pytest.raises(DomainError):
-            validate_target(FiniteSet((1.0, 2.0)), Subset([5]))
-        with pytest.raises(UnsupportedTarget):
-            validate_target(object(), Interval(0.0, 1.0))
+            FiniteSet((1.0, 2.0)).check_target(Subset([5]))
 
     def test_indicator(self):
         assert indicator(Interval(0.0, 1.0), 0.5) == 1.0
