@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _nu_moment
 from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified
 from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
@@ -140,18 +139,13 @@ def bm_stationary_moments(p, restart):
     mean       -> nu_1 + mu/lam
     second mom -> sigma^2/lam + 2 mu^2/lam^2 + 2 mu nu_1/lam + nu_2
     variance   -> nu_2 - nu_1^2 + sigma^2/lam + mu^2/lam^2
+
+    Mean and second moment are p's closed form at t = inf.
     """
-    lam = restart.rate
-    if lam <= 0.0:
-        raise DomainError("restart rate must be positive")
-    m1 = _nu_moment(restart.nu, 1)
-    m2 = _nu_moment(restart.nu, 2)
-    if m1 is None or m2 is None or not (math.isfinite(m1) and math.isfinite(m2)):
+    mean, second = (p.restarted_moment(restart, k, math.inf, 0.0) for k in (1, 2))
+    if not (math.isfinite(mean) and math.isfinite(second)):
         raise DomainError("nu needs finite first and second moments")
-    mean = m1 + p.mu / lam
-    second = p.sigma**2 / lam + 2.0 * p.mu**2 / lam**2 + 2.0 * p.mu * m1 / lam + m2
-    variance = second - mean**2
-    return mean, second, variance
+    return mean, second, second - mean**2
 
 
 def gbm_stationary_moment(p, restart, k):
@@ -160,18 +154,22 @@ def gbm_stationary_moment(p, restart, k):
 
 
 def max_finite_moment_order(p, lam):
-    """Largest k >= 1 with lam strictly above eta_k; 0 when none is finite."""
+    """Largest k >= 1 with lam strictly above eta_k; 0 when none is finite.
+
+    eta_k is convex in k with eta_0 = 0, so the orders below lam are 1..K:
+    double k from 1 until eta_k reaches lam, then bisect for K.
+    """
     lam = float(lam)
     if lam <= 0.0:
         raise DomainError(f"restart rate must be positive, got {lam}")
-    a = 0.5 * p.sigma**2
-    b = p.mu - 0.5 * p.sigma**2
-    # positive root of a k^2 + b k = lam, then walk down to strictness
-    root = (-b + math.sqrt(b * b + 4.0 * a * lam)) / (2.0 * a)
-    k = max(int(math.floor(root)) + 2, 0)
-    while k > 0 and p.moment_growth_rate(k) >= lam:
-        k -= 1
-    return k
+    hi = 1
+    while p.moment_growth_rate(hi) < lam:
+        hi *= 2
+    lo = hi // 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if p.moment_growth_rate(mid) < lam else (lo, mid)
+    return lo
 
 
 @dataclass
@@ -210,6 +208,8 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL, slack=
     through quadrature, with ``slack`` absorbing the certified numerical
     error on both sides.
     """
+    for g in test_sets:
+        proc.space.check_target(g)
     lam = proc.rate
     report = ErgodicityReport(x)
     finite = isinstance(proc.space, FiniteSet)

@@ -231,10 +231,6 @@ def _gauss_sample(rng, size=None, *, mean, std):
     return mean + std * rng.standard_normal(size)
 
 
-def _gauss_moment(k, mean, std):
-    return gaussian_raw_moment(k, mean, std)
-
-
 def gaussian(mean, std):
     """Normal law with the given mean and standard deviation."""
     mean, std = float(mean), float(std)
@@ -244,7 +240,7 @@ def gaussian(mean, std):
         partial(_gauss_pdf, mean=mean, std=std),
         partial(_gauss_sample, mean=mean, std=std),
         (-math.inf, math.inf),
-        moment_fn=partial(_gauss_moment, mean=mean, std=std),
+        moment_fn=partial(gaussian_raw_moment, mean=mean, std=std),
         name=f"gaussian(mean={mean}, std={std})",
     )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,8 +27,8 @@ from scipy.special import gammainc, ndtr
 
 from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
-from .kernels import Divergent, MarkovKernel, RestartedProcess
-from .spaces import FiniteSet, HalfLinePositive, RealLine, indicator
+from .kernels import Divergent, MarkovKernel, RestartedProcess, _check_time
+from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -141,8 +141,7 @@ class BrownianWithDrift(MarkovKernel):
         return _laplace_law_mass(self.mu, self.sigma, lam, float(y), target.lower, target.upper)
 
     def sample_transition(self, t, x, rng):
-        if t < 0.0:
-            raise DomainError(f"time must be nonnegative, got {t}")
+        t = _check_time(t)
         return x + self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
 
     def sample_transitions(self, t, x, rng):
@@ -189,23 +188,39 @@ class BrownianWithDrift(MarkovKernel):
 
 @dataclass(frozen=True)
 class GeometricBrownian(MarkovKernel):
-    """dX = mu*X dt + sigma*X dW on (0, inf), solved exactly in log space."""
+    """dX = mu*X dt + sigma*X dW on (0, inf), solved exactly in log space.
+
+    log X is Brownian motion with drift mu - sigma^2/2 (``self.log``), so the
+    transition law, the invariant law of the restarted process (asymmetric
+    Laplace in log x) and the samplers are that motion's, read at log x.
+    """
 
     mu: float = 0.0
     sigma: float = 1.0
+    log: BrownianWithDrift = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu}")
+        object.__setattr__(self, "log", BrownianWithDrift(self.mu - 0.5 * self.sigma**2, self.sigma))
 
     @property
     def space(self):
         return HalfLinePositive()
 
-    def _log_params(self, t, x):
-        return math.log(x) + (self.mu - 0.5 * self.sigma**2) * t, self.sigma * math.sqrt(t)
+    @staticmethod
+    def _log(x):
+        """log of a positive state, or of each state of an array."""
+        if isinstance(x, np.ndarray):
+            if not (x > 0.0).all():
+                raise DomainError("states must be positive")
+            return np.log(x)
+        if not x > 0.0:
+            raise DomainError(f"state must be positive, got {x}")
+        return math.log(x)
+
+    @staticmethod
+    def _log_target(target):
+        # the target's image in log space; a bound at or below 0 maps to -inf
+        return Interval(*(math.log(b) if b > 0.0 else -math.inf for b in (target.lower, target.upper)))
 
     def transition_density(self, t, x, z):
         return _at_one_time(self.transition_densities, t, x, z)
@@ -214,64 +229,32 @@ class GeometricBrownian(MarkovKernel):
         return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_densities(self, t, x, z):
-        t = _check_times(t, positive=True)
-        if x <= 0.0 or z <= 0.0:
-            raise DomainError(f"states must be positive, got x={x}, z={z}")
-        m = math.log(x) + (self.mu - 0.5 * self.sigma**2) * t
-        sd = self.sigma * np.sqrt(t)
-        u = (math.log(z) - m) / sd
-        return np.exp(-0.5 * u * u) / (z * sd * _SQRT_2PI)
+        return self.log.transition_densities(t, self._log(x), self._log(z)) / z
 
     def transition_probabilities(self, t, x, target):
-        t = _check_times(t)
-        if x <= 0.0:
-            raise DomainError(f"state must be positive, got x={x}")
-        m = math.log(x) + (self.mu - 0.5 * self.sigma**2) * t
-        sd = self.sigma * np.sqrt(t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            hi = ndtr((math.log(target.upper) - m) / sd) if target.upper > 0 else 0.0
-            lo = ndtr((math.log(target.lower) - m) / sd) if target.lower > 0 else 0.0
-        return np.where(t > 0.0, hi - lo, indicator(target, x))
+        return self.log.transition_probabilities(t, self._log(x), self._log_target(target))
 
     def stationary_probability(self, lam, y, target, rel_tol=None):
-        """The Laplace mass of the target in log space, in closed form.
-
-        log X is Brownian motion with drift mu - sigma^2/2, so the invariant
-        law of log X is the asymmetric Laplace law of that drift.
-        """
-        lam = _positive_rate(lam)
-        if y <= 0.0:
-            raise DomainError(f"state must be positive, got y={y}")
-        if target.upper <= 0.0:
-            return 0.0
-        lo = math.log(target.lower) if target.lower > 0.0 else -math.inf
-        return _laplace_law_mass(
-            self.mu - 0.5 * self.sigma**2, self.sigma, lam, math.log(y), lo, math.log(target.upper)
-        )
+        """The asymmetric Laplace mass of the log target, in closed form."""
+        return self.log.stationary_probability(lam, self._log(y), self._log_target(target))
 
     def sample_transition(self, t, x, rng):
-        if t < 0.0:
-            raise DomainError(f"time must be nonnegative, got {t}")
-        if x <= 0.0:
-            raise DomainError(f"state must be positive, got x={x}")
+        t = _check_time(t)
+        y = self._log(x)
         if t == 0.0:
             return x
-        m, sd = self._log_params(t, x)
-        return math.exp(m + sd * rng.standard_normal())
+        return math.exp(y + self.log.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal())
 
     def sample_transitions(self, t, x, rng):
         x = np.asarray(x, dtype=float)
         t = _check_times(t, x.shape)
-        if np.any(x <= 0.0):
-            raise DomainError("states must be positive")
-        drift = (self.mu - 0.5 * self.sigma**2) * t
-        moved = np.exp(np.log(x) + drift + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape))
+        moved = np.exp(self.log.sample_transitions(t, self._log(x), rng))
         return np.where(t > 0.0, moved, x)
 
     def moment_growth_rate(self, k):
         """Exponential rate eta_k of E_x[X(t)^k] = x^k * exp(eta_k * t)."""
         k = float(k)
-        return k * (self.mu - 0.5 * self.sigma**2) + 0.5 * k * k * self.sigma**2
+        return k * self.log.mu + 0.5 * k * k * self.sigma**2
 
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted; t may be inf.
@@ -300,7 +283,7 @@ class GeometricBrownian(MarkovKernel):
                 )
             return lam / (lam - eta) * mk
         term1 = math.exp(-lam * t) * self.moment(k, t, x)
-        term2 = mk * lam * (1.0 - math.exp(-(lam - eta) * t)) / (lam - eta)
+        term2 = mk * lam * -math.expm1(-(lam - eta) * t) / (lam - eta)
         return term1 + term2
 
     def moment(self, k, t, x):
@@ -316,9 +299,8 @@ class GeometricBrownian(MarkovKernel):
         return x**k * growth
 
     def density_envelope(self, z, s_min):
-        if z <= 0.0:
-            raise DomainError(f"state must be positive, got z={z}")
-        return (1.0 / (z * self.sigma * math.sqrt(2.0 * math.pi * s_min)), 0.0)
+        c, eta = self.log.density_envelope(self._log(z), s_min)
+        return c / z, eta
 
     def certifies_absolute_moment(self, k):
         return True
@@ -355,17 +337,13 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # per state: its total jump rate and the distribution function of
-        # where it jumps, built as Generator.choice would build it per draw
-        self._jumps = []
-        for i in range(n):
-            probs = Q[i].copy()
-            probs[i] = 0.0
-            rate = -Q[i, i]
-            self._jumps.append((rate, categorical_cdf(probs / rate) if rate > 0.0 else None))
-        # the same, stacked for whole blocks of paths (absorbing rows unused)
-        self._rates = np.array([rate for rate, _ in self._jumps])
-        self._jump_cdfs = np.array([np.ones(n) if cdf is None else cdf for _, cdf in self._jumps])
+        # per state: its total jump rate and the distribution function of where
+        # it jumps, built as Generator.choice would build it (absorbing rows unused)
+        self._rates = -np.diag(Q)
+        jumps = Q - np.diag(np.diag(Q))
+        self._jump_cdfs = np.array(
+            [categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(self._rates)]
+        )
         self._expm_cache = {}
         self._resolvent_cache = {}
 
@@ -401,12 +379,7 @@ class FiniteCTMC(MarkovKernel):
         return self._space
 
     def transition_matrix(self, t):
-        t = float(t)
-        if t < 0.0 or math.isnan(t):
-            raise DomainError(f"time must be nonnegative, got {t}")
-        if t == 0.0:
-            return np.eye(self.space.n)
-        return self._memoised(self._expm_cache, t, lambda: self._expm(t)).copy()
+        return self.transition_matrices([_check_time(t)])[0]
 
     def transition_matrices(self, t):
         """exp(Q*s) for every time s of the 1-D array t, stacked.
@@ -441,8 +414,6 @@ class FiniteCTMC(MarkovKernel):
         return P
 
     def transition_probability(self, t, x, target):
-        if t == 0.0:
-            return indicator(target, x)
         row = self.transition_matrix(t)[int(x)]
         return float(sum(row[i] for i in target.indices))
 
@@ -450,18 +421,17 @@ class FiniteCTMC(MarkovKernel):
         return self.transition_matrices(t)[:, int(x), list(target.indices)].sum(axis=1)
 
     def sample_transition(self, t, x, rng):
-        if t < 0.0:
-            raise DomainError(f"time must be nonnegative, got {t}")
+        t = _check_time(t)
         state = int(x)
         elapsed = 0.0
         while True:
-            rate, cdf = self._jumps[state]
+            rate = self._rates.item(state)
             if rate <= 0.0:
                 return state
             elapsed += rng.exponential(1.0 / rate)
             if elapsed >= t:
                 return state
-            state = int(cdf.searchsorted(rng.random(), side="right"))
+            state = int(self._jump_cdfs[state].searchsorted(rng.random(), side="right"))
 
     def sample_transitions(self, t, x, rng):
         """The jump loop of ``sample_transition``, run for every path at once."""

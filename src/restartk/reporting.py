@@ -20,8 +20,6 @@ def fmt(value):
         if math.isnan(value):
             return "nan"
         return format(value, ".17g")
-    if isinstance(value, (int,)):
-        return str(value)
     return str(value)
 
 
@@ -51,5 +49,5 @@ def table_payload(task, columns, rows):
     return {
         "task": task,
         "columns": list(columns),
-        "rows": [[None if v is None else v for v in row] for row in rows],
+        "rows": [list(row) for row in rows],
     }

@@ -67,7 +67,7 @@ class PathConfig:
         grid = tuple(float(g) for g in self.record_grid)
         if not grid:
             raise DomainError("record_grid must contain at least one time")
-        if any(g < 0.0 or g > h for g in grid):
+        if not all(0.0 <= g <= h for g in grid):
             raise DomainError(f"record_grid must lie within [0, {h}]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("record_grid must be strictly increasing")

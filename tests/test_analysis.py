@@ -243,6 +243,17 @@ class TestRestartedMomentCapability:
         quad = RestartedProcess(base, restart).moment(k, t, x)
         assert abs(closed - quad) <= 1e-12 + 1e-9 * abs(quad)
 
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(st.integers(1, 3), st.floats(-12.0, -6.0).map(lambda e: 10.0**e), st.floats(0.1, 5.0))
+    def test_gbm_near_resonance_matches_quadrature(self, k, eps, t):
+        # lam just above eta_k: the finite-t term (1 - exp(-(lam - eta)*t))/(lam - eta)
+        # cancels unless written with expm1
+        base = GeometricBrownian(mu=0.6, sigma=0.8)
+        restart = RestartSpec(base.moment_growth_rate(k) * (1.0 + eps), PointMass(1.5))
+        closed = base.restarted_moment(restart, k, t, 1.2)
+        quad = RestartedProcess(base, restart).moment(k, t, 1.2, rel_tol=1e-12)
+        assert abs(closed - quad) <= 1e-9 * abs(quad)
+
     def test_modified_moment_takes_the_kernels_closed_form_and_threshold(self):
         base = _ClosedFormDrift()
         restart = RestartSpec(2.0, PointMass(0.0))
@@ -357,6 +368,13 @@ class TestErgodicity:
         for row in rep.rows:
             assert abs(row.tv - math.exp(-1.5 * row.t)) < 1e-9
             assert abs(row.sup_deviation - row.tv) < 1e-9
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_chain_target_out_of_range(self, three_state_chain, bad):
+        # index -1 would otherwise silently read state 2
+        proc = RestartedProcess(three_state_chain, RestartSpec(2.0, PointMass(0)))
+        with pytest.raises(DomainError, match=rf"state indices \[{bad}\] out of range for n=3"):
+            ergodicity_check(proc, 0, (1.0,), [Subset([0]), Subset([bad])])
 
     def test_continuous_kernel(self):
         proc = RestartedProcess(BrownianWithDrift(mu=0.0, sigma=1.0), RestartSpec(2.0, PointMass(0.0)))

@@ -214,6 +214,14 @@ class TestSimulate:
         assert run_cli(path) == 0
         assert open(out).read() == first
 
+    def test_nan_grid_time_rejected(self, tmp_path, capsys):
+        # json.load reads NaN, and the schema's "number" takes it
+        task = dict(self.task(), record_grid=[1.0, math.nan])
+        path, out = write_config(tmp_path, task, fmt="csv")
+        assert run_cli(path) == 2
+        assert "record_grid must lie within" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
     def test_json_format_rejected(self, tmp_path, capsys):
         path, _ = write_config(tmp_path, self.task(), fmt="json")
         assert run_cli(path) == 2

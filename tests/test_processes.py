@@ -317,6 +317,14 @@ class TestArraySamplers:
         with pytest.raises(DomainError):
             GeometricBrownian().sample_transitions(1.0, np.array([1.0, 0.0]), rng)
 
+    @pytest.mark.parametrize("time", [math.nan, -0.1])
+    def test_scalar_samplers_reject_bad_times(self, three_state_chain, time):
+        # a NaN time never ends the chain's jump loop: elapsed >= nan is never true
+        rng = np.random.default_rng(0)
+        for kernel, x in ((BrownianWithDrift(), 0.0), (GeometricBrownian(), 1.0), (three_state_chain, 0)):
+            with pytest.raises(DomainError, match="time must be nonnegative"):
+                kernel.sample_transition(time, x, rng)
+
 
 def _within_ulps(got, want, n):
     want = np.asarray(want, dtype=float)
@@ -386,7 +394,7 @@ class TestArrayForms:
         three_state_chain.transition_matrix(0.5)
         t = np.linspace(1.1, 4.0, 30)
         first = three_state_chain.transition_matrices(np.append(t, 0.5))
-        assert calls == [(3, 3), (30, 3, 3)]
+        assert calls == [(1, 3, 3), (30, 3, 3)]
         assert np.array_equal(three_state_chain.transition_matrices(t), first[:-1])
         assert len(calls) == 2
 

@@ -60,6 +60,8 @@ class TestPathConfig:
             dict(good, record_grid=(2.0, 1.0)),
             dict(good, record_grid=(1.0, 1.0)),
             dict(good, record_grid=(-0.5, 1.0)),
+            dict(good, record_grid=(1.0, math.nan)),
+            dict(good, record_grid=(math.nan, 2.0)),
             dict(good, n_paths=0),
         ):
             with pytest.raises(DomainError):
