@@ -162,6 +162,8 @@ def max_finite_moment_order(p, lam):
     lam = float(lam)
     if lam <= 0.0:
         raise DomainError(f"restart rate must be positive, got {lam}")
+    if p.moment_growth_rate(1) is None:
+        raise DomainError(f"{type(p).__name__} has no moment growth rate")
     hi = 1
     while p.moment_growth_rate(hi) < lam:
         hi *= 2

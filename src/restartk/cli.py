@@ -39,232 +39,103 @@ from .reporting import table_payload, write_csv, write_json
 
 _logger = logging.getLogger("restartk")
 
-_NUMBER_OR_INF = {"oneOf": [{"type": "number"}, {"enum": ["inf", "-inf"]}]}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_COUNT = {"type": "integer", "minimum": 1}
+_NUMBER_OR_INF = {"oneOf": [_NUMBER, {"enum": ["inf", "-inf"]}]}
+
+
+def _array(items, **limits):
+    return {"type": "array", "items": items, **limits}
+
+
+def _closed(required, **props):
+    return {
+        "type": "object",
+        "properties": props,
+        "required": required,
+        "additionalProperties": False,
+    }
+
+
+def _keyed(key, name, required, **props):
+    """The ``oneOf`` branch that ``key == name`` selects (see _schema_error_message)."""
+    return _closed([key, *required], **{key: {"const": name}}, **props)
+
+
+_NUMBERS = _array(_NUMBER)
+_POSITIVES = _array(_POSITIVE, minItems=1)
+_TIMES = _array({"type": "number", "minimum": 0}, minItems=1)
+_TARGETS = _array(_array(_NUMBER_OR_INF, minItems=1), minItems=1)
+_PAIRS = _array(_array(_NUMBER, minItems=2, maxItems=2), minItems=1)
 
 _DISTRIBUTION = {
     "oneOf": [
-        {
-            "type": "object",
-            "properties": {"type": {"const": "point"}, "x": {"type": "number"}},
-            "required": ["type", "x"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "finite"},
-                "points": {
-                    "type": "array",
-                    "items": {
-                        "type": "array",
-                        "items": {"type": "number"},
-                        "minItems": 2,
-                        "maxItems": 2,
-                    },
-                    "minItems": 1,
-                },
-            },
-            "required": ["type", "points"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "gaussian"},
-                "mean": {"type": "number"},
-                "std": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "mean", "std"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "exponential"},
-                "rate": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "rate"],
-            "additionalProperties": False,
-        },
-        {
-            "type": "object",
-            "properties": {
-                "type": {"const": "lognormal"},
-                "log_mean": {"type": "number"},
-                "log_std": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["type", "log_mean", "log_std"],
-            "additionalProperties": False,
-        },
+        _keyed("type", "point", ["x"], x=_NUMBER),
+        _keyed("type", "finite", ["points"], points=_PAIRS),
+        _keyed("type", "gaussian", ["mean", "std"], mean=_NUMBER, std=_POSITIVE),
+        _keyed("type", "exponential", ["rate"], rate=_POSITIVE),
+        _keyed("type", "lognormal", ["log_mean", "log_std"], log_mean=_NUMBER, log_std=_POSITIVE),
     ]
 }
 
-_TARGETS = {
-    "type": "array",
-    "items": {"type": "array", "items": _NUMBER_OR_INF, "minItems": 1},
-    "minItems": 1,
+_PROCESS = {
+    "oneOf": [
+        _keyed("type", "bm", ["mu", "sigma"], mu=_NUMBER, sigma=_POSITIVE),
+        _keyed("type", "gbm", ["mu", "sigma"], mu=_NUMBER, sigma=_POSITIVE),
+        _keyed("type", "ctmc", [], Q=_array(_NUMBERS), values=_NUMBERS, file={"type": "string"}),
+    ]
 }
 
-_TASKS = [
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "kernel-eval"},
-            "t": {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
-            "x": {"type": "number"},
-            "targets": _TARGETS,
-            "density_points": {"type": "array", "items": {"type": "number"}},
-        },
-        "required": ["name", "t", "x", "targets"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "stationary"},
-            "targets": _TARGETS,
-            "density_points": {"type": "array", "items": {"type": "number"}},
-            "moments": {"type": "array", "items": {"type": "integer", "minimum": 1}},
-        },
-        "required": ["name", "targets"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "simulate"},
-            "horizon": {"type": "number", "exclusiveMinimum": 0},
-            "record_grid": {"type": "array", "items": {"type": "number"}, "minItems": 1},
-            "n_paths": {"type": "integer", "minimum": 1},
-            "initial": _DISTRIBUTION,
-        },
-        "required": ["name", "horizon", "record_grid", "n_paths", "initial"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "moments"},
-            "k": {"type": "array", "items": {"type": "integer", "minimum": 1}, "minItems": 1},
-            "x": {"type": "number"},
-            "t": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "n_paths": {"type": "integer", "minimum": 2, "default": 10000},
-            "monte_carlo": {"type": "boolean", "default": True},
-        },
-        "required": ["name", "k", "x", "t"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "ergodicity"},
-            "x": {"type": "number"},
-            "t_grid": {
-                "type": "array",
-                "items": {"type": "number", "minimum": 0},
-                "minItems": 1,
-            },
-            "targets": _TARGETS,
-        },
-        "required": ["name", "x", "t_grid", "targets"],
-        "additionalProperties": False,
-    },
-    {
-        "type": "object",
-        "properties": {
-            "name": {"const": "sweep-lambda"},
-            "lambdas": {
-                "type": "array",
-                "items": {"type": "number", "exclusiveMinimum": 0},
-                "minItems": 1,
-            },
-            "targets": _TARGETS,
-        },
-        "required": ["name", "lambdas", "targets"],
-        "additionalProperties": False,
-    },
-]
+_TASK = {
+    "oneOf": [
+        _keyed(
+            "name", "kernel-eval", ["t", "x", "targets"],
+            t=_TIMES, x=_NUMBER, targets=_TARGETS, density_points=_NUMBERS,
+        ),
+        _keyed(
+            "name", "stationary", ["targets"],
+            targets=_TARGETS, density_points=_NUMBERS, moments=_array(_COUNT),
+        ),
+        _keyed(
+            "name", "simulate", ["horizon", "record_grid", "n_paths", "initial"],
+            horizon=_POSITIVE, record_grid=_array(_NUMBER, minItems=1), n_paths=_COUNT,
+            initial=_DISTRIBUTION,
+        ),
+        _keyed(
+            "name", "moments", ["k", "x", "t"],
+            k=_array(_COUNT, minItems=1), x=_NUMBER, t=_POSITIVES,
+            n_paths={"type": "integer", "minimum": 2, "default": 10000},
+            monte_carlo={"type": "boolean", "default": True},
+        ),
+        _keyed(
+            "name", "ergodicity", ["x", "t_grid", "targets"],
+            x=_NUMBER, t_grid=_TIMES, targets=_TARGETS,
+        ),
+        _keyed("name", "sweep-lambda", ["lambdas", "targets"], lambdas=_POSITIVES, targets=_TARGETS),
+    ]
+}
 
 # Draft-07 on purpose: jsonschema.validate re-checks SCHEMA against its
 # metaschema on every call, and the draft-07 one is ~5x cheaper to check than
 # the default 2020-12 one; every keyword used here means the same in both.
+# tests/cli_schema.json holds the full schema as JSON, key order included.
 SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "type": "object",
-    "properties": {
-        "schema_version": {"const": 1},
-        "seed": {"type": "integer", "minimum": 0},
-        "process": {
-            "oneOf": [
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "bm"},
-                        "mu": {"type": "number"},
-                        "sigma": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["type", "mu", "sigma"],
-                    "additionalProperties": False,
-                },
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "gbm"},
-                        "mu": {"type": "number"},
-                        "sigma": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["type", "mu", "sigma"],
-                    "additionalProperties": False,
-                },
-                {
-                    "type": "object",
-                    "properties": {
-                        "type": {"const": "ctmc"},
-                        "Q": {
-                            "type": "array",
-                            "items": {"type": "array", "items": {"type": "number"}},
-                        },
-                        "values": {"type": "array", "items": {"type": "number"}},
-                        "file": {"type": "string"},
-                    },
-                    "required": ["type"],
-                    "additionalProperties": False,
-                },
-            ]
-        },
-        "restart": {
+    **_closed(
+        ["schema_version", "process", "restart", "task", "output"],
+        schema_version={"const": 1},
+        seed={"type": "integer", "minimum": 0},
+        process=_PROCESS,
+        restart=_closed(["rate", "nu"], rate=_POSITIVE, nu=_DISTRIBUTION),
+        task=_TASK,
+        output=_closed(["format", "path"], format={"enum": ["csv", "json"]}, path={"type": "string"}),
+        tolerances={
             "type": "object",
-            "properties": {
-                "rate": {"type": "number", "exclusiveMinimum": 0},
-                "nu": _DISTRIBUTION,
-            },
-            "required": ["rate", "nu"],
+            "properties": {"quad_rel_tol": _POSITIVE},
             "additionalProperties": False,
         },
-        "task": {"oneOf": _TASKS},
-        "output": {
-            "type": "object",
-            "properties": {
-                "format": {"enum": ["csv", "json"]},
-                "path": {"type": "string"},
-            },
-            "required": ["format", "path"],
-            "additionalProperties": False,
-        },
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "quad_rel_tol": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["schema_version", "process", "restart", "task", "output"],
-    "additionalProperties": False,
+    ),
 }
 
 

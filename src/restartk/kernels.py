@@ -231,9 +231,9 @@ class RestartedProcess(MarkovKernel):
         if t == 0.0:
             return indicator(target, x)
         return self._compose(
-            lambda s, y: self.base.transition_probability(s, y, target),
+            self.base.transition_probability(t, x, target),
             lambda s, y: self.base.transition_probabilities(s, y, target),
-            t, x, rel_tol
+            t, rel_tol
         )
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
@@ -241,9 +241,9 @@ class RestartedProcess(MarkovKernel):
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         return self._compose(
-            lambda s, y: self.base.transition_density(s, y, z),
+            self.base.transition_density(t, x, z),
             lambda s, y: self.base.transition_densities(s, y, z),
-            t, x, rel_tol
+            t, rel_tol
         )
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
@@ -294,12 +294,13 @@ class RestartedProcess(MarkovKernel):
         t = _check_time(t)
         if t == 0.0:
             return self.base.state_value(x) ** k
-        if self.base.moment(k, t, x) is None:
+        unrestarted = self.base.moment(k, t, x)
+        if unrestarted is None:
             return None
         return self._compose(
-            lambda s, y: self.base.moment(k, s, y),
+            unrestarted,
             lambda s, y: self.base.moments(k, s, y),
-            t, x, rel_tol
+            t, rel_tol
         )
 
     # -- stationary law --------------------------------------------------
@@ -341,15 +342,16 @@ class RestartedProcess(MarkovKernel):
             raise DomainError("rate 0 never restarts; no stationary law exists")
         return self.rate
 
-    def _compose(self, f, f_many, t, x, rel_tol):
+    def _compose(self, unrestarted, f_many, t, rel_tol):
         """exp(-lam*t) f(t, x) + int nu(dy) int_0^t lam exp(-lam*s) f(s, y) ds.
 
         The split of the restarted law over the age of the restart clock,
-        applied to any base quantity f(s, y) of the time and start state.
-        f_many(s, y) is the same quantity at every time of an array s, which
-        the time integral evaluates a refinement round at a time.
+        applied to any base quantity f(s, y) of the time and start state;
+        ``unrestarted`` is its value f(t, x) without a restart.  f_many(s, y)
+        is the same quantity at every time of an array s, which the time
+        integral evaluates a refinement round at a time.
         """
-        term1 = math.exp(-self.rate * t) * f(t, x)
+        term1 = math.exp(-self.rate * t) * unrestarted
         if self.rate == 0.0:
             return term1
         return term1 + self._nu_expect(

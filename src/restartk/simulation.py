@@ -148,8 +148,6 @@ def _run_path(proc, config, path_index, events=None):
     restarts = draw_restart_times(rng, proc.rate, config.horizon)
     grid = config.record_grid
     states = np.empty(len(grid))
-    counts = np.empty(len(grid), dtype=np.int64)
-    ages = np.empty(len(grid))
     base = proc.base
     nu = proc.restart.nu
     ri = 0
@@ -175,17 +173,15 @@ def _run_path(proc, config, path_index, events=None):
             state = base.sample_transition(dt, state, rng)
         now = g
         states[j] = state
-        counts[j] = ri
-        ages[j] = now - restarts[ri - 1] if ri > 0 else math.nan
         if events is not None:
             events.append((g, state, "grid"))
-    return states, counts, ages, restarts
+    return states, restarts
 
 
 def simulate_path(proc, config, path_index=0):
     """One exact path of the restarted process."""
     _check_initial(proc, config)
-    states, counts, ages, restarts = _run_path(proc, config, path_index)
+    states, restarts = _run_path(proc, config, path_index)
     return PathSample(states, restarts, int(len(restarts)))
 
 

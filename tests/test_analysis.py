@@ -64,13 +64,32 @@ class TestBrownianMoments:
                 quad = proc.moment(k, 0.9, -0.5)
                 assert abs(closed - quad) < 1e-8 * max(1.0, abs(closed))
 
-    def test_infinite_horizon_equals_stationary(self):
-        p = BrownianWithDrift(mu=1.0, sigma=1.2)
-        restart = RestartSpec(2.0, FiniteSupport(((0.0, 0.5), (1.0, 0.5))))
-        mean, second, var = bm_stationary_moments(p, restart)
-        assert abs(bm_modified_moment(p, restart, 1, math.inf, 0.0) - mean) < 1e-12
-        assert abs(bm_modified_moment(p, restart, 2, math.inf, 0.0) - second) < 1e-12
-        assert abs(var - (second - mean * mean)) < 1e-12
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.sampled_from((-1.0, 1.0)),
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-2.0, 2.0).map(lambda e: 10.0**e),
+        st.floats(-3.0, 3.0),
+        st.floats(-3.0, 3.0),
+        st.floats(0.05, 0.95),
+    )
+    def test_stationary_moments_match_the_formulas(self, mu, sign, sigma, lam, a, b, w):
+        # the docstring formulas, written out by hand, against the closed form;
+        # each error is relative to the sum of the magnitudes of its terms
+        mu *= sign
+        p = BrownianWithDrift(mu=mu, sigma=sigma)
+        mean, second, var = bm_stationary_moments(p, RestartSpec(lam, FiniteSupport(((a, w), (b, 1.0 - w)))))
+        nu1, nu2 = w * a + (1.0 - w) * b, w * a * a + (1.0 - w) * b * b
+        mean_terms = (nu1, mu / lam)
+        second_terms = (sigma**2 / lam, 2.0 * mu**2 / lam**2, 2.0 * mu * nu1 / lam, nu2)
+        want_mean, want_second = sum(mean_terms), sum(second_terms)
+        for got, want, scale in (
+            (mean, want_mean, sum(map(abs, mean_terms))),
+            (second, want_second, sum(map(abs, second_terms))),
+            (var, want_second - want_mean**2, sum(map(abs, second_terms)) + want_mean**2),
+        ):
+            assert abs(got - want) <= 1e-12 * scale
 
     def test_stationary_values_by_hand(self):
         p = BrownianWithDrift(mu=1.0, sigma=1.0)
@@ -147,6 +166,12 @@ class TestGeometricMoments:
         assert max_finite_moment_order(q, 1.0) == 5
         with pytest.raises(DomainError):
             max_finite_moment_order(p, 0.0)
+
+    def test_max_finite_moment_order_needs_a_growth_rate(self, three_state_chain):
+        # BM and chains have no moment threshold: moment_growth_rate is None
+        for p in (BrownianWithDrift(0.1, 1.0), three_state_chain):
+            with pytest.raises(DomainError, match="has no moment growth rate"):
+                max_finite_moment_order(p, 1.0)
 
     def test_every_reported_order_is_actually_finite(self):
         p = GeometricBrownian(mu=0.3, sigma=0.9)

@@ -495,6 +495,12 @@ class TestSchemaDialect:
         assert validator_for(SCHEMA) is Draft7Validator
         Draft7Validator.check_schema(SCHEMA)
 
+    def test_schema_matches_its_snapshot(self):
+        # text, not ==, so key order counts; an intended schema change
+        # regenerates tests/cli_schema.json
+        snapshot = (REPO / "tests" / "cli_schema.json").read_text()
+        assert json.dumps(SCHEMA, indent=2) + "\n" == snapshot
+
     def validators(self):
         legacy = {k: v for k, v in SCHEMA.items() if k != "$schema"}
         assert validator_for(legacy) is Draft202012Validator

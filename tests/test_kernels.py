@@ -176,6 +176,20 @@ class TestBrownianComposition:
         sd = math.sqrt(second - want * want)
         assert abs(draws.mean() - want) < 5 * sd / math.sqrt(n)
 
+    def test_moment_asks_the_base_once_at_t(self):
+        # the no-restart term reuses the value that decides closed form or None
+        asked = []
+
+        class Spied(BrownianWithDrift):
+            def moment(self, k, t, x):
+                asked.append(t)
+                return super().moment(k, t, x)
+
+        restart = RestartSpec(2.0, PointMass(0.0))
+        got = RestartedProcess(Spied(mu=0.3, sigma=0.7), restart).moment(2, 1.0, 0.4)
+        assert asked == [1.0]
+        assert got == RestartedProcess(BrownianWithDrift(mu=0.3, sigma=0.7), restart).moment(2, 1.0, 0.4)
+
 
 class TestDensityRestartLaw:
     def test_gbm_with_density_redraw_normalises(self):
