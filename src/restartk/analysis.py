@@ -111,18 +111,19 @@ def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
     return MomentReport(k, float(t), analytic, empirical, base.moment_growth_rate(k))
 
 
-def moment_bound(proc, k, c_fn, eta, absolute=False):
+def moment_bound(proc, k, c_fn, eta):
     """Prop-style limsup bound: c_bar * lam / (lam - eta).
 
     Hypothesis: E_y[X(s)^k] <= c_fn(y) * exp(eta*s) for the base process.
     With eta = 0 this collapses to the uniform bound c_bar itself.  The
     bound is one-sided in general (odd moments of signed processes may be
-    negative); pass absolute=True to record that c_fn dominates the
-    absolute moment E_y|X(s)|^k, in which case the same number bounds
-    limsup E|X(t)^k|.  The arithmetic is identical either way.
+    negative); when c_fn dominates the absolute moment E_y|X(s)|^k, the
+    same number bounds limsup E|X(t)^k|.
     """
     lam = proc.rate
     eta = float(eta)
+    if not math.isfinite(eta):
+        raise DomainError(f"growth rate eta must be finite, got {eta}")
     if eta >= lam:
         raise EtaNotLessThanLambda(
             f"growth rate eta={eta} must be strictly below the restart rate lam={lam}"
@@ -160,8 +161,8 @@ def max_finite_moment_order(p, lam):
     double k from 1 until eta_k reaches lam, then bisect for K.
     """
     lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"restart rate must be positive, got {lam}")
+    if not (0.0 < lam < math.inf):
+        raise DomainError(f"restart rate must be positive and finite, got {lam}")
     if p.moment_growth_rate(1) is None:
         raise DomainError(f"{type(p).__name__} has no moment growth rate")
     hi = 1

@@ -15,8 +15,8 @@ therefore an exponentially weighted time integral of the corresponding base
 quantity, evaluated here by certified quadrature of the base kernel's
 array-in-time form (``transition_probabilities`` and its siblings), which
 answers a whole refinement round of times in one call.  The same split drives the
-sampler (``restart_step``): one age draw, at most one redraw from nu and one
-base transition per path, however often the clock rang.  Letting the horizon grow
+sampler (``sample_transitions``): one age draw, at most one redraw from nu and
+one base transition per state, however often the clock rang.  Letting the horizon grow
 gives the invariant law, which the restarted process always has, no matter
 how badly the base process escapes.  That law is the nu-average of the base
 kernel's Laplace transform at the restart rate, which the base kernel
@@ -260,34 +260,25 @@ class RestartedProcess(MarkovKernel):
         return self.sample_transitions(_check_time(t), np.asarray([x]), rng)[0].item()
 
     def sample_transitions(self, t, x, rng):
-        return self.restart_step(t, x, rng)[0]
-
-    def restart_step(self, t, x, rng):
         """Advance every state in the array x by its time in t under the restart clock.
 
         Only the last restart before t matters.  Looking back from t, the
         clock last rang an Exp(lam) time ago; when that exceeds t it did not
         ring at all.  Otherwise the state was redrawn from nu that long ago,
-        and the clock rang Poisson(lam*(t - age)) more times before.  So
-        each state takes at most one nu draw and exactly one base
-        transition, over the age or over t.  Returns the new states, the
-        number of restarts and the age of the last one (NaN where none).
+        and what happened before is forgotten.  So each state takes at most
+        one nu draw and exactly one base transition, over the age or over t.
         """
         x = np.asarray(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
         lam = self.rate
         back = rng.exponential(1.0 / lam, x.shape) if lam > 0.0 else np.full(x.shape, math.inf)
         hit = back < t
-        counts = np.zeros(x.shape, dtype=np.int64)
-        ages = np.where(hit, back, math.nan)
         start = x
         if hit.any():
-            counts[hit] = 1 + rng.poisson(lam * (t[hit] - back[hit]))
             redrawn = self.restart.nu.sample(rng, int(hit.sum()))
             start = x.astype(np.result_type(x, redrawn))
             start[hit] = redrawn
-        states = self.base.sample_transitions(np.where(hit, back, t), start, rng)
-        return states, counts, ages
+        return self.base.sample_transitions(np.where(hit, back, t), start, rng)
 
     def moment(self, k, t, x, rel_tol=DEFAULT_REL_TOL):
         """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""

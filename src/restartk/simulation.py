@@ -2,10 +2,11 @@
 
 No time discretisation anywhere.  Ensembles (``run_ensemble``) advance
 blocks of BLOCK paths one grid interval at a time, all paths of a block at
-once: per interval each path takes the age of its last restart, at most one
-redraw from nu and one exact base transition (``RestartedProcess.restart_step``).
+once, through ``RestartedProcess.sample_transitions``: per interval each path
+takes the age of its last restart, at most one redraw from nu and one exact
+base transition.  An ensemble keeps the states on the grid and nothing else.
 Block b of a run seeded with s draws from the stream
-SeedSequence(s, spawn_key=(b,)), so the result depends on the seed and the
+SeedSequence(s, spawn_key=(b,)), so the states depend on the seed and the
 path count only, never on how blocks are spread over workers.
 
 Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
@@ -80,11 +81,10 @@ class PathConfig:
 
 @dataclass
 class PathSample:
-    """One simulated path: recorded states and the restart bookkeeping."""
+    """One simulated path: recorded states and every restart time up to the horizon."""
 
     states: np.ndarray
     restart_times: np.ndarray
-    n_restarts_at_horizon: int
 
 
 @dataclass(frozen=True)
@@ -99,18 +99,13 @@ class EstimatorReport:
 
 @dataclass
 class EnsembleResult:
-    """Grid-aligned arrays across an ensemble of paths.
+    """The states of an ensemble on the record grid.
 
-    states[i, j] is path i at grid time j (a state index for finite
-    spaces), restart_counts[i, j] the number of restarts up to that time,
-    and ages[i, j] the time since the last restart (NaN before the first).
+    states[i, j] is path i at grid time j (a state index for finite spaces).
     """
 
     grid: np.ndarray
     states: np.ndarray
-    restart_counts: np.ndarray
-    ages: np.ndarray
-    n_restarts_at_horizon: np.ndarray
 
 
 def path_rng(seed, path_index):
@@ -181,34 +176,22 @@ def _run_path(proc, config, path_index, events=None):
 def simulate_path(proc, config, path_index=0):
     """One exact path of the restarted process."""
     _check_initial(proc, config)
-    states, restarts = _run_path(proc, config, path_index)
-    return PathSample(states, restarts, int(len(restarts)))
+    return PathSample(*_run_path(proc, config, path_index))
 
 
 def _run_block(proc, config, block):
-    """Advance one block of paths from grid time to grid time."""
+    """The states of one block of paths at every grid time, as an (m, grid) array."""
     rng = block_rng(config.seed, block)
     m = min(BLOCK, config.n_paths - block * BLOCK)
-    g = len(config.record_grid)
-    states = np.empty((m, g))
-    counts = np.empty((m, g), dtype=np.int64)
-    ages = np.empty((m, g))
+    states = np.empty((m, len(config.record_grid)))
     state = config.initial.sample(rng, m)
-    count = np.zeros(m, dtype=np.int64)
-    age = np.full(m, math.nan)
     now = 0.0
     for j, t in enumerate(config.record_grid):
         if t > now:
-            state, fired, last = proc.restart_step(t - now, state, rng)
-            count += fired
-            age = np.where(fired > 0, last, age + (t - now))
+            state = proc.sample_transitions(t - now, state, rng)
             now = t
         states[:, j] = state
-        counts[:, j] = count
-        ages[:, j] = age
-    if config.horizon > now:
-        count = count + rng.poisson(proc.rate * (config.horizon - now), m)
-    return states, counts, ages, count
+    return states
 
 
 def _run_blocks(proc, config, lo, hi):
@@ -235,9 +218,7 @@ def run_ensemble(proc, config, workers=1):
                 _run_blocks, [proc] * workers, [config] * workers, bounds[:-1], bounds[1:]
             )
             blocks = [block for chunk in chunks for block in chunk]
-    return EnsembleResult(
-        np.asarray(config.record_grid), *(np.concatenate(arrays) for arrays in zip(*blocks))
-    )
+    return EnsembleResult(np.asarray(config.record_grid), np.concatenate(blocks))
 
 
 def _check_initial(proc, config):
@@ -323,8 +304,13 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
     if lam <= 0.0:
         raise DomainError("age test needs a positive restart rate")
     t = float(t)
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not (0.0 < t < math.inf):
+        raise DomainError(f"t must be positive and finite, got {t}")
+    n_paths, grid_points = int(n_paths), int(grid_points)
+    if n_paths < 1:
+        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
+    if grid_points < 1:
+        raise DomainError(f"grid_points must be at least 1, got {grid_points}")
     rng = np.random.default_rng(seed)
     # gaps per path and draw: the mean count plus six standard deviations,
     # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS

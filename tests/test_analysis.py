@@ -173,6 +173,12 @@ class TestGeometricMoments:
             with pytest.raises(DomainError, match="has no moment growth rate"):
                 max_finite_moment_order(p, 1.0)
 
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_max_finite_moment_order_needs_a_finite_rate(self, lam):
+        # unchecked, an infinite rate doubles k until eta_k overflows, and NaN compares false
+        with pytest.raises(DomainError, match="positive and finite"):
+            max_finite_moment_order(GeometricBrownian(0.1, 0.3), lam)
+
     def test_every_reported_order_is_actually_finite(self):
         p = GeometricBrownian(mu=0.3, sigma=0.9)
         for lam in (0.5, 1.0, 2.5, 7.0):
@@ -355,7 +361,7 @@ class TestMomentBound:
         proc = RestartedProcess(p, restart)
         eta = 1.0
         # |y + mu s| <= (|y| + |mu|/eta) e^{eta s}
-        bound = moment_bound(proc, 1, lambda y: abs(y) + 0.7 / eta, eta, absolute=True)
+        bound = moment_bound(proc, 1, lambda y: abs(y) + 0.7 / eta, eta)
         mean, _, _ = bm_stationary_moments(p, restart)
         assert bound >= abs(mean)
         assert abs(bound - (0.5 + 0.7) * 2.0 / (2.0 - 1.0)) < 1e-12
@@ -369,6 +375,13 @@ class TestMomentBound:
         proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))
         with pytest.raises(DomainError):
             moment_bound(proc, 1, lambda y: math.inf, 0.5)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+    def test_growth_rate_must_be_finite(self, eta):
+        # nan >= lam is False, so an unchecked NaN eta would give a NaN bound
+        proc = RestartedProcess(GeometricBrownian(0.1, 0.3), RestartSpec(1.0, PointMass(1.0)))
+        with pytest.raises(DomainError, match="eta must be finite"):
+            moment_bound(proc, 1, lambda y: y, eta)
 
 
 class TestErgodicity:

@@ -119,7 +119,6 @@ class TestSinglePath:
         proc = bm_process(rate=3.0)
         cfg = PathConfig(seed=2, horizon=4.0, record_grid=(4.0,), n_paths=1, initial=PointMass(0.0))
         s = simulate_path(proc, cfg, 0)
-        assert s.n_restarts_at_horizon == len(s.restart_times)
         assert np.all(s.restart_times <= 4.0)
         assert s.states.shape == (1,)
 
@@ -138,12 +137,7 @@ class TestEnsemble:
         )
         serial = run_ensemble(proc, cfg, workers=1)
         parallel = run_ensemble(proc, cfg, workers=3)
-        assert np.array_equal(serial.states, parallel.states)
-        assert np.array_equal(serial.restart_counts, parallel.restart_counts)
-        assert np.array_equal(
-            serial.ages[~np.isnan(serial.ages)], parallel.ages[~np.isnan(parallel.ages)]
-        )
-        assert np.array_equal(serial.n_restarts_at_horizon, parallel.n_restarts_at_horizon)
+        assert serial.states.tobytes() == parallel.states.tobytes()
 
     def test_small_ensemble_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -169,22 +163,7 @@ class TestEnsemble:
         assert pools == []
         parallel = run_ensemble(bm_process(), cfg, workers=2)
         assert pools == [2]
-        for field in ("states", "restart_counts", "ages", "n_restarts_at_horizon"):
-            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
-
-    def test_age_and_count_bookkeeping(self):
-        proc = bm_process(rate=1.0)
-        cfg = PathConfig(
-            seed=21, horizon=3.0, record_grid=(0.25, 1.0, 3.0), n_paths=400, initial=PointMass(0.0)
-        )
-        ens = run_ensemble(proc, cfg)
-        assert np.all(np.diff(ens.restart_counts, axis=1) >= 0)
-        no_restart_yet = ens.restart_counts == 0
-        assert np.all(np.isnan(ens.ages[no_restart_yet]))
-        seen = ~no_restart_yet
-        ages = ens.ages[seen]
-        grid_bcast = np.broadcast_to(ens.grid, ens.ages.shape)[seen]
-        assert np.all(ages > 0.0) and np.all(ages <= grid_bcast)
+        assert serial.states.tobytes() == parallel.states.tobytes()
 
     def test_chain_frequencies_match_analytic_row(self, three_state_chain):
         nu = FiniteSupport(((0, 0.5), (2, 0.5)))
@@ -300,6 +279,22 @@ class TestAgeDistribution:
         with pytest.raises(DomainError):
             age_distribution_test(bm_process(), t=0.0, n_paths=10, seed=0)
 
+    @pytest.mark.parametrize(
+        "args, name",
+        [
+            (dict(t=1.0, n_paths=0), "n_paths"),
+            (dict(t=1.0, n_paths=-3), "n_paths"),
+            (dict(t=1.0, n_paths=10, grid_points=0), "grid_points"),
+            (dict(t=math.nan, n_paths=10), "t must"),
+            (dict(t=math.inf, n_paths=10), "t must"),
+        ],
+    )
+    def test_bad_arguments_are_named(self, args, name):
+        # unchecked, each would surface as an arithmetic or numpy error
+        # that names no argument
+        with pytest.raises(DomainError, match=name):
+            age_distribution_test(bm_process(), seed=1, **args)
+
 
 @pytest.fixture(scope="module")
 def stationary_run():
@@ -386,7 +381,7 @@ class TestPathCsv:
             assert sum(r[3] == "grid" for r in mine) == 3
             n_restarts = sum(r[3] == "restart" for r in mine)
             ref = simulate_path(proc, cfg, i)
-            assert n_restarts == ref.n_restarts_at_horizon
+            assert n_restarts == len(ref.restart_times)
 
     def test_finite_space_writes_labels(self, three_state_chain):
         proc = RestartedProcess(three_state_chain, RestartSpec(2.0, PointMass(1)))
@@ -422,19 +417,16 @@ class TestPathCsv:
 
     def test_ensemble_and_walker_agree_in_law(self):
         # the block sampler and the event walker draw differently but must
-        # give the same law: means and variances at every grid time, and the
-        # restart count at the horizon, within 4 joint standard errors
+        # give the same law: means and variances at every grid time within 4
+        # joint standard errors
         proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
         n = 4000
         cfg = PathConfig(
             seed=8, horizon=2.0, record_grid=(0.25, 0.5, 1.0), n_paths=n, initial=PointMass(0.0)
         )
         ens = run_ensemble(proc, cfg)
-        walks = [simulate_path(proc, cfg, i) for i in range(n)]
-        walked = np.array([w.states for w in walks])
-        for a, b in [(ens.states[:, j], walked[:, j]) for j in range(3)] + [
-            (ens.n_restarts_at_horizon, np.array([w.n_restarts_at_horizon for w in walks]))
-        ]:
+        walked = np.array([simulate_path(proc, cfg, i).states for i in range(n)])
+        for a, b in [(ens.states[:, j], walked[:, j]) for j in range(3)]:
             assert abs(a.mean() - b.mean()) < 4.0 * math.hypot(_se_mean(a), _se_mean(b))
             assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * math.hypot(_se_var(a), _se_var(b))
 
@@ -447,14 +439,6 @@ def _se_var(v):
     # sqrt((m4 - var^2) / n), the large-sample error of the sample variance
     c = v - v.mean()
     return math.sqrt(max(float(np.mean(c**4)) - float(np.mean(c**2)) ** 2, 0.0) / len(v))
-
-
-def _poisson_bands(counts, mean, z=4.0):
-    """Sample mean and variance of counts against Poisson(mean), within z errors."""
-    n = len(counts)
-    assert abs(counts.mean() - mean) < z * math.sqrt(mean / n)
-    # the fourth central moment of Poisson(m) is m + 3m^2
-    assert abs(counts.var(ddof=1) - mean) < z * math.sqrt((mean + 2.0 * mean**2) / n)
 
 
 class _ScalarOnly(MarkovKernel):
@@ -489,35 +473,41 @@ class _Drift(MarkovKernel):
 
 
 class TestBlockSampler:
-    def test_restart_counts_and_ages_are_exact_in_law(self):
+    def test_restart_ages_are_exact_in_law(self):
+        # X(t) = x + t restarted to 0 is the age of the last restart wherever
+        # the clock rang, and 10 + t where it never did
         lam, n = 1.5, 6000
         grid = (0.2, 0.9, 2.0)
-        proc = bm_process(rate=lam)
-        cfg = PathConfig(seed=41, horizon=3.0, record_grid=grid, n_paths=n, initial=PointMass(0.0))
+        proc = RestartedProcess(_Drift(), RestartSpec(lam, PointMass(0.0)))
+        cfg = PathConfig(seed=41, horizon=3.0, record_grid=grid, n_paths=n, initial=PointMass(10.0))
         ens = run_ensemble(proc, cfg)
         for j, g in enumerate(grid):
-            _poisson_bands(ens.restart_counts[:, j], lam * g)
-            ages = ens.ages[:, j]
+            states = ens.states[:, j]
+            restarted = states < 10.0
             # an atom of mass exp(-lam*g) at 'never restarted', then
             # P[age <= s] = 1 - exp(-lam*s) on [0, g]; DKW makes the sup
             # deviation exceed 2/sqrt(n) with probability below 1e-3
             never = math.exp(-lam * g)
-            assert abs(np.isnan(ages).mean() - never) < 4.0 * math.sqrt(never * (1 - never) / n)
+            assert abs((~restarted).mean() - never) < 4.0 * math.sqrt(never * (1 - never) / n)
             s = np.linspace(0.0, g, 101)
-            emp = np.searchsorted(np.sort(ages[~np.isnan(ages)]), s, side="right") / n
+            emp = np.searchsorted(np.sort(states[restarted]), s, side="right") / n
             assert np.abs(emp - (1.0 - np.exp(-lam * s))).max() < 2.0 / math.sqrt(n)
-        _poisson_bands(ens.n_restarts_at_horizon, lam * 3.0)
 
     def test_ages_are_the_time_since_the_last_restart(self):
-        # X(t) = x + t shows the age itself wherever the clock rang
+        # X(t) = x + t restarted to 0 shows the age itself: from one grid time
+        # to the next a path either ages by the gap or was restarted inside it
         proc = RestartedProcess(_Drift(), RestartSpec(2.0, PointMass(0.0)))
         cfg = PathConfig(
             seed=3, horizon=1.5, record_grid=(0.0, 0.4, 1.5), n_paths=500, initial=PointMass(10.0)
         )
         ens = run_ensemble(proc, cfg)
-        want = np.where(np.isnan(ens.ages), 10.0 + ens.grid, ens.ages)
-        assert np.allclose(ens.states, want, rtol=0.0, atol=1e-12)
-        assert np.all(ens.states[:, 0] == 10.0) and np.all(ens.restart_counts[:, 0] == 0)
+        assert np.all(ens.states[:, 0] == 10.0)
+        for j in (1, 2):
+            gap = ens.grid[j] - ens.grid[j - 1]
+            now, before = ens.states[:, j], ens.states[:, j - 1]
+            aged = np.isclose(now, before + gap, rtol=0.0, atol=1e-12)
+            assert np.all(aged | ((now >= 0.0) & (now < gap)))
+            assert aged.any() and not aged.all()
 
     @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
     def test_worker_count_never_changes_blocks(self, kind, three_state_chain):
@@ -533,8 +523,7 @@ class TestBlockSampler:
         )
         serial = run_ensemble(proc, cfg, workers=1)
         parallel = run_ensemble(proc, cfg, workers=3)
-        for field in ("states", "restart_counts", "ages", "n_restarts_at_horizon"):
-            assert getattr(serial, field).tobytes() == getattr(parallel, field).tobytes()
+        assert serial.states.tobytes() == parallel.states.tobytes()
         assert serial.states.shape == (2 * BLOCK + 77, 2)
 
     def test_chain_frequencies_at_two_times(self, three_state_chain):
