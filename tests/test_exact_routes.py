@@ -1,9 +1,10 @@
 """Exact invariant-law routes, each against an independent oracle.
 
 The diffusions' closed-form Laplace masses are checked against the
-quadrature definition ``kernels.resolvent``, the chains' linear solves
-against the exponential of the restarted generator, at long and at finite
-times.  Also here:
+quadrature definition ``kernels.resolvent``, their finite-t restarted
+kernels against the quadrature defaults and against mpmath, the chains'
+linear solves against the exponential of the restarted generator, at long
+and at finite times.  Also here:
 the per-chain memo of exp(Q*t), and categorical draws that reproduce
 ``Generator.choice`` draw for draw.
 """
@@ -28,8 +29,10 @@ from restartk import (
     RestartSpec,
     RestartedProcess,
     Subset,
+    gaussian,
     resolvent,
 )
+from restartk.errors import DomainError
 from restartk.kernels import MarkovKernel
 
 from conftest import (
@@ -120,6 +123,9 @@ class _QuadratureOnly(MarkovKernel):
     def transition_probability(self, t, x, target):
         return self.inner.transition_probability(t, x, target)
 
+    def transition_density(self, t, x, z):
+        return self.inner.transition_density(t, x, z)
+
     def transition_matrix(self, t):
         return self.inner.transition_matrix(t)
 
@@ -158,6 +164,149 @@ class TestDefaultRoute:
             want = RestartedProcess(base, restart).transition_probability(0.8, x, target)
             got = RestartedProcess(_QuadratureOnly(base), restart).transition_probability(0.8, x, target)
             assert abs(got - want) < 1e-12
+
+
+def _exp_in_range(v):
+    # GBM states are exp of the log-space draws, kept inside exp's range
+    return math.exp(min(max(v, -600.0), 600.0))
+
+
+@st.composite
+def finite_horizon_cases(draw):
+    """(base, lam, t, nu, x, target, z) for BM or, in log space, GBM.
+
+    Positions are drawn up to 30 units out in both tails, the unit being
+    the diffusive spread sigma*sqrt(t) or the restarts' Laplace scale
+    sigma/sqrt(2*lam), and the drift moves at most 3 spreads over t.  The
+    quadrature oracle is blind to what happens faster than its first nodes
+    resolve, so positions sit on a grid of 1/8 unit (two of them coincide
+    or lie at least that far apart), and a faster drift, which makes the
+    time integrand a narrow peak, is left to the mpmath checks below.
+    """
+    sigma = 10.0 ** draw(st.floats(-3.0, 0.3))
+    lam = draw(rates)
+    t = 10.0 ** draw(st.floats(-3.0, 3.0))
+    spread = sigma * math.sqrt(t)
+    mu = draw(st.floats(-3.0, 3.0)) * spread / t
+    x = draw(st.floats(-1.0, 1.0))
+    unit = draw(st.sampled_from([spread, sigma / math.sqrt(2.0 * lam)]))
+
+    def at(lo, hi):
+        return st.integers(8 * lo, 8 * hi).map(lambda k: x + k / 8 * unit)
+
+    cuts = sorted(draw(st.lists(at(-30, 30), min_size=2, max_size=2)))
+    cuts = draw(st.sampled_from([cuts, [-math.inf, cuts[1]], [cuts[0], math.inf]]))
+    z = draw(at(-30, 30))
+    if draw(st.booleans()):
+        return BrownianWithDrift(mu, sigma), lam, t, draw(point_or_two_atom_laws(at(-2, 2))), x, Interval(*cuts), z
+    base = GeometricBrownian(mu + 0.5 * sigma**2, sigma)
+    nu = draw(point_or_two_atom_laws(at(-2, 2).map(_exp_in_range)))
+    target = Interval(*(math.exp(c) if math.isinf(c) else _exp_in_range(c) for c in cuts))
+    return base, lam, t, nu, _exp_in_range(x), target, _exp_in_range(z)
+
+
+def _near_quadrature(got, want):
+    return abs(got - want) <= 1e-12 + 1e-10 * abs(want)
+
+
+class TestFiniteHorizonClosedForm:
+    """BM and GBM at finite t: the resolvent identity and its first-passage
+    twin, against the quadrature defaults that cannot see them."""
+
+    @PROPERTY
+    @given(finite_horizon_cases())
+    def test_probability_matches_quadrature(self, case):
+        base, lam, t, nu, x, target, _ = case
+        restart = RestartSpec(lam, nu)
+        got = RestartedProcess(base, restart).transition_probability(t, x, target)
+        want = RestartedProcess(_QuadratureOnly(base), restart).transition_probability(t, x, target, rel_tol=1e-11)
+        assert _near_quadrature(got, want), (got, want)
+
+    @PROPERTY
+    @given(finite_horizon_cases())
+    def test_density_matches_quadrature(self, case):
+        base, lam, t, nu, x, _, z = case
+        restart = RestartSpec(lam, nu)
+        got = RestartedProcess(base, restart).transition_density(t, x, z)
+        want = RestartedProcess(_QuadratureOnly(base), restart).transition_density(t, x, z, rel_tol=1e-11)
+        assert _near_quadrature(got, want), (got, want)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, lam, t, c",
+        [(0.3, 1.0, 2.0, 0.01, 0.5), (-0.8, 0.5, 0.01, 0.002, -0.1), (1.5, 0.2, 300.0, 0.001, 0.03), (0.0, 1.0, 1e-4, 0.05, -1.0)],
+    )
+    def test_cancellation_regime_against_mpmath(self, mu, sigma, lam, t, c):
+        # small t, z far from y: the value is a sliver of the Laplace term q
+        # it would be subtracted from, so the first-passage form carries it
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        bm = BrownianWithDrift(mu, sigma)
+        m, s, l, h, d = (mp.mpf(v) for v in (mu, sigma, lam, t, c))
+        nodes = mp.linspace(0, h, 9)
+        density = mp.quad(lambda u: l * mp.exp(-l * u - (d - m * u) ** 2 / (2 * s * s * u)) / mp.sqrt(2 * mp.pi * s * s * u), nodes)
+        sign = 1 if c > 0 else -1
+        mass = mp.quad(lambda u: l * mp.exp(-l * u) * mp.ncdf(sign * (m * u - d) / (s * mp.sqrt(u))), nodes)
+        assert density < 1e-4 * bm.stationary_density(lam, 0.0, c)
+        got = bm.stationary_density(lam, 0.0, c, t)
+        assert abs(got - density) <= 1e-12 * density
+        # the tail mass is a second difference in lam*t, good to a few ulps
+        # of the no-restart mass it is added to in the restarted kernel
+        target = Interval(c, math.inf) if c > 0 else Interval(-math.inf, c)
+        got = bm.stationary_probability(lam, 0.0, target, t)
+        assert abs(got - mass) <= 1e-12 * mass + 8 * np.finfo(float).eps * bm.transition_probability(t, 0.0, target)
+
+    @pytest.mark.parametrize(
+        "mu, sigma, lam, t, c, a, b",
+        [
+            (1.158, 1.77e-3, 2.28e-4, 403.0, 107.7, -24.5, 972.3),
+            (-16.09, 0.031, 3727.0, 1.67, -0.0065, -0.009, -0.0065),
+            (1.93, 8.2e-3, 20.7, 41.5, 1.0, 0.5, 1.0),
+        ],
+    )
+    def test_drift_dominated_against_mpmath(self, mu, sigma, lam, t, c, a, b):
+        # a fast drift and a small sigma: the time integrands are narrow
+        # peaks, which the quadrature oracle steps over, and the target's far
+        # end lies thousands of diffusive spreads out but within the
+        # restarts' Laplace tail, where the normal-Laplace tails must not
+        # cancel in their exponent
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 30
+        m, s, l = (mp.mpf(v) for v in (mu, sigma, lam))
+
+        def nodes(*ends):
+            # breakpoints around each end's crossing time |end/mu|
+            out = {0, t}
+            for end in ends:
+                at, width = abs(end / mu), sigma * math.sqrt(abs(end / mu)) / abs(mu)
+                out.update(v for v in (at + k * width for k in (-40, -10, -3, -1, 0, 1, 3, 10, 40)) if 0 < v < t)
+            return sorted(out)
+
+        density = mp.quad(lambda u: l * mp.exp(-l * u - (c - m * u) ** 2 / (2 * s * s * u)) / mp.sqrt(2 * mp.pi * s * s * u), nodes(c))
+        window = lambda u: mp.ncdf((b - m * u) / (s * mp.sqrt(u))) - mp.ncdf((a - m * u) / (s * mp.sqrt(u)))
+        mass = mp.quad(lambda u: l * mp.exp(-l * u) * window(u), nodes(a, b))
+        bm = BrownianWithDrift(mu, sigma)
+        assert abs(bm.stationary_density(lam, 0.0, c, t) - density) <= 1e-13 * density
+        assert abs(bm.stationary_probability(lam, 0.0, Interval(a, b), t) - mass) <= 1e-13 * mass
+
+    def test_horizon_zero_and_infinite(self):
+        bm = BrownianWithDrift(0.4, 0.8)
+        g = Interval(-0.3, 1.1)
+        assert bm.stationary_probability(2.0, 0.1, g, 0.0) == 0.0 == bm.stationary_density(2.0, 0.1, 0.5, 0.0)
+        assert bm.stationary_probability(2.0, 0.1, g, math.inf) == bm.stationary_probability(2.0, 0.1, g)
+        assert bm.stationary_probability(2.0, 0.1, g, 1e4) == bm.stationary_probability(2.0, 0.1, g)
+        with pytest.raises(DomainError, match="horizon"):
+            bm.stationary_probability(2.0, 0.1, g, math.nan)
+
+    def test_density_nu_keeps_the_nested_quadrature(self, monkeypatch):
+        # the closed forms are not asked for under a density nu
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed form called")
+
+        monkeypatch.setattr(BrownianWithDrift, "stationary_probability", refuse)
+        monkeypatch.setattr(BrownianWithDrift, "stationary_density", refuse)
+        proc = RestartedProcess(BrownianWithDrift(0.2, 0.9), RestartSpec(1.5, gaussian(0.1, 0.3)))
+        assert 0.0 < proc.transition_probability(0.7, 0.0, Interval(-0.5, 0.5)) < 1.0
+        assert proc.transition_density(0.7, 0.0, 0.2) > 0.0
 
 
 def _twelve_state_chain():

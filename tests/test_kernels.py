@@ -70,6 +70,15 @@ class TestChainComposition:
         got = restarted_chain.transition_probability(0.7, 2, Subset([0, 1]))
         assert abs(got - (P[2, 0] + P[2, 1])) < 1e-10
 
+    @pytest.mark.parametrize("t", [1e5, 1e6, 1e10])
+    def test_probability_at_long_horizons(self, restarted_chain, t):
+        # the quadrature over the restart age certified 1 - 1/e of the
+        # restarts' mass here; the exact matrix is the invariant row
+        P = restarted_chain.transition_matrix(t)
+        for target in (Subset([0]), Subset([1, 2])):
+            got = restarted_chain.transition_probability(t, 1, target)
+            assert abs(got - sum(P[1, i] for i in target.indices)) < 1e-10
+
     def test_invariant_vector_two_references(self, restarted_chain):
         chain = restarted_chain.base
         lam = restarted_chain.rate
@@ -226,6 +235,28 @@ class TestEdgeBehaviour:
             proc.invariant_measure(target)
         with pytest.raises(DomainError):
             proc.invariant_density(0.0)
+
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_times_are_refused(self, restarted_bm, restarted_chain, t):
+        target = Interval(0.0, 1.0)
+        calls = [
+            lambda: restarted_bm.transition_probability(t, 0.0, target),
+            lambda: restarted_bm.transition_density(t, 0.0, 0.5),
+            lambda: restarted_bm.moment(2, t, 0.0),
+            lambda: restarted_bm.no_restart_weight(t),
+            lambda: restarted_chain.transition_probability(t, 0, Subset([1])),
+            lambda: restarted_chain.transition_matrix(t),
+        ]
+        for base, x in ((BrownianWithDrift(), 0.0), (GeometricBrownian(), 1.0)):
+            calls += [
+                lambda base=base, x=x: base.transition_probabilities(np.array([1.0, t]), x, target),
+                lambda base=base, x=x: base.transition_densities(np.array([t]), x, 0.5),
+                lambda base=base, x=x: base.moments(1, np.array([t]), x),
+            ]
+        calls.append(lambda: restarted_chain.base.transition_matrices([t]))
+        for call in calls:
+            with pytest.raises(DomainError, match="finite"):
+                call()
 
     def test_no_restart_weight(self, restarted_bm):
         assert abs(restarted_bm.no_restart_weight(0.5) - math.exp(-1.0)) < 1e-15

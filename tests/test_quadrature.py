@@ -212,12 +212,12 @@ def _segments_of(f, lam, upper, **kw):
     return result, seen
 
 
-def _quad_vec(g, a, b, epsabs, epsrel, limit):
-    """scipy's quad_vec on the same segment, one node per call."""
+def _quad_vec(g, a, b, epsabs, epsrel, limit, points=()):
+    """scipy's quad_vec on the same segment and breakpoints, one node per call."""
     with np.errstate(all="ignore"):
         want, err, info = quad_vec(
             lambda s: g(np.array([s]))[0],
-            a, b, epsabs=epsabs, epsrel=epsrel, norm="max", limit=limit, full_output=True,
+            a, b, epsabs=epsabs, epsrel=epsrel, norm="max", limit=limit, points=points, full_output=True,
         )
     return np.asarray(want), err, info
 
@@ -277,6 +277,31 @@ def test_repeated_degenerate_intervals_count_like_quad_vec():
         want, _, info = _quad_vec(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
         assert used == info.neval
         assert value == want == 0.0 and not converged and not info.success
+
+
+@pytest.mark.parametrize("upper", [1e5, 1e6, 1e10])
+def test_long_horizon_certifies_the_right_value(upper):
+    # one panel over [1, upper] put its first node where exp(-s) is 0 and
+    # converged on 1 - 1/e; panels that double from 1 see the weight decay
+    r = exp_weighted_integral(np.ones_like, 1.0, upper)
+    assert abs(r.value - 1.0) <= 1e-14 and r.reliable
+
+
+def test_long_horizon_panels_match_quad_vec_with_the_same_breakpoints():
+    result, seen = _segments_of(lambda s: np.cos(s), 2.0, 1e6)
+    (_, near), (args, (value, err, used, converged)) = seen
+    assert args[6] == [2.0**j for j in range(20)]
+    want, want_err, info = _quad_vec(*args)
+    assert used == info.neval and converged == info.success
+    assert abs(value - want) <= 1e-15 and abs(err - want_err) <= 0.01 * want_err
+    assert abs(result.value - 4.0 / 5.0) <= 1e-12
+
+
+def test_horizons_up_to_lam_t_of_ten_thousand_keep_one_far_panel():
+    # every golden and workload config has lam*t <= 30: their values and
+    # node counts do not move
+    _, (_, (far, _)) = _segments_of(np.ones_like, 2.0, 5e3)
+    assert far[6] == []
 
 
 def test_round_evaluates_the_integrand_once():
