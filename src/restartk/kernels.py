@@ -261,6 +261,7 @@ class RestartedProcess(MarkovKernel):
         t = _check_time(t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
+        z = self.space.state(z)
         integrals = self._age_integrals()
         return self._compose(
             self.base.transition_density(t, x, z),
@@ -331,6 +332,7 @@ class RestartedProcess(MarkovKernel):
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
         """Density of the invariant law at z, for kernels with densities."""
         lam = self._positive_rate()
+        z = self.space.state(z)
         # the quadrature default whatever the base kernel: the closed forms
         # would fix the false-convergence-gbm-stationary-density config of
         # perfbench/defects.py, which perfbench/test_smoke.py requires to

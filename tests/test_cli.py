@@ -15,6 +15,7 @@ import pytest
 from jsonschema.exceptions import best_match
 from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
 
+from restartk import cli
 from restartk import (
     BrownianWithDrift,
     ConfigError,
@@ -422,6 +423,28 @@ class TestConfigValidation:
         assert run_cli(path) == 2
         assert missing in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "task, process, restart, space",
+        [
+            ({"name": "kernel-eval", "t": [0.5], "x": 0.0, "targets": [[0.0, 1.0]]}, BM, RESTART, "RealLine()"),
+            (
+                {"name": "stationary", "targets": [[0.5, 2.0]]},
+                {"type": "gbm", "mu": 0.1, "sigma": 0.5},
+                {"rate": 0.5, "nu": {"type": "point", "x": 1.0}},
+                "HalfLinePositive()",
+            ),
+        ],
+        ids=["bm-kernel-eval", "gbm-stationary"],
+    )
+    @pytest.mark.parametrize("z", [math.inf, -math.inf])
+    def test_infinite_density_point_rejected(self, tmp_path, capsys, task, process, restart, space, z):
+        # BM used to print a density of 0 here, and GBM at inf to blame the
+        # growth constant
+        path, out = write_config(tmp_path, {**task, "density_points": [z]}, process=process, restart=restart)
+        assert run_cli(path) == 2
+        assert capsys.readouterr().err == f"validation error: state {z} is not in {space}\n"
+        assert not os.path.exists(out)
+
     def test_nu_must_fit_space(self, tmp_path):
         gbm = {"type": "gbm", "mu": 0.1, "sigma": 0.5}
         restart = {"rate": 1.0, "nu": {"type": "gaussian", "mean": 0.0, "std": 1.0}}
@@ -488,8 +511,8 @@ def mutated(config, dotted, value):
 
 
 class TestSchemaDialect:
-    """SCHEMA declares draft-07, whose metaschema is cheap to check on every
-    run; it must accept and reject exactly as the 2020-12 default did."""
+    """SCHEMA declares draft-07, whose metaschema is cheap to check once per
+    process; it must accept and reject exactly as the 2020-12 default did."""
 
     def test_schema_is_draft7(self):
         assert validator_for(SCHEMA) is Draft7Validator
@@ -532,6 +555,57 @@ class TestSchemaDialect:
         for validator in self.validators():
             err = best_match(validator.iter_errors(config))
             assert _schema_error_message(err) == f"config error at {message}"
+
+
+class TestSchemaCheckedOnce:
+    """Each process checks SCHEMA against its metaschema before it validates
+    its first config, and only then; every config is still validated."""
+
+    INVALID_RATE = {"rate": -1.0, "nu": {"type": "point", "x": 0.0}}
+
+    @pytest.fixture(autouse=True)
+    def fresh_process(self, monkeypatch):
+        # the one-time state of a process that has not validated a config yet
+        monkeypatch.setattr(cli, "_SCHEMA_CHECK", cli._CheckedOnce())
+
+    def configs(self, tmp_path):
+        task = {"name": "stationary", "targets": [[0.0, 1.0]]}
+        for name in ("valid", "invalid"):
+            (tmp_path / name).mkdir()
+        valid, _ = write_config(tmp_path / "valid", task)
+        invalid, _ = write_config(tmp_path / "invalid", task, restart=self.INVALID_RATE)
+        return valid, invalid
+
+    def test_one_metaschema_check_per_process(self, tmp_path, monkeypatch):
+        checked = []
+        check_schema = Draft7Validator.check_schema
+
+        def counted(schema, *args, **kwargs):
+            checked.append(schema)
+            return check_schema(schema, *args, **kwargs)
+
+        monkeypatch.setattr(Draft7Validator, "check_schema", counted)
+        valid, invalid = self.configs(tmp_path)
+        codes = [run_cli(path) for path in (invalid, valid, invalid, valid, valid)]
+        assert codes == [2, 0, 2, 0, 0]
+        assert len(checked) == 1 and checked[0] is SCHEMA
+
+    def test_invalid_config_reports_the_same_first_and_later(self, tmp_path, capsys):
+        valid, invalid = self.configs(tmp_path)
+        with pytest.raises(jsonschema.ValidationError) as per_run:
+            jsonschema.validate(json.loads(invalid.read_text()), SCHEMA)
+        want = (2, _schema_error_message(per_run.value) + "\n")
+        assert want[1].startswith("config error at restart.rate: ")
+        assert (run_cli(invalid), capsys.readouterr().err) == want
+        for _ in range(2):
+            assert run_cli(valid) == 0
+        assert (run_cli(invalid), capsys.readouterr().err) == want
+
+    def test_broken_schema_fails_on_first_use(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SCHEMA", {**SCHEMA, "type": "mapping"})
+        valid, _ = self.configs(tmp_path)
+        assert run_cli(valid) == 1
+        assert "jsonschema.exceptions.SchemaError: 'mapping' is not valid" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_integrate_unloaded():

@@ -8,6 +8,7 @@ from scipy import integrate
 
 from restartk import (
     BrownianWithDrift,
+    ConfigError,
     DomainError,
     FiniteCTMC,
     FiniteSupport,
@@ -257,6 +258,16 @@ class TestEdgeBehaviour:
         for call in calls:
             with pytest.raises(DomainError, match="finite"):
                 call()
+
+    @pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_density_points_are_refused(self, restarted_bm, z):
+        # like a non-finite start state: a NaN point used to give a nan
+        # density and a +-inf one a density of 0 on the real line
+        gbm = RestartedProcess(GeometricBrownian(mu=0.1, sigma=0.5), RestartSpec(0.5, PointMass(1.0)))
+        for proc in (restarted_bm, gbm):
+            for call in (lambda: proc.transition_density(0.5, 1.0, z), lambda: proc.invariant_density(z)):
+                with pytest.raises(ConfigError, match=f"state {z} is not in"):
+                    call()
 
     def test_no_restart_weight(self, restarted_bm):
         assert abs(restarted_bm.no_restart_weight(0.5) - math.exp(-1.0)) < 1e-15
