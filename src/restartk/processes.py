@@ -15,18 +15,19 @@ convolution (the resolvent identity), or the first-passage form where that
 difference cancels (``_RestartAgeLaw``); GBM reads it in log space.  The
 chain's is one linear solve against lam*I - Q per rate, which with the
 memoised exp(Q*t) also gives the restarted chain's transition matrix at any
-finite t.
+finite t.  scipy's ``expm``, ``erfcx``, ``gammainc`` and ``ndtr`` start as
+stand-ins that import the real function on their first call and rebind the
+module name to it, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.special import erfcx, gammainc, ndtr
 
 from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
 from .errors import DomainError
@@ -36,6 +37,25 @@ from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+
+
+def _on_first_call(module, name):
+    """A stand-in for scipy's module.name: its first call imports the real
+    function and rebinds this module's global of that name to it, so every
+    later call goes to scipy directly."""
+
+    def first_call(*args, **kwargs):
+        real = getattr(importlib.import_module(module), name)
+        globals()[name] = real
+        return real(*args, **kwargs)
+
+    return first_call
+
+
+expm = _on_first_call("scipy.linalg", "expm")
+erfcx = _on_first_call("scipy.special", "erfcx")
+gammainc = _on_first_call("scipy.special", "gammainc")
+ndtr = _on_first_call("scipy.special", "ndtr")
 
 
 def _positive_rate(lam):

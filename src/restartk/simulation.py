@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +59,7 @@ class PathConfig:
     initial: object
 
     def __post_init__(self):
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
         h = float(self.horizon)
         if not (h > 0.0) or not math.isfinite(h):
@@ -72,11 +71,19 @@ class PathConfig:
             raise DomainError(f"record_grid must lie within [0, {h}]")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise DomainError("record_grid must be strictly increasing")
-        if int(self.n_paths) < 1:
-            raise DomainError(f"n_paths must be at least 1, got {self.n_paths}")
         object.__setattr__(self, "horizon", h)
         object.__setattr__(self, "record_grid", grid)
-        object.__setattr__(self, "n_paths", int(self.n_paths))
+        object.__setattr__(self, "n_paths", _count("n_paths", self.n_paths))
+
+
+def _count(name, n):
+    """A count argument as an int of at least 1; int() alone would take True,
+    truncate 2.7 and overflow on inf."""
+    if isinstance(n, bool) or not (math.isfinite(n) and n == int(n)):
+        raise DomainError(f"{name} must be a whole number, got {n!r}")
+    if n < 1:
+        raise DomainError(f"{name} must be at least 1, got {n}")
+    return int(n)
 
 
 @dataclass
@@ -177,6 +184,14 @@ def simulate_path(proc, config, path_index=0):
     """One exact path of the restarted process."""
     _check_initial(proc, config)
     return PathSample(*_run_path(proc, config, path_index))
+
+
+def ProcessPoolExecutor(*args, **kwargs):
+    """concurrent.futures.ProcessPoolExecutor, imported only when run_ensemble
+    starts a pool: most runs never do, and the import costs every run."""
+    from concurrent import futures
+
+    return futures.ProcessPoolExecutor(*args, **kwargs)
 
 
 def _run_block(proc, config, block):
@@ -306,11 +321,7 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
     t = float(t)
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
-    n_paths, grid_points = int(n_paths), int(grid_points)
-    if n_paths < 1:
-        raise DomainError(f"n_paths must be at least 1, got {n_paths}")
-    if grid_points < 1:
-        raise DomainError(f"grid_points must be at least 1, got {grid_points}")
+    n_paths, grid_points = _count("n_paths", n_paths), _count("grid_points", grid_points)
     rng = np.random.default_rng(seed)
     # gaps per path and draw: the mean count plus six standard deviations,
     # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS
@@ -375,9 +386,7 @@ def empirical_distribution(
     a, b = float(window[0]), float(window[1])
     if not (a < b):
         raise DomainError(f"window must be a nonempty interval, got ({a}, {b})")
-    bins = int(bins)
-    if bins < 1:
-        raise DomainError(f"need at least one bin, got {bins}")
+    bins = _count("bins", bins)
     j = _grid_index(config, t)
     if ensemble is None:
         ensemble = run_ensemble(proc, config, workers=workers)

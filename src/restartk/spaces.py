@@ -19,6 +19,12 @@ import numpy as np
 from .errors import ConfigError, DomainError, UnsupportedTarget
 
 
+def _index(v):
+    # a config number naming a state index: finite before int(), which raises
+    # on NaN and inf
+    return not isinstance(v, str) and math.isfinite(v) and v == int(v)
+
+
 def _member(space, x):
     if not space.contains(x):
         raise ConfigError(f"state {x} is not in {space!r}")
@@ -109,13 +115,13 @@ class FiniteSet:
             raise DomainError(f"state indices {sorted(bad)} out of range for n={self.n}")
 
     def state(self, x):
-        if x != int(x):
+        if not _index(x):
             raise ConfigError(f"finite-space states are integer indices, got {x}")
         return _member(self, int(x))
 
     def target(self, raw):
         # indices only: check_target, on use, checks their range
-        if any(isinstance(v, str) or v != int(v) for v in raw):
+        if not all(map(_index, raw)):
             raise ConfigError(f"finite-space targets are integer index lists, got {raw}")
         return Subset(int(v) for v in raw)
 

@@ -38,6 +38,7 @@ from restartk.analysis import ErgodicityReport, ErgodicityRow
 from restartk.cli import SCHEMA, _schema_error_message, exit_code_for, main
 
 REPO = Path(__file__).resolve().parents[1]
+GOLDEN = REPO / "tests" / "golden"
 
 BM = {"type": "bm", "mu": 0.5, "sigma": 1.0}
 RESTART = {"rate": 2.0, "nu": {"type": "point", "x": 0.0}}
@@ -608,6 +609,17 @@ class TestSchemaCheckedOnce:
         assert "jsonschema.exceptions.SchemaError: 'mapping' is not valid" in capsys.readouterr().err
 
 
+def _fresh_interpreter(probe, *args):
+    # a new python, so that nothing an earlier test imported is in sys.modules
+    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", probe, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+
+
 def test_cli_import_leaves_scipy_integrate_unloaded():
     # scipy.integrate costs ~0.2 s to import and only density laws use it
     probe = (
@@ -619,13 +631,73 @@ def test_cli_import_leaves_scipy_integrate_unloaded():
         "assert abs(v - 1.0) <= 1e-9, v\n"
         "assert 'scipy.integrate' in sys.modules\n"
     )
-    path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
-    res = subprocess.run(
-        [sys.executable, "-c", probe],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True,
-        text=True,
+    res = _fresh_interpreter(probe)
+    assert res.returncode == 0, res.stderr
+
+
+# the modules whose import costs every run and which only some routes use
+_UNUSED_AT_IMPORT = (
+    "def unused():\n"
+    "    return sorted(m for m in sys.modules\n"
+    "                  if m.split('.')[0] == 'scipy' or m == 'concurrent.futures.process')\n"
+)
+
+
+def test_import_loads_no_scipy_and_no_process_pool():
+    probe = (
+        "import sys\n" + _UNUSED_AT_IMPORT +
+        "import restartk\n"
+        "assert unused() == [], unused()\n"
+        "import restartk.cli\n"
+        "assert unused() == [], unused()\n"
     )
+    res = _fresh_interpreter(probe)
+    assert res.returncode == 0, res.stderr
+
+
+def test_simulate_runs_load_no_scipy(tmp_path):
+    bm_path, bm_out = write_config(
+        tmp_path,
+        {"name": "simulate", "horizon": 1.0, "record_grid": [0.5, 1.0], "n_paths": 4,
+         "initial": {"type": "gaussian", "mean": 0.0, "std": 1.0}},
+        fmt="csv",
+    )
+    probe = (
+        "import sys\n" + _UNUSED_AT_IMPORT +
+        "from restartk import cli\n"
+        "for config in sys.argv[1:3]:\n"
+        "    assert cli.run(config, threads=2, out_dir=sys.argv[3]) == 0, config\n"
+        "assert unused() == [], unused()\n"
+    )
+    res = _fresh_interpreter(probe, GOLDEN / "simulate-chain.json", bm_path, tmp_path)
+    assert res.returncode == 0, res.stderr
+    assert Path(bm_out).read_text().startswith("path_id,time,state,event_type\n")
+    got = (tmp_path / "simulate-chain.csv").read_bytes()
+    assert got == (GOLDEN / "expected" / "simulate-chain.csv").read_bytes()
+
+
+def test_first_scipy_call_rebinds_each_stand_in_to_scipy():
+    # after its first call each name is scipy's own function, so the scalar
+    # helpers that call it per value pay no stand-in on later calls
+    probe = (
+        "import sys\n"
+        "from restartk import BrownianWithDrift, Interval, PointMass, RestartSpec, RestartedProcess, processes\n"
+        "from restartk import ctmc_from_dict\n"
+        "names = ('erfcx', 'ndtr', 'gammainc', 'expm')\n"
+        "assert all(getattr(processes, n).__module__ == 'restartk.processes' for n in names)\n"
+        "proc = RestartedProcess(BrownianWithDrift(0.3, 1.2), RestartSpec(1.5, PointMass(0.0)))\n"
+        "proc.transition_probability(0.7, 0.2, Interval(-0.5, 2.0))\n"
+        "proc.base.restarted_moment(proc.restart, 2, 0.7, 0.2)\n"
+        "import scipy.special\n"
+        "assert processes.erfcx is scipy.special.erfcx\n"
+        "assert processes.ndtr is scipy.special.ndtr\n"
+        "assert processes.gammainc is scipy.special.gammainc\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "ctmc_from_dict({'Q': [[-1.0, 1.0], [2.0, -2.0]]}).transition_matrix(0.5)\n"
+        "import scipy.linalg\n"
+        "assert processes.expm is scipy.linalg.expm\n"
+    )
+    res = _fresh_interpreter(probe)
     assert res.returncode == 0, res.stderr
 
 

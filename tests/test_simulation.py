@@ -63,9 +63,20 @@ class TestPathConfig:
             dict(good, record_grid=(1.0, math.nan)),
             dict(good, record_grid=(math.nan, 2.0)),
             dict(good, n_paths=0),
+            # int() would keep a bool seed, truncate 2.7 to 2 and overflow on inf
+            dict(good, seed=True),
+            dict(good, n_paths=2.7),
+            dict(good, n_paths=math.inf),
+            dict(good, n_paths=math.nan),
+            dict(good, n_paths=True),
         ):
             with pytest.raises(DomainError):
                 PathConfig(**bad)
+
+    def test_integral_path_counts_are_kept(self):
+        for n in (3, 3.0, np.int64(3), np.float64(3.0)):
+            cfg = PathConfig(seed=np.int64(1), horizon=2.0, record_grid=(2.0,), n_paths=n, initial=PointMass(0.0))
+            assert cfg.n_paths == 3 and type(cfg.n_paths) is int
 
     def test_grid_coerced_to_floats(self):
         cfg = PathConfig(seed=0, horizon=2, record_grid=(1, 2), n_paths=1, initial=PointMass(0.0))
@@ -287,6 +298,11 @@ class TestAgeDistribution:
             (dict(t=1.0, n_paths=10, grid_points=0), "grid_points"),
             (dict(t=math.nan, n_paths=10), "t must"),
             (dict(t=math.inf, n_paths=10), "t must"),
+            (dict(t=1.0, n_paths=2.7), "n_paths"),
+            (dict(t=1.0, n_paths=math.inf), "n_paths"),
+            (dict(t=1.0, n_paths=math.nan), "n_paths"),
+            (dict(t=1.0, n_paths=10, grid_points=2.7), "grid_points"),
+            (dict(t=1.0, n_paths=10, grid_points=math.inf), "grid_points"),
         ],
     )
     def test_bad_arguments_are_named(self, args, name):
@@ -351,8 +367,9 @@ class TestEmpiricalDistribution:
         chain_cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0))
         with pytest.raises(DomainError):
             empirical_distribution(chain_proc, chain_cfg, 1.0, bins=4, window=(0.0, 1.0))
-        with pytest.raises(DomainError):
-            empirical_distribution(proc, cfg, 8.0, bins=0, window=(-5.0, 5.0), ensemble=ens)
+        for bins in (0, 2.7, math.inf):
+            with pytest.raises(DomainError, match="bins"):
+                empirical_distribution(proc, cfg, 8.0, bins=bins, window=(-5.0, 5.0), ensemble=ens)
         with pytest.raises(DomainError):
             empirical_distribution(proc, cfg, 8.0, bins=4, window=(1.0, 1.0), ensemble=ens)
 

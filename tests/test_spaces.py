@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from restartk import (
+    ConfigError,
     DomainError,
     FiniteSet,
     FiniteSupport,
@@ -46,6 +47,16 @@ class TestSpaces:
         assert not space.contains(3)
         assert not space.contains(-1)
         assert not space.contains(1.5)
+
+    def test_finite_set_refuses_non_finite_indices(self):
+        # int() raises on NaN and inf, outside the config-error path
+        space = FiniteSet((0.3, -1.2, 2.5))
+        for x in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ConfigError, match="integer indices"):
+                space.state(x)
+            with pytest.raises(ConfigError, match="integer index lists"):
+                space.target([0, x])
+        assert space.state(2.0) == 2 and space.target([0, 1.0]) == Subset([0, 1])
 
     def test_finite_set_validation(self):
         with pytest.raises(DomainError):
