@@ -12,15 +12,21 @@ path count only, never on how blocks are spread over workers.
 Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
 one path event by event instead: restart times are drawn from the
 exponential clock, the base kernel is sampled over each inter-event
-interval, and path i draws from its own stream SeedSequence((s, i)).  The
-two contracts share no stream: a block stream's entropy is the seed padded
-to four words plus the block key, longer than any path stream's for seeds
+interval, and path i draws from its own stream, the one that
+PCG64(SeedSequence((s, i))) starts.  The event log does not build those
+streams one by one: it derives the PCG64 states of BLOCK paths at once by
+numpy's SeedSequence hash, vectorised over the path index, and reseeds a
+single Generator with each in turn.  The draws are the same.  The two
+contracts share no stream: a block stream's entropy is the seed padded to
+four words plus the block key, longer than any path stream's for seeds
 below 2**96.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import os
 import warnings
 from dataclasses import dataclass
 
@@ -115,9 +121,115 @@ class EnsembleResult:
     states: np.ndarray
 
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), and
+# PCG64's 128-bit multiplier: what SeedSequence.generate_state and PCG64's
+# seeding step compute, redone here for a block of path streams at once
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_WORDS = 4
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _words(n):
+    """The uint32 words numpy's SeedSequence reads from the integer n, low first."""
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def path_states(seed, lo, hi):
+    """The PCG64 states PCG64(SeedSequence((seed, i))) starts in, i in [lo, hi).
+
+    The indices must lie in one block of BLOCK (lo // BLOCK == (hi - 1) //
+    BLOCK).  Block starts are multiples of BLOCK and so are the powers of
+    2**32, so every index of a block has the same number of entropy words
+    and the same words above the lowest: the hash runs once, on uint32
+    arrays over the lowest word, for the whole block.  Each state is the
+    dict that ``bit_generator.state`` takes, as a fresh
+    PCG64(SeedSequence((seed, i))) reports it.
+    """
+    # numpy integers would turn the uint32 arithmetic below into int64
+    seed, lo, hi = map(operator.index, (seed, lo, hi))
+    if seed < 0 or lo < 0:
+        raise DomainError(f"seed and path indices must be nonnegative, got {seed} and {lo}")
+    m = hi - lo
+    if m < 1 or lo // BLOCK != (hi - 1) // BLOCK:
+        raise DomainError(f"path indices [{lo}, {hi}) must lie in one block of {BLOCK}")
+    # only the lowest word of the index varies; it is a uint32 array over a
+    # block and a plain int for one path, which numpy would only slow down.
+    # Every product is masked so that ints and arrays mix without overflow
+    low = lo & _MASK32
+    if m > 1:
+        low = np.arange(low, low + m, dtype=np.uint32)
+    entropy = _words(seed) + [low] + _words(lo)[1:]
+
+    # SeedSequence.mix_entropy: the hash constant advances with every call,
+    # whatever the data, so one Python int serves all paths
+    h = _INIT_A
+
+    def hashmix(value):
+        nonlocal h
+        value = value ^ h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
+        return r ^ (r >> 16)
+
+    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # SeedSequence.generate_state(4, np.uint64): eight words cycled from the
+    # pool; words 2k and 2k + 1 are the low and high halves of uint64 k
+    h = _INIT_B
+    out = []
+    for k in range(8):
+        value = pool[k % _POOL_WORDS] ^ h
+        h = h * _MULT_B & _MASK32
+        value = value * h & _MASK32
+        out.append(value ^ (value >> 16))
+    # after the mixing every pool word depends on the index word
+    columns = [v.tolist() for v in out] if m > 1 else [[v] for v in out]
+
+    # PCG64 seeds with the 128-bit numbers (u0, u1) and (u2, u3), and its
+    # srandom sets inc = 2 * seq + 1, then steps twice around adding the seed
+    states = []
+    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*columns):
+        initstate = (w0 | w1 << 32) << 64 | w2 | w3 << 32
+        inc = ((w4 | w5 << 32) << 65 | (w6 | w7 << 32) << 1 | 1) & _MASK128
+        state = ((initstate + inc) * _PCG64_MULT + inc) & _MASK128
+        states.append({
+            "bit_generator": "PCG64",
+            "state": {"state": state, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        })
+    return states
+
+
+def _blank_generator():
+    """A PCG64 Generator for path_states to reseed; its own seed is never drawn from."""
+    return np.random.Generator(np.random.PCG64(0))
+
+
 def path_rng(seed, path_index):
     """The dedicated random stream of one path."""
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, path_index))))
+    rng = _blank_generator()
+    rng.bit_generator.state = path_states(seed, path_index, path_index + 1)[0]
+    return rng
 
 
 def block_rng(seed, block):
@@ -129,25 +241,20 @@ def draw_restart_times(rng, rate, horizon):
     """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
     if rate == 0.0:
         return np.empty(0)
-    times = []
-    total = 0.0
     chunk = max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
-    while total <= horizon:
-        gaps = rng.exponential(1.0 / rate, size=chunk)
-        gaps[0] += total
-        cum = np.cumsum(gaps)
-        times.append(cum)
-        total = float(cum[-1])
-        chunk = 16
-    times = np.concatenate(times)
-    return times[times <= horizon]
+    times = rng.exponential(1.0 / rate, size=chunk).cumsum()
+    while times[-1] <= horizon:
+        gaps = rng.exponential(1.0 / rate, size=16)
+        gaps[0] += times[-1]
+        times = np.concatenate((times, gaps.cumsum()))
+    return times[: times.searchsorted(horizon, "right")]
 
 
-def _run_path(proc, config, path_index, events=None):
-    """Walk one path over the grid; optionally collect per-event rows."""
-    rng = path_rng(config.seed, path_index)
+def _run_path(proc, config, rng, events=None):
+    """Walk one path over the grid from rng; optionally collect per-event rows."""
     state = config.initial.sample(rng)
-    restarts = draw_restart_times(rng, proc.rate, config.horizon)
+    times = draw_restart_times(rng, proc.rate, config.horizon)
+    restarts = times.tolist()
     grid = config.record_grid
     states = np.empty(len(grid))
     base = proc.base
@@ -177,13 +284,13 @@ def _run_path(proc, config, path_index, events=None):
         states[j] = state
         if events is not None:
             events.append((g, state, "grid"))
-    return states, restarts
+    return states, times
 
 
 def simulate_path(proc, config, path_index=0):
     """One exact path of the restarted process."""
     _check_initial(proc, config)
-    return PathSample(*_run_path(proc, config, path_index))
+    return PathSample(*_run_path(proc, config, path_rng(config.seed, path_index)))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -435,9 +542,29 @@ def write_path_csv(proc, config, out):
 
     A row is written at each restart (state just after the redraw) and at
     each grid time, in time order; restart rows precede a grid row at the
-    same instant.  States on finite spaces are written as labels.
+    same instant.  States on finite spaces are written as labels.  Path i
+    draws from the stream of ``path_rng(config.seed, i)``; the streams are
+    derived BLOCK at a time into one reseeded Generator.  A file named by
+    ``out`` is written beside it under a temporary name and takes its place
+    only when every path is written, so a failed run leaves no partial log
+    and an earlier log at ``out`` stays as it was.
     """
     _check_initial(proc, config)
+    if not isinstance(out, str):
+        _write_paths(proc, config, out)
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            _write_paths(proc, config, fh)
+        os.replace(tmp, out)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_paths(proc, config, fh):
     if isinstance(proc.space, FiniteSet):
         labels = [format(proc.state_value(i), ".17g") for i in range(proc.space.n)]
 
@@ -448,15 +575,13 @@ def write_path_csv(proc, config, out):
         def show(state):
             return format(state, ".17g")
 
-    own = isinstance(out, str)
-    fh = open(out, "w") if own else out
-    try:
-        fh.write("path_id,time,state,event_type\n")
-        for i in range(config.n_paths):
+    fh.write("path_id,time,state,event_type\n")
+    rng = _blank_generator()
+    bit_generator = rng.bit_generator
+    for lo in range(0, config.n_paths, BLOCK):
+        states = path_states(config.seed, lo, min(lo + BLOCK, config.n_paths))
+        for i, state in enumerate(states, lo):
+            bit_generator.state = state
             events = []
-            _run_path(proc, config, i, events=events)
-            for time, state, kind in events:
-                fh.write(f"{i},{format(time, '.17g')},{show(state)},{kind}\n")
-    finally:
-        if own:
-            fh.close()
+            _run_path(proc, config, rng, events=events)
+            fh.write("".join([f"{i},{t:.17g},{show(x)},{kind}\n" for t, x, kind in events]))

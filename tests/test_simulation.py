@@ -37,6 +37,7 @@ from restartk.simulation import (
     block_rng,
     draw_restart_times,
     path_rng,
+    path_states,
 )
 from restartk.spaces import RealLine, indicator
 
@@ -115,6 +116,90 @@ class TestRandomness:
         times = draw_restart_times(path_rng(4, 0), 0.5, 400.0)
         assert abs(len(times) - 200) < 4.5 * math.sqrt(200)
         assert times[-1] <= 400.0
+
+
+def numpy_state(seed, i):
+    return np.random.PCG64(np.random.SeedSequence((seed, i))).state
+
+
+class TestPathStreams:
+    """path_states against numpy's own SeedSequence((seed, i)) and PCG64."""
+
+    SEEDS = (0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 1)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_match_numpy(self, seed):
+        edge = 2**32 // BLOCK  # the first block whose indices have two words
+        spans = [
+            (0, 40),  # the first block, from index 0
+            (BLOCK - 5, BLOCK),  # the end of block 0 ...
+            (BLOCK, BLOCK + 5),  # ... and the start of block 1
+            ((edge - 1) * BLOCK, (edge - 1) * BLOCK + 3),  # the last one-word block
+            (edge * BLOCK - 3, edge * BLOCK),
+            (edge * BLOCK, edge * BLOCK + 3),  # 2**32 onwards
+            (edge * BLOCK + BLOCK - 3, (edge + 1) * BLOCK),
+        ]
+        for lo, hi in spans:
+            got = path_states(seed, lo, hi)
+            assert got == [numpy_state(seed, i) for i in range(lo, hi)], (seed, lo, hi)
+
+    def test_path_rng_is_the_one_path_case(self):
+        for seed, i in ((7, 3), (np.int64(7), np.int64(3)), (2**64 + 5, 2**32 + 1)):
+            assert path_rng(seed, i).bit_generator.state == numpy_state(seed, i)
+            want = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
+            assert np.array_equal(path_rng(seed, i).standard_normal(5), want.standard_normal(5))
+
+    def test_reseeding_carries_nothing_from_the_last_path(self):
+        rng = path_rng(5, 0)
+        rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit output buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        rng.bit_generator.state = path_states(5, 1, 2)[0]
+        assert rng.bit_generator.state == numpy_state(5, 1)
+        fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 1))))
+        assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
+            fresh.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
+        )
+
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (BLOCK - 1, BLOCK + 1), (5, 3)])
+    def test_spans_must_lie_in_one_block(self, lo, hi):
+        with pytest.raises(DomainError, match="one block"):
+            path_states(1, lo, hi)
+
+    def test_seed_and_index_must_be_nonnegative_integers(self):
+        for seed, i in ((-1, 0), (1, -1)):
+            with pytest.raises(DomainError, match="nonnegative"):
+                path_rng(seed, i)
+        with pytest.raises(TypeError):
+            path_rng(1, 2.5)
+
+
+class _ConstantGaps:
+    """A stand-in rng whose exponential gaps are all ``gap``; records the sizes asked for."""
+
+    def __init__(self, gap):
+        self.gap = gap
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        return np.full(size, self.gap)
+
+
+class TestRestartClock:
+    def test_later_chunks_extend_the_first(self):
+        # 38 gaps of 0.25 end at 9.5, short of the horizon, so one chunk of
+        # 16 more is drawn; a time equal to the horizon is kept
+        rng = _ConstantGaps(0.25)
+        times = draw_restart_times(rng, 1.0, 10.0)
+        assert rng.sizes == [38, 16]
+        assert np.array_equal(times, np.cumsum(np.full(40, 0.25)))
+        assert times[-1] == 10.0
+
+    def test_one_chunk_past_the_horizon_is_cut_there(self):
+        rng = _ConstantGaps(0.5)
+        times = draw_restart_times(rng, 1.0, 10.0)
+        assert rng.sizes == [38]
+        assert np.array_equal(times, 0.5 * np.arange(1, 21))
 
 
 class TestSinglePath:
@@ -399,6 +484,38 @@ class TestPathCsv:
             n_restarts = sum(r[3] == "restart" for r in mine)
             ref = simulate_path(proc, cfg, i)
             assert n_restarts == len(ref.restart_times)
+
+    def test_log_equals_numpy_streams_path_by_path(self):
+        # 2,500 paths span three blocks; each path walked on numpy's own
+        # Generator(PCG64(SeedSequence((seed, i)))) gives the same bytes
+        proc = bm_process(mu=0.3, rate=2.0, nu=FiniteSupport(((-0.5, 0.4), (1.5, 0.6))))
+        cfg = PathConfig(
+            seed=2**32 + 9, horizon=2.0, record_grid=(0.5, 2.0), n_paths=2500, initial=PointMass(0.0)
+        )
+        buf = io.StringIO()
+        write_path_csv(proc, cfg, buf)
+        want = ["path_id,time,state,event_type"]
+        for i in range(cfg.n_paths):
+            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
+            events = []
+            restartk.simulation._run_path(proc, cfg, rng, events=events)
+            want += [f"{i},{t:.17g},{x:.17g},{kind}" for t, x, kind in events]
+        got = buf.getvalue().split("\n")
+        assert got.pop() == ""
+        # the first differing row, not pytest's diff of two 100 kB logs
+        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+        assert first is None, (got[first], want[first])
+        assert len(got) == len(want)
+
+    def test_failed_run_leaves_no_file_and_keeps_the_old_log(self, tmp_path):
+        out = tmp_path / "paths.csv"
+        out.write_text("an earlier log\n")
+        proc = RestartedProcess(GeometricBrownian(mu=5.0, sigma=0.5), RestartSpec(1e-6, PointMass(1.0)))
+        cfg = PathConfig(seed=0, horizon=1000.0, record_grid=(1.0, 150.0), n_paths=3, initial=PointMass(1.0))
+        with pytest.raises(OverflowError):
+            write_path_csv(proc, cfg, str(out))
+        assert out.read_text() == "an earlier log\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["paths.csv"]
 
     def test_finite_space_writes_labels(self, three_state_chain):
         proc = RestartedProcess(three_state_chain, RestartSpec(2.0, PointMass(1)))
