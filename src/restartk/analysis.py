@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified
+from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified, check_count
 from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet
@@ -88,9 +88,7 @@ def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
     moments stay finite on compact time intervals, the hypothesis behind
     swapping the time integral and the expectation.
     """
-    k = int(k)
-    if k < 1:
-        raise DomainError(f"moment order must be a positive integer, got {k}")
+    k = check_count("moment order k", k)
     base = proc.base
     if not proc.certifies_absolute_moment(k):
         warnings.warn(

@@ -1,4 +1,17 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the one check
+of whole-number arguments."""
+
+import math
+
+
+def check_count(name, n, least=1):
+    """A whole-number argument as an int of at least ``least``; int() alone
+    would take True, truncate 2.7 and overflow on inf."""
+    if isinstance(n, bool) or not (math.isfinite(n) and n == int(n)):
+        raise DomainError(f"{name} must be a whole number, got {n!r}")
+    if n < least:
+        raise DomainError(f"{name} must be at least {least}, got {n}")
+    return int(n)
 
 
 class RestartkError(Exception):

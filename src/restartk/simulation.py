@@ -5,38 +5,33 @@ blocks of BLOCK paths one grid interval at a time, all paths of a block at
 once, through ``RestartedProcess.sample_transitions``: per interval each path
 takes the age of its last restart, at most one redraw from nu and one exact
 base transition.  An ensemble keeps the states on the grid and nothing else.
-Block b of a run seeded with s draws from the stream
-SeedSequence(s, spawn_key=(b,)), so the states depend on the seed and the
-path count only, never on how blocks are spread over workers.
 
 Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
 one path event by event instead: restart times are drawn from the
-exponential clock, the base kernel is sampled over each inter-event
-interval, and path i draws from its own stream, the one that
-PCG64(SeedSequence((s, i))) starts.  The event log does not build those
-streams one by one: it derives the PCG64 states of BLOCK paths at once by
-numpy's SeedSequence hash, vectorised over the path index, and reseeds a
-single Generator with each in turn.  The draws are the same.  The two
-contracts share no stream: a block stream's entropy is the seed padded to
-four words plus the block key, longer than any path stream's for seeds
-below 2**96.
+exponential clock, and the base kernel is sampled over each inter-event
+interval.
+
+Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
+seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
+ensemble for all paths of the block at once, the walker for one path after
+another.  So the draws depend on the seed and the path count only, never on
+how blocks are spread over workers.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import os
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MomentUnstable, WindowTooNarrow
+from .errors import DomainError, MomentUnstable, WindowTooNarrow, check_count
 from .spaces import FiniteSet
 
-# paths per ensemble block: the unit of vectorisation, of random streams and
-# of work handed to a worker
+# paths per block: the unit of vectorisation, of random streams (ensemble
+# and event log alike) and of work handed to a worker
 BLOCK = 1024
 
 # blocks each worker must get before run_ensemble starts a process pool.  On
@@ -79,17 +74,7 @@ class PathConfig:
             raise DomainError("record_grid must be strictly increasing")
         object.__setattr__(self, "horizon", h)
         object.__setattr__(self, "record_grid", grid)
-        object.__setattr__(self, "n_paths", _count("n_paths", self.n_paths))
-
-
-def _count(name, n):
-    """A count argument as an int of at least 1; int() alone would take True,
-    truncate 2.7 and overflow on inf."""
-    if isinstance(n, bool) or not (math.isfinite(n) and n == int(n)):
-        raise DomainError(f"{name} must be a whole number, got {n!r}")
-    if n < 1:
-        raise DomainError(f"{name} must be at least 1, got {n}")
-    return int(n)
+        object.__setattr__(self, "n_paths", check_count("n_paths", self.n_paths))
 
 
 @dataclass
@@ -121,119 +106,8 @@ class EnsembleResult:
     states: np.ndarray
 
 
-# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), and
-# PCG64's 128-bit multiplier: what SeedSequence.generate_state and PCG64's
-# seeding step compute, redone here for a block of path streams at once
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_WORDS = 4
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(n):
-    """The uint32 words numpy's SeedSequence reads from the integer n, low first."""
-    words = [n & _MASK32]
-    while n > _MASK32:
-        n >>= 32
-        words.append(n & _MASK32)
-    return words
-
-
-def path_states(seed, lo, hi):
-    """The PCG64 states PCG64(SeedSequence((seed, i))) starts in, i in [lo, hi).
-
-    The indices must lie in one block of BLOCK (lo // BLOCK == (hi - 1) //
-    BLOCK).  Block starts are multiples of BLOCK and so are the powers of
-    2**32, so every index of a block has the same number of entropy words
-    and the same words above the lowest: the hash runs once, on uint32
-    arrays over the lowest word, for the whole block.  Each state is the
-    dict that ``bit_generator.state`` takes, as a fresh
-    PCG64(SeedSequence((seed, i))) reports it.
-    """
-    # numpy integers would turn the uint32 arithmetic below into int64
-    seed, lo, hi = map(operator.index, (seed, lo, hi))
-    if seed < 0 or lo < 0:
-        raise DomainError(f"seed and path indices must be nonnegative, got {seed} and {lo}")
-    m = hi - lo
-    if m < 1 or lo // BLOCK != (hi - 1) // BLOCK:
-        raise DomainError(f"path indices [{lo}, {hi}) must lie in one block of {BLOCK}")
-    # only the lowest word of the index varies; it is a uint32 array over a
-    # block and a plain int for one path, which numpy would only slow down.
-    # Every product is masked so that ints and arrays mix without overflow
-    low = lo & _MASK32
-    if m > 1:
-        low = np.arange(low, low + m, dtype=np.uint32)
-    entropy = _words(seed) + [low] + _words(lo)[1:]
-
-    # SeedSequence.mix_entropy: the hash constant advances with every call,
-    # whatever the data, so one Python int serves all paths
-    h = _INIT_A
-
-    def hashmix(value):
-        nonlocal h
-        value = value ^ h
-        h = h * _MULT_A & _MASK32
-        value = value * h & _MASK32
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = ((x * _MIX_MULT_L & _MASK32) - (y * _MIX_MULT_R & _MASK32)) & _MASK32
-        return r ^ (r >> 16)
-
-    pool = [hashmix(entropy[k] if k < len(entropy) else 0) for k in range(_POOL_WORDS)]
-    for src in range(_POOL_WORDS):
-        for dst in range(_POOL_WORDS):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_WORDS:]:
-        for dst in range(_POOL_WORDS):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # SeedSequence.generate_state(4, np.uint64): eight words cycled from the
-    # pool; words 2k and 2k + 1 are the low and high halves of uint64 k
-    h = _INIT_B
-    out = []
-    for k in range(8):
-        value = pool[k % _POOL_WORDS] ^ h
-        h = h * _MULT_B & _MASK32
-        value = value * h & _MASK32
-        out.append(value ^ (value >> 16))
-    # after the mixing every pool word depends on the index word
-    columns = [v.tolist() for v in out] if m > 1 else [[v] for v in out]
-
-    # PCG64 seeds with the 128-bit numbers (u0, u1) and (u2, u3), and its
-    # srandom sets inc = 2 * seq + 1, then steps twice around adding the seed
-    states = []
-    for w0, w1, w2, w3, w4, w5, w6, w7 in zip(*columns):
-        initstate = (w0 | w1 << 32) << 64 | w2 | w3 << 32
-        inc = ((w4 | w5 << 32) << 65 | (w6 | w7 << 32) << 1 | 1) & _MASK128
-        state = ((initstate + inc) * _PCG64_MULT + inc) & _MASK128
-        states.append({
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        })
-    return states
-
-
-def _blank_generator():
-    """A PCG64 Generator for path_states to reseed; its own seed is never drawn from."""
-    return np.random.Generator(np.random.PCG64(0))
-
-
-def path_rng(seed, path_index):
-    """The dedicated random stream of one path."""
-    rng = _blank_generator()
-    rng.bit_generator.state = path_states(seed, path_index, path_index + 1)[0]
-    return rng
-
-
 def block_rng(seed, block):
-    """The dedicated random stream of one ensemble block."""
+    """The random stream of one block of paths, ensemble or event log."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
@@ -261,10 +135,11 @@ def _run_path(proc, config, rng, events=None):
     nu = proc.restart.nu
     ri = 0
     now = 0.0
-    # event logs also cover restarts between the last grid time and the
-    # horizon, through one more pass that stops at infinity and records
-    # nothing; grid recordings are unaffected
-    stops = grid + (math.inf,) if events is not None else grid
+    # one more pass, stopping at infinity and recording nothing, takes the
+    # restarts between the last grid time and the horizon: the event log
+    # shows them, and a path that logs no events uses up the same draws, so
+    # the next path of its block starts from the same point of the stream
+    stops = grid + (math.inf,)
     for j, g in enumerate(stops):
         while ri < len(restarts) and restarts[ri] <= g:
             dt = restarts[ri] - now
@@ -288,9 +163,19 @@ def _run_path(proc, config, rng, events=None):
 
 
 def simulate_path(proc, config, path_index=0):
-    """One exact path of the restarted process."""
+    """One exact path of the restarted process: path ``path_index`` of the event log.
+
+    The paths of a block are walked in order on one stream, so the earlier
+    paths of its block are replayed first: at most BLOCK - 1 of them, up to
+    44 ms for path 1023 of the ``paths`` benchmark's simulate configs on a
+    2-core x86-64 host.
+    """
     _check_initial(proc, config)
-    return PathSample(*_run_path(proc, config, path_rng(config.seed, path_index)))
+    block, before = divmod(check_count("path_index", path_index, least=0), BLOCK)
+    rng = block_rng(config.seed, block)
+    for _ in range(before):
+        _run_path(proc, config, rng)
+    return PathSample(*_run_path(proc, config, rng))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -366,6 +251,7 @@ def monte_carlo_moment(proc, config, k, t, ensemble=None, workers=1):
     their absolute sum.  The standard error is then unreliable and the
     moment itself may not exist.
     """
+    k = check_count("moment order k", k)
     j = _grid_index(config, t)
     if ensemble is None:
         ensemble = run_ensemble(proc, config, workers=workers)
@@ -428,7 +314,7 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
     t = float(t)
     if not (0.0 < t < math.inf):
         raise DomainError(f"t must be positive and finite, got {t}")
-    n_paths, grid_points = _count("n_paths", n_paths), _count("grid_points", grid_points)
+    n_paths, grid_points = check_count("n_paths", n_paths), check_count("grid_points", grid_points)
     rng = np.random.default_rng(seed)
     # gaps per path and draw: the mean count plus six standard deviations,
     # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS
@@ -493,7 +379,7 @@ def empirical_distribution(
     a, b = float(window[0]), float(window[1])
     if not (a < b):
         raise DomainError(f"window must be a nonempty interval, got ({a}, {b})")
-    bins = _count("bins", bins)
+    bins = check_count("bins", bins)
     j = _grid_index(config, t)
     if ensemble is None:
         ensemble = run_ensemble(proc, config, workers=workers)
@@ -542,9 +428,10 @@ def write_path_csv(proc, config, out):
 
     A row is written at each restart (state just after the redraw) and at
     each grid time, in time order; restart rows precede a grid row at the
-    same instant.  States on finite spaces are written as labels.  Path i
-    draws from the stream of ``path_rng(config.seed, i)``; the streams are
-    derived BLOCK at a time into one reseeded Generator.  A file named by
+    same instant.  States on finite spaces are written as labels.  The
+    paths of block b are walked in order on ``block_rng(config.seed, b)``,
+    the stream of the ensemble's block b, and path i is the path that
+    ``simulate_path(proc, config, i)`` returns.  A file named by
     ``out`` is written beside it under a temporary name and takes its place
     only when every path is written, so a failed run leaves no partial log
     and an earlier log at ``out`` stays as it was.
@@ -576,12 +463,9 @@ def _write_paths(proc, config, fh):
             return format(state, ".17g")
 
     fh.write("path_id,time,state,event_type\n")
-    rng = _blank_generator()
-    bit_generator = rng.bit_generator
-    for lo in range(0, config.n_paths, BLOCK):
-        states = path_states(config.seed, lo, min(lo + BLOCK, config.n_paths))
-        for i, state in enumerate(states, lo):
-            bit_generator.state = state
+    for block, lo in enumerate(range(0, config.n_paths, BLOCK)):
+        rng = block_rng(config.seed, block)
+        for i in range(lo, min(lo + BLOCK, config.n_paths)):
             events = []
             _run_path(proc, config, rng, events=events)
             fh.write("".join([f"{i},{t:.17g},{show(x)},{kind}\n" for t, x, kind in events]))

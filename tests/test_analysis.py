@@ -347,6 +347,16 @@ class TestModifiedMomentDispatch:
         proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))
         with pytest.raises(DomainError):
             modified_moment(proc, 0, 1.0, 0.0)
+        rep = modified_moment(proc, 2.0, 1.0, 0.0)
+        assert type(rep.k) is int and rep.analytic == modified_moment(proc, 2, 1.0, 0.0).analytic
+
+    @pytest.mark.parametrize("k", [True, 2.5, math.inf, math.nan])
+    def test_order_must_be_a_whole_number(self, k):
+        # int(k) would take True as 1, truncate 2.5 to 2 and fail on inf and
+        # nan with errors that name no argument
+        proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))
+        with pytest.raises(DomainError, match="moment order k"):
+            modified_moment(proc, k, 1.0, 0.0)
 
     def test_table_shape(self):
         proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))

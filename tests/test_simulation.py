@@ -3,6 +3,7 @@
 import io
 import math
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,8 +37,6 @@ from restartk.simulation import (
     POOL_BLOCKS_PER_WORKER,
     block_rng,
     draw_restart_times,
-    path_rng,
-    path_states,
 )
 from restartk.spaces import RealLine, indicator
 
@@ -86,91 +85,97 @@ class TestPathConfig:
 
 
 class TestRandomness:
-    def test_path_streams_reproducible_and_distinct(self):
-        a = path_rng(7, 3).standard_normal(4)
-        b = path_rng(7, 3).standard_normal(4)
-        c = path_rng(7, 4).standard_normal(4)
+    def test_block_streams_reproducible_and_distinct(self):
+        a = block_rng(7, 3).standard_normal(4)
+        b = block_rng(7, 3).standard_normal(4)
+        c = block_rng(7, 4).standard_normal(4)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_block_streams_reuse_no_path_stream(self):
-        paths = {tuple(path_rng(7, i).random(2)) for i in range(50)}
-        blocks = {tuple(block_rng(7, b).random(2)) for b in range(50)}
-        assert len(paths | blocks) == 100
-        assert np.array_equal(block_rng(7, 2).random(3), block_rng(7, 2).random(3))
-
     def test_restart_times_properties(self):
-        rng = path_rng(1, 0)
+        rng = block_rng(1, 0)
         times = draw_restart_times(rng, 2.0, 5.0)
         assert np.all(times > 0.0) and np.all(times <= 5.0)
         assert np.all(np.diff(times) > 0.0)
 
     def test_restart_times_zero_rate(self):
-        assert len(draw_restart_times(path_rng(1, 0), 0.0, 5.0)) == 0
+        assert len(draw_restart_times(block_rng(1, 0), 0.0, 5.0)) == 0
 
     def test_restart_count_is_poisson_mean(self):
-        counts = [len(draw_restart_times(path_rng(3, i), 2.0, 3.0)) for i in range(4000)]
+        rng = block_rng(3, 0)
+        counts = [len(draw_restart_times(rng, 2.0, 3.0)) for _ in range(4000)]
         assert abs(np.mean(counts) - 6.0) < 4.5 * math.sqrt(6.0 / 4000)
 
     def test_long_horizon_chunking(self):
-        times = draw_restart_times(path_rng(4, 0), 0.5, 400.0)
+        times = draw_restart_times(block_rng(4, 0), 0.5, 400.0)
         assert abs(len(times) - 200) < 4.5 * math.sqrt(200)
         assert times[-1] <= 400.0
 
 
-def numpy_state(seed, i):
-    return np.random.PCG64(np.random.SeedSequence((seed, i))).state
+def numpy_walk(proc, cfg):
+    """The event log's rows, each block's paths walked in order on numpy's own
+    Generator(PCG64(SeedSequence(seed, spawn_key=(b,))))."""
+    rows = ["path_id,time,state,event_type"]
+    for i in range(cfg.n_paths):
+        if i % BLOCK == 0:
+            seq = np.random.SeedSequence(cfg.seed, spawn_key=(i // BLOCK,))
+            rng = np.random.Generator(np.random.PCG64(seq))
+        events = []
+        restartk.simulation._run_path(proc, cfg, rng, events=events)
+        rows += [f"{i},{t:.17g},{x:.17g},{kind}" for t, x, kind in events]
+    return rows
+
+
+def log_rows(proc, cfg):
+    buf = io.StringIO()
+    write_path_csv(proc, cfg, buf)
+    rows = buf.getvalue().split("\n")
+    assert rows.pop() == ""
+    return rows
+
+
+def assert_same_rows(proc, cfg):
+    got, want = log_rows(proc, cfg), numpy_walk(proc, cfg)
+    # the first differing row, not pytest's diff of two 100 kB logs
+    first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
+    assert first is None, (got[first], want[first])
+    assert len(got) == len(want)
+
+
+def two_atom_bm_paths(seed, n_paths=2500):
+    # 2,500 paths span three blocks, the last one partial
+    proc = bm_process(mu=0.3, rate=2.0, nu=FiniteSupport(((-0.5, 0.4), (1.5, 0.6))))
+    cfg = PathConfig(seed=seed, horizon=2.0, record_grid=(0.5, 2.0), n_paths=n_paths, initial=PointMass(0.0))
+    return proc, cfg
 
 
 class TestPathStreams:
-    """path_states against numpy's own SeedSequence((seed, i)) and PCG64."""
+    """The event log walks block b on the ensemble's stream SeedSequence(seed, spawn_key=(b,))."""
 
     SEEDS = (0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 5, 2**100 + 1)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_states_match_numpy(self, seed):
-        edge = 2**32 // BLOCK  # the first block whose indices have two words
-        spans = [
-            (0, 40),  # the first block, from index 0
-            (BLOCK - 5, BLOCK),  # the end of block 0 ...
-            (BLOCK, BLOCK + 5),  # ... and the start of block 1
-            ((edge - 1) * BLOCK, (edge - 1) * BLOCK + 3),  # the last one-word block
-            (edge * BLOCK - 3, edge * BLOCK),
-            (edge * BLOCK, edge * BLOCK + 3),  # 2**32 onwards
-            (edge * BLOCK + BLOCK - 3, (edge + 1) * BLOCK),
-        ]
-        for lo, hi in spans:
-            got = path_states(seed, lo, hi)
-            assert got == [numpy_state(seed, i) for i in range(lo, hi)], (seed, lo, hi)
+        assert_same_rows(*two_atom_bm_paths(seed))
 
-    def test_path_rng_is_the_one_path_case(self):
-        for seed, i in ((7, 3), (np.int64(7), np.int64(3)), (2**64 + 5, 2**32 + 1)):
-            assert path_rng(seed, i).bit_generator.state == numpy_state(seed, i)
-            want = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, i))))
-            assert np.array_equal(path_rng(seed, i).standard_normal(5), want.standard_normal(5))
-
-    def test_reseeding_carries_nothing_from_the_last_path(self):
-        rng = path_rng(5, 0)
-        rng.integers(0, 2**32, dtype=np.uint32)  # leaves half a 64-bit output buffered
-        assert rng.bit_generator.state["has_uint32"] == 1
-        rng.bit_generator.state = path_states(5, 1, 2)[0]
-        assert rng.bit_generator.state == numpy_state(5, 1)
-        fresh = np.random.Generator(np.random.PCG64(np.random.SeedSequence((5, 1))))
-        assert rng.integers(0, 2**32, size=3, dtype=np.uint32).tolist() == (
-            fresh.integers(0, 2**32, size=3, dtype=np.uint32).tolist()
-        )
-
-    @pytest.mark.parametrize("lo, hi", [(0, 0), (BLOCK - 1, BLOCK + 1), (5, 3)])
-    def test_spans_must_lie_in_one_block(self, lo, hi):
-        with pytest.raises(DomainError, match="one block"):
-            path_states(1, lo, hi)
+    def test_simulate_path_replays_its_block(self):
+        proc, cfg = two_atom_bm_paths(2**32 + 9)
+        rows = [row.split(",") for row in log_rows(proc, cfg)[1:]]
+        for i in (0, 1, BLOCK - 1, BLOCK, cfg.n_paths - 1):
+            mine = [r for r in rows if int(r[0]) == i]
+            path = simulate_path(proc, cfg, i)
+            assert np.array_equal([float(r[2]) for r in mine if r[3] == "grid"], path.states), i
+            assert sum(r[3] == "restart" for r in mine) == len(path.restart_times), i
 
     def test_seed_and_index_must_be_nonnegative_integers(self):
-        for seed, i in ((-1, 0), (1, -1)):
-            with pytest.raises(DomainError, match="nonnegative"):
-                path_rng(seed, i)
-        with pytest.raises(TypeError):
-            path_rng(1, 2.5)
+        proc, cfg = two_atom_bm_paths(1, n_paths=1)
+        with pytest.raises(DomainError, match="seed"):
+            two_atom_bm_paths(-1)
+        # True would otherwise be taken as path 1
+        for i in (-1, True, 2.5, math.inf, math.nan):
+            with pytest.raises(DomainError, match="path_index"):
+                simulate_path(proc, cfg, i)
+        assert np.array_equal(simulate_path(proc, cfg, 3.0).states, simulate_path(proc, cfg, np.int64(3)).states)
 
 
 class _ConstantGaps:
@@ -294,6 +299,7 @@ class TestMonteCarloMoment:
         vals = ens.states[:, 0] ** 2
         assert rep.estimate == float(np.mean(vals))
         assert rep.std_error == float(np.std(vals, ddof=1) / math.sqrt(500))
+        assert monte_carlo_moment(proc, cfg, 2.0, t, ensemble=ens) == rep
 
     def test_finite_space_uses_state_labels(self, three_state_chain):
         nu = FiniteSupport(((0, 1.0),))
@@ -344,6 +350,15 @@ class TestMonteCarloMoment:
         cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0.0))
         with pytest.raises(DomainError):
             monte_carlo_moment(proc, cfg, 1, 0.7)
+
+    @pytest.mark.parametrize("k", [0, -1, True, 2.5, math.inf, math.nan])
+    def test_order_must_be_a_whole_number_of_at_least_one(self, k):
+        # unchecked, 0 and -1 gave estimates, True the first moment and 2.5
+        # a NaN with only numpy's warning
+        proc = bm_process()
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0.0))
+        with pytest.raises(DomainError, match="moment order k"):
+            monte_carlo_moment(proc, cfg, k, 1.0)
 
 
 def _hill_tail_index(vals, frac=0.01):
@@ -486,26 +501,9 @@ class TestPathCsv:
             assert n_restarts == len(ref.restart_times)
 
     def test_log_equals_numpy_streams_path_by_path(self):
-        # 2,500 paths span three blocks; each path walked on numpy's own
-        # Generator(PCG64(SeedSequence((seed, i)))) gives the same bytes
-        proc = bm_process(mu=0.3, rate=2.0, nu=FiniteSupport(((-0.5, 0.4), (1.5, 0.6))))
-        cfg = PathConfig(
-            seed=2**32 + 9, horizon=2.0, record_grid=(0.5, 2.0), n_paths=2500, initial=PointMass(0.0)
-        )
-        buf = io.StringIO()
-        write_path_csv(proc, cfg, buf)
-        want = ["path_id,time,state,event_type"]
-        for i in range(cfg.n_paths):
-            rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((cfg.seed, i))))
-            events = []
-            restartk.simulation._run_path(proc, cfg, rng, events=events)
-            want += [f"{i},{t:.17g},{x:.17g},{kind}" for t, x, kind in events]
-        got = buf.getvalue().split("\n")
-        assert got.pop() == ""
-        # the first differing row, not pytest's diff of two 100 kB logs
-        first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
-        assert first is None, (got[first], want[first])
-        assert len(got) == len(want)
+        # a 33-bit seed off the powers of two; each path is walked on its
+        # block's numpy Generator and must give the same bytes
+        assert_same_rows(*two_atom_bm_paths(2**32 + 9))
 
     def test_failed_run_leaves_no_file_and_keeps_the_old_log(self, tmp_path):
         out = tmp_path / "paths.csv"
@@ -552,14 +550,16 @@ class TestPathCsv:
     def test_ensemble_and_walker_agree_in_law(self):
         # the block sampler and the event walker draw differently but must
         # give the same law: means and variances at every grid time within 4
-        # joint standard errors
+        # joint standard errors.  Both draw from block_rng(seed, b), so the
+        # log takes another seed to keep the two samples independent
         proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
         n = 4000
         cfg = PathConfig(
             seed=8, horizon=2.0, record_grid=(0.25, 0.5, 1.0), n_paths=n, initial=PointMass(0.0)
         )
         ens = run_ensemble(proc, cfg)
-        walked = np.array([simulate_path(proc, cfg, i).states for i in range(n)])
+        rows = [row.split(",") for row in log_rows(proc, replace(cfg, seed=9))[1:]]
+        walked = np.array([float(r[2]) for r in rows if r[3] == "grid"]).reshape(n, 3)
         for a, b in [(ens.states[:, j], walked[:, j]) for j in range(3)]:
             assert abs(a.mean() - b.mean()) < 4.0 * math.hypot(_se_mean(a), _se_mean(b))
             assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * math.hypot(_se_var(a), _se_var(b))
