@@ -149,7 +149,7 @@ def bm_stationary_moments(p, restart):
 
 def gbm_stationary_moment(p, restart, k):
     """Stationary k-th moment of restarted GBM, or Divergent when lam <= eta_k."""
-    return gbm_modified_moment(p, restart, int(k), math.inf, 1.0)
+    return gbm_modified_moment(p, restart, check_count("moment order k", k, least=0), math.inf, 1.0)
 
 
 def max_finite_moment_order(p, lam):

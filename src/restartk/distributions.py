@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .spaces import FiniteSet, Interval
 
 
@@ -25,9 +25,7 @@ def gaussian_raw_moment(k, mean, std):
 
     Odd central moments vanish; even ones are std^j * (j-1)!!.
     """
-    k = int(k)
-    if k < 0:
-        raise DomainError(f"moment order must be nonnegative, got {k}")
+    k = check_count("moment order k", k, least=0)
     total = 0.0
     for j in range(0, k + 1, 2):
         total += math.comb(k, j) * mean ** (k - j) * std**j * _double_factorial_odd(j - 1)
@@ -181,7 +179,7 @@ class DensityDistribution:
     def moment(self, k):
         if self._moment_fn is None:
             return None
-        return self._moment_fn(int(k))
+        return self._moment_fn(check_count("moment order k", k, least=0))
 
     def cdf(self, grid):
         """Distribution function on a grid of points, by quadrature of the density.

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
-from .errors import DomainError
+from .errors import DomainError, check_count
 from .kernels import Divergent, MarkovKernel, RestartedProcess, _check_time
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
@@ -74,9 +74,20 @@ def _check_times(t, shape=None, positive=False):
         t = np.broadcast_to(t, shape)
     ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
     if not ok.all():
-        bad = t[~ok].flat[0]
-        raise DomainError(f"times must be {'positive' if positive else 'nonnegative'} and finite, got {bad}")
+        _refuse_time(t[~ok].flat[0], positive)
     return t
+
+
+def _check_one_time(t, positive=False):
+    """One transition time as a float, checked as _check_times checks each."""
+    t = float(t)
+    if not ((t > 0.0 if positive else t >= 0.0) and t < math.inf):
+        _refuse_time(t, positive)
+    return t
+
+
+def _refuse_time(bad, positive):
+    raise DomainError(f"times must be {'positive' if positive else 'nonnegative'} and finite, got {bad}")
 
 
 def _at_one_time(array_form, t, *args):
@@ -271,11 +282,24 @@ class BrownianWithDrift(MarkovKernel):
     def space(self):
         return RealLine()
 
+    # the one-time forms repeat the array forms' arithmetic on floats, with
+    # the same numpy exp and scipy ndtr, so that the two agree bit for bit;
+    # where sigma*sqrt(t) is 0 (t = 0, or an underflow) they defer to them
     def transition_density(self, t, x, z):
-        return _at_one_time(self.transition_densities, t, x, z)
+        t = _check_one_time(t, positive=True)
+        sd = self.sigma * math.sqrt(t)
+        if sd == 0.0:
+            return _at_one_time(self.transition_densities, t, x, z)
+        u = (z - x - self.mu * t) / sd
+        return float(np.exp(-0.5 * u * u)) / (sd * _SQRT_2PI)
 
     def transition_probability(self, t, x, target):
-        return _at_one_time(self.transition_probabilities, t, x, target)
+        t = _check_one_time(t)
+        sd = self.sigma * math.sqrt(t)
+        if sd == 0.0:
+            return _at_one_time(self.transition_probabilities, t, x, target)
+        m = x + self.mu * t
+        return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
 
     def transition_densities(self, t, x, z):
         t = _check_times(t, positive=True)
@@ -330,7 +354,7 @@ class BrownianWithDrift(MarkovKernel):
         lam = restart.rate
         if lam <= 0.0:
             raise DomainError("restart rate must be positive")
-        k = int(k)
+        k = check_count("moment order k", k, least=0)
         mu, sigma = self.mu, self.sigma
         term1 = 0.0 if math.isinf(t) else math.exp(-lam * t) * self.moment(k, t, x)
         term2 = 0.0
@@ -629,9 +653,10 @@ class FiniteCTMC(MarkovKernel):
         """
         if restart.rate <= 0.0:
             raise DomainError("restart rate must be positive")
+        k = check_count("moment order k", k, least=0)
         proc = RestartedProcess(self, restart)
         q = proc.invariant_vector() if math.isinf(t) else proc.transition_matrix(t)[int(x)]
-        return float(q @ self.values ** int(k))
+        return float(q @ self.values**k)
 
     def certifies_absolute_moment(self, k):
         return True

@@ -1,8 +1,11 @@
 """The config-driven runner: schema, tasks, exit codes, reproducibility."""
 
 import copy
+import functools
+import importlib.util
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -12,6 +15,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
 
@@ -607,6 +612,142 @@ class TestSchemaCheckedOnce:
         valid, _ = self.configs(tmp_path)
         assert run_cli(valid) == 1
         assert "jsonschema.exceptions.SchemaError: 'mapping' is not valid" in capsys.readouterr().err
+
+
+def _subschemas(schema):
+    """SCHEMA and every schema nested in it, through the keywords that nest."""
+    yield schema
+    nested = [*schema.get("properties", {}).values(), *schema.get("oneOf", [])]
+    if isinstance(schema.get("items"), dict):
+        nested.append(schema["items"])
+    for sub in nested:
+        yield from _subschemas(sub)
+
+
+@functools.cache
+def _workload_configs():
+    """One round of each benchmark workload at seed 5, from perfbench/workloads.py."""
+    if "workloads" not in sys.modules:
+        spec = importlib.util.spec_from_file_location("workloads", REPO / "perfbench" / "workloads.py")
+        sys.modules["workloads"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    workloads = sys.modules["workloads"]
+    return [case.config for name in workloads.WORKLOADS for case in workloads.generate(name, 5, 1)]
+
+
+VALID_GOLDENS = sorted(p for p in GOLDEN.glob("*.json") if not p.name.startswith("error-"))
+GOLDEN_CONFIGS = [json.loads(p.read_text()) for p in sorted(GOLDEN.glob("*.json"))]
+DRAFT7 = Draft7Validator(SCHEMA)
+
+# replacement values: every JSON type, and the values where draft-07 and
+# Python disagree (bools against numbers, 1.0 against 1, NaN and inf against
+# the bounds, the strings SCHEMA itself names)
+_SCALARS = st.sampled_from(
+    [None, True, False, 0, 1, 1.0, 2, -1, -1.0, 0.5, 2.5, math.nan, math.inf, -math.inf, 1e308,
+     "inf", "-inf", "", "csv", "bm", "ctmc", "point", "finite", "stationary", "simulate"]
+)
+_VALUES = st.one_of(
+    _SCALARS,
+    st.floats(),
+    st.lists(_SCALARS, max_size=3),
+    st.lists(st.lists(_SCALARS, max_size=3), max_size=2),
+    st.dictionaries(st.sampled_from(["type", "name", "x", "rate", "nu", "extra"]), _SCALARS, max_size=3),
+)
+
+
+def _locations(value, path=()):
+    """(path of a container, key in it) for every value nested in a config."""
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield path, key
+            yield from _locations(child, (*path, key))
+
+
+class TestSchemaInterpreter:
+    """cli._conforms decides validity; Draft7Validator is its oracle here and
+    still writes the message of a rejected config."""
+
+    def test_every_schema_keyword_is_interpreted(self):
+        # a keyword SCHEMA gains (pattern, maxLength, ...) fails here first
+        for schema in _subschemas(SCHEMA):
+            assert set(schema) <= set(cli._KEYWORDS), schema
+            assert schema.get("type", "object") in cli._TYPES, schema
+            if "additionalProperties" in schema:
+                assert schema["additionalProperties"] is False and "properties" in schema, schema
+            if "items" in schema:
+                assert isinstance(schema["items"], dict), schema
+            for value in [schema.get("const"), *schema.get("enum", [])]:
+                assert not isinstance(value, (dict, list)), schema
+
+    def test_an_unknown_keyword_is_never_passed_over(self):
+        with pytest.raises(KeyError):
+            cli._conforms("x", {"type": "string", "maxLength": 0})
+
+    @pytest.mark.parametrize(
+        "schema, instance",
+        [
+            ({"type": "number"}, True),
+            ({"type": "integer"}, False),
+            ({"type": "integer"}, 1.0),
+            ({"type": "integer"}, 1.5),
+            ({"type": "integer"}, math.nan),
+            ({"type": "integer"}, math.inf),
+            ({"type": "number"}, math.nan),
+            ({"type": "boolean"}, 0),
+            ({"const": 1}, True),
+            ({"const": 1}, 1.0),
+            ({"const": 1}, "1"),
+            ({"enum": ["inf", "-inf"]}, "inf"),
+            ({"enum": ["csv", "json"]}, ["csv"]),
+            ({"minimum": 0}, math.nan),
+            ({"minimum": 0}, -math.inf),
+            ({"minimum": 0}, "-1"),
+            ({"exclusiveMinimum": 0}, math.nan),
+            ({"exclusiveMinimum": 0}, 0.0),
+            ({"exclusiveMinimum": 0}, True),
+            ({"minItems": 1, "maxItems": 2}, []),
+            ({"minItems": 1, "maxItems": 2}, [1, 2, 3]),
+            ({"minItems": 1}, {}),
+            ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1),
+            ({"oneOf": [{"type": "number"}, {"type": "integer"}]}, 1.5),
+            ({"required": ["a"]}, ["a"]),
+            ({"properties": {"a": {"type": "string"}}, "additionalProperties": False}, {"a": "x", "b": 1}),
+        ],
+    )
+    def test_draft7_readings(self, schema, instance):
+        assert cli._conforms(instance, schema) == Draft7Validator(schema).is_valid(instance)
+
+    def test_shipped_configs_conform(self):
+        valid = [json.loads(p.read_text()) for p in VALID_GOLDENS] + _workload_configs() + [readme_config()]
+        assert all(cli._conforms(config, SCHEMA) for config in valid)
+
+    @settings(max_examples=500, deadline=None)
+    @given(data=st.data())
+    def test_agrees_with_draft7_on_mutated_configs(self, data):
+        config = copy.deepcopy(data.draw(st.sampled_from(_workload_configs() + GOLDEN_CONFIGS)))
+        path, key = data.draw(st.sampled_from(list(_locations(config))))
+        node = functools.reduce(operator.getitem, path, config)
+        change = data.draw(st.sampled_from(["replace", "delete", "extra"]))
+        if change == "delete":
+            del node[key]
+        elif change == "extra" and isinstance(node, dict):
+            node["extra"] = data.draw(_VALUES)
+        elif change == "extra":
+            node.append(data.draw(_VALUES))
+        else:
+            node[key] = data.draw(_VALUES)
+        assert cli._conforms(config, SCHEMA) == DRAFT7.is_valid(config)
+
+    @pytest.mark.parametrize("config", VALID_GOLDENS, ids=lambda p: p.stem)
+    def test_a_valid_config_never_reaches_the_draft7_validator(self, config, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_SCHEMA_CHECK", cli._CheckedOnce())
+        cli._SCHEMA_CHECK.check_schema(SCHEMA)  # its metaschema check iterates errors itself
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a valid config went to Draft7Validator.iter_errors")
+
+        monkeypatch.setattr(Draft7Validator, "iter_errors", refuse)
+        assert run_cli(config, "--threads", "1", "--out", str(tmp_path)) == 0
 
 
 def _fresh_interpreter(probe, *args):

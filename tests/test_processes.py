@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.linalg import expm
 
@@ -15,13 +17,21 @@ from restartk import (
     FiniteCTMC,
     GeometricBrownian,
     Interval,
+    PointMass,
+    RestartedProcess,
+    RestartSpec,
     Subset,
     ctmc_from_dict,
     ctmc_from_json,
     exp_weighted_integral,
+    gaussian,
+    gaussian_raw_moment,
+    gbm_stationary_moment,
 )
 
-from conftest import resolvent_matrix
+from conftest import make_three_state_chain, resolvent_matrix
+
+_BOUNDS = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-math.inf, math.inf]))
 
 
 def _phi(u):
@@ -358,6 +368,48 @@ class TestArrayForms:
             got = base.moments(k, t, x)
             assert np.array_equal(got, [base.moment(k, s, x) for s in t])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.floats(-5.0, 5.0),
+        sigma=st.floats(1e-3, 10.0),
+        t=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+        x=st.floats(-50.0, 50.0),
+        z=st.floats(-50.0, 50.0),
+        bounds=st.tuples(_BOUNDS, _BOUNDS).map(sorted),
+    )
+    def test_brownian_one_time_forms_are_the_array_forms(self, mu, sigma, t, x, z, bounds):
+        # bit for bit, signed zeros included: the one-time forms are not
+        # _at_one_time over the array forms, but must give the same floats
+        p, target = BrownianWithDrift(mu, sigma), Interval(*bounds)
+        with np.errstate(over="ignore"):  # u*u past the float range is inf either way
+            want = p.transition_probabilities(np.array([t]), x, target)[0]
+            assert p.transition_probability(t, x, target).hex() == float(want).hex()
+            if t > 0.0:
+                want = p.transition_densities(np.array([t]), x, z)[0]
+                assert p.transition_density(t, x, z).hex() == float(want).hex()
+
+    def test_brownian_one_time_forms_at_a_spread_that_underflows(self):
+        # sigma*sqrt(t) rounds to 0 at t > 0: the array forms' inf/nan arithmetic
+        p, target = BrownianWithDrift(0.0, 5e-324), Interval(-1.0, 1.0)
+        with np.errstate(invalid="ignore"):
+            assert p.transition_probability(0.25, 0.5, target) == 1.0
+            assert math.isnan(p.transition_density(0.25, 0.5, 0.5))
+
+    @pytest.mark.parametrize("t", [-1.0, math.nan, math.inf, -0.5])
+    def test_brownian_one_time_forms_refuse_times_as_the_array_forms(self, t):
+        p, target = BrownianWithDrift(0.2, 1.0), Interval(0.0, 1.0)
+        for one, many, args in [
+            (p.transition_probability, p.transition_probabilities, (0.0, target)),
+            (p.transition_density, p.transition_densities, (0.0, 0.5)),
+        ]:
+            with pytest.raises(DomainError) as scalar:
+                one(t, *args)
+            with pytest.raises(DomainError) as array:
+                many(np.array([t]), *args)
+            assert str(scalar.value) == str(array.value)
+        with pytest.raises(DomainError, match="times must be positive and finite, got 0.0"):
+            p.transition_density(0.0, 0.0, 0.0)
+
     def test_diffusion_arrays_validate_times(self):
         with pytest.raises(DomainError):
             BrownianWithDrift().transition_probabilities(np.array([0.5, -0.1]), 0.0, Interval(0.0, 1.0))
@@ -470,3 +522,36 @@ class TestChainLoading:
         bad.write_text("{not json")
         with pytest.raises(DomainError, match="not valid JSON"):
             ctmc_from_json(bad)
+
+
+class TestMomentOrders:
+    """Every closed-form moment of a whole-number order refuses any other
+    order; int(k) read True as 1 and truncated 2.5 to 2."""
+
+    BM = BrownianWithDrift(0.3, 1.2)
+    RESTART = RestartSpec(1.5, PointMass(0.0))
+    ROUTES = {
+        "gaussian_raw_moment": lambda k: gaussian_raw_moment(k, 0.4, 1.1),
+        "density-law": lambda k: gaussian(0.4, 1.1).moment(k),
+        "bm-restarted": lambda k: TestMomentOrders.BM.restarted_moment(TestMomentOrders.RESTART, k, 1.0, 0.0),
+        "chain-restarted": lambda k: make_three_state_chain().restarted_moment(
+            RestartSpec(1.0, PointMass(0)), k, 1.0, 0
+        ),
+        "restarted-process": lambda k: RestartedProcess(TestMomentOrders.BM, TestMomentOrders.RESTART).moment(
+            k, 1.0, 0.0
+        ),
+        "gbm-stationary": lambda k: gbm_stationary_moment(
+            GeometricBrownian(0.1, 0.3), RestartSpec(2.0, PointMass(1.0)), k
+        ),
+    }
+
+    @pytest.mark.parametrize("k", [2.5, True, math.nan, -1])
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_refuses_an_order_that_is_not_a_whole_number(self, route, k):
+        with pytest.raises(DomainError, match="moment order k"):
+            self.ROUTES[route](k)
+
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    def test_whole_number_floats_are_orders(self, route):
+        assert self.ROUTES[route](2.0) == self.ROUTES[route](2)
+        assert self.ROUTES[route](0.0) == self.ROUTES[route](0) == pytest.approx(1.0)
