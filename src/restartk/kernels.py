@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import nu_weights
-from .errors import DomainError, SingularityAtOrigin
+from .errors import DomainError, SingularityAtOrigin, check_count
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
 from .spaces import indicator
 
@@ -305,6 +305,7 @@ class RestartedProcess(MarkovKernel):
 
     def moment(self, k, t, x, rel_tol=DEFAULT_REL_TOL):
         """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""
+        k = check_count("moment order k", k, least=0)
         t = _check_time(t)
         if t == 0.0:
             return self.base.state_value(x) ** k

@@ -25,6 +25,7 @@ from __future__ import annotations
 import importlib
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -407,11 +408,13 @@ class GeometricBrownian(MarkovKernel):
         # the target's image in log space; a bound at or below 0 maps to -inf
         return Interval(*(math.log(b) if b > 0.0 else -math.inf for b in (target.lower, target.upper)))
 
+    # the one-time forms are the log motion's, as the array forms are, so
+    # the two agree bit for bit
     def transition_density(self, t, x, z):
-        return _at_one_time(self.transition_densities, t, x, z)
+        return self.log.transition_density(t, self._log(x), self._log(z)) / z
 
     def transition_probability(self, t, x, target):
-        return _at_one_time(self.transition_probabilities, t, x, target)
+        return self.log.transition_probability(t, self._log(x), self._log_target(target))
 
     def transition_densities(self, t, x, z):
         return self.log.transition_densities(t, self._log(x), self._log(z)) / z
@@ -452,6 +455,7 @@ class GeometricBrownian(MarkovKernel):
         at t = inf for lam <= eta_k, where eta_k is the base moment's growth
         rate; the resonance lam = eta_k grows exactly linearly in t.
         """
+        k = check_count("moment order k", k, least=0)
         lam = restart.rate
         if lam <= 0.0:
             raise DomainError("restart rate must be positive")
@@ -533,6 +537,9 @@ class FiniteCTMC(MarkovKernel):
         self._jump_cdfs = np.array(
             [categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(self._rates)]
         )
+        # the same as lists, for the one-path sampler's bisect_right
+        self._rate_list = self._rates.tolist()
+        self._jump_cdf_lists = self._jump_cdfs.tolist()
         self._expm_cache = {}
         self._resolvent_cache = {}
 
@@ -612,15 +619,16 @@ class FiniteCTMC(MarkovKernel):
     def sample_transition(self, t, x, rng):
         t = _check_time(t)
         state = int(x)
+        rates, cdfs = self._rate_list, self._jump_cdf_lists
         elapsed = 0.0
         while True:
-            rate = self._rates.item(state)
+            rate = rates[state]
             if rate <= 0.0:
                 return state
             elapsed += rng.exponential(1.0 / rate)
             if elapsed >= t:
                 return state
-            state = int(self._jump_cdfs[state].searchsorted(rng.random(), side="right"))
+            state = bisect_right(cdfs[state], rng.random())
 
     def sample_transitions(self, t, x, rng):
         """The jump loop of ``sample_transition``, run for every path at once."""

@@ -9,7 +9,11 @@ base transition.  An ensemble keeps the states on the grid and nothing else.
 Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
 one path event by event instead: restart times are drawn from the
 exponential clock, and the base kernel is sampled over each inter-event
-interval.
+interval.  The walker's law and draws are unchanged since its first
+version; its speed is in the work around each draw: the clock's gaps are
+summed, and the grid times taken as the clock passes them, on Python lists;
+categorical laws draw by bisection over lists; and the log formats each grid
+time, and each atom of a finite restart law, once per run.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
@@ -23,7 +27,9 @@ from __future__ import annotations
 import math
 import os
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -111,55 +117,80 @@ def block_rng(seed, block):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
+def _first_chunk(rate, horizon):
+    # gaps in a clock's first draw: the mean count plus six standard
+    # deviations, so almost every clock passes the horizon in one draw
+    return max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
+
+
+def _restart_times(rng, scale, horizon, chunk):
+    """The restart times in (0, horizon] as a list: one draw of ``chunk``
+    Exp(scale) gaps, then draws of 16 more while the clock has not passed
+    the horizon.  The gaps are summed in order, as numpy's 1-D cumsum sums
+    them, and only up to the first time past the horizon."""
+    gaps = rng.exponential(scale, size=chunk).tolist()
+    times = []
+    while True:
+        for s in accumulate(gaps):
+            if s > horizon:
+                return times
+            times.append(s)
+        gaps = rng.exponential(scale, size=16).tolist()
+        gaps[0] += times[-1]
+
+
 def draw_restart_times(rng, rate, horizon):
     """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
     if rate == 0.0:
         return np.empty(0)
-    chunk = max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
-    times = rng.exponential(1.0 / rate, size=chunk).cumsum()
-    while times[-1] <= horizon:
-        gaps = rng.exponential(1.0 / rate, size=16)
-        gaps[0] += times[-1]
-        times = np.concatenate((times, gaps.cumsum()))
-    return times[: times.searchsorted(horizon, "right")]
+    return np.array(_restart_times(rng, 1.0 / rate, horizon, _first_chunk(rate, horizon)))
 
 
-def _run_path(proc, config, rng, events=None):
-    """Walk one path over the grid from rng; optionally collect per-event rows."""
-    state = config.initial.sample(rng)
-    times = draw_restart_times(rng, proc.rate, config.horizon)
-    restarts = times.tolist()
-    grid = config.record_grid
-    states = np.empty(len(grid))
-    base = proc.base
-    nu = proc.restart.nu
-    ri = 0
-    now = 0.0
-    # one more pass, stopping at infinity and recording nothing, takes the
-    # restarts between the last grid time and the horizon: the event log
-    # shows them, and a path that logs no events uses up the same draws, so
-    # the next path of its block starts from the same point of the stream
-    stops = grid + (math.inf,)
-    for j, g in enumerate(stops):
-        while ri < len(restarts) and restarts[ri] <= g:
-            dt = restarts[ri] - now
-            if dt > 0.0:
-                state = base.sample_transition(dt, state, rng)
-            state = nu.sample(rng)
-            now = restarts[ri]
-            ri += 1
-            if events is not None:
-                events.append((now, state, "restart"))
-        if j == len(grid):
-            break
-        dt = g - now
-        if dt > 0.0:
-            state = base.sample_transition(dt, state, rng)
-        now = g
-        states[j] = state
-        if events is not None:
-            events.append((g, state, "grid"))
-    return states, times
+def _walker(proc, config):
+    """walk(rng): the next path on rng, as its events and its restart times.
+
+    The events are (time, state, kind) in time order, kind "restart" at
+    each restart (the state just redrawn) and "grid" at each grid time; a
+    restart at a grid time comes first.  The restarts between the last grid
+    time and the horizon are walked too: the event log shows them, and every
+    path uses up the same draws, so the next path of its block starts from
+    the same point of the stream.  Whatever does not change from path to
+    path is looked up here, once.
+    """
+    start = config.initial.sample
+    step = proc.base.sample_transition
+    redraw = proc.restart.nu.sample
+    rate, horizon = proc.rate, config.horizon
+    scale = 1.0 / rate if rate > 0.0 else math.inf
+    chunk = _first_chunk(rate, horizon)
+    # the grid and the restarts each end at infinity: each grid time is taken
+    # as the clock passes it, and the pass at infinity ends the path
+    stops = config.record_grid + (math.inf,)
+    end = [math.inf]
+
+    def walk(rng):
+        state = start(rng)
+        restarts = _restart_times(rng, scale, horizon, chunk) if rate > 0.0 else []
+        events = []
+        now = 0.0
+        j = 0
+        for r in restarts + end:
+            while stops[j] < r:
+                g = stops[j]
+                if g > now:
+                    state = step(g - now, state, rng)
+                    now = g
+                events.append((g, state, "grid"))
+                j += 1
+            if r == math.inf:
+                return events, restarts
+            if r > now:
+                state = step(r - now, state, rng)
+            state = redraw(rng)
+            now = r
+            events.append((r, state, "restart"))
+
+    return walk
 
 
 def simulate_path(proc, config, path_index=0):
@@ -167,15 +198,18 @@ def simulate_path(proc, config, path_index=0):
 
     The paths of a block are walked in order on one stream, so the earlier
     paths of its block are replayed first: at most BLOCK - 1 of them, up to
-    44 ms for path 1023 of the ``paths`` benchmark's simulate configs on a
+    31 ms for path 1023 of the ``paths`` benchmark's simulate configs on a
     2-core x86-64 host.
     """
     _check_initial(proc, config)
     block, before = divmod(check_count("path_index", path_index, least=0), BLOCK)
     rng = block_rng(config.seed, block)
+    walk = _walker(proc, config)
     for _ in range(before):
-        _run_path(proc, config, rng)
-    return PathSample(*_run_path(proc, config, rng))
+        walk(rng)
+    events, restarts = walk(rng)
+    states = [x for _, x, kind in events if kind == "grid"]
+    return PathSample(np.array(states, dtype=float), np.array(restarts, dtype=float))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -452,20 +486,24 @@ def write_path_csv(proc, config, out):
 
 
 def _write_paths(proc, config, fh):
+    # the text of each grid time, and of the states a log writes over and
+    # over: a chain's labels, the atoms of a finite restart law (not 0, whose
+    # key would also take -0.0); format(x, ".17g") of any other state
+    grid_text = {g: format(g, ".17g") for g in config.record_grid}
     if isinstance(proc.space, FiniteSet):
-        labels = [format(proc.state_value(i), ".17g") for i in range(proc.space.n)]
-
-        def show(state):
-            return labels[int(state)]
+        state_text = {i: format(proc.state_value(i), ".17g") for i in range(proc.space.n)}
     else:
-
-        def show(state):
-            return format(state, ".17g")
-
+        state_text = {x: format(x, ".17g") for x in getattr(proc.restart.nu, "atoms", ()) if x}
+    walk = _walker(proc, config)
     fh.write("path_id,time,state,event_type\n")
     for block, lo in enumerate(range(0, config.n_paths, BLOCK)):
         rng = block_rng(config.seed, block)
+        rows = []
         for i in range(lo, min(lo + BLOCK, config.n_paths)):
-            events = []
-            _run_path(proc, config, rng, events=events)
-            fh.write("".join([f"{i},{t:.17g},{show(x)},{kind}\n" for t, x, kind in events]))
+            for t, x, kind in walk(rng)[0]:
+                text = state_text.get(x) or format(x, ".17g")
+                if kind == "grid":
+                    rows.append(f"{i},{grid_text[t]},{text},grid\n")
+                else:
+                    rows.append(f"{i},{t:.17g},{text},restart\n")
+        fh.write("".join(rows))

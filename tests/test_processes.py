@@ -388,6 +388,42 @@ class TestArrayForms:
                 want = p.transition_densities(np.array([t]), x, z)[0]
                 assert p.transition_density(t, x, z).hex() == float(want).hex()
 
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        mu=st.floats(-5.0, 5.0),
+        sigma=st.floats(1e-3, 10.0),
+        t=st.one_of(st.just(0.0), st.floats(1e-300, 1e6)),
+        x=st.floats(1e-3, 50.0),
+        z=st.floats(1e-3, 50.0),
+        # bounds at or below 0 are -inf in log space
+        bounds=st.tuples(_BOUNDS, st.one_of(_BOUNDS, st.just(0.0))).map(sorted),
+    )
+    def test_gbm_one_time_forms_are_the_array_forms(self, mu, sigma, t, x, z, bounds):
+        p, target = GeometricBrownian(mu, sigma), Interval(*bounds)
+        with np.errstate(over="ignore"):
+            want = p.transition_probabilities(np.array([t]), x, target)[0]
+            assert p.transition_probability(t, x, target).hex() == float(want).hex()
+            if t > 0.0:
+                want = p.transition_densities(np.array([t]), x, z)[0]
+                assert p.transition_density(t, x, z).hex() == float(want).hex()
+
+    def test_gbm_one_time_forms_keep_their_checks(self):
+        p, target = GeometricBrownian(0.1, 0.4), Interval(0.5, 2.0)
+        # at t = 0 the law is the indicator of the start point
+        assert p.transition_probability(0.0, 1.0, target) == 1.0
+        assert p.transition_probability(0.0, 3.0, target) == 0.0
+        for bad in (0.0, -1.0):
+            with pytest.raises(DomainError, match="must be positive"):
+                p.transition_probability(1.0, bad, target)
+            with pytest.raises(DomainError, match="must be positive"):
+                p.transition_density(1.0, bad, 1.0)
+            with pytest.raises(DomainError, match="must be positive"):
+                p.transition_density(1.0, 1.0, bad)
+        with pytest.raises(DomainError, match="times must be positive"):
+            p.transition_density(0.0, 1.0, 1.0)
+        with pytest.raises(DomainError, match="times must be nonnegative"):
+            p.transition_probability(-0.5, 1.0, target)
+
     def test_brownian_one_time_forms_at_a_spread_that_underflows(self):
         # sigma*sqrt(t) rounds to 0 at t > 0: the array forms' inf/nan arithmetic
         p, target = BrownianWithDrift(0.0, 5e-324), Interval(-1.0, 1.0)
@@ -539,6 +575,14 @@ class TestMomentOrders:
         ),
         "restarted-process": lambda k: RestartedProcess(TestMomentOrders.BM, TestMomentOrders.RESTART).moment(
             k, 1.0, 0.0
+        ),
+        # at t = 0 the moment is the start point's power, and a GBM with point
+        # nu takes no base moment that would check k
+        "restarted-process-at-0": lambda k: RestartedProcess(TestMomentOrders.BM, TestMomentOrders.RESTART).moment(
+            k, 0.0, 3.0
+        ),
+        "gbm-restarted": lambda k: GeometricBrownian(0.1, 0.3).restarted_moment(
+            RestartSpec(2.0, PointMass(1.0)), k, 1.0, 1.2
         ),
         "gbm-stationary": lambda k: gbm_stationary_moment(
             GeometricBrownian(0.1, 0.3), RestartSpec(2.0, PointMass(1.0)), k

@@ -4,9 +4,13 @@ import io
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from functools import partial
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import restartk.simulation
 from restartk import (
@@ -38,7 +42,9 @@ from restartk.simulation import (
     block_rng,
     draw_restart_times,
 )
-from restartk.spaces import RealLine, indicator
+from restartk.spaces import FiniteSet, RealLine, indicator
+
+from conftest import make_three_state_chain, point_or_two_atom_laws
 
 
 def bm_process(mu=0.0, sigma=1.0, rate=2.0, nu=None):
@@ -112,17 +118,104 @@ class TestRandomness:
         assert times[-1] <= 400.0
 
 
-def numpy_walk(proc, cfg):
-    """The event log's rows, each block's paths walked in order on numpy's own
-    Generator(PCG64(SeedSequence(seed, spawn_key=(b,))))."""
+# The event-log walker as it stood before its rewrite for speed, its clock,
+# row format and two categorical samplers (searchsorted, since rewritten to
+# bisect over lists) included, kept here as an independent oracle: the
+# rewritten walker must make the same draws in the same order and write the
+# same bytes.
+
+
+def frozen_draw_restart_times(rng, rate, horizon):
+    """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
+    if rate == 0.0:
+        return np.empty(0)
+    chunk = max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
+    times = rng.exponential(1.0 / rate, size=chunk).cumsum()
+    while times[-1] <= horizon:
+        gaps = rng.exponential(1.0 / rate, size=16)
+        gaps[0] += times[-1]
+        times = np.concatenate((times, gaps.cumsum()))
+    return times[: times.searchsorted(horizon, "right")]
+
+
+def frozen_chain_step(chain, t, x, rng):
+    """FiniteCTMC.sample_transition before the rewrite."""
+    state = int(x)
+    elapsed = 0.0
+    while True:
+        rate = chain._rates.item(state)
+        if rate <= 0.0:
+            return state
+        elapsed += rng.exponential(1.0 / rate)
+        if elapsed >= t:
+            return state
+        state = int(chain._jump_cdfs[state].searchsorted(rng.random(), side="right"))
+
+
+def frozen_sample(law, rng):
+    """One draw of a law; FiniteSupport.sample before the rewrite."""
+    if isinstance(law, FiniteSupport):
+        return law.points[int(law._cdf.searchsorted(rng.random(), side="right"))][0]
+    return law.sample(rng)
+
+
+def frozen_run_path(proc, config, rng, events=None):
+    """Walk one path over the grid from rng; optionally collect per-event rows."""
+    state = frozen_sample(config.initial, rng)
+    times = frozen_draw_restart_times(rng, proc.rate, config.horizon)
+    restarts = times.tolist()
+    grid = config.record_grid
+    states = np.empty(len(grid))
+    base = proc.base
+    step = partial(frozen_chain_step, base) if isinstance(base, FiniteCTMC) else base.sample_transition
+    nu = proc.restart.nu
+    ri = 0
+    now = 0.0
+    stops = grid + (math.inf,)
+    for j, g in enumerate(stops):
+        while ri < len(restarts) and restarts[ri] <= g:
+            dt = restarts[ri] - now
+            if dt > 0.0:
+                state = step(dt, state, rng)
+            state = frozen_sample(nu, rng)
+            now = restarts[ri]
+            ri += 1
+            if events is not None:
+                events.append((now, state, "restart"))
+        if j == len(grid):
+            break
+        dt = g - now
+        if dt > 0.0:
+            state = step(dt, state, rng)
+        now = g
+        states[j] = state
+        if events is not None:
+            events.append((g, state, "grid"))
+    return states, times
+
+
+def numpy_walk(proc, cfg, wrap=lambda rng: rng):
+    """The event log's rows by the frozen walker, each block's paths walked in
+    order on numpy's own Generator(PCG64(SeedSequence(seed, spawn_key=(b,)))),
+    seen through ``wrap``."""
+    if isinstance(proc.space, FiniteSet):
+        labels = [format(proc.state_value(i), ".17g") for i in range(proc.space.n)]
+
+        def show(state):
+            return labels[int(state)]
+    else:
+
+        def show(state):
+            return format(state, ".17g")
+
     rows = ["path_id,time,state,event_type"]
     for i in range(cfg.n_paths):
         if i % BLOCK == 0:
             seq = np.random.SeedSequence(cfg.seed, spawn_key=(i // BLOCK,))
-            rng = np.random.Generator(np.random.PCG64(seq))
+            rng = wrap(np.random.Generator(np.random.PCG64(seq)))
         events = []
-        restartk.simulation._run_path(proc, cfg, rng, events=events)
-        rows += [f"{i},{t:.17g},{x:.17g},{kind}" for t, x, kind in events]
+        frozen_run_path(proc, cfg, rng, events=events)
+        rows += [f"{i},{t:.17g},{show(x)},{kind}" for t, x, kind in events]
     return rows
 
 
@@ -134,8 +227,10 @@ def log_rows(proc, cfg):
     return rows
 
 
-def assert_same_rows(proc, cfg):
-    got, want = log_rows(proc, cfg), numpy_walk(proc, cfg)
+def assert_same_rows(proc, cfg, wrap=lambda rng: rng):
+    with mock.patch.object(restartk.simulation, "block_rng", lambda s, b: wrap(block_rng(s, b))):
+        got = log_rows(proc, cfg)
+    want = numpy_walk(proc, cfg, wrap)
     # the first differing row, not pytest's diff of two 100 kB logs
     first = next((k for k, (a, b) in enumerate(zip(got, want)) if a != b), None)
     assert first is None, (got[first], want[first])
@@ -176,6 +271,133 @@ class TestPathStreams:
             with pytest.raises(DomainError, match="path_index"):
                 simulate_path(proc, cfg, i)
         assert np.array_equal(simulate_path(proc, cfg, 3.0).states, simulate_path(proc, cfg, np.int64(3)).states)
+
+
+class _FastClock:
+    """A Generator whose arrays of exponential gaps come out ``factor`` times
+    shorter, so that a clock needs several extensions of its first draw, and
+    rounded up to multiples of ``lattice`` when one is given, so that restarts
+    fall on grid times; every other draw is the wrapped Generator's own."""
+
+    def __init__(self, rng, factor, lattice=None):
+        self.rng, self.factor, self.lattice = rng, factor, lattice
+
+    def exponential(self, scale, size=None):
+        gaps = self.rng.exponential(scale, size)
+        if size is None:
+            return gaps
+        gaps = gaps / self.factor
+        return gaps if self.lattice is None else np.ceil(gaps / self.lattice) * self.lattice
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+ABSORBING_CHAIN = FiniteCTMC([[-1.0, 1.0, 0.0], [0.5, -1.0, 0.5], [0.0, 0.0, 0.0]], [0.3, -1.2, 2.5])
+
+
+def _with_laws(bases, atoms, other_nu=st.nothing()):
+    """(base kernel, restart law, initial law): point or two-atom laws on atoms."""
+    laws = point_or_two_atom_laws(atoms)
+    return st.tuples(bases, st.one_of(laws, other_nu), laws)
+
+
+WALKS = st.one_of(
+    _with_laws(
+        st.builds(BrownianWithDrift, st.floats(-1.0, 1.0), st.floats(0.2, 2.0)),
+        st.floats(-2.0, 2.0),
+        st.just(gaussian(0.3, 0.8)),
+    ),
+    _with_laws(st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.1, 1.0)), st.floats(0.2, 5.0)),
+    _with_laws(st.sampled_from([make_three_state_chain(), ABSORBING_CHAIN]), st.integers(0, 2)),
+)
+
+
+class TestFrozenWalker:
+    """The event log writes the bytes of the frozen walker, draw for draw."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        WALKS,
+        st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+        st.one_of(st.floats(0.5, 4.0), st.sampled_from((1.0, 2.0, 4.0))),
+        # 0 and 1 put grid times at 0 and at the horizon
+        st.sets(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.8, 1.0)), min_size=1),
+        st.integers(1, 12),
+        st.integers(0, 2**64),
+        st.sampled_from((1.0, 20.0)),
+        # restart times on multiples of 1/8 meet the grid times of a whole horizon
+        st.sampled_from((None, 0.125)),
+    )
+    def test_log_bytes_match(self, walk, rate, horizon, fractions, n_paths, seed, squeeze, lattice):
+        base, nu, initial = walk
+        proc = RestartedProcess(base, RestartSpec(rate, nu))
+        grid = tuple(sorted(horizon * f for f in fractions))
+        cfg = PathConfig(seed=seed, horizon=horizon, record_grid=grid, n_paths=n_paths, initial=initial)
+        assert_same_rows(proc, cfg, lambda rng: _FastClock(rng, squeeze, lattice))
+
+    def test_restarts_on_grid_times_come_first(self):
+        proc = bm_process(mu=0.3, rate=2.0, nu=FiniteSupport(((-0.5, 0.4), (1.5, 0.6))))
+        cfg = PathConfig(seed=5, horizon=2.0, record_grid=(0.5, 1.0, 2.0), n_paths=40, initial=PointMass(0.0))
+        assert_same_rows(proc, cfg, lambda rng: _FastClock(rng, 1.0, 0.5))
+        with mock.patch.object(restartk.simulation, "block_rng", lambda s, b: _FastClock(block_rng(s, b), 1.0, 0.5)):
+            rows = [row.split(",") for row in log_rows(proc, cfg)[1:]]
+        met = [(a, b) for a, b in zip(rows, rows[1:]) if a[0] == b[0] and a[1] == b[1]]
+        assert met and all(a[3] == "restart" and b[3] == "grid" for a, b in met)
+
+    def test_signed_zero_atoms_keep_their_sign(self):
+        # 0.0 == -0.0, so a table of atom texts keyed by value would write one for both
+        proc = bm_process(rate=3.0, nu=FiniteSupport(((0.0, 0.5), (-0.0, 0.5))))
+        cfg = PathConfig(seed=1, horizon=2.0, record_grid=(0.0, 1.0), n_paths=20, initial=PointMass(-0.0))
+        assert_same_rows(proc, cfg)
+        states = {row.split(",")[2] for row in log_rows(proc, cfg)[1:] if row.endswith("restart")}
+        assert states == {"0", "-0"}
+
+    def test_scalar_categorical_draws_break_ties_as_searchsorted(self):
+        # a uniform equal to a value of the distribution function takes the
+        # next atom, as searchsorted(side="right") does
+        class Uniforms:
+            def __init__(self, values):
+                self.values = list(values)
+
+            def random(self):
+                return self.values.pop(0)
+
+            def exponential(self, scale):
+                return 1e-9
+
+        law = FiniteSupport(((3.0, 0.25), (4.0, 0.5), (5.0, 0.25)))
+        us = [0.0, 0.25, 0.5, 0.75, 0.999]
+        assert [law.sample(Uniforms([u])) for u in us] == [frozen_sample(law, Uniforms([u])) for u in us]
+        chain = FiniteCTMC([[-4.0, 1.0, 3.0], [2.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
+        for u in (0.0, 0.25, 0.5, 0.75):
+            # one jump from state 0, then state 1 or 2 holds past t
+            got = chain.sample_transition(1.5e-9, 0, Uniforms([u, 0.0]))
+            assert got == frozen_chain_step(chain, 1.5e-9, 0, Uniforms([u, 0.0]))
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.integers(0, 2**64))
+    def test_restart_times_match_over_several_extensions(self, rate, horizon, seed):
+        if rate * horizon < 5.0:
+            horizon = 5.0 / rate
+        got = draw_restart_times(_FastClock(block_rng(seed, 0), 20.0), rate, horizon)
+        want = frozen_draw_restart_times(_FastClock(block_rng(seed, 0), 20.0), rate, horizon)
+        assert got.tobytes() == want.tobytes()
+        # the first draw, then at least two draws of 16 more gaps
+        lam_h = rate * horizon
+        assert len(want) > lam_h + 6.0 * math.sqrt(lam_h) + 10.0 + 32
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
+    def test_two_blocks(self, kind):
+        # 1,030 paths: a whole block and 6 paths of the next
+        base, nu, x = {
+            "bm": (BrownianWithDrift(0.2, 0.9), FiniteSupport(((-0.5, 0.4), (1.5, 0.6))), 0.0),
+            "gbm": (GeometricBrownian(0.1, 0.3), FiniteSupport(((0.8, 0.5), (1.3, 0.5))), 1.0),
+            "chain": (make_three_state_chain(), PointMass(2), 0),
+        }[kind]
+        proc = RestartedProcess(base, RestartSpec(1.7, nu))
+        cfg = PathConfig(seed=2002, horizon=2.5, record_grid=(0.6, 1.2, 2.5), n_paths=1030, initial=PointMass(x))
+        assert_same_rows(proc, cfg)
 
 
 class _ConstantGaps:
