@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified, check_count
+from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified, check_count, check_finite, check_positive
 from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet
@@ -119,9 +119,7 @@ def moment_bound(proc, k, c_fn, eta):
     same number bounds limsup E|X(t)^k|.
     """
     lam = proc.rate
-    eta = float(eta)
-    if not math.isfinite(eta):
-        raise DomainError(f"growth rate eta must be finite, got {eta}")
+    eta = check_finite("growth rate eta", eta)
     if eta >= lam:
         raise EtaNotLessThanLambda(
             f"growth rate eta={eta} must be strictly below the restart rate lam={lam}"
@@ -160,9 +158,7 @@ def max_finite_moment_order(p, lam):
     k = 2^53 neighbouring orders round to the same float and get the same
     eta_k, so a rate that needs more is refused.
     """
-    lam = float(lam)
-    if not (0.0 < lam < math.inf):
-        raise DomainError(f"restart rate must be positive and finite, got {lam}")
+    lam = check_positive("restart rate", lam)
     if p.moment_growth_rate(1) is None:
         raise DomainError(f"{type(p).__name__} has no moment growth rate")
     hi = 1
@@ -206,12 +202,17 @@ class ErgodicityReport:
         return cols, [(r.t, r.sup_deviation, r.bound, r.tv, r.tv_bound, r.passed) for r in self.rows]
 
 
-def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL, slack=1e-6):
+# what ergodicity_check lets a deviation exceed its bound by: the certified
+# numerical error of both sides
+ERGODICITY_SLACK = 1e-6
+
+
+def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     """Verify |q(G) - P(t, x, G)| <= exp(-lam*t) over the (t, set) matrix.
 
     Finite chains are handled exactly through matrices; continuous kernels
-    through quadrature, with ``slack`` absorbing the certified numerical
-    error on both sides.
+    through quadrature, with ERGODICITY_SLACK absorbing the certified
+    numerical error on both sides.
     """
     for g in test_sets:
         proc.space.check_target(g)
@@ -226,7 +227,7 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL, slack=
         bound = math.exp(-lam * float(t))
         tv = tv_bound = None
         if finite:
-            row_x = proc.transition_matrix(float(t), rel_tol=rel_tol)[int(x)]
+            row_x = proc.transition_matrix(float(t), rel_tol=rel_tol)[proc.space.index(x)]
             devs = [
                 abs(float(sum(q[i] for i in g.indices)) - float(sum(row_x[i] for i in g.indices)))
                 for g in test_sets
@@ -239,7 +240,7 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL, slack=
                 for qg, g in zip(q_by_set, test_sets)
             ]
         sup_dev = max(devs)
-        ok = sup_dev <= bound + slack and (tv is None or tv <= tv_bound + slack)
+        ok = sup_dev <= bound + ERGODICITY_SLACK and (tv is None or tv <= tv_bound + ERGODICITY_SLACK)
         report.rows.append(ErgodicityRow(float(t), sup_dev, bound, ok, tv, tv_bound))
         report.passed = report.passed and ok
     return report
@@ -276,9 +277,9 @@ def small_lambda_sweep(kernel, nu, target_sets, lambda_grid, rel_tol=DEFAULT_REL
     of their own the masses are reported as they are -- typically draining
     to zero on bounded windows -- and no limit is asserted.
     """
-    lams = [float(l) for l in lambda_grid]
-    if not lams or any(l <= 0.0 for l in lams):
-        raise DomainError("lambda_grid must be positive")
+    lams = [check_positive("lambda_grid entry", l) for l in lambda_grid]
+    if not lams:
+        raise DomainError("lambda_grid must not be empty")
     if any(b >= a for a, b in zip(lams, lams[1:])):
         raise DomainError("lambda_grid must be strictly decreasing")
     pi = kernel.stationary_distribution()

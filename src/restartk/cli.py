@@ -31,6 +31,7 @@ from .errors import (
     SingularityAtOrigin,
     TailBoundViolated,
     UnsupportedTarget,
+    check_positive,
 )
 from .kernels import RestartedProcess, RestartSpec
 from .processes import BrownianWithDrift, GeometricBrownian, ctmc_from_dict, ctmc_from_json
@@ -296,7 +297,8 @@ class _Runner:
         nu = build_distribution(restart["nu"], self.base.space)
         self.proc = RestartedProcess(self.base, RestartSpec(restart["rate"], nu))
         self.seed = self._resolve_seed()
-        self.rel_tol = config.get("tolerances", {}).get("quad_rel_tol", DEFAULT_REL_TOL)
+        rel_tol = config.get("tolerances", {}).get("quad_rel_tol", DEFAULT_REL_TOL)
+        self.rel_tol = check_positive("quad_rel_tol", rel_tol)
 
     def _resolve_seed(self):
         env = os.environ.get("RESTARTK_SEED")

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, check_count
+from .errors import DomainError, check_count, check_finite, check_positive
 from .spaces import FiniteSet, Interval
 
 
@@ -241,9 +241,7 @@ def _gauss_sample(rng, size=None, *, mean, std):
 
 def gaussian(mean, std):
     """Normal law with the given mean and standard deviation."""
-    mean, std = float(mean), float(std)
-    if std <= 0.0:
-        raise DomainError(f"standard deviation must be positive, got {std}")
+    mean, std = check_finite("gaussian mean", mean), check_positive("gaussian std", std)
     return DensityDistribution(
         partial(_gauss_pdf, mean=mean, std=std),
         partial(_gauss_sample, mean=mean, std=std),
@@ -267,9 +265,7 @@ def _exp_moment(k, rate):
 
 def exponential(rate):
     """Exponential law on (0, inf) with the given rate."""
-    rate = float(rate)
-    if rate <= 0.0:
-        raise DomainError(f"rate must be positive, got {rate}")
+    rate = check_positive("exponential rate", rate)
     return DensityDistribution(
         partial(_exp_pdf, rate=rate),
         partial(_exp_sample, rate=rate),
@@ -298,9 +294,7 @@ def _lognorm_moment(k, m, s):
 
 def lognormal(log_mean, log_std):
     """Law of exp(N(log_mean, log_std^2)) on (0, inf)."""
-    m, s = float(log_mean), float(log_std)
-    if s <= 0.0:
-        raise DomainError(f"log-standard deviation must be positive, got {s}")
+    m, s = check_finite("lognormal log_mean", log_mean), check_positive("lognormal log_std", log_std)
     return DensityDistribution(
         partial(_lognorm_pdf, m=m, s=s),
         partial(_lognorm_sample, m=m, s=s),

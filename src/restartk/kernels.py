@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import nu_weights
-from .errors import DomainError, SingularityAtOrigin, check_count
+from .errors import DomainError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
 from .spaces import indicator
 
@@ -134,7 +134,7 @@ class MarkovKernel(abc.ABC):
         is certified quadrature; kernels that know their Laplace transform
         override it.
         """
-        if math.isinf(t):
+        if math.isinf(check_horizon("horizon", t)):
             return lam * resolvent(self, lam, y, target, rel_tol=rel_tol)
         return exp_weighted_integral(
             lambda s: self.transition_probabilities(s, y, target), lam, t, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
@@ -146,8 +146,9 @@ class MarkovKernel(abc.ABC):
         The default is certified quadrature; at t = inf its truncation
         rests on the kernel's ``density_envelope``.
         """
+        lam = check_positive("restart rate", lam)
         bound = {}
-        if math.isinf(t):
+        if math.isinf(check_horizon("horizon", t)):
             s_min = min(1.0 / lam, 1.0)
             bound = {"growth_bound": self.density_envelope(z, s_min), "bound_valid_from": s_min}
         return exp_weighted_integral(
@@ -191,13 +192,6 @@ class MarkovKernel(abc.ABC):
         return False
 
 
-def _check_time(t):
-    t = float(t)
-    if not 0.0 <= t < math.inf:
-        raise DomainError(f"time must be nonnegative and finite, got {t}")
-    return t
-
-
 @dataclass(frozen=True)
 class RestartSpec:
     """Restart clock: Poisson rate and the redraw distribution.
@@ -211,10 +205,7 @@ class RestartSpec:
     nu: object
 
     def __post_init__(self):
-        r = float(self.rate)
-        if r < 0.0 or not math.isfinite(r):
-            raise DomainError(f"restart rate must be finite and nonnegative, got {self.rate}")
-        object.__setattr__(self, "rate", r)
+        object.__setattr__(self, "rate", check_nonnegative("restart rate", self.rate))
 
 
 class RestartedProcess(MarkovKernel):
@@ -241,12 +232,12 @@ class RestartedProcess(MarkovKernel):
 
     def no_restart_weight(self, t):
         """Probability that the clock has not fired by time t."""
-        return math.exp(-self.rate * _check_time(t))
+        return math.exp(-self.rate * check_nonnegative("time", t))
 
     # -- transition law -------------------------------------------------
 
     def transition_probability(self, t, x, target, rel_tol=DEFAULT_REL_TOL):
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         self.space.check_target(target)
         if t == 0.0:
             return indicator(target, x)
@@ -258,7 +249,7 @@ class RestartedProcess(MarkovKernel):
         )
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         z = self.space.state(z)
@@ -270,7 +261,7 @@ class RestartedProcess(MarkovKernel):
         )
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         P = self.base.transition_matrix(t)
         lam = self.rate
         if lam == 0.0 or t == 0.0:
@@ -280,7 +271,7 @@ class RestartedProcess(MarkovKernel):
         return math.exp(-lam * t) * P + self.base.stationary_vector(lam, w, t, rel_tol=rel_tol)
 
     def sample_transition(self, t, x, rng):
-        return self.sample_transitions(_check_time(t), np.asarray([x]), rng)[0].item()
+        return self.sample_transitions(check_nonnegative("time", t), np.asarray([x]), rng)[0].item()
 
     def sample_transitions(self, t, x, rng):
         """Advance every state in the array x by its time in t under the restart clock.
@@ -306,7 +297,7 @@ class RestartedProcess(MarkovKernel):
     def moment(self, k, t, x, rel_tol=DEFAULT_REL_TOL):
         """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""
         k = check_count("moment order k", k, least=0)
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         if t == 0.0:
             return self.base.state_value(x) ** k
         unrestarted = self.base.moment(k, t, x)
@@ -325,14 +316,14 @@ class RestartedProcess(MarkovKernel):
     def invariant_measure(self, target, rel_tol=DEFAULT_REL_TOL):
         """Mass the unique invariant law puts on the target set."""
         self.space.check_target(target)
-        lam = self._positive_rate()
+        lam = check_positive("restart rate", self.rate)
         return self._nu_expect(
             lambda y: self.base.stationary_probability(lam, y, target, rel_tol=rel_tol), rel_tol
         )
 
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
         """Density of the invariant law at z, for kernels with densities."""
-        lam = self._positive_rate()
+        lam = check_positive("restart rate", self.rate)
         z = self.space.state(z)
         # the quadrature default whatever the base kernel: the closed forms
         # would fix the false-convergence-gbm-stationary-density config of
@@ -344,16 +335,11 @@ class RestartedProcess(MarkovKernel):
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):
         """Invariant weight vector on a finite state space."""
-        lam = self._positive_rate()
+        lam = check_positive("restart rate", self.rate)
         w = nu_weights(self.restart.nu, self.space)
         return self.base.stationary_vector(lam, w, rel_tol=rel_tol)
 
     # -- helpers ---------------------------------------------------------
-
-    def _positive_rate(self):
-        if self.rate == 0.0:
-            raise DomainError("rate 0 never restarts; no stationary law exists")
-        return self.rate
 
     def _age_integrals(self):
         """The class whose ``stationary_probability``/``stationary_density``
@@ -394,9 +380,7 @@ def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):
     kernel: it never takes the kernel's exact ``stationary_probability``,
     so the tests keep it as the independent oracle for those routes.
     """
-    lam = float(lam)
-    if lam <= 0.0:
-        raise DomainError(f"resolvent needs a positive rate, got {lam}")
+    lam = check_positive("restart rate", lam)
     kernel.space.check_target(target)
     weighted = exp_weighted_integral(
         lambda s: kernel.transition_probabilities(s, y, target), lam, math.inf, rel_tol=rel_tol

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
-from .errors import DomainError, check_count
-from .kernels import Divergent, MarkovKernel, RestartedProcess, _check_time
+from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
+from .kernels import Divergent, MarkovKernel, RestartedProcess
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
@@ -57,38 +57,6 @@ expm = _on_first_call("scipy.linalg", "expm")
 erfcx = _on_first_call("scipy.special", "erfcx")
 gammainc = _on_first_call("scipy.special", "gammainc")
 ndtr = _on_first_call("scipy.special", "ndtr")
-
-
-def _positive_rate(lam):
-    lam = float(lam)
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"restart rate must be positive and finite, got {lam}")
-    return lam
-
-
-def _check_times(t, shape=None, positive=False):
-    """Transition times as an array, broadcast to shape when one is given
-    (a scalar is then shared); each must be nonnegative, or positive, and
-    finite."""
-    t = np.asarray(t, dtype=float)
-    if shape is not None:
-        t = np.broadcast_to(t, shape)
-    ok = (t > 0.0 if positive else t >= 0.0) & (t < math.inf)
-    if not ok.all():
-        _refuse_time(t[~ok].flat[0], positive)
-    return t
-
-
-def _check_one_time(t, positive=False):
-    """One transition time as a float, checked as _check_times checks each."""
-    t = float(t)
-    if not ((t > 0.0 if positive else t >= 0.0) and t < math.inf):
-        _refuse_time(t, positive)
-    return t
-
-
-def _refuse_time(bad, positive):
-    raise DomainError(f"times must be {'positive' if positive else 'nonnegative'} and finite, got {bad}")
 
 
 def _at_one_time(array_form, t, *args):
@@ -133,13 +101,6 @@ def _erfc_times(v, factor, gauss):
     without cancellation: through erfcx(v) * gauss where erfc(v) underflows
     (v >= 0), directly where erfcx(v) overflows."""
     return float(erfcx(v)) * gauss if v >= 0.0 else math.erfc(v) * factor
-
-
-def _check_horizon(t):
-    t = float(t)
-    if not t >= 0.0:
-        raise DomainError(f"horizon must be nonnegative or inf, got {t}")
-    return t
 
 
 class _RestartAgeLaw:
@@ -274,10 +235,8 @@ class BrownianWithDrift(MarkovKernel):
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
-            raise DomainError(f"sigma must be positive and finite, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise DomainError(f"mu must be finite, got {self.mu}")
+        check_positive("sigma", self.sigma)
+        check_finite("mu", self.mu)
 
     @property
     def space(self):
@@ -287,7 +246,7 @@ class BrownianWithDrift(MarkovKernel):
     # the same numpy exp and scipy ndtr, so that the two agree bit for bit;
     # where sigma*sqrt(t) is 0 (t = 0, or an underflow) they defer to them
     def transition_density(self, t, x, z):
-        t = _check_one_time(t, positive=True)
+        t = check_positive("time", t)
         sd = self.sigma * math.sqrt(t)
         if sd == 0.0:
             return _at_one_time(self.transition_densities, t, x, z)
@@ -295,7 +254,7 @@ class BrownianWithDrift(MarkovKernel):
         return float(np.exp(-0.5 * u * u)) / (sd * _SQRT_2PI)
 
     def transition_probability(self, t, x, target):
-        t = _check_one_time(t)
+        t = check_nonnegative("time", t)
         sd = self.sigma * math.sqrt(t)
         if sd == 0.0:
             return _at_one_time(self.transition_probabilities, t, x, target)
@@ -303,13 +262,13 @@ class BrownianWithDrift(MarkovKernel):
         return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
 
     def transition_densities(self, t, x, z):
-        t = _check_times(t, positive=True)
+        t = check_times(t, positive=True)
         sd = self.sigma * np.sqrt(t)
         u = (z - x - self.mu * t) / sd
         return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
 
     def transition_probabilities(self, t, x, target):
-        t = _check_times(t)
+        t = check_times(t)
         sd = self.sigma * np.sqrt(t)
         m = x + self.mu * t
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -318,27 +277,27 @@ class BrownianWithDrift(MarkovKernel):
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
         """The restart-age law's mass of the target, in closed form at any t."""
-        law = _RestartAgeLaw(self.mu, self.sigma, _positive_rate(lam))
-        return law.mass(float(y), target.lower, target.upper, _check_horizon(t))
+        law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
+        return law.mass(float(y), target.lower, target.upper, check_horizon("horizon", t))
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
         """The restart-age law's density at z, in closed form at any t."""
-        law = _RestartAgeLaw(self.mu, self.sigma, _positive_rate(lam))
-        return law.density(float(y), float(z), _check_horizon(t))
+        law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
+        return law.density(float(y), float(z), check_horizon("horizon", t))
 
     def sample_transition(self, t, x, rng):
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         return x + self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
 
     def sample_transitions(self, t, x, rng):
-        t = _check_times(t, np.shape(x))
+        t = check_times(t, np.shape(x))
         return x + self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
 
     def moment(self, k, t, x):
         return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
-        t = _check_times(t)
+        t = check_times(t)
         return gaussian_raw_moment(k, x + self.mu * t, self.sigma * np.sqrt(t))
 
     def density_envelope(self, z, s_min):
@@ -352,10 +311,9 @@ class BrownianWithDrift(MarkovKernel):
         start point, so the time integral reduces to incomplete-gamma weights and
         the restart average to moments of nu.
         """
-        lam = restart.rate
-        if lam <= 0.0:
-            raise DomainError("restart rate must be positive")
+        lam = check_positive("restart rate", restart.rate)
         k = check_count("moment order k", k, least=0)
+        t = check_horizon("horizon", t)
         mu, sigma = self.mu, self.sigma
         term1 = 0.0 if math.isinf(t) else math.exp(-lam * t) * self.moment(k, t, x)
         term2 = 0.0
@@ -370,6 +328,13 @@ class BrownianWithDrift(MarkovKernel):
 
     def certifies_absolute_moment(self, k):
         return True
+
+
+def _log_state(x):
+    """log of one positive state of geometric Brownian motion."""
+    if not x > 0.0:
+        raise DomainError(f"state must be positive, got {x}")
+    return math.log(x)
 
 
 @dataclass(frozen=True)
@@ -394,14 +359,10 @@ class GeometricBrownian(MarkovKernel):
 
     @staticmethod
     def _log(x):
-        """log of a positive state, or of each state of an array."""
-        if isinstance(x, np.ndarray):
-            if not (x > 0.0).all():
-                raise DomainError("states must be positive")
-            return np.log(x)
-        if not x > 0.0:
-            raise DomainError(f"state must be positive, got {x}")
-        return math.log(x)
+        """log of each state of an array, all positive."""
+        if not (x > 0.0).all():
+            raise DomainError("states must be positive")
+        return np.log(x)
 
     @staticmethod
     def _log_target(target):
@@ -411,35 +372,38 @@ class GeometricBrownian(MarkovKernel):
     # the one-time forms are the log motion's, as the array forms are, so
     # the two agree bit for bit
     def transition_density(self, t, x, z):
-        return self.log.transition_density(t, self._log(x), self._log(z)) / z
+        return self.log.transition_density(t, _log_state(x), _log_state(z)) / z
 
     def transition_probability(self, t, x, target):
-        return self.log.transition_probability(t, self._log(x), self._log_target(target))
+        return self.log.transition_probability(t, _log_state(x), self._log_target(target))
 
     def transition_densities(self, t, x, z):
-        return self.log.transition_densities(t, self._log(x), self._log(z)) / z
+        return self.log.transition_densities(t, _log_state(x), _log_state(z)) / z
 
     def transition_probabilities(self, t, x, target):
-        return self.log.transition_probabilities(t, self._log(x), self._log_target(target))
+        return self.log.transition_probabilities(t, _log_state(x), self._log_target(target))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
         """The log-space law's mass of the log target, in closed form at any t."""
-        return self.log.stationary_probability(lam, self._log(y), self._log_target(target), t)
+        return self.log.stationary_probability(lam, _log_state(y), self._log_target(target), t)
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
         """The log-space law's density at log z, over z, in closed form at any t."""
-        return self.log.stationary_density(lam, self._log(y), self._log(z), t) / z
+        return self.log.stationary_density(lam, _log_state(y), _log_state(z), t) / z
 
     def sample_transition(self, t, x, rng):
-        t = _check_time(t)
-        y = self._log(x)
+        # _log_state inline: the event-log walker calls this once per event
+        t = check_nonnegative("time", t)
+        if not x > 0.0:
+            raise DomainError(f"state must be positive, got {x}")
+        y = math.log(x)
         if t == 0.0:
             return x
         return math.exp(y + self.log.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal())
 
     def sample_transitions(self, t, x, rng):
         x = np.asarray(x, dtype=float)
-        t = _check_times(t, x.shape)
+        t = check_times(t, x.shape)
         moved = np.exp(self.log.sample_transitions(t, self._log(x), rng))
         return np.where(t > 0.0, moved, x)
 
@@ -456,9 +420,8 @@ class GeometricBrownian(MarkovKernel):
         rate; the resonance lam = eta_k grows exactly linearly in t.
         """
         k = check_count("moment order k", k, least=0)
-        lam = restart.rate
-        if lam <= 0.0:
-            raise DomainError("restart rate must be positive")
+        lam = check_positive("restart rate", restart.rate)
+        t = check_horizon("horizon", t)
         eta = self.moment_growth_rate(k)
         mk = _nu_moment(restart.nu, k)
         if lam == eta:
@@ -483,7 +446,7 @@ class GeometricBrownian(MarkovKernel):
         return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
-        t = _check_times(t)
+        t = check_times(t)
         with np.errstate(over="ignore"):
             growth = np.exp(self.moment_growth_rate(k) * t)
         if not np.isfinite(growth).all():
@@ -492,7 +455,7 @@ class GeometricBrownian(MarkovKernel):
         return x**k * growth
 
     def density_envelope(self, z, s_min):
-        c, eta = self.log.density_envelope(self._log(z), s_min)
+        c, eta = self.log.density_envelope(_log_state(z), s_min)
         return c / z, eta
 
     def certifies_absolute_moment(self, k):
@@ -537,8 +500,9 @@ class FiniteCTMC(MarkovKernel):
         self._jump_cdfs = np.array(
             [categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(self._rates)]
         )
-        # the same as lists, for the one-path sampler's bisect_right
-        self._rate_list = self._rates.tolist()
+        # for the one-path sampler: each state's mean holding time (None where
+        # absorbing), and the cdf rows as lists for bisect_right
+        self._scale_list = [1.0 / r if r > 0.0 else None for r in self._rates.tolist()]
         self._jump_cdf_lists = self._jump_cdfs.tolist()
         self._expm_cache = {}
         self._resolvent_cache = {}
@@ -575,7 +539,7 @@ class FiniteCTMC(MarkovKernel):
         return self._space
 
     def transition_matrix(self, t):
-        return self.transition_matrices([_check_time(t)])[0]
+        return self.transition_matrices([check_nonnegative("time", t)])[0]
 
     def transition_matrices(self, t):
         """exp(Q*s) for every time s of the 1-D array t, stacked.
@@ -583,7 +547,7 @@ class FiniteCTMC(MarkovKernel):
         Memoised times are read from the memo; the rest take one stacked
         expm, whose matrices equal those of one expm per time.
         """
-        times = _check_times(t).tolist()
+        times = check_times(t).tolist()
         cache = self._expm_cache
         found = {s: cache[s] for s in times if s in cache}
         missing = [s for s in dict.fromkeys(times) if s not in found]
@@ -610,22 +574,26 @@ class FiniteCTMC(MarkovKernel):
         return P
 
     def transition_probability(self, t, x, target):
-        row = self.transition_matrix(t)[int(x)]
+        self._space.check_target(target)
+        row = self.transition_matrix(t)[self._space.index(x)]
         return float(sum(row[i] for i in target.indices))
 
     def transition_probabilities(self, t, x, target):
-        return self.transition_matrices(t)[:, int(x), list(target.indices)].sum(axis=1)
+        self._space.check_target(target)
+        return self.transition_matrices(t)[:, self._space.index(x), list(target.indices)].sum(axis=1)
 
     def sample_transition(self, t, x, rng):
-        t = _check_time(t)
+        t = check_nonnegative("time", t)
         state = int(x)
-        rates, cdfs = self._rate_list, self._jump_cdf_lists
+        scales, cdfs = self._scale_list, self._jump_cdf_lists
+        if state != x or not 0 <= state < len(cdfs):
+            self._space.index(x)  # raises: x names no state (inline test: one per walker event)
         elapsed = 0.0
         while True:
-            rate = rates[state]
-            if rate <= 0.0:
+            scale = scales[state]
+            if scale is None:
                 return state
-            elapsed += rng.exponential(1.0 / rate)
+            elapsed += rng.exponential(scale)
             if elapsed >= t:
                 return state
             state = bisect_right(cdfs[state], rng.random())
@@ -633,7 +601,10 @@ class FiniteCTMC(MarkovKernel):
     def sample_transitions(self, t, x, rng):
         """The jump loop of ``sample_transition``, run for every path at once."""
         state = np.array(x, dtype=np.int64)
-        t = _check_times(t, state.shape)
+        t = check_times(t, state.shape)
+        outside = (state != x) | (state < 0) | (state >= len(self._rates))
+        if outside.any():
+            self._space.index(np.asarray(x)[outside].flat[0])  # raises: it names no state
         elapsed = np.zeros(state.shape)
         live = np.flatnonzero(self._rates[state] > 0.0)
         while live.size:
@@ -646,11 +617,11 @@ class FiniteCTMC(MarkovKernel):
         return state
 
     def moment(self, k, t, x):
-        row = self.transition_matrix(t)[int(x)]
+        row = self.transition_matrix(t)[self._space.index(x)]
         return float(row @ self.values**k)
 
     def moments(self, k, t, x):
-        return self.transition_matrices(t)[:, int(x)] @ self.values**k
+        return self.transition_matrices(t)[:, self._space.index(x)] @ self.values**k
 
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted; t may be inf.
@@ -659,11 +630,13 @@ class FiniteCTMC(MarkovKernel):
         t = inf) against the k-th powers of the state values; the chain's
         resolvent linear algebra gives both exactly, so no quadrature enters.
         """
-        if restart.rate <= 0.0:
-            raise DomainError("restart rate must be positive")
+        check_positive("restart rate", restart.rate)
         k = check_count("moment order k", k, least=0)
         proc = RestartedProcess(self, restart)
-        q = proc.invariant_vector() if math.isinf(t) else proc.transition_matrix(t)[int(x)]
+        if math.isinf(check_horizon("horizon", t)):
+            q = proc.invariant_vector()
+        else:
+            q = proc.transition_matrix(t)[self._space.index(x)]
         return float(q @ self.values**k)
 
     def certifies_absolute_moment(self, k):
@@ -683,7 +656,7 @@ class FiniteCTMC(MarkovKernel):
 
     def _stationary_matrix(self, lam):
         """lam * (lam*I - Q)^(-1), one linear solve per rate, memoised."""
-        lam = _positive_rate(lam)
+        lam = check_positive("restart rate", lam)
         eye = np.eye(self.space.n)
         return self._memoised(
             self._resolvent_cache, lam, lambda: np.linalg.solve(lam * eye - self.Q, lam * eye)
@@ -692,12 +665,13 @@ class FiniteCTMC(MarkovKernel):
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """Row y of lam*(lam*I - Q)^(-1) summed over the target; at finite t
         the quadrature default."""
-        if not math.isinf(t):
+        if not math.isinf(check_horizon("horizon", t)):
             # perfbench/test_smoke.py asserts quadrature.calls > 0 on the
             # kernel-chain3 workload config, which only this route makes
             # (ROADMAP 2b: the row of stationary_vector instead)
             return super().stationary_probability(lam, y, target, t, rel_tol=rel_tol)
-        return float(self._stationary_matrix(lam)[int(y), list(target.indices)].sum())
+        self._space.check_target(target)
+        return float(self._stationary_matrix(lam)[self._space.index(y), list(target.indices)].sum())
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
         """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly.
@@ -707,9 +681,8 @@ class FiniteCTMC(MarkovKernel):
         the value at t = inf, and a finite horizon subtracts
         exp(-lam*t) v exp(Q*t).
         """
-        lam = _positive_rate(lam)
         v = np.asarray(w, dtype=float) @ self._stationary_matrix(lam)
-        if math.isinf(t):
+        if math.isinf(check_horizon("horizon", t)):
             return v
         return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
 

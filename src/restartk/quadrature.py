@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TailBoundViolated, ToleranceNotMet
+from .errors import DomainError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
@@ -109,15 +109,10 @@ def tail_truncation_point(lam, eta, growth_const=1.0, eps=1e-12):
     integral past s* is bounded by C*lam/(lam-eta) * exp(-(lam-eta)*s*).
     Returns the smallest nonnegative s* making that bound at most eps.
     """
-    lam = float(lam)
-    eta = float(eta)
-    C = float(growth_const)
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"restart rate must be positive and finite, got {lam}")
-    if C <= 0.0 or not math.isfinite(C):
-        raise DomainError(f"growth constant must be positive and finite, got {C}")
-    if eps <= 0.0:
-        raise DomainError(f"tail budget must be positive, got {eps}")
+    lam = check_positive("restart rate", lam)
+    eta = check_finite("growth rate eta", eta)
+    C = check_positive("growth constant", growth_const)
+    eps = check_positive("tail budget", eps)
     if eta >= lam:
         raise TailBoundViolated(
             f"growth rate eta={eta} is not below the restart rate lam={lam}; "
@@ -167,11 +162,10 @@ def exp_weighted_integral(
     QuadratureResult; ToleranceNotMet, carrying it, when the certified
     error exceeds the tolerance.
     """
-    lam = float(lam)
-    if not (lam > 0.0) or not math.isfinite(lam):
-        raise DomainError(f"restart rate must be positive and finite, got {lam}")
-    if rel_tol <= 0.0 or abs_tol <= 0.0:
-        raise DomainError("tolerances must be positive")
+    lam = check_positive("restart rate", lam)
+    rel_tol = check_positive("rel_tol", rel_tol)
+    abs_tol = check_positive("abs_tol", abs_tol)
+    upper = check_horizon("upper limit", upper)
 
     tail_err = 0.0
     truncated_at = None
@@ -184,9 +178,7 @@ def exp_weighted_integral(
         tail_err = _tail_bound(lam, float(eta), float(C), U)
         truncated_at = U
     else:
-        U = float(upper)
-        if U < 0.0 or math.isnan(U):
-            raise DomainError(f"upper limit must be nonnegative, got {upper}")
+        U = upper
 
     if U == 0.0:
         probe = np.asarray(f(np.array([_TINY])), dtype=float)[0] * 0.0

@@ -24,6 +24,7 @@ how blocks are spread over workers.
 
 from __future__ import annotations
 
+import logging
 import math
 import os
 import warnings
@@ -33,7 +34,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, MomentUnstable, WindowTooNarrow, check_count
+from .errors import DomainError, MomentUnstable, WindowTooNarrow, check_count, check_positive
 from .spaces import FiniteSet
 
 # paths per block: the unit of vectorisation, of random streams (ensemble
@@ -46,8 +47,12 @@ BLOCK = 1024
 # won that time back, and only for the 3-state chain
 POOL_BLOCKS_PER_WORKER = 64
 
-# most exponential gaps age_distribution_test draws at once (8 MB of floats)
+# most exponential gaps age_distribution_test draws at once (8 MB of floats),
+# and the points of the grid it compares the two laws on
 AGE_TEST_GAPS = 1 << 20
+AGE_TEST_GRID_POINTS = 200
+
+_logger = logging.getLogger("restartk")
 
 # heavy-tail diagnostics for Monte Carlo moments: excess kurtosis of the
 # k-th powers, and the largest single path's share of their absolute sum
@@ -68,9 +73,7 @@ class PathConfig:
     def __post_init__(self):
         if isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
             raise DomainError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        h = float(self.horizon)
-        if not (h > 0.0) or not math.isfinite(h):
-            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
+        h = check_positive("horizon", self.horizon)
         grid = tuple(float(g) for g in self.record_grid)
         if not grid:
             raise DomainError("record_grid must contain at least one time")
@@ -253,6 +256,7 @@ def run_ensemble(proc, config, workers=1):
     if workers == 1:
         blocks = _run_blocks(proc, config, 0, n_blocks)
     else:
+        _logger.info("process pool of %d workers for %d blocks", workers, n_blocks)
         bounds = np.linspace(0, n_blocks, workers + 1).astype(int)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = pool.map(
@@ -277,18 +281,19 @@ def _grid_index(config, t):
     return int(hits[0])
 
 
-def monte_carlo_moment(proc, config, k, t, ensemble=None, workers=1):
+def monte_carlo_moment(proc, config, k, t, ensemble=None):
     """Estimate E[X(t)^k] over the ensemble, with heavy-tail diagnostics.
 
     Emits MomentUnstable (and flags the report) when the k-th powers show
     heavy-tail symptoms: enormous excess kurtosis or one path dominating
     their absolute sum.  The standard error is then unreliable and the
-    moment itself may not exist.
+    moment itself may not exist.  Without an ``ensemble`` it simulates one
+    in this process.
     """
     k = check_count("moment order k", k)
     j = _grid_index(config, t)
     if ensemble is None:
-        ensemble = run_ensemble(proc, config, workers=workers)
+        ensemble = run_ensemble(proc, config)
     vals = proc.space.labels(ensemble.states[:, j]) ** k
     n = len(vals)
     est = float(np.mean(vals))
@@ -332,7 +337,7 @@ class AgeReport:
     passed: bool
 
 
-def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
+def age_distribution_test(proc, t, n_paths, seed):
     """Check that the age of the restart clock at time t is truncated-exponential.
 
     P[age <= s, at least one restart] should equal 1 - exp(-lam*s) for
@@ -340,15 +345,11 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
     0 by exponential gaps, all paths at once from the one stream of the
     seed, until its clock passes t: the opposite construction to the
     ensemble sampler's backward draw of the age.  Deviations are compared
-    on a uniform grid against a 3/sqrt(n) band.
+    on a uniform grid of AGE_TEST_GRID_POINTS against a 3/sqrt(n) band.
     """
-    lam = proc.rate
-    if lam <= 0.0:
-        raise DomainError("age test needs a positive restart rate")
-    t = float(t)
-    if not (0.0 < t < math.inf):
-        raise DomainError(f"t must be positive and finite, got {t}")
-    n_paths, grid_points = check_count("n_paths", n_paths), check_count("grid_points", grid_points)
+    lam = check_positive("restart rate", proc.rate)
+    t = check_positive("t", t)
+    n_paths = check_count("n_paths", n_paths)
     rng = np.random.default_rng(seed)
     # gaps per path and draw: the mean count plus six standard deviations,
     # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS
@@ -366,7 +367,7 @@ def age_distribution_test(proc, t, n_paths, seed, grid_points=200):
         clock[live] = times[:, -1]
         live = live[times[:, -1] <= t]
     ages = np.sort(t - last)  # inf where no restart happened
-    grid = np.linspace(0.0, t, grid_points)
+    grid = np.linspace(0.0, t, AGE_TEST_GRID_POINTS)
     empirical = np.searchsorted(ages, grid, side="right") / n_paths
     theoretical = 1.0 - np.exp(-lam * grid)
     dev = float(np.max(np.abs(empirical - theoretical)))
@@ -389,15 +390,7 @@ class HistogramReport:
 
 
 def empirical_distribution(
-    proc,
-    config,
-    t,
-    bins,
-    window,
-    reference_pdf=None,
-    reference_cdf=None,
-    ensemble=None,
-    workers=1,
+    proc, config, t, bins, window, reference_pdf=None, reference_cdf=None, ensemble=None
 ):
     """Histogram of the ensemble at time t on a continuous state space.
 
@@ -406,7 +399,8 @@ def empirical_distribution(
     partition, an 'outside the window' cell included.  The window must hold
     all but 1e-4 of the reference mass, otherwise WindowTooNarrow is
     raised.  The sampling noise floor sqrt(bins/n) calibrates how small a
-    TV distance can meaningfully get.
+    TV distance can meaningfully get.  Without an ``ensemble`` it
+    simulates one in this process.
     """
     if isinstance(proc.space, FiniteSet):
         raise DomainError("histograms are for continuous state spaces; use state frequencies")
@@ -416,7 +410,7 @@ def empirical_distribution(
     bins = check_count("bins", bins)
     j = _grid_index(config, t)
     if ensemble is None:
-        ensemble = run_ensemble(proc, config, workers=workers)
+        ensemble = run_ensemble(proc, config)
     vals = ensemble.states[:, j]
     n = len(vals)
     edges = np.linspace(a, b, bins + 1)

@@ -102,6 +102,12 @@ class FiniteSet:
     def contains(self, x):
         return isinstance(x, (int, np.integer)) and 0 <= int(x) < self.n
 
+    def index(self, x):
+        """State x as an int index, refused unless it names one of the n states."""
+        if not (_index(x) and 0 <= x < len(self.values)):
+            raise DomainError(f"state {x} is not in {self!r}")
+        return int(x)
+
     def whole(self):
         return Subset(range(self.n))
 

@@ -38,6 +38,7 @@ from restartk import (
     run_ensemble,
     small_lambda_sweep,
 )
+from restartk.analysis import ERGODICITY_SLACK
 
 
 def _report(num, ok, detail):
@@ -111,7 +112,7 @@ def test_invariant_law_is_fixed_by_the_kernel():
 
 def test_distance_to_invariant_law_is_dominated_by_restart_clock():
     """Criterion 3: sup-deviation and chain TV sit under exp(-lam t), full matrix."""
-    slack = 1e-6
+    slack = ERGODICITY_SLACK
     reports = []
 
     chain3 = FiniteCTMC(
@@ -120,12 +121,12 @@ def test_distance_to_invariant_law_is_dominated_by_restart_clock():
     )
     proc = RestartedProcess(chain3, RestartSpec(2.0, FiniteSupport(((0, 0.4), (2, 0.6)))))
     sets = [Subset({0}), Subset({1}), Subset({2}), Subset({0, 2})]
-    reports.append(ergodicity_check(proc, 0, (0.3, 1.0, 2.0, 5.0), sets, slack=slack))
+    reports.append(ergodicity_check(proc, 0, (0.3, 1.0, 2.0, 5.0), sets))
 
     chain4 = FiniteCTMC(random_generator(np.random.default_rng(77), 4))
     proc = RestartedProcess(chain4, RestartSpec(1.2, FiniteSupport(((1, 1.0),))))
     sets = [Subset({0}), Subset({1, 2}), Subset({3})]
-    reports.append(ergodicity_check(proc, 2, (0.3, 1.0, 2.0, 5.0), sets, slack=slack))
+    reports.append(ergodicity_check(proc, 2, (0.3, 1.0, 2.0, 5.0), sets))
 
     proc = RestartedProcess(BrownianWithDrift(0.3, 1.0), RestartSpec(2.0, PointMass(0.0)))
     sets = [
@@ -134,11 +135,11 @@ def test_distance_to_invariant_law_is_dominated_by_restart_clock():
         Interval(-math.inf, -0.5),
         Interval(0.2, 1.4),
     ]
-    reports.append(ergodicity_check(proc, 0.3, (0.5, 1.5, 3.0), sets, slack=slack))
+    reports.append(ergodicity_check(proc, 0.3, (0.5, 1.5, 3.0), sets))
 
     proc = RestartedProcess(GeometricBrownian(0.2, 0.5), RestartSpec(1.5, PointMass(1.0)))
     sets = [Interval(0.0, 1.0), Interval(1.0, math.inf), Interval(0.5, 2.0)]
-    reports.append(ergodicity_check(proc, 2.0, (0.5, 1.5, 3.0), sets, slack=slack))
+    reports.append(ergodicity_check(proc, 2.0, (0.5, 1.5, 3.0), sets))
 
     rows = [r for rep in reports for r in rep.rows]
     worst_margin = max(r.sup_deviation - r.bound for r in rows)
@@ -195,7 +196,7 @@ def test_moment_finiteness_threshold_of_restarted_gbm():
     # var(X^1) needs eta_2 < lam, which fails here, so the heavy-tail
     # diagnostic must fire; the mean itself is finite and well estimated
     with pytest.warns(MomentUnstable):
-        rep1 = monte_carlo_moment(proc, config, 1, 30.0, workers=2)
+        rep1 = monte_carlo_moment(proc, config, 1, 30.0, ensemble=run_ensemble(proc, config, workers=2))
     z1 = (rep1.estimate - first) / rep1.std_error
 
     blown = gbm_stationary_moment(p, RestartSpec(1.0, nu), 2)
@@ -207,7 +208,7 @@ def test_moment_finiteness_threshold_of_restarted_gbm():
         initial=PointMass(1.0),
     )
     with pytest.warns(MomentUnstable):
-        rep2 = monte_carlo_moment(proc, config, 2, 12.0, workers=2)
+        rep2 = monte_carlo_moment(proc, config, 2, 12.0, ensemble=run_ensemble(proc, config, workers=2))
     z2 = (rep2.estimate - second) / rep2.std_error
 
     orders_ok = max_finite_moment_order(p, 1.99) == 1 and max_finite_moment_order(p, 2.01) == 2

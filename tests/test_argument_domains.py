@@ -1,0 +1,222 @@
+"""Every public entry refuses a time, horizon, rate, scale or tolerance outside its domain.
+
+One table: each row names an entry, the argument it feeds, and the rule the
+argument obeys.  The rule fixes the values fed: NaN and -inf always, -1
+where the value must be nonnegative, 0 where it must be positive, and +inf
+wherever it must be finite.  Each must raise DomainError; none may be read
+as a limit (a horizon of -inf as the stationary law) or pass through to a
+result.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from conftest import make_three_state_chain
+
+from restartk import (
+    BrownianWithDrift,
+    DomainError,
+    GeometricBrownian,
+    Interval,
+    MarkovKernel,
+    PathConfig,
+    PointMass,
+    RestartedProcess,
+    RestartSpec,
+    Subset,
+    age_distribution_test,
+    exp_weighted_integral,
+    exponential,
+    gaussian,
+    lognormal,
+    max_finite_moment_order,
+    modified_moment,
+    moment_bound,
+    resolvent,
+    small_lambda_sweep,
+    tail_truncation_point,
+)
+
+BAD = {
+    "finite": (math.nan, -math.inf, math.inf),
+    "nonnegative": (math.nan, -math.inf, -1.0, math.inf),
+    "positive": (math.nan, -math.inf, -1.0, 0.0, math.inf),
+    "horizon": (math.nan, -math.inf, -1.0),
+}
+
+BM = BrownianWithDrift(0.3, 1.2)
+GBM = GeometricBrownian(0.1, 0.4)
+CHAIN = make_three_state_chain()
+RATE = RestartSpec(1.5, PointMass(0.0))
+CHAIN_RATE = RestartSpec(1.5, PointMass(0))
+GBM_RATE = RestartSpec(1.5, PointMass(1.0))
+W = np.array([0.2, 0.3, 0.5])
+G = Interval(-1.0, 1.0)
+RNG = np.random.default_rng(0)
+
+
+def _restarted(base, nu, rate=1.5):
+    return RestartedProcess(base, RestartSpec(rate, nu))
+
+
+def _times(v):
+    # a valid time, then v
+    return np.array([0.5, v])
+
+
+# (id, rule, call with the value)
+ENTRIES = [
+    # times
+    ("RestartedProcess.transition_probability t", "nonnegative",
+     lambda v: _restarted(BM, PointMass(0.0)).transition_probability(v, 0.0, G)),
+    ("RestartedProcess.transition_matrix t", "nonnegative",
+     lambda v: _restarted(CHAIN, PointMass(0)).transition_matrix(v)),
+    ("RestartedProcess.sample_transition t", "nonnegative",
+     lambda v: _restarted(BM, PointMass(0.0)).sample_transition(v, 0.0, RNG)),
+    ("RestartedProcess.moment t", "nonnegative", lambda v: _restarted(BM, PointMass(0.0)).moment(1, v, 0.0)),
+    ("RestartedProcess.no_restart_weight t", "nonnegative",
+     lambda v: _restarted(BM, PointMass(0.0)).no_restart_weight(v)),
+    ("BrownianWithDrift.transition_probability t", "nonnegative", lambda v: BM.transition_probability(v, 0.0, G)),
+    ("BrownianWithDrift.transition_density t", "positive", lambda v: BM.transition_density(v, 0.0, 0.5)),
+    ("BrownianWithDrift.transition_probabilities t", "nonnegative",
+     lambda v: BM.transition_probabilities(_times(v), 0.0, G)),
+    ("BrownianWithDrift.transition_densities t", "positive", lambda v: BM.transition_densities(_times(v), 0.0, 0.5)),
+    ("BrownianWithDrift.sample_transition t", "nonnegative", lambda v: BM.sample_transition(v, 0.0, RNG)),
+    ("BrownianWithDrift.sample_transitions t", "nonnegative",
+     lambda v: BM.sample_transitions(_times(v), np.zeros(2), RNG)),
+    ("BrownianWithDrift.moment t", "nonnegative", lambda v: BM.moment(2, v, 0.0)),
+    ("GeometricBrownian.transition_probability t", "nonnegative",
+     lambda v: GBM.transition_probability(v, 1.0, Interval(0.5, 2.0))),
+    ("GeometricBrownian.transition_density t", "positive", lambda v: GBM.transition_density(v, 1.0, 1.5)),
+    ("GeometricBrownian.sample_transition t", "nonnegative", lambda v: GBM.sample_transition(v, 1.0, RNG)),
+    ("GeometricBrownian.sample_transitions t", "nonnegative",
+     lambda v: GBM.sample_transitions(_times(v), np.ones(2), RNG)),
+    ("GeometricBrownian.moments t", "nonnegative", lambda v: GBM.moments(1, _times(v), 1.0)),
+    ("FiniteCTMC.transition_probability t", "nonnegative",
+     lambda v: CHAIN.transition_probability(v, 0, Subset([0]))),
+    ("FiniteCTMC.transition_matrices t", "nonnegative", lambda v: CHAIN.transition_matrices(_times(v))),
+    ("FiniteCTMC.sample_transition t", "nonnegative", lambda v: CHAIN.sample_transition(v, 0, RNG)),
+    ("FiniteCTMC.sample_transitions t", "nonnegative",
+     lambda v: CHAIN.sample_transitions(_times(v), np.zeros(2, dtype=int), RNG)),
+    ("FiniteCTMC.moment t", "nonnegative", lambda v: CHAIN.moment(1, v, 0)),
+    # horizons in [0, inf]
+    ("MarkovKernel.stationary_probability t", "horizon",
+     lambda v: MarkovKernel.stationary_probability(BM, 1.5, 0.0, G, v)),
+    ("MarkovKernel.stationary_density t", "horizon", lambda v: MarkovKernel.stationary_density(BM, 1.5, 0.0, 0.5, v)),
+    ("MarkovKernel.stationary_vector t", "horizon", lambda v: MarkovKernel.stationary_vector(CHAIN, 1.5, W, v)),
+    ("BrownianWithDrift.stationary_probability t", "horizon", lambda v: BM.stationary_probability(1.5, 0.0, G, v)),
+    ("BrownianWithDrift.stationary_density t", "horizon", lambda v: BM.stationary_density(1.5, 0.0, 0.5, v)),
+    ("GeometricBrownian.stationary_probability t", "horizon",
+     lambda v: GBM.stationary_probability(1.5, 1.0, Interval(0.5, 2.0), v)),
+    ("FiniteCTMC.stationary_probability t", "horizon",
+     lambda v: CHAIN.stationary_probability(1.5, 0, Subset([0]), v)),
+    ("FiniteCTMC.stationary_vector t", "horizon", lambda v: CHAIN.stationary_vector(1.5, W, v)),
+    ("BrownianWithDrift.restarted_moment t", "horizon", lambda v: BM.restarted_moment(RATE, 1, v, 0.0)),
+    ("GeometricBrownian.restarted_moment t", "horizon", lambda v: GBM.restarted_moment(GBM_RATE, 1, v, 1.0)),
+    ("FiniteCTMC.restarted_moment t", "horizon", lambda v: CHAIN.restarted_moment(CHAIN_RATE, 1, v, 0)),
+    ("modified_moment t", "horizon", lambda v: modified_moment(_restarted(BM, PointMass(0.0)), 1, v, 0.0)),
+    ("exp_weighted_integral upper", "horizon", lambda v: exp_weighted_integral(np.ones_like, 1.5, v)),
+    ("PathConfig horizon", "positive",
+     lambda v: PathConfig(seed=0, horizon=v, record_grid=(0.0,), n_paths=1, initial=PointMass(0.0))),
+    ("age_distribution_test t", "positive",
+     lambda v: age_distribution_test(_restarted(BM, PointMass(0.0)), v, n_paths=10, seed=0)),
+    # restart rates
+    ("RestartSpec rate", "nonnegative", lambda v: RestartSpec(v, PointMass(0.0))),
+    ("resolvent lam", "positive", lambda v: resolvent(BM, v, 0.0, G)),
+    ("exp_weighted_integral lam", "positive", lambda v: exp_weighted_integral(np.ones_like, v, 1.0)),
+    ("tail_truncation_point lam", "positive", lambda v: tail_truncation_point(v, -1.0)),
+    ("MarkovKernel.stationary_probability lam", "positive",
+     lambda v: MarkovKernel.stationary_probability(BM, v, 0.0, G)),
+    ("MarkovKernel.stationary_density lam", "positive",
+     lambda v: MarkovKernel.stationary_density(BM, v, 0.0, 0.5)),
+    ("MarkovKernel.stationary_vector lam", "positive", lambda v: MarkovKernel.stationary_vector(CHAIN, v, W, 1.0)),
+    ("BrownianWithDrift.stationary_probability lam", "positive", lambda v: BM.stationary_probability(v, 0.0, G)),
+    ("BrownianWithDrift.stationary_density lam", "positive", lambda v: BM.stationary_density(v, 0.0, 0.5)),
+    ("GeometricBrownian.stationary_density lam", "positive", lambda v: GBM.stationary_density(v, 1.0, 1.5)),
+    ("FiniteCTMC.stationary_probability lam", "positive",
+     lambda v: CHAIN.stationary_probability(v, 0, Subset([0]))),
+    ("FiniteCTMC.stationary_vector lam", "positive", lambda v: CHAIN.stationary_vector(v, W)),
+    ("BrownianWithDrift.restarted_moment rate", "positive",
+     lambda v: BM.restarted_moment(RestartSpec(v, PointMass(0.0)), 1, 1.0, 0.0)),
+    ("GeometricBrownian.restarted_moment rate", "positive",
+     lambda v: GBM.restarted_moment(RestartSpec(v, PointMass(1.0)), 1, 1.0, 1.0)),
+    ("FiniteCTMC.restarted_moment rate", "positive",
+     lambda v: CHAIN.restarted_moment(RestartSpec(v, PointMass(0)), 1, 1.0, 0)),
+    ("RestartedProcess.invariant_measure rate", "positive",
+     lambda v: _restarted(BM, PointMass(0.0), v).invariant_measure(G)),
+    ("RestartedProcess.invariant_density rate", "positive",
+     lambda v: _restarted(BM, PointMass(0.0), v).invariant_density(0.5)),
+    ("RestartedProcess.invariant_vector rate", "positive",
+     lambda v: _restarted(CHAIN, PointMass(0), v).invariant_vector()),
+    ("max_finite_moment_order lam", "positive", lambda v: max_finite_moment_order(GBM, v)),
+    ("small_lambda_sweep lambda", "positive",
+     lambda v: small_lambda_sweep(CHAIN, PointMass(0), [Subset([0])], [2.0, v])),
+    ("age_distribution_test rate", "positive",
+     lambda v: age_distribution_test(_restarted(BM, PointMass(0.0), v), 1.0, n_paths=10, seed=0)),
+    # scales and law parameters
+    ("BrownianWithDrift sigma", "positive", lambda v: BrownianWithDrift(0.0, v)),
+    ("BrownianWithDrift mu", "finite", lambda v: BrownianWithDrift(v, 1.0)),
+    ("GeometricBrownian sigma", "positive", lambda v: GeometricBrownian(0.0, v)),
+    ("GeometricBrownian mu", "finite", lambda v: GeometricBrownian(v, 1.0)),
+    ("gaussian std", "positive", lambda v: gaussian(0.0, v)),
+    ("gaussian mean", "finite", lambda v: gaussian(v, 1.0)),
+    ("exponential rate", "positive", lambda v: exponential(v)),
+    ("lognormal log_std", "positive", lambda v: lognormal(0.0, v)),
+    ("lognormal log_mean", "finite", lambda v: lognormal(v, 1.0)),
+    ("moment_bound eta", "finite",
+     lambda v: moment_bound(_restarted(BM, PointMass(0.0)), 2, lambda y: 1.0, v)),
+    ("tail_truncation_point eta", "finite", lambda v: tail_truncation_point(1.5, v)),
+    ("tail_truncation_point growth_const", "positive", lambda v: tail_truncation_point(1.5, 0.0, v)),
+    # tolerances
+    ("exp_weighted_integral rel_tol", "positive", lambda v: exp_weighted_integral(np.ones_like, 1.5, 1.0, rel_tol=v)),
+    ("exp_weighted_integral abs_tol", "positive", lambda v: exp_weighted_integral(np.ones_like, 1.5, 1.0, abs_tol=v)),
+    ("tail_truncation_point eps", "positive", lambda v: tail_truncation_point(1.5, 0.0, eps=v)),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value",
+    [pytest.param(call, v, id=f"{name}={v}") for name, rule, call in ENTRIES for v in BAD[rule]],
+)
+def test_out_of_domain_argument_is_refused(call, value):
+    with pytest.raises(DomainError):
+        call(value)
+
+
+@pytest.mark.parametrize("name, rule, call", ENTRIES, ids=[e[0] for e in ENTRIES])
+def test_the_domain_edge_is_accepted(name, rule, call):
+    # the closed end of each domain: 0 for times, inf for horizons; the
+    # table's calls are valid there, so a refusal would be the rule's fault
+    if rule in ("nonnegative", "horizon"):
+        call(0.0)
+    if rule == "horizon":
+        call(math.inf)
+
+
+def test_minus_infinity_is_no_stationary_limit():
+    # each of these once read t = -inf as t = inf and returned the invariant law
+    for call in (
+        lambda: exp_weighted_integral(np.ones_like, 1.5, -math.inf),
+        lambda: CHAIN.stationary_vector(1.5, W, -math.inf),
+        lambda: BM.restarted_moment(RATE, 1, -math.inf, 0.0),
+        lambda: GBM.restarted_moment(GBM_RATE, 1, -math.inf, 1.0),
+        lambda: CHAIN.restarted_moment(CHAIN_RATE, 1, -math.inf, 0),
+    ):
+        with pytest.raises(DomainError, match="must be nonnegative or inf, got -inf"):
+            call()
+
+
+def test_messages_name_the_argument_and_its_rule():
+    cases = [
+        (lambda: BM.sample_transition(math.nan, 0.0, RNG), "time must be nonnegative and finite, got nan"),
+        (lambda: BM.transition_densities(_times(0.0), 0.0, 0.5), "time must be positive and finite, got 0.0"),
+        (lambda: gaussian(0.0, math.nan), "gaussian std must be positive and finite, got nan"),
+        (lambda: gaussian(math.nan, 1.0), "gaussian mean must be finite, got nan"),
+        (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be nonnegative and finite, got -1.0"),
+        (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
+    ]
+    for call, message in cases:
+        with pytest.raises(DomainError) as err:
+            call()
+        assert str(err.value) == message

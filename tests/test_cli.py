@@ -311,7 +311,7 @@ class TestErgodicity:
         task = {"name": "ergodicity", "x": 0, "t_grid": [1.0], "targets": [[0]]}
         path, _ = write_config(tmp_path, task, process=self.chain(), restart=restart)
 
-        def fake_check(proc, x, t_grid, sets, rel_tol=1e-9, slack=1e-6):
+        def fake_check(proc, x, t_grid, sets, rel_tol=1e-9):
             rep = ErgodicityReport(x, [ErgodicityRow(1.0, 0.9, 0.1, False)], passed=False)
             return rep
 

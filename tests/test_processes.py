@@ -268,6 +268,36 @@ class TestFiniteCTMC:
         with pytest.raises(DomainError):
             three_state_chain.transition_matrix(-0.1)
 
+    @pytest.mark.parametrize("x", [-1, 3, np.int64(-1), 1.5])
+    def test_start_states_outside_the_space_are_refused(self, three_state_chain, x):
+        # state -1 would silently read row 2, state 3 raise a bare IndexError,
+        # and state 1.5 be read as state 1
+        chain, rng, g = three_state_chain, np.random.default_rng(0), Subset([0])
+        for call in (
+            lambda: chain.transition_probability(1.0, x, g),
+            lambda: chain.transition_probabilities(np.array([0.5, 1.0]), x, g),
+            lambda: chain.moment(1, 1.0, x),
+            lambda: chain.moments(1, np.array([0.5, 1.0]), x),
+            lambda: chain.sample_transition(1.0, x, rng),
+            lambda: chain.sample_transitions(1.0, np.array([0, x]), rng),
+            lambda: chain.stationary_probability(1.5, x, g),
+            lambda: chain.restarted_moment(RestartSpec(1.5, PointMass(0)), 1, 1.0, x),
+        ):
+            with pytest.raises(DomainError, match=rf"state {x} is not in FiniteSet\(values=\(0.3, -1.2, 2.5\)\)"):
+                call()
+
+    @pytest.mark.parametrize("bad", [-1, 3])
+    def test_target_indices_outside_the_space_are_refused(self, three_state_chain, bad):
+        # Subset([-1]) would silently read column 2
+        chain, g = three_state_chain, Subset([0, bad])
+        for call in (
+            lambda: chain.transition_probability(1.0, 0, g),
+            lambda: chain.transition_probabilities(np.array([0.5, 1.0]), 0, g),
+            lambda: chain.stationary_probability(1.5, 0, g),
+        ):
+            with pytest.raises(DomainError, match=rf"state indices \[{bad}\] out of range for n=3"):
+                call()
+
 
 class TestArraySamplers:
     """``sample_transitions``: one exact draw per path, each after its own time."""
@@ -419,9 +449,9 @@ class TestArrayForms:
                 p.transition_density(1.0, bad, 1.0)
             with pytest.raises(DomainError, match="must be positive"):
                 p.transition_density(1.0, 1.0, bad)
-        with pytest.raises(DomainError, match="times must be positive"):
+        with pytest.raises(DomainError, match="time must be positive"):
             p.transition_density(0.0, 1.0, 1.0)
-        with pytest.raises(DomainError, match="times must be nonnegative"):
+        with pytest.raises(DomainError, match="time must be nonnegative"):
             p.transition_probability(-0.5, 1.0, target)
 
     def test_brownian_one_time_forms_at_a_spread_that_underflows(self):
@@ -443,7 +473,7 @@ class TestArrayForms:
             with pytest.raises(DomainError) as array:
                 many(np.array([t]), *args)
             assert str(scalar.value) == str(array.value)
-        with pytest.raises(DomainError, match="times must be positive and finite, got 0.0"):
+        with pytest.raises(DomainError, match="time must be positive and finite, got 0.0"):
             p.transition_density(0.0, 0.0, 0.0)
 
     def test_diffusion_arrays_validate_times(self):
