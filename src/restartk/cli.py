@@ -25,7 +25,6 @@ from . import analysis, simulation
 from .distributions import FiniteSupport, PointMass, exponential, gaussian, lognormal
 from .errors import (
     ConfigError,
-    DomainError,
     EtaNotLessThanLambda,
     RestartkError,
     SingularityAtOrigin,

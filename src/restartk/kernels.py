@@ -22,9 +22,8 @@ times in one call) otherwise.  Letting the horizon grow gives the invariant
 law, which the restarted process always has, no matter how badly the base
 process escapes.  Three routes stay on the quadrature defaults whatever the
 base kernel: a density nu, the invariant density, and ``moment`` where the
-kernel has no closed form.  The same split drives the sampler
-(``sample_transitions``): one age draw, at most one redraw from nu and one
-base transition per state, however often the clock rang.
+kernel has no closed form.  Over one time the sampler draws from the rows of
+the restarted matrix where the base kernel has a matrix, else by that split.
 Kernels state the moment formulas themselves: ``restarted_moment`` (the
 restarted k-th moment in closed form, or a :class:`Divergent`) and
 ``moment_growth_rate`` (eta_k, the finiteness threshold), both None by default.
@@ -83,12 +82,24 @@ class MarkovKernel(abc.ABC):
     def sample_transitions(self, t, x, rng):
         """One exact draw per entry of the state array x, each after its time in t.
 
-        t is a scalar or an array shaped like x.  The default draws path by
-        path through ``sample_transition``; kernels with an array sampler
-        override it.
+        t is a scalar or an array shaped like x.  At one time a kernel with
+        a transition matrix draws each entry from its row; otherwise the
+        default goes path by path.  Kernels with an array sampler override it.
         """
+        if np.ndim(t) == 0 and self._has_matrix():
+            for state in np.unique(x):
+                self.space.index(state)  # raises where it names no state
+            i = np.asarray(x, dtype=np.int64)
+            cdf = np.cumsum(np.maximum(self.transition_matrix(t), 0.0), axis=1)
+            cdf /= cdf[:, -1:]
+            # the first state of each row whose cumulative mass exceeds a uniform
+            return (cdf[i] <= rng.random(i.shape)[..., None]).sum(axis=-1)
         t = np.broadcast_to(np.asarray(t, dtype=float), np.shape(x))
         return np.array([self.sample_transition(float(s), y, rng) for s, y in zip(t, x)])
+
+    def _has_matrix(self):
+        # whether transition_matrix is the kernel's own, not the refusing default
+        return type(self).transition_matrix is not MarkovKernel.transition_matrix
 
     def transition_density(self, t, x, z):
         raise DomainError(f"{type(self).__name__} has no transition density")
@@ -273,15 +284,20 @@ class RestartedProcess(MarkovKernel):
     def sample_transition(self, t, x, rng):
         return self.sample_transitions(check_nonnegative("time", t), np.asarray([x]), rng)[0].item()
 
+    def _has_matrix(self):
+        return self.base._has_matrix()
+
     def sample_transitions(self, t, x, rng):
         """Advance every state in the array x by its time in t under the restart clock.
 
-        Only the last restart before t matters.  Looking back from t, the
-        clock last rang an Exp(lam) time ago; when that exceeds t it did not
-        ring at all.  Otherwise the state was redrawn from nu that long ago,
-        and what happened before is forgotten.  So each state takes at most
-        one nu draw and exactly one base transition, over the age or over t.
+        With a base transition matrix the restarted process is a finite chain,
+        and over one time each state is drawn from its row (the MarkovKernel
+        default).  Otherwise only the last restart before t matters: the clock
+        last rang an Exp(lam) time ago (never, when that exceeds t) and redrew
+        from nu then: at most one redraw and one base transition per state.
         """
+        if np.ndim(t) == 0 and self._has_matrix():
+            return super().sample_transitions(t, x, rng)
         x = np.asarray(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
         lam = self.rate

@@ -247,6 +247,7 @@ class BrownianWithDrift(MarkovKernel):
     # where sigma*sqrt(t) is 0 (t = 0, or an underflow) they defer to them
     def transition_density(self, t, x, z):
         t = check_positive("time", t)
+        x = check_finite("state", x)
         sd = self.sigma * math.sqrt(t)
         if sd == 0.0:
             return _at_one_time(self.transition_densities, t, x, z)
@@ -255,6 +256,7 @@ class BrownianWithDrift(MarkovKernel):
 
     def transition_probability(self, t, x, target):
         t = check_nonnegative("time", t)
+        x = check_finite("state", x)
         sd = self.sigma * math.sqrt(t)
         if sd == 0.0:
             return _at_one_time(self.transition_probabilities, t, x, target)
@@ -263,12 +265,14 @@ class BrownianWithDrift(MarkovKernel):
 
     def transition_densities(self, t, x, z):
         t = check_times(t, positive=True)
+        x = check_finite("state", x)
         sd = self.sigma * np.sqrt(t)
         u = (z - x - self.mu * t) / sd
         return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
 
     def transition_probabilities(self, t, x, target):
         t = check_times(t)
+        x = check_finite("state", x)
         sd = self.sigma * np.sqrt(t)
         m = x + self.mu * t
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -278,12 +282,12 @@ class BrownianWithDrift(MarkovKernel):
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
         """The restart-age law's mass of the target, in closed form at any t."""
         law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
-        return law.mass(float(y), target.lower, target.upper, check_horizon("horizon", t))
+        return law.mass(check_finite("state", y), target.lower, target.upper, check_horizon("horizon", t))
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
         """The restart-age law's density at z, in closed form at any t."""
         law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
-        return law.density(float(y), float(z), check_horizon("horizon", t))
+        return law.density(check_finite("state", y), float(z), check_horizon("horizon", t))
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
@@ -331,10 +335,8 @@ class BrownianWithDrift(MarkovKernel):
 
 
 def _log_state(x):
-    """log of one positive state of geometric Brownian motion."""
-    if not x > 0.0:
-        raise DomainError(f"state must be positive, got {x}")
-    return math.log(x)
+    """log of one state of geometric Brownian motion, refused off the half line."""
+    return math.log(check_positive("state", x))
 
 
 @dataclass(frozen=True)
@@ -493,15 +495,14 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # per state: its total jump rate and the distribution function of where
-        # it jumps, built as Generator.choice would build it (absorbing rows unused)
+        # for the one-path sampler, per state: its total jump rate, its mean
+        # holding time (None where absorbing) and the distribution function of
+        # where it jumps, built as Generator.choice would build it, also as lists
         self._rates = -np.diag(Q)
         jumps = Q - np.diag(np.diag(Q))
         self._jump_cdfs = np.array(
             [categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(self._rates)]
         )
-        # for the one-path sampler: each state's mean holding time (None where
-        # absorbing), and the cdf rows as lists for bisect_right
         self._scale_list = [1.0 / r if r > 0.0 else None for r in self._rates.tolist()]
         self._jump_cdf_lists = self._jump_cdfs.tolist()
         self._expm_cache = {}
@@ -584,9 +585,9 @@ class FiniteCTMC(MarkovKernel):
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
-        state = int(x)
         scales, cdfs = self._scale_list, self._jump_cdf_lists
-        if state != x or not 0 <= state < len(cdfs):
+        state = int(x) if 0 <= x < len(cdfs) else math.nan  # int() of NaN or inf would raise
+        if state != x:
             self._space.index(x)  # raises: x names no state (inline test: one per walker event)
         elapsed = 0.0
         while True:
@@ -597,24 +598,6 @@ class FiniteCTMC(MarkovKernel):
             if elapsed >= t:
                 return state
             state = bisect_right(cdfs[state], rng.random())
-
-    def sample_transitions(self, t, x, rng):
-        """The jump loop of ``sample_transition``, run for every path at once."""
-        state = np.array(x, dtype=np.int64)
-        t = check_times(t, state.shape)
-        outside = (state != x) | (state < 0) | (state >= len(self._rates))
-        if outside.any():
-            self._space.index(np.asarray(x)[outside].flat[0])  # raises: it names no state
-        elapsed = np.zeros(state.shape)
-        live = np.flatnonzero(self._rates[state] > 0.0)
-        while live.size:
-            elapsed[live] += rng.exponential(1.0 / self._rates[state[live]])
-            live = live[elapsed[live] < t[live]]
-            u = rng.random(live.size)
-            # searchsorted(side="right") of each path's own row, all at once
-            state[live] = (self._jump_cdfs[state[live]] <= u[:, None]).sum(axis=1)
-            live = live[self._rates[state[live]] > 0.0]
-        return state
 
     def moment(self, k, t, x):
         row = self.transition_matrix(t)[self._space.index(x)]

@@ -2,18 +2,17 @@
 
 No time discretisation anywhere.  Ensembles (``run_ensemble``) advance
 blocks of BLOCK paths one grid interval at a time, all paths of a block at
-once, through ``RestartedProcess.sample_transitions``: per interval each path
-takes the age of its last restart, at most one redraw from nu and one exact
-base transition.  An ensemble keeps the states on the grid and nothing else.
+once, through ``RestartedProcess.sample_transitions``.  A restarted chain is
+itself a finite chain, so per interval each of its paths takes one draw from
+its row of the restarted transition matrix; any other path takes the age of
+its last restart, at most one redraw from nu and one exact base transition.
+An ensemble keeps the states on the grid and nothing else.
 
 Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
 one path event by event instead: restart times are drawn from the
 exponential clock, and the base kernel is sampled over each inter-event
-interval.  The walker's law and draws are unchanged since its first
-version; its speed is in the work around each draw: the clock's gaps are
-summed, and the grid times taken as the clock passes them, on Python lists;
-categorical laws draw by bisection over lists; and the log formats each grid
-time, and each atom of a finite restart law, once per run.
+interval, on Python lists, with each grid time and restart atom formatted
+once per run.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
@@ -28,7 +27,6 @@ import logging
 import math
 import os
 import warnings
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -41,10 +39,13 @@ from .spaces import FiniteSet
 # and event log alike) and of work handed to a worker
 BLOCK = 1024
 
-# blocks each worker must get before run_ensemble starts a process pool.  On
-# a 2-core x86-64 host a pool of 2 took 30-60 ms to start and to return its
-# blocks at 1-5 ms of work per block; only ensembles of 128 blocks and more
-# won that time back, and only for the 3-state chain
+# blocks each worker must get before run_ensemble starts a process pool.  No
+# pool of 2 won its start back on a 2-core x86-64 host (run_ensemble, 3 grid
+# times, min of 5, seconds serial/2 workers); 64 lets --threads 2 start one at 137 blocks
+#   paths  BM         GBM        3-state    12-state chain
+#   140k   0.05/0.07  0.07/0.09  0.07/0.13  0.05/0.14
+#   400k   0.15/0.17  0.14/0.16  0.15/0.26  0.15/0.29
+#   1M     0.38/0.42  0.39/0.42  0.41/0.47  0.40/0.44
 POOL_BLOCKS_PER_WORKER = 64
 
 # most exponential gaps age_distribution_test draws at once (8 MB of floats),

@@ -1,4 +1,4 @@
-"""Every public entry refuses a time, horizon, rate, scale or tolerance outside its domain.
+"""Every public entry refuses a time, horizon, rate, scale, tolerance or state outside its domain.
 
 One table: each row names an entry, the argument it feeds, and the rule the
 argument obeys.  The rule fixes the values fed: NaN and -inf always, -1
@@ -154,6 +154,24 @@ ENTRIES = [
      lambda v: small_lambda_sweep(CHAIN, PointMass(0), [Subset([0])], [2.0, v])),
     ("age_distribution_test rate", "positive",
      lambda v: age_distribution_test(_restarted(BM, PointMass(0.0), v), 1.0, n_paths=10, seed=0)),
+    # start states: the line's rule for BM, the half line's for GBM
+    ("BrownianWithDrift.transition_probability x", "finite", lambda v: BM.transition_probability(1.0, v, G)),
+    ("BrownianWithDrift.transition_density x", "finite", lambda v: BM.transition_density(1.0, v, 0.5)),
+    ("BrownianWithDrift.transition_probabilities x", "finite",
+     lambda v: BM.transition_probabilities(_times(1.0), v, G)),
+    ("BrownianWithDrift.transition_densities x", "finite", lambda v: BM.transition_densities(_times(1.0), v, 0.5)),
+    ("BrownianWithDrift.stationary_probability y", "finite", lambda v: BM.stationary_probability(1.5, v, G, 1.0)),
+    ("BrownianWithDrift.stationary_density y", "finite", lambda v: BM.stationary_density(1.5, v, 0.5)),
+    ("GeometricBrownian.transition_probability x", "positive",
+     lambda v: GBM.transition_probability(1.0, v, Interval(0.5, 2.0))),
+    ("GeometricBrownian.transition_density x", "positive", lambda v: GBM.transition_density(1.0, v, 1.5)),
+    ("GeometricBrownian.transition_probabilities x", "positive",
+     lambda v: GBM.transition_probabilities(_times(1.0), v, Interval(0.5, 2.0))),
+    ("GeometricBrownian.transition_densities x", "positive",
+     lambda v: GBM.transition_densities(_times(1.0), v, 1.5)),
+    ("GeometricBrownian.stationary_probability y", "positive",
+     lambda v: GBM.stationary_probability(1.5, v, Interval(0.5, 2.0), 1.0)),
+    ("GeometricBrownian.stationary_density y", "positive", lambda v: GBM.stationary_density(1.5, v, 1.5)),
     # scales and law parameters
     ("BrownianWithDrift sigma", "positive", lambda v: BrownianWithDrift(0.0, v)),
     ("BrownianWithDrift mu", "finite", lambda v: BrownianWithDrift(v, 1.0)),
@@ -212,6 +230,8 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: BM.sample_transition(math.nan, 0.0, RNG), "time must be nonnegative and finite, got nan"),
         (lambda: BM.transition_densities(_times(0.0), 0.0, 0.5), "time must be positive and finite, got 0.0"),
         (lambda: gaussian(0.0, math.nan), "gaussian std must be positive and finite, got nan"),
+        (lambda: BM.transition_probability(1.0, math.nan, G), "state must be finite, got nan"),
+        (lambda: GBM.transition_probability(1.0, math.inf, G), "state must be positive and finite, got inf"),
         (lambda: gaussian(math.nan, 1.0), "gaussian mean must be finite, got nan"),
         (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be nonnegative and finite, got -1.0"),
         (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),

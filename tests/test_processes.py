@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -268,10 +269,11 @@ class TestFiniteCTMC:
         with pytest.raises(DomainError):
             three_state_chain.transition_matrix(-0.1)
 
-    @pytest.mark.parametrize("x", [-1, 3, np.int64(-1), 1.5])
+    @pytest.mark.parametrize("x", [-1, 3, np.int64(-1), 1.5, math.nan, math.inf])
     def test_start_states_outside_the_space_are_refused(self, three_state_chain, x):
         # state -1 would silently read row 2, state 3 raise a bare IndexError,
-        # and state 1.5 be read as state 1
+        # state 1.5 be read as state 1, and int() of NaN or inf raise a bare
+        # ValueError or OverflowError; no cast of them may warn either
         chain, rng, g = three_state_chain, np.random.default_rng(0), Subset([0])
         for call in (
             lambda: chain.transition_probability(1.0, x, g),
@@ -283,7 +285,10 @@ class TestFiniteCTMC:
             lambda: chain.stationary_probability(1.5, x, g),
             lambda: chain.restarted_moment(RestartSpec(1.5, PointMass(0)), 1, 1.0, x),
         ):
-            with pytest.raises(DomainError, match=rf"state {x} is not in FiniteSet\(values=\(0.3, -1.2, 2.5\)\)"):
+            with warnings.catch_warnings(), pytest.raises(
+                DomainError, match=rf"state {x} is not in FiniteSet\(values=\(0.3, -1.2, 2.5\)\)"
+            ):
+                warnings.simplefilter("error")
                 call()
 
     @pytest.mark.parametrize("bad", [-1, 3])

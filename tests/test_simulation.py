@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import restartk.simulation
 from restartk import (
@@ -45,7 +46,7 @@ from restartk.simulation import (
 )
 from restartk.spaces import FiniteSet, RealLine, indicator
 
-from conftest import make_three_state_chain, point_or_two_atom_laws
+from conftest import make_three_state_chain, point_or_two_atom_laws, random_generator
 
 
 def bm_process(mu=0.0, sigma=1.0, rate=2.0, nu=None):
@@ -472,7 +473,13 @@ class TestEnsemble:
         ens = run_ensemble(bm_process(), cfg, workers=2)
         assert ens.states.shape == (3 * BLOCK, 1)
 
-    def test_large_ensemble_uses_the_pool_and_matches_serial(self, monkeypatch, caplog):
+    @pytest.mark.parametrize("kind", ["bm", "chain"])
+    def test_large_ensemble_uses_the_pool_and_matches_serial(self, kind, monkeypatch, caplog):
+        # each worker unpickles the chain without its matrix memo and rebuilds it
+        proc, x = {
+            "bm": (bm_process(), 0.0),
+            "chain": (RestartedProcess(make_three_state_chain(), RestartSpec(2.0, PointMass(2))), 0),
+        }[kind]
         pools = []
 
         class CountingPool(ProcessPoolExecutor):
@@ -482,27 +489,35 @@ class TestEnsemble:
 
         monkeypatch.setattr(restartk.simulation, "ProcessPoolExecutor", CountingPool)
         n = 2 * POOL_BLOCKS_PER_WORKER * BLOCK + 5
-        cfg = PathConfig(seed=6, horizon=1.0, record_grid=(1.0,), n_paths=n, initial=PointMass(0.0))
+        cfg = PathConfig(seed=6, horizon=1.0, record_grid=(0.4, 1.0), n_paths=n, initial=PointMass(x))
         with caplog.at_level(logging.INFO, logger="restartk"):
-            serial = run_ensemble(bm_process(), cfg, workers=1)
+            serial = run_ensemble(proc, cfg, workers=1)
             assert pools == [] and caplog.messages == []
-            parallel = run_ensemble(bm_process(), cfg, workers=2)
+            parallel = run_ensemble(proc, cfg, workers=2)
         assert pools == [2]
         # the line a --verbose run prints, which CI greps for
         assert caplog.messages == [f"process pool of 2 workers for {2 * POOL_BLOCKS_PER_WORKER + 1} blocks"]
         assert serial.states.tobytes() == parallel.states.tobytes()
 
-    def test_chain_frequencies_match_analytic_row(self, three_state_chain):
-        nu = FiniteSupport(((0, 0.5), (2, 0.5)))
-        proc = RestartedProcess(three_state_chain, RestartSpec(2.0, nu))
-        t, n = 0.8, 4000
-        cfg = PathConfig(seed=31, horizon=t, record_grid=(t,), n_paths=n, initial=PointMass(0))
+    @pytest.mark.parametrize("n_states", [3, 12])
+    def test_chain_frequencies_match_analytic_row(self, n_states):
+        # the sampler draws from the rows of transition_matrix; the oracle is
+        # the exponential of the restarted generator, at each grid time
+        if n_states == 3:
+            chain, nu = make_three_state_chain(), FiniteSupport(((0, 0.5), (2, 0.5)))
+        else:
+            chain = FiniteCTMC(random_generator(np.random.default_rng(12), n_states))
+            nu = FiniteSupport(((3, 0.3), (9, 0.7)))
+        lam, n, grid = 2.0, 4000, (0.3, 0.8)
+        proc = RestartedProcess(chain, RestartSpec(lam, nu))
+        cfg = PathConfig(seed=31, horizon=grid[-1], record_grid=grid, n_paths=n, initial=PointMass(0))
         ens = run_ensemble(proc, cfg)
-        row = proc.transition_matrix(t)[0]
-        for i in range(3):
-            freq = float(np.mean(ens.states[:, 0] == i))
-            sd = math.sqrt(row[i] * (1.0 - row[i]) / n)
-            assert abs(freq - row[i]) < 4.5 * sd
+        generator = chain.restarted_generator(lam, nu.weights(chain.space))
+        for j, t in enumerate(grid):
+            row = expm(generator * t)[0]
+            for i in range(n_states):
+                freq = float(np.mean(ens.states[:, j] == i))
+                assert abs(freq - row[i]) < 4.5 * math.sqrt(row[i] * (1.0 - row[i]) / n)
 
 
 class TestMonteCarloMoment:
