@@ -12,9 +12,7 @@ from .analysis import (
     bm_stationary_moments,
     ergodicity_check,
     gbm_stationary_moment,
-    max_finite_moment_order,
     modified_moment,
-    moment_bound,
     small_lambda_sweep,
 )
 from .distributions import (
@@ -30,7 +28,6 @@ from .distributions import (
 from .errors import (
     ConfigError,
     DomainError,
-    EtaNotLessThanLambda,
     FubiniUnverified,
     MomentUnstable,
     QuadratureFailure,
@@ -39,7 +36,6 @@ from .errors import (
     TailBoundViolated,
     ToleranceNotMet,
     UnsupportedTarget,
-    WindowTooNarrow,
 )
 from .kernels import Divergent, MarkovKernel, RestartedProcess, RestartSpec, resolvent
 from .processes import (
@@ -52,12 +48,8 @@ from .processes import (
 from .quadrature import exp_weighted_integral, tail_truncation_point
 from .simulation import (
     PathConfig,
-    age_distribution_test,
-    empirical_distribution,
-    histogram_tv,
     monte_carlo_moment,
     run_ensemble,
-    simulate_path,
     write_path_csv,
 )
 from .spaces import (
@@ -77,7 +69,6 @@ __all__ = [
     "DensityDistribution",
     "Divergent",
     "DomainError",
-    "EtaNotLessThanLambda",
     "FiniteCTMC",
     "FiniteSet",
     "FiniteSupport",
@@ -99,29 +90,22 @@ __all__ = [
     "TailBoundViolated",
     "ToleranceNotMet",
     "UnsupportedTarget",
-    "WindowTooNarrow",
-    "age_distribution_test",
     "bm_stationary_moments",
     "ctmc_from_dict",
     "ctmc_from_json",
-    "empirical_distribution",
     "ergodicity_check",
     "exp_weighted_integral",
     "exponential",
     "gaussian",
     "gaussian_raw_moment",
     "gbm_stationary_moment",
-    "histogram_tv",
     "indicator",
     "lognormal",
-    "max_finite_moment_order",
     "modified_moment",
-    "moment_bound",
     "monte_carlo_moment",
     "nu_weights",
     "resolvent",
     "run_ensemble",
-    "simulate_path",
     "small_lambda_sweep",
     "tail_truncation_point",
     "write_path_csv",

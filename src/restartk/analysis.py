@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, EtaNotLessThanLambda, FubiniUnverified, check_count, check_finite, check_positive
+from .errors import DomainError, FubiniUnverified, check_count, check_positive
 from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet
@@ -109,27 +109,6 @@ def modified_moment(proc, k, t, x, empirical=None, rel_tol=DEFAULT_REL_TOL):
     return MomentReport(k, float(t), analytic, empirical, base.moment_growth_rate(k))
 
 
-def moment_bound(proc, k, c_fn, eta):
-    """Prop-style limsup bound: c_bar * lam / (lam - eta).
-
-    Hypothesis: E_y[X(s)^k] <= c_fn(y) * exp(eta*s) for the base process.
-    With eta = 0 this collapses to the uniform bound c_bar itself.  The
-    bound is one-sided in general (odd moments of signed processes may be
-    negative); when c_fn dominates the absolute moment E_y|X(s)|^k, the
-    same number bounds limsup E|X(t)^k|.
-    """
-    lam = proc.rate
-    eta = check_finite("growth rate eta", eta)
-    if eta >= lam:
-        raise EtaNotLessThanLambda(
-            f"growth rate eta={eta} must be strictly below the restart rate lam={lam}"
-        )
-    c_bar = proc.restart.nu.expect(c_fn)
-    if not math.isfinite(c_bar):
-        raise DomainError(f"c_bar = {c_bar}; the nu-average of c must be finite")
-    return c_bar * lam / (lam - eta)
-
-
 def bm_stationary_moments(p, restart):
     """Stationary mean, second moment and variance of restarted drifted BM.
 
@@ -148,29 +127,6 @@ def bm_stationary_moments(p, restart):
 def gbm_stationary_moment(p, restart, k):
     """Stationary k-th moment of restarted GBM, or Divergent when lam <= eta_k."""
     return gbm_modified_moment(p, restart, k, math.inf, 1.0)
-
-
-def max_finite_moment_order(p, lam):
-    """Largest k >= 1 with lam strictly above eta_k; 0 when none is finite.
-
-    eta_k is convex in k with eta_0 = 0, so the orders below lam are 1..K:
-    double k from 1 until eta_k reaches lam, then bisect for K.  Past
-    k = 2^53 neighbouring orders round to the same float and get the same
-    eta_k, so a rate that needs more is refused.
-    """
-    lam = check_positive("restart rate", lam)
-    if p.moment_growth_rate(1) is None:
-        raise DomainError(f"{type(p).__name__} has no moment growth rate")
-    hi = 1
-    while p.moment_growth_rate(hi) < lam:
-        hi *= 2
-        if hi > 2**53:
-            raise DomainError(f"every order up to 2^53 is finite at rate {lam}; the largest is not exact in floats")
-    lo = hi // 2
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if p.moment_growth_rate(mid) < lam else (lo, mid)
-    return lo
 
 
 @dataclass
@@ -214,6 +170,8 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     through quadrature, with ERGODICITY_SLACK absorbing the certified
     numerical error on both sides.
     """
+    if not test_sets:
+        raise DomainError("test_sets must not be empty")
     for g in test_sets:
         proc.space.check_target(g)
     lam = proc.rate

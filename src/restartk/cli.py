@@ -25,7 +25,6 @@ from . import analysis, simulation
 from .distributions import FiniteSupport, PointMass, exponential, gaussian, lognormal
 from .errors import (
     ConfigError,
-    EtaNotLessThanLambda,
     RestartkError,
     SingularityAtOrigin,
     TailBoundViolated,
@@ -225,7 +224,7 @@ _SCHEMA_CHECK = _CheckedOnce()
 
 def exit_code_for(exc):
     """Map an exception to the documented process exit code."""
-    numerical = (TailBoundViolated, SingularityAtOrigin, EtaNotLessThanLambda, ArithmeticError)
+    numerical = (TailBoundViolated, SingularityAtOrigin, ArithmeticError)
     if isinstance(exc, numerical):
         return 3
     # ConfigError and DomainError are ValueErrors

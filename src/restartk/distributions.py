@@ -86,10 +86,6 @@ class PointMass:
     def moment(self, k):
         return float(self.x) ** k
 
-    def cdf(self, grid):
-        """Distribution function on a grid of points."""
-        return (np.asarray(grid, dtype=float) >= float(self.x)).astype(float)
-
     def supported_in(self, space):
         return space.contains(self.x)
 
@@ -133,14 +129,6 @@ class FiniteSupport:
 
     def moment(self, k):
         return sum(w * float(s) ** k for s, w in self.points)
-
-    def cdf(self, grid):
-        """Distribution function on a grid of points."""
-        grid = np.asarray(grid, dtype=float)
-        out = np.zeros_like(grid)
-        for s, w in self.points:
-            out += w * (grid >= float(s))
-        return out
 
     def supported_in(self, space):
         return all(space.contains(s) for s, _ in self.points)
@@ -190,28 +178,6 @@ class DensityDistribution:
         if self._moment_fn is None:
             return None
         return self._moment_fn(check_count("moment order k", k, least=0))
-
-    def cdf(self, grid):
-        """Distribution function on a grid of points, by quadrature of the density.
-
-        A support unbounded below is integrated from -inf to the mean (0
-        without one), then over the finite range from there to each point,
-        so a wide law keeps its left tail and a far point its bulk.
-        """
-
-        def mass(lo, hi):
-            return _quad(self.pdf, lo, hi, epsabs=1e-11, epsrel=1e-9)
-
-        a, _ = self.support
-        mid = a if math.isfinite(a) else (self.moment(1) or 0.0)
-        below = mass(a, mid)
-        out = [below + mass(mid, g) if g >= mid else mass(a, g) for g in np.asarray(grid, dtype=float)]
-        return np.clip(out, 0.0, 1.0)
-
-    def total_mass(self):
-        """Integral of the density over its support; should be 1."""
-        a, b = self.support
-        return _quad(self.pdf, a, b, epsabs=1e-13, epsrel=1e-11)
 
     def supported_in(self, space):
         whole = space.whole()

@@ -102,16 +102,8 @@ class TailBoundViolated(RestartkError, ValueError):
     """
 
 
-class EtaNotLessThanLambda(RestartkError, ValueError):
-    """A moment bound requires the growth rate strictly below the restart rate."""
-
-
 class SingularityAtOrigin(RestartkError, ValueError):
     """A transition density was requested at time zero, where none exists."""
-
-
-class WindowTooNarrow(RestartkError, ValueError):
-    """The histogram window misses a non-negligible part of the reference mass."""
 
 
 class ConfigError(RestartkError, ValueError):

@@ -40,7 +40,6 @@ import numpy as np
 from .distributions import nu_weights
 from .errors import DomainError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
-from .spaces import indicator
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ class RestartedProcess(MarkovKernel):
         t = check_nonnegative("time", t)
         self.space.check_target(target)
         if t == 0.0:
-            return indicator(target, x)
+            return self.base.transition_probability(0.0, x, target)
         integrals = self._age_integrals()
         return self._compose(
             self.base.transition_probability(t, x, target),
@@ -314,11 +313,9 @@ class RestartedProcess(MarkovKernel):
         """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""
         k = check_count("moment order k", k, least=0)
         t = check_nonnegative("time", t)
-        if t == 0.0:
-            return self.base.state_value(x) ** k
         unrestarted = self.base.moment(k, t, x)
-        if unrestarted is None:
-            return None
+        if unrestarted is None or t == 0.0:
+            return unrestarted
         return self._compose(
             unrestarted,
             lambda y: exp_weighted_integral(

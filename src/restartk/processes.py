@@ -302,6 +302,7 @@ class BrownianWithDrift(MarkovKernel):
 
     def moments(self, k, t, x):
         t = check_times(t)
+        x = check_finite("state", x)
         return gaussian_raw_moment(k, x + self.mu * t, self.sigma * np.sqrt(t))
 
     def density_envelope(self, z, s_min):
@@ -318,6 +319,7 @@ class BrownianWithDrift(MarkovKernel):
         lam = check_positive("restart rate", restart.rate)
         k = check_count("moment order k", k, least=0)
         t = check_horizon("horizon", t)
+        x = check_finite("state", x)
         mu, sigma = self.mu, self.sigma
         term1 = 0.0 if math.isinf(t) else math.exp(-lam * t) * self.moment(k, t, x)
         term2 = 0.0
@@ -424,6 +426,7 @@ class GeometricBrownian(MarkovKernel):
         k = check_count("moment order k", k, least=0)
         lam = check_positive("restart rate", restart.rate)
         t = check_horizon("horizon", t)
+        x = check_positive("state", x)
         eta = self.moment_growth_rate(k)
         mk = _nu_moment(restart.nu, k)
         if lam == eta:
@@ -449,6 +452,7 @@ class GeometricBrownian(MarkovKernel):
 
     def moments(self, k, t, x):
         t = check_times(t)
+        x = check_positive("state", x)
         with np.errstate(over="ignore"):
             growth = np.exp(self.moment_growth_rate(k) * t)
         if not np.isfinite(growth).all():
@@ -615,18 +619,19 @@ class FiniteCTMC(MarkovKernel):
         """
         check_positive("restart rate", restart.rate)
         k = check_count("moment order k", k, least=0)
+        i = self._space.index(x)
         proc = RestartedProcess(self, restart)
         if math.isinf(check_horizon("horizon", t)):
             q = proc.invariant_vector()
         else:
-            q = proc.transition_matrix(t)[self._space.index(x)]
+            q = proc.transition_matrix(t)[i]
         return float(q @ self.values**k)
 
     def certifies_absolute_moment(self, k):
         return True
 
-    # exact linear-algebra companions: the chain's own stationary law (the
-    # small-rate sweep compares against it) and the restarted generator
+    # exact linear algebra: the chain's own stationary law (the small-rate
+    # sweep compares against it) and its resolvent
 
     def stationary_distribution(self):
         """Solve pi Q = 0, pi summing to 1, by least squares."""
@@ -668,12 +673,6 @@ class FiniteCTMC(MarkovKernel):
         if math.isinf(check_horizon("horizon", t)):
             return v
         return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
-
-    def restarted_generator(self, lam, nu_vec):
-        """Generator of the chain with rate-lam restarts redrawn from nu_vec."""
-        nu_vec = np.asarray(nu_vec, dtype=float)
-        n = self.space.n
-        return self.Q + lam * (np.outer(np.ones(n), nu_vec) - np.eye(n))
 
 
 def ctmc_from_dict(data):

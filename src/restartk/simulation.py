@@ -8,11 +8,10 @@ its row of the restarted transition matrix; any other path takes the age of
 its last restart, at most one redraw from nu and one exact base transition.
 An ensemble keeps the states on the grid and nothing else.
 
-Single paths and the event log (``simulate_path``, ``write_path_csv``) walk
-one path event by event instead: restart times are drawn from the
-exponential clock, and the base kernel is sampled over each inter-event
-interval, on Python lists, with each grid time and restart atom formatted
-once per run.
+The event log (``write_path_csv``) walks one path event by event instead:
+restart times are drawn from the exponential clock, and the base kernel is
+sampled over each inter-event interval, on Python lists, with each grid
+time and restart atom formatted once per run.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
@@ -32,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, MomentUnstable, WindowTooNarrow, check_count, check_positive
+from .errors import DomainError, MomentUnstable, check_count, check_positive
 from .spaces import FiniteSet
 
 # paths per block: the unit of vectorisation, of random streams (ensemble
@@ -47,11 +46,6 @@ BLOCK = 1024
 #   400k   0.15/0.17  0.14/0.16  0.15/0.26  0.15/0.29
 #   1M     0.38/0.42  0.39/0.42  0.41/0.47  0.40/0.44
 POOL_BLOCKS_PER_WORKER = 64
-
-# most exponential gaps age_distribution_test draws at once (8 MB of floats),
-# and the points of the grid it compares the two laws on
-AGE_TEST_GAPS = 1 << 20
-AGE_TEST_GRID_POINTS = 200
 
 _logger = logging.getLogger("restartk")
 
@@ -85,14 +79,6 @@ class PathConfig:
         object.__setattr__(self, "horizon", h)
         object.__setattr__(self, "record_grid", grid)
         object.__setattr__(self, "n_paths", check_count("n_paths", self.n_paths))
-
-
-@dataclass
-class PathSample:
-    """One simulated path: recorded states and every restart time up to the horizon."""
-
-    states: np.ndarray
-    restart_times: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -151,7 +137,7 @@ def draw_restart_times(rng, rate, horizon):
 
 
 def _walker(proc, config):
-    """walk(rng): the next path on rng, as its events and its restart times.
+    """walk(rng): the events of the next path on rng.
 
     The events are (time, state, kind) in time order, kind "restart" at
     each restart (the state just redrawn) and "grid" at each grid time; a
@@ -187,7 +173,7 @@ def _walker(proc, config):
                 events.append((g, state, "grid"))
                 j += 1
             if r == math.inf:
-                return events, restarts
+                return events
             if r > now:
                 state = step(r - now, state, rng)
             state = redraw(rng)
@@ -195,25 +181,6 @@ def _walker(proc, config):
             events.append((r, state, "restart"))
 
     return walk
-
-
-def simulate_path(proc, config, path_index=0):
-    """One exact path of the restarted process: path ``path_index`` of the event log.
-
-    The paths of a block are walked in order on one stream, so the earlier
-    paths of its block are replayed first: at most BLOCK - 1 of them, up to
-    31 ms for path 1023 of the ``paths`` benchmark's simulate configs on a
-    2-core x86-64 host.
-    """
-    _check_initial(proc, config)
-    block, before = divmod(check_count("path_index", path_index, least=0), BLOCK)
-    rng = block_rng(config.seed, block)
-    walk = _walker(proc, config)
-    for _ in range(before):
-        walk(rng)
-    events, restarts = walk(rng)
-    states = [x for _, x, kind in events if kind == "grid"]
-    return PathSample(np.array(states, dtype=float), np.array(restarts, dtype=float))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -325,133 +292,6 @@ def _heavy_tailed(vals):
     return kurtosis > KURTOSIS_THRESHOLD or share > MAX_SHARE_THRESHOLD
 
 
-@dataclass
-class AgeReport:
-    """Empirical law of the time since the last restart versus theory."""
-
-    grid: np.ndarray
-    empirical: np.ndarray
-    theoretical: np.ndarray
-    max_deviation: float
-    threshold: float
-    n_paths: int
-    passed: bool
-
-
-def age_distribution_test(proc, t, n_paths, seed):
-    """Check that the age of the restart clock at time t is truncated-exponential.
-
-    P[age <= s, at least one restart] should equal 1 - exp(-lam*s) for
-    s in [0, t].  Only the clock matters, so every path is run forward from
-    0 by exponential gaps, all paths at once from the one stream of the
-    seed, until its clock passes t: the opposite construction to the
-    ensemble sampler's backward draw of the age.  Deviations are compared
-    on a uniform grid of AGE_TEST_GRID_POINTS against a 3/sqrt(n) band.
-    """
-    lam = check_positive("restart rate", proc.rate)
-    t = check_positive("t", t)
-    n_paths = check_count("n_paths", n_paths)
-    rng = np.random.default_rng(seed)
-    # gaps per path and draw: the mean count plus six standard deviations,
-    # so almost every clock passes t in one draw, but at most AGE_TEST_GAPS
-    # gaps over all paths
-    mean = lam * t
-    chunk = max(1, min(int(mean + 6.0 * math.sqrt(mean) + 10.0), AGE_TEST_GAPS // n_paths))
-    clock = np.zeros(n_paths)
-    last = np.full(n_paths, -math.inf)
-    live = np.arange(n_paths)
-    while live.size:
-        times = clock[live, None] + np.cumsum(rng.exponential(1.0 / lam, (live.size, chunk)), axis=1)
-        inside = np.count_nonzero(times <= t, axis=1)
-        hit = inside > 0
-        last[live[hit]] = times[hit, inside[hit] - 1]
-        clock[live] = times[:, -1]
-        live = live[times[:, -1] <= t]
-    ages = np.sort(t - last)  # inf where no restart happened
-    grid = np.linspace(0.0, t, AGE_TEST_GRID_POINTS)
-    empirical = np.searchsorted(ages, grid, side="right") / n_paths
-    theoretical = 1.0 - np.exp(-lam * grid)
-    dev = float(np.max(np.abs(empirical - theoretical)))
-    threshold = 3.0 / math.sqrt(n_paths)
-    return AgeReport(grid, empirical, theoretical, dev, threshold, n_paths, dev < threshold)
-
-
-@dataclass
-class HistogramReport:
-    """Binned empirical law at one grid time, optionally against a reference."""
-
-    bin_edges: np.ndarray
-    empirical_masses: np.ndarray
-    outside_mass: float
-    reference_masses: np.ndarray
-    reference_outside: float
-    tv_distance: float
-    noise_floor: float
-    n: int
-
-
-def empirical_distribution(
-    proc, config, t, bins, window, reference_pdf=None, reference_cdf=None, ensemble=None
-):
-    """Histogram of the ensemble at time t on a continuous state space.
-
-    When a reference law is supplied (as a density or a distribution
-    function), the report carries the total variation distance on the bin
-    partition, an 'outside the window' cell included.  The window must hold
-    all but 1e-4 of the reference mass, otherwise WindowTooNarrow is
-    raised.  The sampling noise floor sqrt(bins/n) calibrates how small a
-    TV distance can meaningfully get.  Without an ``ensemble`` it
-    simulates one in this process.
-    """
-    if isinstance(proc.space, FiniteSet):
-        raise DomainError("histograms are for continuous state spaces; use state frequencies")
-    a, b = float(window[0]), float(window[1])
-    if not (a < b):
-        raise DomainError(f"window must be a nonempty interval, got ({a}, {b})")
-    bins = check_count("bins", bins)
-    j = _grid_index(config, t)
-    if ensemble is None:
-        ensemble = run_ensemble(proc, config)
-    vals = ensemble.states[:, j]
-    n = len(vals)
-    edges = np.linspace(a, b, bins + 1)
-    counts, _ = np.histogram(vals, bins=edges)
-    emp = counts / n
-    emp_out = 1.0 - float(emp.sum())
-
-    ref = None
-    ref_out = math.nan
-    tv = math.nan
-    if reference_cdf is not None or reference_pdf is not None:
-        ref = _reference_masses(edges, reference_pdf, reference_cdf)
-        ref_out = 1.0 - float(ref.sum())
-        if ref_out > 1e-4:
-            raise WindowTooNarrow(
-                f"window ({a}, {b}) misses {ref_out:.3e} of the reference mass (limit 1e-4)"
-            )
-        tv = histogram_tv(emp, emp_out, ref, ref_out)
-    return HistogramReport(
-        edges, emp, emp_out, ref, ref_out, tv, math.sqrt(bins / n), n
-    )
-
-
-def _reference_masses(edges, pdf, cdf):
-    if cdf is not None:
-        vals = np.asarray([cdf(e) for e in edges], dtype=float)
-        return np.diff(vals)
-    from scipy.integrate import quad
-
-    masses = np.empty(len(edges) - 1)
-    for i in range(len(masses)):
-        masses[i], _ = quad(pdf, edges[i], edges[i + 1], epsabs=1e-12, epsrel=1e-9)
-    return masses
-
-
-def histogram_tv(masses_a, outside_a, masses_b, outside_b):
-    """Total variation distance between two binned laws on the same partition."""
-    return 0.5 * (float(np.abs(np.asarray(masses_a) - np.asarray(masses_b)).sum()) + abs(outside_a - outside_b))
-
-
 def write_path_csv(proc, config, out):
     """Stream every path as CSV rows: path_id,time,state,event_type.
 
@@ -459,11 +299,10 @@ def write_path_csv(proc, config, out):
     each grid time, in time order; restart rows precede a grid row at the
     same instant.  States on finite spaces are written as labels.  The
     paths of block b are walked in order on ``block_rng(config.seed, b)``,
-    the stream of the ensemble's block b, and path i is the path that
-    ``simulate_path(proc, config, i)`` returns.  A file named by
-    ``out`` is written beside it under a temporary name and takes its place
-    only when every path is written, so a failed run leaves no partial log
-    and an earlier log at ``out`` stays as it was.
+    the stream of the ensemble's block b.  A file named by ``out`` is
+    written beside it under a temporary name and takes its place only when
+    every path is written, so a failed run leaves no partial log and an
+    earlier log at ``out`` stays as it was.
     """
     _check_initial(proc, config)
     if not isinstance(out, str):
@@ -495,7 +334,7 @@ def _write_paths(proc, config, fh):
         rng = block_rng(config.seed, block)
         rows = []
         for i in range(lo, min(lo + BLOCK, config.n_paths)):
-            for t, x, kind in walk(rng)[0]:
+            for t, x, kind in walk(rng):
                 text = state_text.get(x) or format(x, ".17g")
                 if kind == "grid":
                     rows.append(f"{i},{grid_text[t]},{text},grid\n")

@@ -20,6 +20,12 @@ def resolvent_matrix(chain, lam):
     return np.linalg.inv(lam * np.eye(chain.space.n) - chain.Q)
 
 
+def restarted_generator(chain, lam, w):
+    """Q + lam*(1 w - I): the generator of the chain under rate-lam restarts drawn from w."""
+    n = chain.space.n
+    return chain.Q + lam * (np.outer(np.ones(n), np.asarray(w, dtype=float)) - np.eye(n))
+
+
 def random_restart_weights(rng, n):
     w = rng.uniform(0.2, 1.0, size=n)
     return w / w.sum()

@@ -11,7 +11,6 @@ from restartk import (
     BrownianWithDrift,
     Divergent,
     DomainError,
-    EtaNotLessThanLambda,
     FiniteCTMC,
     FiniteSupport,
     FubiniUnverified,
@@ -27,9 +26,7 @@ from restartk import (
     ergodicity_check,
     gaussian,
     gbm_stationary_moment,
-    max_finite_moment_order,
     modified_moment,
-    moment_bound,
     small_lambda_sweep,
 )
 from restartk.analysis import (
@@ -156,44 +153,6 @@ class TestGeometricMoments:
         assert d.intercept == 2.0 and abs(d.slope - 1.5) < 1e-15
         for t in (0.5, 3.0):
             assert abs(d.value_at(t) - proc.moment(1, t, 2.0)) < 1e-8 * d.value_at(t)
-
-    def test_max_finite_moment_order(self):
-        p = GeometricBrownian(mu=0.5, sigma=1.0)  # eta_k = k^2/2
-        assert max_finite_moment_order(p, 2.0) == 1
-        assert max_finite_moment_order(p, 2.1) == 2
-        assert max_finite_moment_order(p, 0.4) == 0
-        q = GeometricBrownian(mu=-2.0, sigma=1.0)  # eta_k = k^2/2 - 5k/2
-        assert max_finite_moment_order(q, 1.0) == 5
-        with pytest.raises(DomainError):
-            max_finite_moment_order(p, 0.0)
-
-    def test_max_finite_moment_order_needs_a_growth_rate(self, three_state_chain):
-        # BM and chains have no moment threshold: moment_growth_rate is None
-        for p in (BrownianWithDrift(0.1, 1.0), three_state_chain):
-            with pytest.raises(DomainError, match="has no moment growth rate"):
-                max_finite_moment_order(p, 1.0)
-
-    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
-    def test_max_finite_moment_order_needs_a_finite_rate(self, lam):
-        # unchecked, an infinite rate doubles k until eta_k overflows, and NaN compares false
-        with pytest.raises(DomainError, match="positive and finite"):
-            max_finite_moment_order(GeometricBrownian(0.1, 0.3), lam)
-
-    def test_max_finite_moment_order_stops_at_float_resolution(self):
-        # past k = 2^53, float(k) gives neighbouring orders the same eta_k
-        p = GeometricBrownian(0.1, 0.3)
-        with pytest.raises(DomainError, match="2\\^53"):
-            max_finite_moment_order(p, 1e300)
-        k = max_finite_moment_order(p, 1e30)
-        assert p.moment_growth_rate(k) < 1e30 <= p.moment_growth_rate(k + 1)
-
-    def test_every_reported_order_is_actually_finite(self):
-        p = GeometricBrownian(mu=0.3, sigma=0.9)
-        for lam in (0.5, 1.0, 2.5, 7.0):
-            kmax = max_finite_moment_order(p, lam)
-            if kmax >= 1:
-                assert p.moment_growth_rate(kmax) < lam
-            assert p.moment_growth_rate(kmax + 1) >= lam
 
 
 class TestChainMoments:
@@ -362,44 +321,6 @@ class TestModifiedMomentDispatch:
         proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))
         cols, rows = modified_moment(proc, 2, 1.0, 0.0).table()
         assert cols[0] == "k" and len(rows) == 1 and len(rows[0]) == len(cols)
-
-
-class TestMomentBound:
-    def test_saturated_by_gbm_stationary_moment(self):
-        # E_y[X(s)] = y e^{eta s}: c(y) = y makes the bound exactly the limit
-        p = GeometricBrownian(mu=0.5, sigma=0.5)
-        restart = RestartSpec(2.0, PointMass(1.5))
-        proc = RestartedProcess(p, restart)
-        bound = moment_bound(proc, 1, lambda y: y, p.moment_growth_rate(1))
-        assert abs(bound - gbm_stationary_moment(p, restart, 1)) < 1e-12
-
-    def test_dominates_brownian_stationary_mean(self):
-        p = BrownianWithDrift(mu=0.7, sigma=1.0)
-        restart = RestartSpec(2.0, PointMass(0.5))
-        proc = RestartedProcess(p, restart)
-        eta = 1.0
-        # |y + mu s| <= (|y| + |mu|/eta) e^{eta s}
-        bound = moment_bound(proc, 1, lambda y: abs(y) + 0.7 / eta, eta)
-        mean, _, _ = bm_stationary_moments(p, restart)
-        assert bound >= abs(mean)
-        assert abs(bound - (0.5 + 0.7) * 2.0 / (2.0 - 1.0)) < 1e-12
-
-    def test_rate_must_beat_growth(self):
-        proc = RestartedProcess(GeometricBrownian(mu=0.5, sigma=1.0), RestartSpec(1.0, PointMass(1.0)))
-        with pytest.raises(EtaNotLessThanLambda):
-            moment_bound(proc, 2, lambda y: y * y, 2.0)
-
-    def test_infinite_average_rejected(self):
-        proc = RestartedProcess(BrownianWithDrift(), RestartSpec(1.0, PointMass(0.0)))
-        with pytest.raises(DomainError):
-            moment_bound(proc, 1, lambda y: math.inf, 0.5)
-
-    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
-    def test_growth_rate_must_be_finite(self, eta):
-        # nan >= lam is False, so an unchecked NaN eta would give a NaN bound
-        proc = RestartedProcess(GeometricBrownian(0.1, 0.3), RestartSpec(1.0, PointMass(1.0)))
-        with pytest.raises(DomainError, match="eta must be finite"):
-            moment_bound(proc, 1, lambda y: y, eta)
 
 
 class TestErgodicity:

@@ -25,14 +25,12 @@ from restartk import (
     RestartedProcess,
     RestartSpec,
     Subset,
-    age_distribution_test,
+    ergodicity_check,
     exp_weighted_integral,
     exponential,
     gaussian,
     lognormal,
-    max_finite_moment_order,
     modified_moment,
-    moment_bound,
     resolvent,
     small_lambda_sweep,
     tail_truncation_point,
@@ -119,8 +117,6 @@ ENTRIES = [
     ("exp_weighted_integral upper", "horizon", lambda v: exp_weighted_integral(np.ones_like, 1.5, v)),
     ("PathConfig horizon", "positive",
      lambda v: PathConfig(seed=0, horizon=v, record_grid=(0.0,), n_paths=1, initial=PointMass(0.0))),
-    ("age_distribution_test t", "positive",
-     lambda v: age_distribution_test(_restarted(BM, PointMass(0.0)), v, n_paths=10, seed=0)),
     # restart rates
     ("RestartSpec rate", "nonnegative", lambda v: RestartSpec(v, PointMass(0.0))),
     ("resolvent lam", "positive", lambda v: resolvent(BM, v, 0.0, G)),
@@ -149,11 +145,8 @@ ENTRIES = [
      lambda v: _restarted(BM, PointMass(0.0), v).invariant_density(0.5)),
     ("RestartedProcess.invariant_vector rate", "positive",
      lambda v: _restarted(CHAIN, PointMass(0), v).invariant_vector()),
-    ("max_finite_moment_order lam", "positive", lambda v: max_finite_moment_order(GBM, v)),
     ("small_lambda_sweep lambda", "positive",
      lambda v: small_lambda_sweep(CHAIN, PointMass(0), [Subset([0])], [2.0, v])),
-    ("age_distribution_test rate", "positive",
-     lambda v: age_distribution_test(_restarted(BM, PointMass(0.0), v), 1.0, n_paths=10, seed=0)),
     # start states: the line's rule for BM, the half line's for GBM
     ("BrownianWithDrift.transition_probability x", "finite", lambda v: BM.transition_probability(1.0, v, G)),
     ("BrownianWithDrift.transition_density x", "finite", lambda v: BM.transition_density(1.0, v, 0.5)),
@@ -172,6 +165,24 @@ ENTRIES = [
     ("GeometricBrownian.stationary_probability y", "positive",
      lambda v: GBM.stationary_probability(1.5, v, Interval(0.5, 2.0), 1.0)),
     ("GeometricBrownian.stationary_density y", "positive", lambda v: GBM.stationary_density(1.5, v, 1.5)),
+    # start states of the moment forms, and of the restarted kernel at t = 0
+    ("BrownianWithDrift.moment x", "finite", lambda v: BM.moment(2, 1.0, v)),
+    ("BrownianWithDrift.moments x", "finite", lambda v: BM.moments(2, _times(1.0), v)),
+    ("BrownianWithDrift.restarted_moment x", "finite", lambda v: BM.restarted_moment(RATE, 1, 1.0, v)),
+    ("BrownianWithDrift.restarted_moment x at t=inf", "finite",
+     lambda v: BM.restarted_moment(RATE, 1, math.inf, v)),
+    ("GeometricBrownian.moment x", "positive", lambda v: GBM.moment(1, 1.0, v)),
+    ("GeometricBrownian.moments x", "positive", lambda v: GBM.moments(1, _times(1.0), v)),
+    ("GeometricBrownian.restarted_moment x", "positive", lambda v: GBM.restarted_moment(GBM_RATE, 1, 1.0, v)),
+    ("GeometricBrownian.restarted_moment x at t=inf", "positive",
+     lambda v: GBM.restarted_moment(GBM_RATE, 1, math.inf, v)),
+    ("modified_moment x", "positive", lambda v: modified_moment(_restarted(GBM, PointMass(1.0)), 1, 1.0, v)),
+    ("RestartedProcess.transition_probability x at t=0", "finite",
+     lambda v: _restarted(BM, PointMass(0.0)).transition_probability(0.0, v, G)),
+    ("RestartedProcess.moment x at t=0", "finite", lambda v: _restarted(BM, PointMass(0.0)).moment(1, 0.0, v)),
+    ("RestartedProcess.transition_probability x at t=0, GBM", "positive",
+     lambda v: _restarted(GBM, PointMass(1.0)).transition_probability(0.0, v, Interval(0.5, 2.0))),
+    ("RestartedProcess.moment x at t=0, GBM", "positive", lambda v: _restarted(GBM, PointMass(1.0)).moment(1, 0.0, v)),
     # scales and law parameters
     ("BrownianWithDrift sigma", "positive", lambda v: BrownianWithDrift(0.0, v)),
     ("BrownianWithDrift mu", "finite", lambda v: BrownianWithDrift(v, 1.0)),
@@ -182,8 +193,6 @@ ENTRIES = [
     ("exponential rate", "positive", lambda v: exponential(v)),
     ("lognormal log_std", "positive", lambda v: lognormal(0.0, v)),
     ("lognormal log_mean", "finite", lambda v: lognormal(v, 1.0)),
-    ("moment_bound eta", "finite",
-     lambda v: moment_bound(_restarted(BM, PointMass(0.0)), 2, lambda y: 1.0, v)),
     ("tail_truncation_point eta", "finite", lambda v: tail_truncation_point(1.5, v)),
     ("tail_truncation_point growth_const", "positive", lambda v: tail_truncation_point(1.5, 0.0, v)),
     # tolerances
@@ -235,6 +244,9 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: gaussian(math.nan, 1.0), "gaussian mean must be finite, got nan"),
         (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be nonnegative and finite, got -1.0"),
         (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
+        (lambda: BM.moments(1, _times(1.0), math.nan), "state must be finite, got nan"),
+        (lambda: GBM.moment(1, 1.0, -1.0), "state must be positive and finite, got -1.0"),
+        (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [1.0], []), "test_sets must not be empty"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as err:

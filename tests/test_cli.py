@@ -25,7 +25,6 @@ from restartk import (
     BrownianWithDrift,
     ConfigError,
     DomainError,
-    EtaNotLessThanLambda,
     FiniteCTMC,
     FiniteSupport,
     GeometricBrownian,
@@ -78,7 +77,6 @@ class TestExitCodeMapping:
             ToleranceNotMet("x"),
             TailBoundViolated("x"),
             SingularityAtOrigin("x"),
-            EtaNotLessThanLambda("x"),
             OverflowError("math range error"),
         ):
             assert exit_code_for(exc) == 3

@@ -40,6 +40,7 @@ from conftest import (
     point_or_two_atom_laws,
     random_generator,
     random_restart_weights,
+    restarted_generator,
 )
 
 PROPERTY = settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -327,7 +328,7 @@ class TestChainResolvent:
         assert abs(q.sum() - 1.0) < 1e-12
         # the restarted chain forgets its start at least at rate lam
         w = proc.restart.nu.weights(chain.space)
-        G = chain.restarted_generator(lam, w)
+        G = restarted_generator(chain, lam, w)
         assert np.abs(expm(G * (60.0 / lam)) - q).max() < 1e-10
         # and at finite times its kernel is the restarted generator's exponential
         for lam_t in (0.01, 1.0, 30.0):

@@ -30,7 +30,7 @@ from restartk import (
     gbm_stationary_moment,
 )
 
-from conftest import make_three_state_chain, resolvent_matrix
+from conftest import make_three_state_chain, resolvent_matrix, restarted_generator
 
 _BOUNDS = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-math.inf, math.inf]))
 
@@ -222,7 +222,7 @@ class TestFiniteCTMC:
 
     def test_restarted_generator_is_a_generator(self, three_state_chain):
         nu = np.array([0.2, 0.5, 0.3])
-        G = three_state_chain.restarted_generator(2.0, nu)
+        G = restarted_generator(three_state_chain, 2.0, nu)
         assert np.allclose(G.sum(axis=1), 0.0, atol=1e-13)
         off = G - np.diag(np.diag(G))
         assert np.all(off >= 0.0)
@@ -284,6 +284,10 @@ class TestFiniteCTMC:
             lambda: chain.sample_transitions(1.0, np.array([0, x]), rng),
             lambda: chain.stationary_probability(1.5, x, g),
             lambda: chain.restarted_moment(RestartSpec(1.5, PointMass(0)), 1, 1.0, x),
+            lambda: chain.restarted_moment(RestartSpec(1.5, PointMass(0)), 1, math.inf, x),
+            # the restarted chain at t = 0 asks the chain's own t = 0 forms
+            lambda: RestartedProcess(chain, RestartSpec(1.5, PointMass(0))).transition_probability(0.0, x, g),
+            lambda: RestartedProcess(chain, RestartSpec(1.5, PointMass(0))).moment(1, 0.0, x),
         ):
             with warnings.catch_warnings(), pytest.raises(
                 DomainError, match=rf"state {x} is not in FiniteSet\(values=\(0.3, -1.2, 2.5\)\)"

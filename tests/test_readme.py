@@ -1,10 +1,13 @@
-"""The README's quick example runs as printed and gives the values it documents."""
+"""The README's quick example runs as printed and gives the values it documents,
+and its "Library API" list is the package's public surface."""
 
 import ast
 import re
 from pathlib import Path
 
 import pytest
+
+import restartk
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -30,3 +33,12 @@ def test_quick_example_values():
     assert f"{estimate.estimate:.4f}" == "0.4955"
     assert f"{estimate.std_error:.4f}" == "0.0061"
     assert estimate.n == 20000
+
+
+def test_library_api_list_is_the_public_surface():
+    # the names on the bullets of the "Library API" section, which must
+    # grow with __all__, and __all__ with them
+    section = README.read_text().split("## Library API\n")[1].split("\n## ")[0]
+    listed = re.findall(r"`(\w+)`", section.split("\n- ", 1)[1])
+    assert len(listed) == len(set(listed))
+    assert sorted(listed) == sorted(restartk.__all__)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.linalg import expm
 
 import restartk.simulation
@@ -27,14 +28,9 @@ from restartk import (
     PointMass,
     RestartSpec,
     RestartedProcess,
-    WindowTooNarrow,
-    age_distribution_test,
-    empirical_distribution,
     gaussian,
-    histogram_tv,
     monte_carlo_moment,
     run_ensemble,
-    simulate_path,
     write_path_csv,
 )
 from restartk.kernels import MarkovKernel
@@ -46,7 +42,7 @@ from restartk.simulation import (
 )
 from restartk.spaces import FiniteSet, RealLine, indicator
 
-from conftest import make_three_state_chain, point_or_two_atom_laws, random_generator
+from conftest import make_three_state_chain, point_or_two_atom_laws, random_generator, restarted_generator
 
 
 def bm_process(mu=0.0, sigma=1.0, rate=2.0, nu=None):
@@ -255,24 +251,9 @@ class TestPathStreams:
     def test_states_match_numpy(self, seed):
         assert_same_rows(*two_atom_bm_paths(seed))
 
-    def test_simulate_path_replays_its_block(self):
-        proc, cfg = two_atom_bm_paths(2**32 + 9)
-        rows = [row.split(",") for row in log_rows(proc, cfg)[1:]]
-        for i in (0, 1, BLOCK - 1, BLOCK, cfg.n_paths - 1):
-            mine = [r for r in rows if int(r[0]) == i]
-            path = simulate_path(proc, cfg, i)
-            assert np.array_equal([float(r[2]) for r in mine if r[3] == "grid"], path.states), i
-            assert sum(r[3] == "restart" for r in mine) == len(path.restart_times), i
-
-    def test_seed_and_index_must_be_nonnegative_integers(self):
-        proc, cfg = two_atom_bm_paths(1, n_paths=1)
+    def test_seed_must_be_a_nonnegative_integer(self):
         with pytest.raises(DomainError, match="seed"):
             two_atom_bm_paths(-1)
-        # True would otherwise be taken as path 1
-        for i in (-1, True, 2.5, math.inf, math.nan):
-            with pytest.raises(DomainError, match="path_index"):
-                simulate_path(proc, cfg, i)
-        assert np.array_equal(simulate_path(proc, cfg, 3.0).states, simulate_path(proc, cfg, np.int64(3)).states)
 
 
 class _FastClock:
@@ -431,29 +412,6 @@ class TestRestartClock:
         assert np.array_equal(times, 0.5 * np.arange(1, 21))
 
 
-class TestSinglePath:
-    def test_deterministic(self):
-        proc = bm_process(mu=0.3)
-        cfg = PathConfig(seed=11, horizon=3.0, record_grid=(0.5, 1.5, 3.0), n_paths=1, initial=PointMass(0.0))
-        a = simulate_path(proc, cfg, 0)
-        b = simulate_path(proc, cfg, 0)
-        assert np.array_equal(a.states, b.states)
-        assert np.array_equal(a.restart_times, b.restart_times)
-
-    def test_restart_bookkeeping(self):
-        proc = bm_process(rate=3.0)
-        cfg = PathConfig(seed=2, horizon=4.0, record_grid=(4.0,), n_paths=1, initial=PointMass(0.0))
-        s = simulate_path(proc, cfg, 0)
-        assert np.all(s.restart_times <= 4.0)
-        assert s.states.shape == (1,)
-
-    def test_initial_must_fit_space(self):
-        proc = RestartedProcess(GeometricBrownian(), RestartSpec(1.0, PointMass(1.0)))
-        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=1, initial=PointMass(-1.0))
-        with pytest.raises(DomainError):
-            simulate_path(proc, cfg, 0)
-
-
 class TestEnsemble:
     def test_worker_count_never_changes_results(self):
         proc = bm_process(mu=0.2, rate=1.5)
@@ -512,7 +470,7 @@ class TestEnsemble:
         proc = RestartedProcess(chain, RestartSpec(lam, nu))
         cfg = PathConfig(seed=31, horizon=grid[-1], record_grid=grid, n_paths=n, initial=PointMass(0))
         ens = run_ensemble(proc, cfg)
-        generator = chain.restarted_generator(lam, nu.weights(chain.space))
+        generator = restarted_generator(chain, lam, nu.weights(chain.space))
         for j, t in enumerate(grid):
             row = expm(generator * t)[0]
             for i in range(n_states):
@@ -608,113 +566,24 @@ def _hill_tail_index(vals, frac=0.01):
     return 1.0 / float(np.mean(np.log(top[:-1] / top[-1])))
 
 
-class TestAgeDistribution:
-    def test_truncated_exponential_law(self):
-        proc = bm_process(rate=2.0)
-        rep = age_distribution_test(proc, t=1.5, n_paths=4000, seed=13)
-        assert rep.passed
-        assert rep.max_deviation < rep.threshold
-        assert abs(rep.threshold - 3.0 / math.sqrt(4000)) < 1e-15
-        s = rep.grid[100]
-        assert abs(rep.theoretical[100] - (1.0 - math.exp(-2.0 * s))) < 1e-12
-
-    def test_total_mass_is_sub_probability(self):
-        # the age law at t has an atom exp(-lam t) at 'never restarted'
-        proc = bm_process(rate=2.0)
-        rep = age_distribution_test(proc, t=1.5, n_paths=4000, seed=13)
-        assert rep.theoretical[-1] == 1.0 - math.exp(-3.0)
-        assert rep.empirical[-1] <= 1.0
-
-    def test_requires_positive_rate_and_time(self):
-        with pytest.raises(DomainError):
-            age_distribution_test(bm_process(rate=0.0), t=1.0, n_paths=10, seed=0)
-        with pytest.raises(DomainError):
-            age_distribution_test(bm_process(), t=0.0, n_paths=10, seed=0)
-
-    @pytest.mark.parametrize(
-        "args, name",
-        [
-            (dict(t=1.0, n_paths=0), "n_paths"),
-            (dict(t=1.0, n_paths=-3), "n_paths"),
-            (dict(t=math.nan, n_paths=10), "t must"),
-            (dict(t=math.inf, n_paths=10), "t must"),
-            (dict(t=1.0, n_paths=2.7), "n_paths"),
-            (dict(t=1.0, n_paths=math.inf), "n_paths"),
-            (dict(t=1.0, n_paths=math.nan), "n_paths"),
-        ],
-    )
-    def test_bad_arguments_are_named(self, args, name):
-        # unchecked, each would surface as an arithmetic or numpy error
-        # that names no argument
-        with pytest.raises(DomainError, match=name):
-            age_distribution_test(bm_process(), seed=1, **args)
-
-
-@pytest.fixture(scope="module")
-def stationary_run():
-    proc = bm_process(rate=2.0)
-    cfg = PathConfig(seed=42, horizon=8.0, record_grid=(8.0,), n_paths=4000, initial=PointMass(0.0))
-    ens = run_ensemble(proc, cfg)
-    return proc, cfg, ens
+def binned_tv(values, edges, pdf):
+    """TV distance between the sample's law and the density's on the bins of
+    ``edges``, the mass outside them one more cell."""
+    emp = np.histogram(values, bins=edges)[0] / len(values)
+    ref = np.array([quad(pdf, a, b, epsabs=1e-12, epsrel=1e-9)[0] for a, b in zip(edges, edges[1:])])
+    return 0.5 * (float(np.abs(emp - ref).sum()) + abs(float(emp.sum() - ref.sum())))
 
 
 class TestEmpiricalDistribution:
-    def test_tv_against_invariant_density(self, stationary_run):
-        proc, cfg, ens = stationary_run
-        rep = empirical_distribution(
-            proc, cfg, 8.0, bins=40, window=(-5.0, 5.0), reference_pdf=proc.invariant_density,
-            ensemble=ens,
-        )
-        assert rep.tv_distance < rep.noise_floor + 0.02
-        assert rep.outside_mass < 1e-3
-        assert abs(rep.empirical_masses.sum() + rep.outside_mass - 1.0) < 1e-12
-
-    def test_cdf_and_pdf_references_agree(self, stationary_run):
-        proc, cfg, ens = stationary_run
-
-        def laplace_cdf(z):
-            return 0.5 * math.exp(2.0 * z) if z < 0 else 1.0 - 0.5 * math.exp(-2.0 * z)
-
-        a = empirical_distribution(
-            proc, cfg, 8.0, bins=40, window=(-5.0, 5.0), reference_pdf=proc.invariant_density,
-            ensemble=ens,
-        )
-        b = empirical_distribution(
-            proc, cfg, 8.0, bins=40, window=(-5.0, 5.0), reference_cdf=laplace_cdf, ensemble=ens
-        )
-        assert np.abs(a.reference_masses - b.reference_masses).max() < 1e-8
-        assert abs(a.tv_distance - b.tv_distance) < 1e-8
-
-    def test_window_must_cover_reference(self, stationary_run):
-        proc, cfg, ens = stationary_run
-        with pytest.raises(WindowTooNarrow):
-            empirical_distribution(
-                proc, cfg, 8.0, bins=10, window=(-0.5, 0.5),
-                reference_pdf=proc.invariant_density, ensemble=ens,
-            )
-
-    def test_no_reference_gives_nan_tv(self, stationary_run):
-        proc, cfg, ens = stationary_run
-        rep = empirical_distribution(proc, cfg, 8.0, bins=10, window=(-5.0, 5.0), ensemble=ens)
-        assert math.isnan(rep.tv_distance)
-        assert rep.reference_masses is None
-
-    def test_input_validation(self, three_state_chain, stationary_run):
-        proc, cfg, ens = stationary_run
-        chain_proc = RestartedProcess(three_state_chain, RestartSpec(1.0, PointMass(0)))
-        chain_cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0))
-        with pytest.raises(DomainError):
-            empirical_distribution(chain_proc, chain_cfg, 1.0, bins=4, window=(0.0, 1.0))
-        for bins in (0, 2.7, math.inf):
-            with pytest.raises(DomainError, match="bins"):
-                empirical_distribution(proc, cfg, 8.0, bins=bins, window=(-5.0, 5.0), ensemble=ens)
-        with pytest.raises(DomainError):
-            empirical_distribution(proc, cfg, 8.0, bins=4, window=(1.0, 1.0), ensemble=ens)
-
-    def test_histogram_tv_values(self):
-        assert histogram_tv([0.5, 0.5], 0.0, [0.5, 0.5], 0.0) == 0.0
-        assert histogram_tv([0.5, 0.5], 0.0, [1.0, 0.0], 0.0) == 0.5
-        assert histogram_tv([0.4, 0.4], 0.2, [0.5, 0.5], 0.0) == pytest.approx(0.2)
+    def test_tv_against_invariant_density(self):
+        proc = bm_process(rate=2.0)
+        cfg = PathConfig(seed=42, horizon=8.0, record_grid=(8.0,), n_paths=4000, initial=PointMass(0.0))
+        vals = run_ensemble(proc, cfg).states[:, 0]
+        bins = 40
+        # the invariant law puts exp(-10) outside the window
+        tv = binned_tv(vals, np.linspace(-5.0, 5.0, bins + 1), proc.invariant_density)
+        assert tv < math.sqrt(bins / len(vals)) + 0.02
+        assert np.mean(np.abs(vals) > 5.0) < 1e-3
 
 
 class TestPathCsv:
@@ -734,9 +603,6 @@ class TestPathCsv:
             times = [float(r[1]) for r in mine]
             assert times == sorted(times)
             assert sum(r[3] == "grid" for r in mine) == 3
-            n_restarts = sum(r[3] == "restart" for r in mine)
-            ref = simulate_path(proc, cfg, i)
-            assert n_restarts == len(ref.restart_times)
 
     def test_log_equals_numpy_streams_path_by_path(self):
         # a 33-bit seed off the powers of two; each path is walked on its
@@ -770,20 +636,19 @@ class TestPathCsv:
         write_path_csv(proc, cfg, str(out))
         assert buf.getvalue() == out.read_text()
 
-    def test_grid_rows_equal_walker_states(self):
-        # the event log and simulate_path walk each path with the same draws,
-        # restarts after the last grid time included
+    def test_restarts_after_the_last_grid_time_are_logged(self):
         proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
         cfg = PathConfig(
             seed=8, horizon=2.0, record_grid=(0.25, 0.5, 1.0), n_paths=6, initial=PointMass(0.0)
         )
-        buf = io.StringIO()
-        write_path_csv(proc, cfg, buf)
-        rows = [line.split(",") for line in buf.getvalue().strip().split("\n")[1:]]
-        for i in range(cfg.n_paths):
-            grid = [float(r[2]) for r in rows if int(r[0]) == i and r[3] == "grid"]
-            assert np.array_equal(grid, simulate_path(proc, cfg, i).states)
-        assert any(r[3] == "restart" and float(r[1]) > 1.0 for r in rows)
+        assert_same_rows(proc, cfg)
+        assert any(r.endswith("restart") and float(r.split(",")[1]) > 1.0 for r in log_rows(proc, cfg)[1:])
+
+    def test_initial_must_fit_space(self):
+        proc = RestartedProcess(GeometricBrownian(), RestartSpec(1.0, PointMass(1.0)))
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=1, initial=PointMass(-1.0))
+        with pytest.raises(DomainError, match="initial distribution"):
+            write_path_csv(proc, cfg, io.StringIO())
 
     def test_ensemble_and_walker_agree_in_law(self):
         # the block sampler and the event walker draw differently but must

@@ -174,10 +174,6 @@ class TestFiniteSupport:
 
 
 class TestDensityDistributions:
-    def test_total_mass(self):
-        for dist in (gaussian(0.3, 1.1), exponential(2.0), lognormal(0.1, 0.4)):
-            assert abs(dist.total_mass() - 1.0) < 1e-8
-
     def test_closed_form_moments_match_quadrature(self):
         for dist, ks in (
             (gaussian(-0.2, 0.8), (1, 2, 3, 4)),
@@ -253,24 +249,3 @@ class TestHelpers:
             nu_weights(PointMass(0), RealLine())
         with pytest.raises(DomainError):
             nu_weights(gaussian(0.0, 1.0), space)
-
-    def test_cdf_of_point_mass(self):
-        vals = PointMass(1.0).cdf([0.5, 1.0, 1.5])
-        assert vals.tolist() == [0.0, 1.0, 1.0]
-
-    def test_cdf_of_finite_support(self):
-        dist = FiniteSupport(((0.0, 0.25), (2.0, 0.75)))
-        vals = dist.cdf([-1.0, 0.0, 1.0, 2.0])
-        assert vals.tolist() == [0.0, 0.25, 0.25, 1.0]
-
-    def test_cdf_of_gaussian(self):
-        # a wide law must keep its left tail: the support is unbounded below
-        for std in (1.0, 100.0):
-            vals = gaussian(0.0, std).cdf([0.0, std])
-            assert abs(vals[0] - 0.5) < 1e-8
-            assert abs(vals[1] - 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))) < 1e-8
-
-    def test_cdf_of_exponential(self):
-        vals = exponential(2.0).cdf([0.5, 1.0])
-        assert abs(vals[0] - (1.0 - math.exp(-1.0))) < 1e-8
-        assert abs(vals[1] - (1.0 - math.exp(-2.0))) < 1e-8
