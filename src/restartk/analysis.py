@@ -10,11 +10,12 @@ geometric Brownian motion a pure exponential; both integrate in closed form,
 which is the 'analytic' route tested against quadrature and Monte Carlo.
 Finite chains get an exact resolvent form.  Each base kernel carries its
 own form (``restarted_moment``) and threshold (``moment_growth_rate``);
-kernels without one fall back to quadrature.  Stationary values follow by
-letting t grow; geometric Brownian motion keeps its k-th moment only while
-the restart rate beats the moment growth rate eta_k, and the boundary and
-supercritical cases are reported as explicit Divergent values rather than
-numbers.
+kernels without one fall back to quadrature.  Every moment at a finite t is
+a number, the restart law entering only through its closed-form moments.
+Stationary values follow by letting t grow; geometric Brownian motion keeps
+its k-th moment only while the restart rate beats the moment growth rate
+eta_k, and at t = inf the boundary and supercritical cases are reported as
+explicit Divergent values rather than numbers.
 """
 
 from __future__ import annotations
@@ -172,6 +173,8 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     """
     if not test_sets:
         raise DomainError("test_sets must not be empty")
+    if len(t_grid) == 0:
+        raise DomainError("t_grid must not be empty")
     for g in test_sets:
         proc.space.check_target(g)
     lam = proc.rate

@@ -356,8 +356,10 @@ class _Runner:
             rows.append(("measure", str(g), self.proc.invariant_measure(g, rel_tol=self.rel_tol)))
         for z in task.get("density_points", []):
             rows.append(("density", str(z), self.proc.invariant_density(z, rel_tol=self.rel_tol)))
+        # the limit ignores the start, but the route checks it: a state nu charges, else 1.0
+        x = (self.proc.restart.nu.atoms or (1.0,))[0]
         for k in task.get("moments", []):
-            rep = analysis.modified_moment(self.proc, k, math.inf, 1.0)
+            rep = analysis.modified_moment(self.proc, k, math.inf, x)
             rows.append((f"moment_{k}", "stationary", rep.analytic_cell()))
         self._emit("stationary", ["kind", "where", "value"], rows, out_path, fmt)
         return 0

@@ -1,11 +1,12 @@
 """Restart and initial distributions.
 
-A distribution must be able to sample exactly and to integrate functions
-against itself; closed-form moments are provided where the law admits them.
-On finite state spaces, states are indices and a distribution is a weight
-vector; on continuous spaces it is a point mass, a finite mixture of point
-masses, or an absolutely continuous law given by a density and an exact
-sampler.
+A distribution samples exactly, integrates functions against itself, lists
+the states it puts mass on (``atoms``) and states its raw moments in closed
+form.  On finite state spaces, states are indices and a distribution is a
+weight vector; on continuous spaces it is a point mass, a finite mixture of
+point masses, or one of three density laws (Gaussian, exponential,
+log-normal), each a frozen dataclass of its parameters on the
+:class:`DensityDistribution` base.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -31,14 +31,6 @@ def gaussian_raw_moment(k, mean, std):
     for j in range(0, k + 1, 2):
         total += math.comb(k, j) * mean ** (k - j) * std**j * _double_factorial_odd(j - 1)
     return total
-
-
-def _nu_moment(nu, j, rel_tol=1e-10):
-    """The j-th raw moment of nu: closed form where the law has one, else quadrature."""
-    m = nu.moment(j)
-    if m is not None:
-        return m
-    return nu.expect(lambda y: float(y) ** j, rel_tol=rel_tol)
 
 
 def _double_factorial_odd(m):
@@ -143,131 +135,103 @@ class FiniteSupport:
 class DensityDistribution:
     """An absolutely continuous law on a continuous space.
 
-    Parameters
-    ----------
-    pdf : callable
-        Density, evaluated pointwise.
-    sampler : callable
-        (rng, size=None) -> one exact draw, or an array of ``size`` draws.
-    support : (float, float)
-        Interval outside which the density vanishes.
-    moment_fn : callable or None
-        k -> k-th raw moment in closed form, when known.  Without it
-        ``moment`` returns None and downstream formulas fall back to
-        quadrature against the density.
+    The base of the three density laws, each a frozen dataclass of its
+    parameters with its own ``pdf``, exact ``sample``, closed-form ``moment``
+    and class-level ``support``, the interval outside which the density
+    vanishes.  The base integrates against the density and checks the
+    support.
     """
 
-    def __init__(self, pdf, sampler, support, moment_fn=None, name=None):
-        self.pdf = pdf
-        self._sampler = sampler
-        self.support = (float(support[0]), float(support[1]))
-        self._moment_fn = moment_fn
-        self.name = name or "density"
+    atoms = ()
 
     def __repr__(self):
-        return f"DensityDistribution({self.name})"
-
-    def sample(self, rng, size=None):
-        return self._sampler(rng) if size is None else self._sampler(rng, size)
+        args = ", ".join(f"{k}={v}" for k, v in vars(self).items())
+        return f"DensityDistribution({self.name}({args}))"
 
     def expect(self, f, rel_tol=1e-10):
-        a, b = self.support
-        return _quad(lambda y: f(y) * self.pdf(y), a, b, epsabs=1e-12, epsrel=rel_tol)
+        # imported here, not at the top: scipy.integrate brings scipy.optimize and
+        # scipy.sparse.linalg with it (~0.2 s), and only density laws integrate
+        from scipy.integrate import quad
 
-    def moment(self, k):
-        if self._moment_fn is None:
-            return None
-        return self._moment_fn(check_count("moment order k", k, least=0))
+        a, b = self.support
+        return quad(lambda y: f(y) * self.pdf(y), a, b, epsabs=1e-12, epsrel=rel_tol, limit=200)[0]
 
     def supported_in(self, space):
         whole = space.whole()
         return isinstance(whole, Interval) and whole.lower <= self.support[0]
 
 
-def _quad(f, a, b, epsabs, epsrel):
-    # imported here, not at the top: scipy.integrate brings scipy.optimize and
-    # scipy.sparse.linalg with it (~0.2 s), and only density laws integrate
-    from scipy.integrate import quad
+@dataclass(frozen=True, repr=False)
+class _Gaussian(DensityDistribution):
+    mean: float
+    std: float
+    name = "gaussian"
+    support = (-math.inf, math.inf)
 
-    return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200)[0]
+    def pdf(self, y):
+        z = (y - self.mean) / self.std
+        return math.exp(-0.5 * z * z) / (self.std * math.sqrt(2.0 * math.pi))
 
+    def sample(self, rng, size=None):
+        return self.mean + self.std * rng.standard_normal(size)
 
-# pdf/sampler/moment helpers live at module level (not closures) so the
-# distributions they build stay picklable for multi-process simulation
-
-
-def _gauss_pdf(y, mean, std):
-    z = (y - mean) / std
-    return math.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
-
-
-def _gauss_sample(rng, size=None, *, mean, std):
-    return mean + std * rng.standard_normal(size)
+    def moment(self, k):
+        return gaussian_raw_moment(k, self.mean, self.std)
 
 
 def gaussian(mean, std):
     """Normal law with the given mean and standard deviation."""
-    mean, std = check_finite("gaussian mean", mean), check_positive("gaussian std", std)
-    return DensityDistribution(
-        partial(_gauss_pdf, mean=mean, std=std),
-        partial(_gauss_sample, mean=mean, std=std),
-        (-math.inf, math.inf),
-        moment_fn=partial(gaussian_raw_moment, mean=mean, std=std),
-        name=f"gaussian(mean={mean}, std={std})",
-    )
+    return _Gaussian(check_finite("gaussian mean", mean), check_positive("gaussian std", std))
 
 
-def _exp_pdf(y, rate):
-    return rate * math.exp(-rate * y) if y >= 0.0 else 0.0
+@dataclass(frozen=True, repr=False)
+class _Exponential(DensityDistribution):
+    rate: float
+    name = "exponential"
+    support = (0.0, math.inf)
 
+    def pdf(self, y):
+        return self.rate * math.exp(-self.rate * y) if y >= 0.0 else 0.0
 
-def _exp_sample(rng, size=None, *, rate):
-    return rng.exponential(1.0 / rate, size)
+    def sample(self, rng, size=None):
+        return rng.exponential(1.0 / self.rate, size)
 
-
-def _exp_moment(k, rate):
-    return math.factorial(k) / rate**k
+    def moment(self, k):
+        k = check_count("moment order k", k, least=0)
+        return math.factorial(k) / self.rate**k
 
 
 def exponential(rate):
     """Exponential law on (0, inf) with the given rate."""
-    rate = check_positive("exponential rate", rate)
-    return DensityDistribution(
-        partial(_exp_pdf, rate=rate),
-        partial(_exp_sample, rate=rate),
-        (0.0, math.inf),
-        moment_fn=partial(_exp_moment, rate=rate),
-        name=f"exponential(rate={rate})",
-    )
+    return _Exponential(check_positive("exponential rate", rate))
 
 
-def _lognorm_pdf(y, m, s):
-    if y <= 0.0:
-        return 0.0
-    z = (math.log(y) - m) / s
-    return math.exp(-0.5 * z * z) / (y * s * math.sqrt(2.0 * math.pi))
+@dataclass(frozen=True, repr=False)
+class _Lognormal(DensityDistribution):
+    log_mean: float
+    log_std: float
+    name = "lognormal"
+    support = (0.0, math.inf)
 
+    def pdf(self, y):
+        if y <= 0.0:
+            return 0.0
+        z = (math.log(y) - self.log_mean) / self.log_std
+        return math.exp(-0.5 * z * z) / (y * self.log_std * math.sqrt(2.0 * math.pi))
 
-def _lognorm_sample(rng, size=None, *, m, s):
-    if size is None:
-        return math.exp(m + s * rng.standard_normal())
-    return np.exp(m + s * rng.standard_normal(size))
+    def sample(self, rng, size=None):
+        if size is None:
+            return math.exp(self.log_mean + self.log_std * rng.standard_normal())
+        return np.exp(self.log_mean + self.log_std * rng.standard_normal(size))
 
-
-def _lognorm_moment(k, m, s):
-    return math.exp(k * m + 0.5 * k * k * s * s)
+    def moment(self, k):
+        k = check_count("moment order k", k, least=0)
+        return math.exp(k * self.log_mean + 0.5 * k * k * self.log_std * self.log_std)
 
 
 def lognormal(log_mean, log_std):
     """Law of exp(N(log_mean, log_std^2)) on (0, inf)."""
-    m, s = check_finite("lognormal log_mean", log_mean), check_positive("lognormal log_std", log_std)
-    return DensityDistribution(
-        partial(_lognorm_pdf, m=m, s=s),
-        partial(_lognorm_sample, m=m, s=s),
-        (0.0, math.inf),
-        moment_fn=partial(_lognorm_moment, m=m, s=s),
-        name=f"lognormal(log_mean={m}, log_std={s})",
-    )
+    return _Lognormal(check_finite("lognormal log_mean", log_mean), check_positive("lognormal log_std", log_std))
 
 
 def nu_weights(nu, space):

@@ -25,7 +25,8 @@ base kernel: a density nu, the invariant density, and ``moment`` where the
 kernel has no closed form.  Over one time the sampler draws from the rows of
 the restarted matrix where the base kernel has a matrix, else by that split.
 Kernels state the moment formulas themselves: ``restarted_moment`` (the
-restarted k-th moment in closed form, or a :class:`Divergent`) and
+restarted k-th moment in closed form, a number at every finite t, and at
+t = inf a :class:`Divergent` where the limit does not exist) and
 ``moment_growth_rate`` (eta_k, the finiteness threshold), both None by default.
 """
 
@@ -44,22 +45,13 @@ from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
 
 @dataclass(frozen=True)
 class Divergent:
-    """Marker for a moment that grows without bound, with its growth law.
+    """Marker for a stationary (t = inf) moment that does not exist.
 
-    For exponential escape, value_at(t) ~ const * exp(rate*t); at the
-    resonance lam = eta_k the growth is exactly linear, intercept + slope*t.
+    Every finite-t moment is a number; only its limit can diverge, and the
+    description states how the finite-t moment grows.
     """
 
     description: str
-    intercept: float = None
-    slope: float = None
-    rate: float = None
-
-    def value_at(self, t):
-        """The finite-t moment along the divergent branch, when exact."""
-        if self.intercept is None or self.slope is None:
-            raise DomainError(f"no exact finite-t law attached: {self.description}")
-        return self.intercept + self.slope * t
 
 
 class MarkovKernel(abc.ABC):
@@ -111,8 +103,8 @@ class MarkovKernel(abc.ABC):
         return None
 
     def restarted_moment(self, restart, k, t, x):
-        """E_x[X(t)^k] under ``restart`` in closed form, t may be inf: a float,
-        a Divergent, or None when the kernel has no closed form."""
+        """E_x[X(t)^k] under ``restart`` in closed form, t may be inf: a float
+        (a Divergent at t = inf only), or None when the kernel has no closed form."""
         return None
 
     def moment_growth_rate(self, k):

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _double_factorial_odd, _nu_moment, categorical_cdf, gaussian_raw_moment
+from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
 from .kernels import Divergent, MarkovKernel, RestartedProcess
 from .quadrature import DEFAULT_REL_TOL
@@ -329,7 +329,7 @@ class BrownianWithDrift(MarkovKernel):
                 coef = cj * math.comb(k - j, i) * mu**i
                 m = j // 2 + i
                 r = k - j - i
-                term2 += coef * _weight_poly(m, lam, t) * _nu_moment(restart.nu, r)
+                term2 += coef * _weight_poly(m, lam, t) * restart.nu.moment(r)
         return term1 + term2
 
     def certifies_absolute_moment(self, k):
@@ -419,33 +419,26 @@ class GeometricBrownian(MarkovKernel):
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted; t may be inf.
 
-        Returns a float while the value is finite and a Divergent otherwise:
-        at t = inf for lam <= eta_k, where eta_k is the base moment's growth
-        rate; the resonance lam = eta_k grows exactly linearly in t.
+        A float at every finite t; at t = inf a float for lam > eta_k, where
+        eta_k is the base moment's growth rate, and a Divergent otherwise.
         """
         k = check_count("moment order k", k, least=0)
         lam = check_positive("restart rate", restart.rate)
         t = check_horizon("horizon", t)
         x = check_positive("state", x)
         eta = self.moment_growth_rate(k)
-        mk = _nu_moment(restart.nu, k)
-        if lam == eta:
-            return Divergent(
-                f"linear growth: x^k + lam*t*nu_moment = {x**k} + {lam * mk}*t "
-                f"(resonance lam = eta_{k} = {eta})",
-                intercept=float(x) ** k,
-                slope=lam * mk,
-            )
+        mk = restart.nu.moment(k)
         if math.isinf(t):
+            if lam == eta:
+                return Divergent(f"linear growth at rate lam*nu_moment = {lam * mk} (resonance lam = eta_{k} = {eta})")
             if lam < eta:
-                return Divergent(
-                    f"exponential growth at rate eta_{k} - lam = {eta - lam}",
-                    rate=eta - lam,
-                )
+                return Divergent(f"exponential growth at rate eta_{k} - lam = {eta - lam}")
             return lam / (lam - eta) * mk
         term1 = math.exp(-lam * t) * self.moment(k, t, x)
-        term2 = mk * lam * -math.expm1(-(lam - eta) * t) / (lam - eta)
-        return term1 + term2
+        if lam == eta:
+            # the limit of the expm1 form below: exactly linear growth
+            return term1 + mk * lam * t
+        return term1 + mk * lam * -math.expm1(-(lam - eta) * t) / (lam - eta)
 
     def moment(self, k, t, x):
         return float(self.moments(k, np.array([float(t)]), x)[0])

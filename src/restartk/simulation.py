@@ -327,7 +327,7 @@ def _write_paths(proc, config, fh):
     if isinstance(proc.space, FiniteSet):
         state_text = {i: format(proc.state_value(i), ".17g") for i in range(proc.space.n)}
     else:
-        state_text = {x: format(x, ".17g") for x in getattr(proc.restart.nu, "atoms", ()) if x}
+        state_text = {x: format(x, ".17g") for x in proc.restart.nu.atoms if x}
     walk = _walker(proc, config)
     fh.write("path_id,time,state,event_type\n")
     for block, lo in enumerate(range(0, config.n_paths, BLOCK)):

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from restartk import (
@@ -138,21 +138,25 @@ class TestGeometricMoments:
         p = GeometricBrownian(mu=0.5, sigma=1.0)
         restart = RestartSpec(1.0, PointMass(1.0))
         d = gbm_stationary_moment(p, restart, 2)
-        assert isinstance(d, Divergent)
-        assert abs(d.rate - 1.0) < 1e-15
-        with pytest.raises(DomainError):
-            d.value_at(1.0)
+        assert d == Divergent("exponential growth at rate eta_2 - lam = 1.0")
 
     def test_resonance_is_exactly_linear(self):
-        # eta_1 = mu = 1 equals lam: E_x[X(t)] = x + lam*nu_1*t
+        # eta_1 = mu = 1 equals lam: E_x[X(t)] = x + lam*nu_1*t, a number at every finite t
         p = GeometricBrownian(mu=1.0, sigma=1.0)
         restart = RestartSpec(1.0, PointMass(1.5))
         proc = RestartedProcess(p, restart)
-        d = gbm_modified_moment(p, restart, 1, 5.0, 2.0)
-        assert isinstance(d, Divergent)
-        assert d.intercept == 2.0 and abs(d.slope - 1.5) < 1e-15
         for t in (0.5, 3.0):
-            assert abs(d.value_at(t) - proc.moment(1, t, 2.0)) < 1e-8 * d.value_at(t)
+            got = gbm_modified_moment(p, restart, 1, t, 2.0)
+            assert isinstance(got, float)
+            assert abs(got - (2.0 + 1.5 * t)) < 1e-14 * got
+            assert abs(got - proc.moment(1, t, 2.0)) < 1e-8 * got
+
+    def test_resonance_stationary_is_divergent_whatever_the_start(self):
+        p = GeometricBrownian(mu=1.0, sigma=1.0)
+        restart = RestartSpec(1.0, PointMass(1.5))
+        want = Divergent("linear growth at rate lam*nu_moment = 1.5 (resonance lam = eta_1 = 1.0)")
+        assert gbm_modified_moment(p, restart, 1, math.inf, 2.0) == want
+        assert gbm_modified_moment(p, restart, 1, math.inf, 0.5) == want
 
 
 class TestChainMoments:
@@ -243,9 +247,11 @@ class TestRestartedMomentCapability:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(st.integers(1, 3), st.floats(-12.0, -6.0).map(lambda e: 10.0**e), st.floats(0.1, 5.0))
+    @example(1, 0.0, 3.0)
+    @example(3, 0.0, 0.7)
     def test_gbm_near_resonance_matches_quadrature(self, k, eps, t):
         # lam just above eta_k: the finite-t term (1 - exp(-(lam - eta)*t))/(lam - eta)
-        # cancels unless written with expm1
+        # cancels unless written with expm1; at eps = 0 it is its limit, lam*t
         base = GeometricBrownian(mu=0.6, sigma=0.8)
         restart = RestartSpec(base.moment_growth_rate(k) * (1.0 + eps), PointMass(1.5))
         closed = base.restarted_moment(restart, k, t, 1.2)
@@ -283,7 +289,7 @@ class TestModifiedMomentDispatch:
 
     def test_divergent_moment_reports_none_consistency(self):
         proc = RestartedProcess(GeometricBrownian(mu=1.0, sigma=1.0), RestartSpec(1.0, PointMass(1.0)))
-        rep = modified_moment(proc, 1, 2.0, 1.0, empirical=EstimatorReport(3.0, 0.1, 100))
+        rep = modified_moment(proc, 1, math.inf, 1.0, empirical=EstimatorReport(3.0, 0.1, 100))
         assert isinstance(rep.analytic, Divergent)
         assert rep.consistent() is None
 

@@ -247,6 +247,7 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: BM.moments(1, _times(1.0), math.nan), "state must be finite, got nan"),
         (lambda: GBM.moment(1, 1.0, -1.0), "state must be positive and finite, got -1.0"),
         (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [1.0], []), "test_sets must not be empty"),
+        (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [], [G]), "t_grid must not be empty"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as err:

@@ -577,12 +577,14 @@ def binned_tv(values, edges, pdf):
 class TestEmpiricalDistribution:
     def test_tv_against_invariant_density(self):
         proc = bm_process(rate=2.0)
-        cfg = PathConfig(seed=42, horizon=8.0, record_grid=(8.0,), n_paths=4000, initial=PointMass(0.0))
+        cfg = PathConfig(seed=42, horizon=8.0, record_grid=(8.0,), n_paths=64000, initial=PointMass(0.0))
         vals = run_ensemble(proc, cfg).states[:, 0]
         bins = 40
-        # the invariant law puts exp(-10) outside the window
+        # the invariant law puts exp(-10) outside the window; over seeds 42, 1,
+        # 2 and 3 the sampler reads 0.005-0.010 against sqrt(bins/n) = 0.025,
+        # and one whose restart-age draw runs at 1.3 lam reads 0.044-0.049
         tv = binned_tv(vals, np.linspace(-5.0, 5.0, bins + 1), proc.invariant_density)
-        assert tv < math.sqrt(bins / len(vals)) + 0.02
+        assert tv < math.sqrt(bins / len(vals))
         assert np.mean(np.abs(vals) > 5.0) < 1e-3
 
 

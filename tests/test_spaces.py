@@ -1,5 +1,6 @@
 """State spaces, targets, and restart/initial distributions."""
 
+import dataclasses
 import math
 import pickle
 
@@ -8,6 +9,7 @@ import pytest
 
 from restartk import (
     ConfigError,
+    DensityDistribution,
     DomainError,
     FiniteSet,
     FiniteSupport,
@@ -236,8 +238,23 @@ class TestDensityDistributions:
     def test_picklable_for_worker_processes(self):
         for dist in (gaussian(0.5, 2.0), exponential(1.5), lognormal(0.0, 0.3)):
             clone = pickle.loads(pickle.dumps(dist))
+            assert clone == dist
             assert clone.pdf(0.7) == dist.pdf(0.7)
             assert clone.moment(2) == dist.moment(2)
+
+    def test_laws_are_frozen_parameter_records(self):
+        assert DensityDistribution().atoms == ()
+        with pytest.raises(TypeError):
+            DensityDistribution(lambda y: 1.0, None, (0.0, 1.0))
+        for dist, field in ((gaussian(0.5, 2.0), "std"), (exponential(1.5), "rate"), (lognormal(0.0, 0.3), "log_std")):
+            assert isinstance(dist, DensityDistribution) and dist.atoms == ()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(dist, field, 1.0)
+
+    def test_repr_names_the_law(self):
+        assert repr(gaussian(0.5, 2.0)) == "DensityDistribution(gaussian(mean=0.5, std=2.0))"
+        assert repr(exponential(1.5)) == "DensityDistribution(exponential(rate=1.5))"
+        assert repr(lognormal(0.0, 0.3)) == "DensityDistribution(lognormal(log_mean=0.0, log_std=0.3))"
 
 
 class TestHelpers:
