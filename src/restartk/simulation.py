@@ -8,16 +8,16 @@ its row of the restarted transition matrix; any other path takes the age of
 its last restart, at most one redraw from nu and one exact base transition.
 An ensemble keeps the states on the grid and nothing else.
 
-The event log (``write_path_csv``) walks one path event by event instead:
-restart times are drawn from the exponential clock, and the base kernel is
-sampled over each inter-event interval, on Python lists, with each grid
-time and restart atom formatted once per run.
+The event log (``write_path_csv``) walks one path event by event instead,
+in one loop that writes each row as it reaches the event: restart times are
+drawn from the exponential clock, and the base kernel is sampled over each
+inter-event interval, with each grid time and restart atom formatted once.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
-ensemble for all paths of the block at once, the walker for one path after
-another.  So the draws depend on the seed and the path count only, never on
-how blocks are spread over workers.
+ensemble for all paths of the block at once, the event log for one path
+after another.  So the draws depend on the seed and the path count only,
+never on how blocks are spread over workers.
 """
 
 from __future__ import annotations
@@ -136,53 +136,6 @@ def draw_restart_times(rng, rate, horizon):
     return np.array(_restart_times(rng, 1.0 / rate, horizon, _first_chunk(rate, horizon)))
 
 
-def _walker(proc, config):
-    """walk(rng): the events of the next path on rng.
-
-    The events are (time, state, kind) in time order, kind "restart" at
-    each restart (the state just redrawn) and "grid" at each grid time; a
-    restart at a grid time comes first.  The restarts between the last grid
-    time and the horizon are walked too: the event log shows them, and every
-    path uses up the same draws, so the next path of its block starts from
-    the same point of the stream.  Whatever does not change from path to
-    path is looked up here, once.
-    """
-    start = config.initial.sample
-    step = proc.base.sample_transition
-    redraw = proc.restart.nu.sample
-    rate, horizon = proc.rate, config.horizon
-    scale = 1.0 / rate if rate > 0.0 else math.inf
-    chunk = _first_chunk(rate, horizon)
-    # the grid and the restarts each end at infinity: each grid time is taken
-    # as the clock passes it, and the pass at infinity ends the path
-    stops = config.record_grid + (math.inf,)
-    end = [math.inf]
-
-    def walk(rng):
-        state = start(rng)
-        restarts = _restart_times(rng, scale, horizon, chunk) if rate > 0.0 else []
-        events = []
-        now = 0.0
-        j = 0
-        for r in restarts + end:
-            while stops[j] < r:
-                g = stops[j]
-                if g > now:
-                    state = step(g - now, state, rng)
-                    now = g
-                events.append((g, state, "grid"))
-                j += 1
-            if r == math.inf:
-                return events
-            if r > now:
-                state = step(r - now, state, rng)
-            state = redraw(rng)
-            now = r
-            events.append((r, state, "restart"))
-
-    return walk
-
-
 def ProcessPoolExecutor(*args, **kwargs):
     """concurrent.futures.ProcessPoolExecutor, imported only when run_ensemble
     starts a pool: most runs never do, and the import costs every run."""
@@ -277,18 +230,24 @@ def monte_carlo_moment(proc, config, k, t, ensemble=None):
 
 
 def _heavy_tailed(vals):
-    n = len(vals)
-    if n < 16:
+    if len(vals) < 16:
         return False
-    centered = vals - np.mean(vals)
-    m2 = float(np.mean(centered**2))
+    absvals = np.abs(vals)
+    top = float(np.max(absvals))
+    if not math.isfinite(top):
+        return True  # an infinite or NaN value: no finite kurtosis, nor estimate
+    if top == 0.0:
+        return False
+    # kurtosis and share do not change with scale, and on vals / top every
+    # square fits the float range, whatever the scale of vals
+    scaled = vals / top
+    squared = (scaled - np.mean(scaled)) ** 2
+    m2 = float(np.mean(squared))
     if m2 == 0.0:
         return False
-    m4 = float(np.mean(centered**4))
-    kurtosis = m4 / m2**2 - 3.0
-    absvals = np.abs(vals)
-    total = float(np.sum(absvals))
-    share = float(np.max(absvals)) / total if total > 0.0 else 0.0
+    # (x**2 / m2)**2: no per-value pow as in x**4
+    kurtosis = float(np.mean(np.square(squared / m2))) - 3.0
+    share = 1.0 / float(np.sum(absvals / top))
     return kurtosis > KURTOSIS_THRESHOLD or share > MAX_SHARE_THRESHOLD
 
 
@@ -297,12 +256,12 @@ def write_path_csv(proc, config, out):
 
     A row is written at each restart (state just after the redraw) and at
     each grid time, in time order; restart rows precede a grid row at the
-    same instant.  States on finite spaces are written as labels.  The
-    paths of block b are walked in order on ``block_rng(config.seed, b)``,
-    the stream of the ensemble's block b.  A file named by ``out`` is
-    written beside it under a temporary name and takes its place only when
-    every path is written, so a failed run leaves no partial log and an
-    earlier log at ``out`` stays as it was.
+    same instant.  States on finite spaces are written as labels.  Each path
+    is walked and written in one loop, the paths of block b in order on
+    ``block_rng(config.seed, b)``, the stream of the ensemble's block b.  A
+    file named by ``out`` is written beside it under a temporary name and
+    takes its place only when every path is written, so a failed run leaves
+    no partial log and an earlier log at ``out`` stays as it was.
     """
     _check_initial(proc, config)
     if not isinstance(out, str):
@@ -320,24 +279,49 @@ def write_path_csv(proc, config, out):
 
 
 def _write_paths(proc, config, fh):
-    # the text of each grid time, and of the states a log writes over and
-    # over: a chain's labels, the atoms of a finite restart law (not 0, whose
-    # key would also take -0.0); format(x, ".17g") of any other state
-    grid_text = {g: format(g, ".17g") for g in config.record_grid}
+    # the restarts after the last grid time are walked too, so every path uses
+    # up the same draws; the grid and the restarts each end at infinity, whose
+    # pass ends the path.  Texts made once: each grid time, a chain's labels,
+    # the atoms of a finite restart law (not 0, whose key would also take
+    # -0.0); format(x, ".17g") of any other state
+    start = config.initial.sample
+    step = proc.base.sample_transition
+    redraw = proc.restart.nu.sample
+    rate, horizon = proc.rate, config.horizon
+    scale = 1.0 / rate if rate > 0.0 else math.inf
+    chunk = _first_chunk(rate, horizon)
+    stops = config.record_grid + (math.inf,)
+    grid_text = [format(g, ".17g") for g in config.record_grid]
     if isinstance(proc.space, FiniteSet):
         state_text = {i: format(proc.state_value(i), ".17g") for i in range(proc.space.n)}
     else:
         state_text = {x: format(x, ".17g") for x in proc.restart.nu.atoms if x}
-    walk = _walker(proc, config)
+    text = state_text.get
     fh.write("path_id,time,state,event_type\n")
     for block, lo in enumerate(range(0, config.n_paths, BLOCK)):
         rng = block_rng(config.seed, block)
         rows = []
+        row = rows.append
         for i in range(lo, min(lo + BLOCK, config.n_paths)):
-            for t, x, kind in walk(rng):
-                text = state_text.get(x) or format(x, ".17g")
-                if kind == "grid":
-                    rows.append(f"{i},{grid_text[t]},{text},grid\n")
-                else:
-                    rows.append(f"{i},{t:.17g},{text},restart\n")
+            path = f"{i},"
+            state = start(rng)
+            restarts = _restart_times(rng, scale, horizon, chunk) if rate > 0.0 else []
+            restarts.append(math.inf)
+            now = 0.0
+            j = 0
+            for r in restarts:
+                while stops[j] < r:
+                    g = stops[j]
+                    if g > now:
+                        state = step(g - now, state, rng)
+                        now = g
+                    row(f"{path}{grid_text[j]},{text(state) or format(state, '.17g')},grid\n")
+                    j += 1
+                if r == math.inf:
+                    break
+                if r > now:
+                    state = step(r - now, state, rng)
+                state = redraw(rng)
+                now = r
+                row(f"{path}{r:.17g},{text(state) or format(state, '.17g')},restart\n")
         fh.write("".join(rows))

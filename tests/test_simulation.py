@@ -3,6 +3,7 @@
 import io
 import logging
 import math
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from functools import partial
@@ -36,7 +37,10 @@ from restartk import (
 from restartk.kernels import MarkovKernel
 from restartk.simulation import (
     BLOCK,
+    KURTOSIS_THRESHOLD,
+    MAX_SHARE_THRESHOLD,
     POOL_BLOCKS_PER_WORKER,
+    EnsembleResult,
     block_rng,
     draw_restart_times,
 )
@@ -558,6 +562,59 @@ class TestMonteCarloMoment:
         cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0.0))
         with pytest.raises(DomainError, match="moment order k"):
             monte_carlo_moment(proc, cfg, k, 1.0)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_values_are_flagged(self, bad):
+        # an infinite or NaN value makes the kurtosis NaN, and NaN > threshold
+        # is False: the flag must not rest on that comparison
+        proc = bm_process()
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=3000, initial=PointMass(0.0))
+        states = np.random.default_rng(3).normal(size=(3000, 1))
+        states[17, 0] = bad
+        ens = EnsembleResult(np.array([1.0]), states)
+        with pytest.warns(MomentUnstable):
+            assert monte_carlo_moment(proc, cfg, 1, 1.0, ensemble=ens).heavy_tailed
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1.0, 1e80, 1e160, 1e300])
+    def test_flag_is_scale_free(self, scale):
+        # raw squared deviations overflow near 1e160 and underflow near
+        # 1e-300, and raw fourth powers overflow near 1e80
+        rng = np.random.default_rng(3)
+        light = 1.0 + rng.normal(size=3000) ** 2
+        heavy = rng.lognormal(0.0, 3.0, 3000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not restartk.simulation._heavy_tailed(scale * light)
+            assert restartk.simulation._heavy_tailed(scale * heavy)
+
+    def test_heavy_tail_flag_matches_the_fourth_power_form(self):
+        # the fourth moment is a square of scaled squares, not numpy's
+        # per-value pow of centered**4: the two round differently, the flag
+        # must not move
+        rng = np.random.default_rng(11)
+        samples = [rng.lognormal(0.0, s, 3000) for s in np.linspace(1.0, 3.0, 200)]
+        samples += [rng.standard_t(df, 3000) for df in (2.5, 3.0, 5.0) for _ in range(30)]
+        samples += [rng.normal(size=n) for n in (15, 16, 17, 400)]
+        kurtoses = [frozen_kurtosis(v) for v in samples[:200]]
+        # lognormal samples on both sides of the threshold, some close to it
+        assert any(0.8 < k / KURTOSIS_THRESHOLD < 1.0 for k in kurtoses)
+        assert any(1.0 < k / KURTOSIS_THRESHOLD < 1.25 for k in kurtoses)
+        for vals in samples:
+            assert restartk.simulation._heavy_tailed(vals) == frozen_heavy_tailed(vals)
+
+
+def frozen_kurtosis(vals):
+    centered = vals - np.mean(vals)
+    return float(np.mean(centered**4)) / float(np.mean(centered**2)) ** 2 - 3.0
+
+
+def frozen_heavy_tailed(vals):
+    """simulation._heavy_tailed on finite samples, fourth powers by centered**4."""
+    if len(vals) < 16 or np.var(vals) == 0.0:
+        return False
+    absvals = np.abs(vals)
+    share = float(np.max(absvals)) / float(np.sum(absvals))
+    return frozen_kurtosis(vals) > KURTOSIS_THRESHOLD or share > MAX_SHARE_THRESHOLD
 
 
 def _hill_tail_index(vals, frac=0.01):
