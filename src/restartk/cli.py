@@ -228,7 +228,7 @@ def exit_code_for(exc):
     if isinstance(exc, numerical):
         return 3
     # ConfigError and DomainError are ValueErrors
-    if isinstance(exc, (ValueError, UnsupportedTarget, jsonschema.ValidationError, OSError)):
+    if isinstance(exc, (ValueError, UnsupportedTarget, OSError)):
         return 2
     return 1
 
@@ -270,20 +270,17 @@ def build_process(spec, config_dir):
 
 
 def build_distribution(spec, space):
+    # the library refuses a law its space does not support, where it is used
     kind = spec["type"]
     if kind == "point":
-        dist = PointMass(space.state(spec["x"]))
-    elif kind == "finite":
-        dist = FiniteSupport(tuple((space.state(s), w) for s, w in spec["points"]))
-    elif kind == "gaussian":
-        dist = gaussian(spec["mean"], spec["std"])
-    elif kind == "exponential":
-        dist = exponential(spec["rate"])
-    else:
-        dist = lognormal(spec["log_mean"], spec["log_std"])
-    if not dist.supported_in(space):
-        raise ConfigError(f"distribution {dist!r} is not supported in {space!r}")
-    return dist
+        return PointMass(space.state(spec["x"]))
+    if kind == "finite":
+        return FiniteSupport(tuple((space.state(s), w) for s, w in spec["points"]))
+    if kind == "gaussian":
+        return gaussian(spec["mean"], spec["std"])
+    if kind == "exponential":
+        return exponential(spec["rate"])
+    return lognormal(spec["log_mean"], spec["log_std"])
 
 
 class _Runner:

@@ -235,11 +235,11 @@ def lognormal(log_mean, log_std):
 
 
 def nu_weights(nu, space):
-    """Weight vector of a restart distribution on a finite space."""
+    """Weight vector of a restart distribution on a finite space, whose states it must name."""
     if not isinstance(space, FiniteSet):
         raise DomainError("weight vectors only exist on finite state spaces")
-    if not hasattr(nu, "weights"):
-        raise DomainError(f"{type(nu).__name__} cannot be represented on a finite space")
+    if not nu.supported_in(space):
+        raise DomainError(f"{nu!r} is not supported in {space!r}")
     return nu.weights(space)
 
 

@@ -5,7 +5,7 @@ process: interval or subset probabilities, an exact sampler, and (where the
 law admits them) densities, matrices and closed-form moments.
 
 :class:`RestartedProcess` wraps a kernel together with a
-:class:`RestartSpec` (rate lam, redraw law nu) and is itself a MarkovKernel.
+:class:`RestartSpec` (rate lam > 0, redraw law nu) and is itself a MarkovKernel.
 Its transition law splits over the age of the restart clock: with weight
 exp(-lam*t) no restart happened and the base kernel acts for the full time,
 otherwise the state was redrawn from nu at some time t-s in the past and the
@@ -171,10 +171,6 @@ class MarkovKernel(abc.ABC):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
         return None
 
-    def state_value(self, x):
-        """Numeric value of a state (the label, for finite spaces)."""
-        return float(self.space.labels(x))
-
     def density_envelope(self, z, s_min):
         """(C, eta) with p(s, y, z) <= C*exp(eta*s) for all y and s >= s_min.
 
@@ -198,16 +194,14 @@ class MarkovKernel(abc.ABC):
 class RestartSpec:
     """Restart clock: Poisson rate and the redraw distribution.
 
-    rate = 0 is the degenerate no-restart case; it is accepted so the
-    simulator can run the plain kernel, but stationary quantities then do
-    not exist and the corresponding operations fail.
+    The rate is positive and finite: the invariant law and every restart-age integral need a clock that rings.
     """
 
     rate: float
     nu: object
 
     def __post_init__(self):
-        object.__setattr__(self, "rate", check_nonnegative("restart rate", self.rate))
+        object.__setattr__(self, "rate", check_positive("restart rate", self.rate))
 
 
 class RestartedProcess(MarkovKernel):
@@ -231,10 +225,6 @@ class RestartedProcess(MarkovKernel):
 
     def certifies_absolute_moment(self, k):
         return self.base.certifies_absolute_moment(k)
-
-    def no_restart_weight(self, t):
-        """Probability that the clock has not fired by time t."""
-        return math.exp(-self.rate * check_nonnegative("time", t))
 
     # -- transition law -------------------------------------------------
 
@@ -265,12 +255,11 @@ class RestartedProcess(MarkovKernel):
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
         t = check_nonnegative("time", t)
         P = self.base.transition_matrix(t)
-        lam = self.rate
-        if lam == 0.0 or t == 0.0:
+        if t == 0.0:
             return P
         w = nu_weights(self.restart.nu, self.space)
         # the restarts add the same row whatever the start state
-        return math.exp(-lam * t) * P + self.base.stationary_vector(lam, w, t, rel_tol=rel_tol)
+        return math.exp(-self.rate * t) * P + self.base.stationary_vector(self.rate, w, t, rel_tol=rel_tol)
 
     def sample_transition(self, t, x, rng):
         return self.sample_transitions(check_nonnegative("time", t), np.asarray([x]), rng)[0].item()
@@ -291,8 +280,7 @@ class RestartedProcess(MarkovKernel):
             return super().sample_transitions(t, x, rng)
         x = np.asarray(x)
         t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-        lam = self.rate
-        back = rng.exponential(1.0 / lam, x.shape) if lam > 0.0 else np.full(x.shape, math.inf)
+        back = rng.exponential(1.0 / self.rate, x.shape)
         hit = back < t
         start = x
         if hit.any():
@@ -321,28 +309,25 @@ class RestartedProcess(MarkovKernel):
     def invariant_measure(self, target, rel_tol=DEFAULT_REL_TOL):
         """Mass the unique invariant law puts on the target set."""
         self.space.check_target(target)
-        lam = check_positive("restart rate", self.rate)
         return self._nu_expect(
-            lambda y: self.base.stationary_probability(lam, y, target, rel_tol=rel_tol), rel_tol
+            lambda y: self.base.stationary_probability(self.rate, y, target, rel_tol=rel_tol), rel_tol
         )
 
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
         """Density of the invariant law at z, for kernels with densities."""
-        lam = check_positive("restart rate", self.rate)
         z = self.space.state(z)
         # the quadrature default whatever the base kernel: the closed forms
         # would fix the false-convergence-gbm-stationary-density config of
         # perfbench/defects.py, which perfbench/test_smoke.py requires to
         # miss its tolerance (ROADMAP 2b)
         return self._nu_expect(
-            lambda y: MarkovKernel.stationary_density(self.base, lam, y, z, rel_tol=rel_tol), rel_tol
+            lambda y: MarkovKernel.stationary_density(self.base, self.rate, y, z, rel_tol=rel_tol), rel_tol
         )
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):
         """Invariant weight vector on a finite state space."""
-        lam = check_positive("restart rate", self.rate)
         w = nu_weights(self.restart.nu, self.space)
-        return self.base.stationary_vector(lam, w, rel_tol=rel_tol)
+        return self.base.stationary_vector(self.rate, w, rel_tol=rel_tol)
 
     # -- helpers ---------------------------------------------------------
 
@@ -366,10 +351,7 @@ class RestartedProcess(MarkovKernel):
         restarted(y) = int_0^t lam exp(-lam*s) f(s, y) ds its share from a
         restart to y.
         """
-        term1 = math.exp(-self.rate * t) * unrestarted
-        if self.rate == 0.0:
-            return term1
-        return term1 + self._nu_expect(restarted, rel_tol)
+        return math.exp(-self.rate * t) * unrestarted + self._nu_expect(restarted, rel_tol)
 
     def _nu_expect(self, inner, rel_tol):
         # a density nu integrates the inner time integral once more, never

@@ -38,6 +38,9 @@ from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+# exp(Q*t) by t and lam*(lam*I - Q)^(-1) by lam, at most this many each per chain:
+# quadrature revisits the same nodes, and every restart law at one rate reads one resolvent
+_MEMO_SIZE = 1024
 
 
 def _on_first_call(module, name):
@@ -316,7 +319,7 @@ class BrownianWithDrift(MarkovKernel):
         start point, so the time integral reduces to incomplete-gamma weights and
         the restart average to moments of nu.
         """
-        lam = check_positive("restart rate", restart.rate)
+        lam = restart.rate
         k = check_count("moment order k", k, least=0)
         t = check_horizon("horizon", t)
         x = check_finite("state", x)
@@ -423,7 +426,7 @@ class GeometricBrownian(MarkovKernel):
         eta_k is the base moment's growth rate, and a Divergent otherwise.
         """
         k = check_count("moment order k", k, least=0)
-        lam = check_positive("restart rate", restart.rate)
+        lam = restart.rate
         t = check_horizon("horizon", t)
         x = check_positive("state", x)
         eta = self.moment_growth_rate(k)
@@ -492,23 +495,17 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # for the one-path sampler, per state: its total jump rate, its mean
-        # holding time (None where absorbing) and the distribution function of
-        # where it jumps, built as Generator.choice would build it, also as lists
-        self._rates = -np.diag(Q)
+        # for the one-path sampler, per state: its mean holding time (None
+        # where absorbing) and the distribution function of where it jumps,
+        # built as Generator.choice would build it, as lists
+        rates = (-np.diag(Q)).tolist()
         jumps = Q - np.diag(np.diag(Q))
-        self._jump_cdfs = np.array(
-            [categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(self._rates)]
-        )
-        self._scale_list = [1.0 / r if r > 0.0 else None for r in self._rates.tolist()]
-        self._jump_cdf_lists = self._jump_cdfs.tolist()
+        self._scale_list = [1.0 / r if r > 0.0 else None for r in rates]
+        self._jump_cdf_lists = [
+            categorical_cdf(jumps[i] / r).tolist() if r > 0.0 else [1.0] * n for i, r in enumerate(rates)
+        ]
         self._expm_cache = {}
         self._resolvent_cache = {}
-
-    # exp(Q*t) by t and lam*(lam*I - Q)^(-1) by lam, at most this many each;
-    # quadrature revisits the same nodes across targets and horizons, and
-    # every target and restart law at one rate reads the same resolvent
-    expm_cache_size = 1024
 
     def __getstate__(self):
         # keep pickles (ensemble workers) small: the caches are rebuilt on demand
@@ -525,7 +522,7 @@ class FiniteCTMC(MarkovKernel):
         return value
 
     def _remember(self, cache, key, value):
-        if len(cache) >= self.expm_cache_size:
+        if len(cache) >= _MEMO_SIZE:
             del cache[next(iter(cache))]
         cache[key] = value
 
@@ -551,7 +548,7 @@ class FiniteCTMC(MarkovKernel):
         missing = [s for s in dict.fromkeys(times) if s not in found]
         # in chunks the memo's size, each entry its own copy, so neither
         # expm's temporaries nor a memo entry holds more than the memo's bound
-        step = self.expm_cache_size
+        step = _MEMO_SIZE
         for lo in range(0, len(missing), step):
             chunk = missing[lo : lo + step]
             for s, P in zip(chunk, self._expm(np.array(chunk))):
@@ -610,7 +607,6 @@ class FiniteCTMC(MarkovKernel):
         t = inf) against the k-th powers of the state values; the chain's
         resolvent linear algebra gives both exactly, so no quadrature enters.
         """
-        check_positive("restart rate", restart.rate)
         k = check_count("moment order k", k, least=0)
         i = self._space.index(x)
         proc = RestartedProcess(self, restart)

@@ -68,8 +68,9 @@ _GK_NODES = np.concatenate([_XK, -_XK[-2::-1]])
 _GK_KRONROD = np.concatenate([_WK, _WK[-2::-1]])
 _GK_GAUSS = np.concatenate([_WG, _WG[::-1]])
 
-# intervals bisected per refinement round at most
+# intervals bisected per refinement round, and held by one segment, at most
 _ROUND = 128
+_MAX_SUBDIVISIONS = 10000
 
 # far segments longer than this many 1/lam start from _doublings
 _LONG = 1e4
@@ -134,7 +135,6 @@ def exp_weighted_integral(
     abs_tol=DEFAULT_ABS_TOL,
     growth_bound=(1.0, 0.0),
     bound_valid_from=0.0,
-    max_subdivisions=10000,
 ):
     """Evaluate int_0^upper lam*exp(-lam*s)*f(s) ds, weight included.
 
@@ -196,14 +196,14 @@ def exp_weighted_integral(
         s = np.maximum(u * u, _TINY)
         return _weigh(2.0 * u * lam * np.exp(-lam * s), f(s))
 
-    value, err, nodes, ok = _segment(near, 0.0, math.sqrt(split), seg_abs, seg_rel, max_subdivisions)
+    value, err, nodes, ok = _segment(near, 0.0, math.sqrt(split), seg_abs, seg_rel, _MAX_SUBDIVISIONS)
 
     if U > split:
 
         def far(s):
             return _weigh(lam * np.exp(-lam * s), f(s))
 
-        v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, max_subdivisions, _doublings(split, U))
+        v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, _MAX_SUBDIVISIONS, _doublings(split, U))
         value = value + v2
         err += e2
         nodes += n2

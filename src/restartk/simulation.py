@@ -6,7 +6,8 @@ once, through ``RestartedProcess.sample_transitions``.  A restarted chain is
 itself a finite chain, so per interval each of its paths takes one draw from
 its row of the restarted transition matrix; any other path takes the age of
 its last restart, at most one redraw from nu and one exact base transition.
-An ensemble keeps the states on the grid and nothing else.
+An ensemble is the (paths, grid times) array of the states on the grid
+(state indices on finite spaces).
 
 The event log (``write_path_csv``) walks one path event by event instead,
 in one loop that writes each row as it reaches the event: restart times are
@@ -91,17 +92,6 @@ class EstimatorReport:
     heavy_tailed: bool = False
 
 
-@dataclass
-class EnsembleResult:
-    """The states of an ensemble on the record grid.
-
-    states[i, j] is path i at grid time j (a state index for finite spaces).
-    """
-
-    grid: np.ndarray
-    states: np.ndarray
-
-
 def block_rng(seed, block):
     """The random stream of one block of paths, ensemble or event log."""
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
@@ -127,13 +117,6 @@ def _restart_times(rng, scale, horizon, chunk):
             times.append(s)
         gaps = rng.exponential(scale, size=16).tolist()
         gaps[0] += times[-1]
-
-
-def draw_restart_times(rng, rate, horizon):
-    """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
-    if rate == 0.0:
-        return np.empty(0)
-    return np.array(_restart_times(rng, 1.0 / rate, horizon, _first_chunk(rate, horizon)))
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -164,12 +147,12 @@ def _run_blocks(proc, config, lo, hi):
 
 
 def run_ensemble(proc, config, workers=1):
-    """Simulate the whole ensemble; worker count never changes the draws.
+    """The states of every path at the grid times, as an (n_paths, grid) array.
 
-    Workers take whole blocks, at least POOL_BLOCKS_PER_WORKER each; smaller
-    ensembles run in this process.  Parallel execution needs the process and
-    config to be picklable, which holds for all kernels and distributions
-    shipped here.
+    Worker count never changes the draws: workers take whole blocks, at
+    least POOL_BLOCKS_PER_WORKER each, and smaller ensembles run in this
+    process.  Parallel execution needs the process and config to be
+    picklable, which holds for all kernels and distributions shipped here.
     """
     _check_initial(proc, config)
     n_blocks = -(-config.n_paths // BLOCK)
@@ -184,7 +167,7 @@ def run_ensemble(proc, config, workers=1):
                 _run_blocks, [proc] * workers, [config] * workers, bounds[:-1], bounds[1:]
             )
             blocks = [block for chunk in chunks for block in chunk]
-    return EnsembleResult(np.asarray(config.record_grid), np.concatenate(blocks))
+    return np.concatenate(blocks)
 
 
 def _check_initial(proc, config):
@@ -208,17 +191,22 @@ def monte_carlo_moment(proc, config, k, t, ensemble=None):
     Emits MomentUnstable (and flags the report) when the k-th powers show
     heavy-tail symptoms: enormous excess kurtosis or one path dominating
     their absolute sum.  The standard error is then unreliable and the
-    moment itself may not exist.  Without an ``ensemble`` it simulates one
-    in this process.
+    moment itself may not exist.  ``ensemble`` is ``run_ensemble``'s array;
+    without one it simulates one in this process.
     """
     k = check_count("moment order k", k)
     j = _grid_index(config, t)
     if ensemble is None:
         ensemble = run_ensemble(proc, config)
-    vals = proc.space.labels(ensemble.states[:, j]) ** k
-    n = len(vals)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN value is flagged below
+        vals = proc.space.labels(ensemble[:, j]) ** k
+        n = len(vals)
+        # past 1e140 or under 1e-140 the sums and squares of vals can leave the
+        # float range, and those of vals / top cannot
+        top = float(np.max(np.abs(vals), initial=0.0))
+        scale = top if 0.0 < top < math.inf and not 1e-140 < top < 1e140 else 1.0
+        est = scale * float(np.mean(vals / scale))
+        se = scale * float(np.std(vals / scale, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     heavy = _heavy_tailed(vals)
     if heavy:
         warnings.warn(
@@ -252,22 +240,19 @@ def _heavy_tailed(vals):
 
 
 def write_path_csv(proc, config, out):
-    """Stream every path as CSV rows: path_id,time,state,event_type.
+    """Write every path as CSV rows, path_id,time,state,event_type, to the file at path ``out``.
 
     A row is written at each restart (state just after the redraw) and at
     each grid time, in time order; restart rows precede a grid row at the
     same instant.  States on finite spaces are written as labels.  Each path
     is walked and written in one loop, the paths of block b in order on
-    ``block_rng(config.seed, b)``, the stream of the ensemble's block b.  A
-    file named by ``out`` is written beside it under a temporary name and
-    takes its place only when every path is written, so a failed run leaves
-    no partial log and an earlier log at ``out`` stays as it was.
+    ``block_rng(config.seed, b)``, the stream of the ensemble's block b.
+    The log is written beside ``out`` under a temporary name and takes its
+    place only when every path is written, so a failed run leaves no
+    partial log and an earlier log at ``out`` stays as it was.
     """
     _check_initial(proc, config)
-    if not isinstance(out, str):
-        _write_paths(proc, config, out)
-        return
-    tmp = f"{out}.{os.getpid()}.tmp"
+    tmp = f"{os.fspath(out)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
             _write_paths(proc, config, fh)
@@ -287,13 +272,13 @@ def _write_paths(proc, config, fh):
     start = config.initial.sample
     step = proc.base.sample_transition
     redraw = proc.restart.nu.sample
-    rate, horizon = proc.rate, config.horizon
-    scale = 1.0 / rate if rate > 0.0 else math.inf
-    chunk = _first_chunk(rate, horizon)
+    horizon = config.horizon
+    scale = 1.0 / proc.rate
+    chunk = _first_chunk(proc.rate, horizon)
     stops = config.record_grid + (math.inf,)
     grid_text = [format(g, ".17g") for g in config.record_grid]
     if isinstance(proc.space, FiniteSet):
-        state_text = {i: format(proc.state_value(i), ".17g") for i in range(proc.space.n)}
+        state_text = {i: format(v, ".17g") for i, v in enumerate(proc.space.values)}
     else:
         state_text = {x: format(x, ".17g") for x in proc.restart.nu.atoms if x}
     text = state_text.get
@@ -305,7 +290,7 @@ def _write_paths(proc, config, fh):
         for i in range(lo, min(lo + BLOCK, config.n_paths)):
             path = f"{i},"
             state = start(rng)
-            restarts = _restart_times(rng, scale, horizon, chunk) if rate > 0.0 else []
+            restarts = _restart_times(rng, scale, horizon, chunk)
             restarts.append(math.inf)
             now = 0.0
             j = 0

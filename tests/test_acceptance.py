@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import finite_support_from_weights, random_generator, random_restart_weights
+from conftest import draw_restart_times, finite_support_from_weights, random_generator, random_restart_weights
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -37,7 +37,7 @@ from restartk import (
     small_lambda_sweep,
 )
 from restartk.analysis import ERGODICITY_SLACK
-from restartk.simulation import block_rng, draw_restart_times
+from restartk.simulation import block_rng
 
 
 def _report(num, ok, detail):
@@ -162,7 +162,7 @@ def test_brownian_stationary_moments_by_monte_carlo():
         seed=20260826, horizon=10.0, record_grid=(10.0,), n_paths=100000,
         initial=PointMass(0.0),
     )
-    vals = run_ensemble(proc, config, workers=1).states[:, 0]
+    vals = run_ensemble(proc, config, workers=1)[:, 0]
     n = len(vals)
     mean = float(np.mean(vals))
     se_mean = float(np.std(vals, ddof=1)) / math.sqrt(n)

@@ -17,6 +17,7 @@ from conftest import make_three_state_chain
 from restartk import (
     BrownianWithDrift,
     DomainError,
+    FiniteSupport,
     GeometricBrownian,
     Interval,
     MarkovKernel,
@@ -31,6 +32,7 @@ from restartk import (
     gaussian,
     lognormal,
     modified_moment,
+    nu_weights,
     resolvent,
     small_lambda_sweep,
     tail_truncation_point,
@@ -73,8 +75,6 @@ ENTRIES = [
     ("RestartedProcess.sample_transition t", "nonnegative",
      lambda v: _restarted(BM, PointMass(0.0)).sample_transition(v, 0.0, RNG)),
     ("RestartedProcess.moment t", "nonnegative", lambda v: _restarted(BM, PointMass(0.0)).moment(1, v, 0.0)),
-    ("RestartedProcess.no_restart_weight t", "nonnegative",
-     lambda v: _restarted(BM, PointMass(0.0)).no_restart_weight(v)),
     ("BrownianWithDrift.transition_probability t", "nonnegative", lambda v: BM.transition_probability(v, 0.0, G)),
     ("BrownianWithDrift.transition_density t", "positive", lambda v: BM.transition_density(v, 0.0, 0.5)),
     ("BrownianWithDrift.transition_probabilities t", "nonnegative",
@@ -118,7 +118,7 @@ ENTRIES = [
     ("PathConfig horizon", "positive",
      lambda v: PathConfig(seed=0, horizon=v, record_grid=(0.0,), n_paths=1, initial=PointMass(0.0))),
     # restart rates
-    ("RestartSpec rate", "nonnegative", lambda v: RestartSpec(v, PointMass(0.0))),
+    ("RestartSpec rate", "positive", lambda v: RestartSpec(v, PointMass(0.0))),
     ("resolvent lam", "positive", lambda v: resolvent(BM, v, 0.0, G)),
     ("exp_weighted_integral lam", "positive", lambda v: exp_weighted_integral(np.ones_like, v, 1.0)),
     ("tail_truncation_point lam", "positive", lambda v: tail_truncation_point(v, -1.0)),
@@ -234,6 +234,18 @@ def test_minus_infinity_is_no_stationary_limit():
             call()
 
 
+@pytest.mark.parametrize(
+    "nu",
+    [PointMass(-1), PointMass(1.5), PointMass(3), FiniteSupport(((-1, 0.5), (0, 0.5))), FiniteSupport(((5, 1.0),))],
+    ids=repr,
+)
+def test_nu_weights_refuses_states_off_the_finite_space(nu):
+    # -1 used to wrap to the last state, 1.5 to truncate to state 1, and 5 to
+    # raise a bare IndexError
+    with pytest.raises(DomainError, match=r"is not supported in FiniteSet"):
+        nu_weights(nu, CHAIN.space)
+
+
 def test_messages_name_the_argument_and_its_rule():
     cases = [
         (lambda: BM.sample_transition(math.nan, 0.0, RNG), "time must be nonnegative and finite, got nan"),
@@ -242,7 +254,8 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: BM.transition_probability(1.0, math.nan, G), "state must be finite, got nan"),
         (lambda: GBM.transition_probability(1.0, math.inf, G), "state must be positive and finite, got inf"),
         (lambda: gaussian(math.nan, 1.0), "gaussian mean must be finite, got nan"),
-        (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be nonnegative and finite, got -1.0"),
+        (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be positive and finite, got -1.0"),
+        (lambda: RestartSpec(-0.0, PointMass(0.0)), "restart rate must be positive and finite, got -0.0"),
         (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
         (lambda: BM.moments(1, _times(1.0), math.nan), "state must be finite, got nan"),
         (lambda: GBM.moment(1, 1.0, -1.0), "state must be positive and finite, got -1.0"),

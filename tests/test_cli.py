@@ -86,7 +86,6 @@ class TestExitCodeMapping:
             ConfigError("x"),
             DomainError("x"),
             UnsupportedTarget("x"),
-            jsonschema.ValidationError("x"),
             OSError("x"),
             ValueError("x"),
         ):
@@ -449,12 +448,28 @@ class TestConfigValidation:
         assert capsys.readouterr().err == f"validation error: state {z} is not in {space}\n"
         assert not os.path.exists(out)
 
-    def test_nu_must_fit_space(self, tmp_path):
+    # a density law is refused once, by the library, with the role it plays
+    def test_nu_must_fit_space(self, tmp_path, capsys):
         gbm = {"type": "gbm", "mu": 0.1, "sigma": 0.5}
         restart = {"rate": 1.0, "nu": {"type": "gaussian", "mean": 0.0, "std": 1.0}}
         task = {"name": "stationary", "targets": [[0.5, 2.0]]}
-        path, _ = write_config(tmp_path, task, process=gbm, restart=restart)
+        path, out = write_config(tmp_path, task, process=gbm, restart=restart)
         assert run_cli(path) == 2
+        assert capsys.readouterr().err == (
+            "validation error: restart distribution DensityDistribution(gaussian(mean=0.0, std=1.0)) "
+            "is not supported in HalfLinePositive()\n"
+        )
+        assert not os.path.exists(out)
+
+    def test_initial_law_must_fit_space(self, tmp_path, capsys):
+        task = {**TestSimulate().task(), "initial": {"type": "gaussian", "mean": 0.0, "std": 1.0}}
+        path, out = write_config(tmp_path, task, process=CHAIN2, restart=CHAIN2_RESTART, fmt="csv")
+        assert run_cli(path) == 2
+        assert capsys.readouterr().err == (
+            "validation error: initial distribution DensityDistribution(gaussian(mean=0.0, std=1.0)) "
+            "is not supported in FiniteSet(values=(0.0, 1.0))\n"
+        )
+        assert not os.path.exists(out)
 
     def test_threads_flag_validation(self, tmp_path):
         task = {"name": "stationary", "targets": [[0.0, 1.0]]}

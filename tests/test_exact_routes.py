@@ -388,7 +388,7 @@ class TestExpmMemo:
     def test_cache_is_bounded(self, three_state_chain, monkeypatch):
         counting = _CountingExpm()
         monkeypatch.setattr(restartk.processes, "expm", counting)
-        three_state_chain.expm_cache_size = 4
+        monkeypatch.setattr(restartk.processes, "_MEMO_SIZE", 4)
         times = [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]
         for t in times:
             three_state_chain.transition_matrix(t)

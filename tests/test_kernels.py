@@ -40,12 +40,11 @@ def restarted_bm():
 
 
 class TestRestartSpec:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            RestartSpec(-1.0, PointMass(0.0))
-        with pytest.raises(DomainError):
-            RestartSpec(math.inf, PointMass(0.0))
-        assert RestartSpec(0.0, PointMass(0.0)).rate == 0.0
+    @pytest.mark.parametrize("rate", [0.0, -0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_rate_must_be_positive_and_finite(self, rate):
+        # no restart mode at rate 0: the invariant law needs a clock that rings
+        with pytest.raises(DomainError, match="restart rate must be positive and finite"):
+            RestartSpec(rate, PointMass(0.0))
 
     def test_nu_must_live_on_the_space(self):
         with pytest.raises(DomainError):
@@ -225,18 +224,6 @@ class TestEdgeBehaviour:
         with pytest.raises(SingularityAtOrigin):
             restarted_bm.transition_density(0.0, 0.0, 0.0)
 
-    def test_zero_rate_reduces_to_base(self):
-        base = BrownianWithDrift(mu=0.2, sigma=1.1)
-        proc = RestartedProcess(base, RestartSpec(0.0, PointMass(0.0)))
-        t, x = 0.7, 0.4
-        target = Interval(-1.0, 1.0)
-        assert proc.transition_probability(t, x, target) == base.transition_probability(t, x, target)
-        assert proc.moment(2, t, x) == base.moment(2, t, x)
-        with pytest.raises(DomainError):
-            proc.invariant_measure(target)
-        with pytest.raises(DomainError):
-            proc.invariant_density(0.0)
-
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_times_are_refused(self, restarted_bm, restarted_chain, t):
         target = Interval(0.0, 1.0)
@@ -244,7 +231,6 @@ class TestEdgeBehaviour:
             lambda: restarted_bm.transition_probability(t, 0.0, target),
             lambda: restarted_bm.transition_density(t, 0.0, 0.5),
             lambda: restarted_bm.moment(2, t, 0.0),
-            lambda: restarted_bm.no_restart_weight(t),
             lambda: restarted_chain.transition_probability(t, 0, Subset([1])),
             lambda: restarted_chain.transition_matrix(t),
         ]
@@ -269,10 +255,6 @@ class TestEdgeBehaviour:
                 with pytest.raises(ConfigError, match=f"state {z} is not in"):
                     call()
 
-    def test_no_restart_weight(self, restarted_bm):
-        assert abs(restarted_bm.no_restart_weight(0.5) - math.exp(-1.0)) < 1e-15
-        assert restarted_bm.no_restart_weight(0.0) == 1.0
-
     def test_wrong_target_type(self, restarted_bm, restarted_chain):
         with pytest.raises(UnsupportedTarget):
             restarted_bm.transition_probability(1.0, 0.0, Subset([0]))
@@ -286,9 +268,6 @@ class TestEdgeBehaviour:
     def test_invariant_vector_needs_finite_space(self, restarted_bm):
         with pytest.raises(DomainError):
             restarted_bm.invariant_vector()
-
-    def test_state_value_delegates(self, restarted_chain):
-        assert restarted_chain.state_value(2) == 2.5
 
 
 class TestResolvent:

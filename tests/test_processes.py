@@ -238,7 +238,7 @@ class TestFiniteCTMC:
 
     def test_moment_and_state_values(self):
         chain = FiniteCTMC([[-1.0, 1.0], [1.0, -1.0]], state_values=[2.0, -1.0])
-        assert chain.state_value(1) == -1.0
+        assert chain.space.values == (2.0, -1.0)
         t = 0.3
         P = chain.transition_matrix(t)
         want = P[0, 0] * 4.0 + P[0, 1] * 1.0
@@ -525,9 +525,9 @@ class TestArrayForms:
         assert np.array_equal(three_state_chain.transition_matrices(t), first[:-1])
         assert len(calls) == 2
 
-    def test_memo_keeps_its_bound_over_a_large_round(self, three_state_chain):
+    def test_memo_keeps_its_bound_over_a_large_round(self, three_state_chain, monkeypatch):
+        monkeypatch.setattr(restartk.processes, "_MEMO_SIZE", 8)
         chain = FiniteCTMC(three_state_chain.Q)
-        chain.expm_cache_size = 8
         t = np.linspace(5.0, 6.0, 20)
         got = chain.transition_matrices(t)
         assert len(chain._expm_cache) == 8
@@ -545,8 +545,8 @@ class TestArrayForms:
         t = np.linspace(5.0, 6.0, 20)
         want = FiniteCTMC(three_state_chain.Q).transition_matrices(t)
         monkeypatch.setattr(restartk.processes, "expm", counting)
+        monkeypatch.setattr(restartk.processes, "_MEMO_SIZE", 8)
         chain = FiniteCTMC(three_state_chain.Q)
-        chain.expm_cache_size = 8
         assert np.array_equal(chain.transition_matrices(t), want)
         assert shapes == [8, 8, 4]
 

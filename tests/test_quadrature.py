@@ -142,12 +142,13 @@ def test_truncation_respects_bound_validity_window():
     assert abs(r.value - 1.0) < 1e-9
 
 
-def test_tolerance_not_met_raises_with_partial_result():
+def test_tolerance_not_met_raises_with_partial_result(monkeypatch):
     def nasty(s):
         return 1.0 / np.sqrt(abs(s - 0.5)) + np.sin(40.0 * s)
 
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
     with pytest.raises(ToleranceNotMet) as err:
-        exp_weighted_integral(nasty, 1.0, 1.0, rel_tol=1e-13, abs_tol=1e-14, max_subdivisions=4)
+        exp_weighted_integral(nasty, 1.0, 1.0, rel_tol=1e-13, abs_tol=1e-14)
     assert err.value.result is not None
     assert not err.value.result.reliable
 

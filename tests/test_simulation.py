@@ -1,8 +1,9 @@
 """Event-driven simulation: exactness, reproducibility, and diagnostics."""
 
-import io
 import logging
 import math
+import os
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -34,19 +35,24 @@ from restartk import (
     run_ensemble,
     write_path_csv,
 )
+from restartk.distributions import categorical_cdf
 from restartk.kernels import MarkovKernel
 from restartk.simulation import (
     BLOCK,
     KURTOSIS_THRESHOLD,
     MAX_SHARE_THRESHOLD,
     POOL_BLOCKS_PER_WORKER,
-    EnsembleResult,
     block_rng,
-    draw_restart_times,
 )
 from restartk.spaces import FiniteSet, RealLine, indicator
 
-from conftest import make_three_state_chain, point_or_two_atom_laws, random_generator, restarted_generator
+from conftest import (
+    draw_restart_times,
+    make_three_state_chain,
+    point_or_two_atom_laws,
+    random_generator,
+    restarted_generator,
+)
 
 
 def bm_process(mu=0.0, sigma=1.0, rate=2.0, nu=None):
@@ -106,9 +112,6 @@ class TestRandomness:
         assert np.all(times > 0.0) and np.all(times <= 5.0)
         assert np.all(np.diff(times) > 0.0)
 
-    def test_restart_times_zero_rate(self):
-        assert len(draw_restart_times(block_rng(1, 0), 0.0, 5.0)) == 0
-
     def test_restart_count_is_poisson_mean(self):
         rng = block_rng(3, 0)
         counts = [len(draw_restart_times(rng, 2.0, 3.0)) for _ in range(4000)]
@@ -129,8 +132,6 @@ class TestRandomness:
 
 def frozen_draw_restart_times(rng, rate, horizon):
     """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
-    if rate == 0.0:
-        return np.empty(0)
     chunk = max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
     times = rng.exponential(1.0 / rate, size=chunk).cumsum()
     while times[-1] <= horizon:
@@ -140,18 +141,28 @@ def frozen_draw_restart_times(rng, rate, horizon):
     return times[: times.searchsorted(horizon, "right")]
 
 
-def frozen_chain_step(chain, t, x, rng):
-    """FiniteCTMC.sample_transition before the rewrite."""
+def frozen_jump_tables(chain):
+    """Per state of the chain: its total jump rate, and the distribution
+    function of where it jumps, built as Generator.choice would build it."""
+    rates = -np.diag(chain.Q)
+    jumps = chain.Q - np.diag(np.diag(chain.Q))
+    n = len(rates)
+    return rates, np.array([categorical_cdf(jumps[i] / r) if r > 0.0 else np.ones(n) for i, r in enumerate(rates)])
+
+
+def frozen_chain_step(tables, t, x, rng):
+    """FiniteCTMC.sample_transition before the rewrite, on ``frozen_jump_tables``."""
+    rates, jump_cdfs = tables
     state = int(x)
     elapsed = 0.0
     while True:
-        rate = chain._rates.item(state)
+        rate = rates.item(state)
         if rate <= 0.0:
             return state
         elapsed += rng.exponential(1.0 / rate)
         if elapsed >= t:
             return state
-        state = int(chain._jump_cdfs[state].searchsorted(rng.random(), side="right"))
+        state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
 
 
 def frozen_sample(law, rng):
@@ -169,7 +180,9 @@ def frozen_run_path(proc, config, rng, events=None):
     grid = config.record_grid
     states = np.empty(len(grid))
     base = proc.base
-    step = partial(frozen_chain_step, base) if isinstance(base, FiniteCTMC) else base.sample_transition
+    step = base.sample_transition
+    if isinstance(base, FiniteCTMC):
+        step = partial(frozen_chain_step, frozen_jump_tables(base))
     nu = proc.restart.nu
     ri = 0
     now = 0.0
@@ -201,7 +214,7 @@ def numpy_walk(proc, cfg, wrap=lambda rng: rng):
     order on numpy's own Generator(PCG64(SeedSequence(seed, spawn_key=(b,)))),
     seen through ``wrap``."""
     if isinstance(proc.space, FiniteSet):
-        labels = [format(proc.state_value(i), ".17g") for i in range(proc.space.n)]
+        labels = [format(v, ".17g") for v in proc.space.values]
 
         def show(state):
             return labels[int(state)]
@@ -222,9 +235,11 @@ def numpy_walk(proc, cfg, wrap=lambda rng: rng):
 
 
 def log_rows(proc, cfg):
-    buf = io.StringIO()
-    write_path_csv(proc, cfg, buf)
-    rows = buf.getvalue().split("\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "paths.csv")
+        write_path_csv(proc, cfg, out)
+        with open(out) as fh:
+            rows = fh.read().split("\n")
     assert rows.pop() == ""
     return rows
 
@@ -306,7 +321,7 @@ class TestFrozenWalker:
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(
         WALKS,
-        st.one_of(st.just(0.0), st.floats(0.1, 5.0)),
+        st.floats(0.1, 5.0),
         st.one_of(st.floats(0.5, 4.0), st.sampled_from((1.0, 2.0, 4.0))),
         # 0 and 1 put grid times at 0 and at the horizon
         st.sets(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.8, 1.0)), min_size=1),
@@ -360,7 +375,7 @@ class TestFrozenWalker:
         for u in (0.0, 0.25, 0.5, 0.75):
             # one jump from state 0, then state 1 or 2 holds past t
             got = chain.sample_transition(1.5e-9, 0, Uniforms([u, 0.0]))
-            assert got == frozen_chain_step(chain, 1.5e-9, 0, Uniforms([u, 0.0]))
+            assert got == frozen_chain_step(frozen_jump_tables(chain), 1.5e-9, 0, Uniforms([u, 0.0]))
 
     @settings(max_examples=80, deadline=None, derandomize=True, database=None)
     @given(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.integers(0, 2**64))
@@ -424,7 +439,7 @@ class TestEnsemble:
         )
         serial = run_ensemble(proc, cfg, workers=1)
         parallel = run_ensemble(proc, cfg, workers=3)
-        assert serial.states.tobytes() == parallel.states.tobytes()
+        assert serial.tobytes() == parallel.tobytes()
 
     def test_small_ensemble_starts_no_pool(self, monkeypatch):
         def refuse(*args, **kwargs):
@@ -433,7 +448,7 @@ class TestEnsemble:
         monkeypatch.setattr(restartk.simulation, "ProcessPoolExecutor", refuse)
         cfg = PathConfig(seed=5, horizon=1.0, record_grid=(1.0,), n_paths=3 * BLOCK, initial=PointMass(0.0))
         ens = run_ensemble(bm_process(), cfg, workers=2)
-        assert ens.states.shape == (3 * BLOCK, 1)
+        assert ens.shape == (3 * BLOCK, 1)
 
     @pytest.mark.parametrize("kind", ["bm", "chain"])
     def test_large_ensemble_uses_the_pool_and_matches_serial(self, kind, monkeypatch, caplog):
@@ -459,7 +474,7 @@ class TestEnsemble:
         assert pools == [2]
         # the line a --verbose run prints, which CI greps for
         assert caplog.messages == [f"process pool of 2 workers for {2 * POOL_BLOCKS_PER_WORKER + 1} blocks"]
-        assert serial.states.tobytes() == parallel.states.tobytes()
+        assert serial.tobytes() == parallel.tobytes()
 
     @pytest.mark.parametrize("n_states", [3, 12])
     def test_chain_frequencies_match_analytic_row(self, n_states):
@@ -478,7 +493,7 @@ class TestEnsemble:
         for j, t in enumerate(grid):
             row = expm(generator * t)[0]
             for i in range(n_states):
-                freq = float(np.mean(ens.states[:, j] == i))
+                freq = float(np.mean(ens[:, j] == i))
                 assert abs(freq - row[i]) < 4.5 * math.sqrt(row[i] * (1.0 - row[i]) / n)
 
 
@@ -499,7 +514,7 @@ class TestMonteCarloMoment:
         cfg = PathConfig(seed=6, horizon=t, record_grid=(t,), n_paths=500, initial=PointMass(0.0))
         ens = run_ensemble(proc, cfg)
         rep = monte_carlo_moment(proc, cfg, 2, t, ensemble=ens)
-        vals = ens.states[:, 0] ** 2
+        vals = ens[:, 0] ** 2
         assert rep.estimate == float(np.mean(vals))
         assert rep.std_error == float(np.std(vals, ddof=1) / math.sqrt(500))
         assert monte_carlo_moment(proc, cfg, 2.0, t, ensemble=ens) == rep
@@ -532,7 +547,7 @@ class TestMonteCarloMoment:
         cfg = PathConfig(
             seed=8, horizon=6.0, record_grid=(6.0,), n_paths=32000, initial=PointMass(1.0)
         )
-        return run_ensemble(proc, cfg).states[:, 0] ** 2
+        return run_ensemble(proc, cfg)[:, 0] ** 2
 
     def test_divergent_moment_prefix_maxima_keep_growing(self):
         # empirical witness for the divergence flag: log X(6) is driftless
@@ -563,17 +578,44 @@ class TestMonteCarloMoment:
         with pytest.raises(DomainError, match="moment order k"):
             monte_carlo_moment(proc, cfg, k, 1.0)
 
+    @staticmethod
+    def moment_without_numpy_warnings(states, k=1):
+        """monte_carlo_moment on the ensemble ``states``, with every RuntimeWarning
+        but MomentUnstable an error; the report and the warnings' categories."""
+        proc = bm_process()
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=len(states), initial=PointMass(0.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.simplefilter("always", MomentUnstable)
+            rep = monte_carlo_moment(proc, cfg, k, 1.0, ensemble=states)
+        return rep, [w.category for w in caught]
+
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_are_flagged(self, bad):
         # an infinite or NaN value makes the kurtosis NaN, and NaN > threshold
-        # is False: the flag must not rest on that comparison
-        proc = bm_process()
-        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=3000, initial=PointMass(0.0))
+        # is False: the flag must not rest on that comparison; numpy's own
+        # warnings on the mean and the standard error stay silent
         states = np.random.default_rng(3).normal(size=(3000, 1))
         states[17, 0] = bad
-        ens = EnsembleResult(np.array([1.0]), states)
-        with pytest.warns(MomentUnstable):
-            assert monte_carlo_moment(proc, cfg, 1, 1.0, ensemble=ens).heavy_tailed
+        rep, caught = self.moment_without_numpy_warnings(states)
+        assert rep.heavy_tailed and caught == [MomentUnstable]
+
+    def test_power_past_the_float_range_is_flagged(self):
+        states = np.random.default_rng(3).normal(size=(3000, 1))
+        states[17, 0] = 1e200
+        rep, caught = self.moment_without_numpy_warnings(states, k=2)
+        assert rep.heavy_tailed and caught == [MomentUnstable]
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 1.0, 1e160, 1e306])
+    def test_estimate_and_standard_error_are_finite_at_any_scale(self, scale):
+        # squared deviations overflow near 1e160 and underflow near 1e-160,
+        # and the sum of these 3,000 values overflows near 1e306; estimate and
+        # standard error are the unit sample's, scaled
+        unit = 1.0 + np.random.default_rng(3).normal(size=(3000, 1)) ** 2
+        rep, caught = self.moment_without_numpy_warnings(scale * unit)
+        assert caught == [] and not rep.heavy_tailed
+        for got, want in ((rep.estimate, np.mean(unit)), (rep.std_error, np.std(unit, ddof=1) / math.sqrt(3000))):
+            assert math.isfinite(got) and abs(got - scale * float(want)) < 1e-12 * scale * float(want)
 
     @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1.0, 1e80, 1e160, 1e300])
     def test_flag_is_scale_free(self, scale):
@@ -635,7 +677,7 @@ class TestEmpiricalDistribution:
     def test_tv_against_invariant_density(self):
         proc = bm_process(rate=2.0)
         cfg = PathConfig(seed=42, horizon=8.0, record_grid=(8.0,), n_paths=64000, initial=PointMass(0.0))
-        vals = run_ensemble(proc, cfg).states[:, 0]
+        vals = run_ensemble(proc, cfg)[:, 0]
         bins = 40
         # the invariant law puts exp(-10) outside the window; over seeds 42, 1,
         # 2 and 3 the sampler reads 0.005-0.010 against sqrt(bins/n) = 0.025,
@@ -681,19 +723,8 @@ class TestPathCsv:
     def test_finite_space_writes_labels(self, three_state_chain):
         proc = RestartedProcess(three_state_chain, RestartSpec(2.0, PointMass(1)))
         cfg = PathConfig(seed=4, horizon=1.0, record_grid=(1.0,), n_paths=3, initial=PointMass(0))
-        buf = io.StringIO()
-        write_path_csv(proc, cfg, buf)
-        states = {row.split(",")[2] for row in buf.getvalue().strip().split("\n")[1:]}
+        states = {row.split(",")[2] for row in log_rows(proc, cfg)[1:]}
         assert states <= {"0.29999999999999999", "-1.2", "2.5"}
-
-    def test_stream_and_path_targets_agree(self, tmp_path):
-        proc = bm_process(rate=1.0)
-        cfg = PathConfig(seed=6, horizon=1.0, record_grid=(1.0,), n_paths=2, initial=PointMass(0.0))
-        buf = io.StringIO()
-        write_path_csv(proc, cfg, buf)
-        out = tmp_path / "p.csv"
-        write_path_csv(proc, cfg, str(out))
-        assert buf.getvalue() == out.read_text()
 
     def test_restarts_after_the_last_grid_time_are_logged(self):
         proc = bm_process(mu=0.3, rate=3.0, nu=FiniteSupport(((-1.0, 0.5), (1.0, 0.5))))
@@ -703,11 +734,12 @@ class TestPathCsv:
         assert_same_rows(proc, cfg)
         assert any(r.endswith("restart") and float(r.split(",")[1]) > 1.0 for r in log_rows(proc, cfg)[1:])
 
-    def test_initial_must_fit_space(self):
+    def test_initial_must_fit_space(self, tmp_path):
         proc = RestartedProcess(GeometricBrownian(), RestartSpec(1.0, PointMass(1.0)))
         cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=1, initial=PointMass(-1.0))
         with pytest.raises(DomainError, match="initial distribution"):
-            write_path_csv(proc, cfg, io.StringIO())
+            write_path_csv(proc, cfg, str(tmp_path / "paths.csv"))
+        assert list(tmp_path.iterdir()) == []
 
     def test_ensemble_and_walker_agree_in_law(self):
         # the block sampler and the event walker draw differently but must
@@ -722,7 +754,7 @@ class TestPathCsv:
         ens = run_ensemble(proc, cfg)
         rows = [row.split(",") for row in log_rows(proc, replace(cfg, seed=9))[1:]]
         walked = np.array([float(r[2]) for r in rows if r[3] == "grid"]).reshape(n, 3)
-        for a, b in [(ens.states[:, j], walked[:, j]) for j in range(3)]:
+        for a, b in [(ens[:, j], walked[:, j]) for j in range(3)]:
             assert abs(a.mean() - b.mean()) < 4.0 * math.hypot(_se_mean(a), _se_mean(b))
             assert abs(a.var(ddof=1) - b.var(ddof=1)) < 4.0 * math.hypot(_se_var(a), _se_var(b))
 
@@ -778,7 +810,7 @@ class TestBlockSampler:
         cfg = PathConfig(seed=41, horizon=3.0, record_grid=grid, n_paths=n, initial=PointMass(10.0))
         ens = run_ensemble(proc, cfg)
         for j, g in enumerate(grid):
-            states = ens.states[:, j]
+            states = ens[:, j]
             restarted = states < 10.0
             # an atom of mass exp(-lam*g) at 'never restarted', then
             # P[age <= s] = 1 - exp(-lam*s) on [0, g]; DKW makes the sup
@@ -797,10 +829,10 @@ class TestBlockSampler:
             seed=3, horizon=1.5, record_grid=(0.0, 0.4, 1.5), n_paths=500, initial=PointMass(10.0)
         )
         ens = run_ensemble(proc, cfg)
-        assert np.all(ens.states[:, 0] == 10.0)
+        assert np.all(ens[:, 0] == 10.0)
         for j in (1, 2):
-            gap = ens.grid[j] - ens.grid[j - 1]
-            now, before = ens.states[:, j], ens.states[:, j - 1]
+            gap = cfg.record_grid[j] - cfg.record_grid[j - 1]
+            now, before = ens[:, j], ens[:, j - 1]
             aged = np.isclose(now, before + gap, rtol=0.0, atol=1e-12)
             assert np.all(aged | ((now >= 0.0) & (now < gap)))
             assert aged.any() and not aged.all()
@@ -819,8 +851,8 @@ class TestBlockSampler:
         )
         serial = run_ensemble(proc, cfg, workers=1)
         parallel = run_ensemble(proc, cfg, workers=3)
-        assert serial.states.tobytes() == parallel.states.tobytes()
-        assert serial.states.shape == (2 * BLOCK + 77, 2)
+        assert serial.tobytes() == parallel.tobytes()
+        assert serial.shape == (2 * BLOCK + 77, 2)
 
     def test_chain_frequencies_at_two_times(self, three_state_chain):
         proc = RestartedProcess(three_state_chain, RestartSpec(1.3, FiniteSupport(((1, 0.6), (2, 0.4)))))
@@ -830,14 +862,14 @@ class TestBlockSampler:
         for j, t in enumerate(grid):
             row = proc.transition_matrix(t)[0]
             for i in range(3):
-                freq = float(np.mean(ens.states[:, j] == i))
+                freq = float(np.mean(ens[:, j] == i))
                 assert abs(freq - row[i]) < 4.5 * math.sqrt(row[i] * (1.0 - row[i]) / n)
 
     def test_gaussian_restart_masses(self):
         proc = bm_process(mu=-0.4, sigma=0.8, rate=1.7, nu=gaussian(0.5, 0.7))
         n, t = 5000, 1.2
         cfg = PathConfig(seed=61, horizon=t, record_grid=(t,), n_paths=n, initial=PointMass(1.0))
-        vals = run_ensemble(proc, cfg).states[:, 0]
+        vals = run_ensemble(proc, cfg)[:, 0]
         for a, b in ((-math.inf, 0.0), (0.0, 0.8), (0.8, math.inf)):
             p = proc.transition_probability(t, 1.0, Interval(a, b), rel_tol=1e-6)
             freq = float(np.mean((vals >= a) & (vals <= b)))
@@ -850,7 +882,7 @@ class TestBlockSampler:
             proc = RestartedProcess(_ScalarOnly(base), RestartSpec(2.0, PointMass(x)))
             n, t = 3000, 0.7
             cfg = PathConfig(seed=71, horizon=t, record_grid=(t,), n_paths=n, initial=PointMass(x))
-            vals = run_ensemble(proc, cfg).states[:, 0]
+            vals = run_ensemble(proc, cfg)[:, 0]
             want = RestartedProcess(base, RestartSpec(2.0, PointMass(x))).moment(1, t, x)
             labels = np.asarray(base.space.values)[vals.astype(int)] if base is three_state_chain else vals
             assert abs(labels.mean() - want) < 4.5 * _se_mean(labels)
