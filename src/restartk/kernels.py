@@ -20,8 +20,8 @@ has one, by certified quadrature of its array-in-time forms
 (``transition_probabilities`` and its siblings, a whole refinement round of
 times in one call) otherwise.  Letting the horizon grow gives the invariant
 law, which the restarted process always has, no matter how badly the base
-process escapes.  Three routes stay on the quadrature defaults whatever the
-base kernel: a density nu, the invariant density, and ``moment`` where the
+process escapes.  Two routes stay on the quadrature defaults whatever the
+base kernel: the finite-t law under a density nu, and ``moment`` where the
 kernel has no closed form.  Over one time the sampler draws from the rows of
 the restarted matrix where the base kernel has a matrix, else by that split.
 Kernels state the moment formulas themselves: ``restarted_moment`` (the
@@ -316,12 +316,8 @@ class RestartedProcess(MarkovKernel):
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
         """Density of the invariant law at z, for kernels with densities."""
         z = self.space.state(z)
-        # the quadrature default whatever the base kernel: the closed forms
-        # would fix the false-convergence-gbm-stationary-density config of
-        # perfbench/defects.py, which perfbench/test_smoke.py requires to
-        # miss its tolerance (ROADMAP 2b)
         return self._nu_expect(
-            lambda y: MarkovKernel.stationary_density(self.base, self.rate, y, z, rel_tol=rel_tol), rel_tol
+            lambda y: self.base.stationary_density(self.rate, y, z, rel_tol=rel_tol), rel_tol
         )
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):

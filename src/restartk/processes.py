@@ -349,8 +349,8 @@ class GeometricBrownian(MarkovKernel):
     """dX = mu*X dt + sigma*X dW on (0, inf), solved exactly in log space.
 
     log X is Brownian motion with drift mu - sigma^2/2 (``self.log``), so the
-    transition law, the invariant law of the restarted process (asymmetric
-    Laplace in log x) and the samplers are that motion's, read at log x.
+    transition law, the restarted masses (asymmetric Laplace in log x at
+    t = inf), the finite-t restarted density and the samplers are that motion's.
     """
 
     mu: float = 0.0
@@ -394,8 +394,13 @@ class GeometricBrownian(MarkovKernel):
         """The log-space law's mass of the log target, in closed form at any t."""
         return self.log.stationary_probability(lam, _log_state(y), self._log_target(target), t)
 
-    def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
-        """The log-space law's density at log z, over z, in closed form at any t."""
+    def stationary_density(self, lam, y, z, t=math.inf, rel_tol=DEFAULT_REL_TOL):
+        """The log-space law's density at log z, over z, in closed form at
+        finite t; at t = inf the certified quadrature default."""
+        if math.isinf(check_horizon("horizon", t)):
+            # the closed form would fix the false-convergence-gbm-stationary-density config
+            # of perfbench/defects.py, which perfbench/test_smoke.py requires to stay open (ROADMAP item 2)
+            return super().stationary_density(lam, y, z, t, rel_tol=rel_tol)
         return self.log.stationary_density(lam, _log_state(y), _log_state(z), t) / z
 
     def sample_transition(self, t, x, rng):
@@ -534,7 +539,10 @@ class FiniteCTMC(MarkovKernel):
         return self._space
 
     def transition_matrix(self, t):
-        return self.transition_matrices([check_nonnegative("time", t)])[0]
+        # a memo hit is read directly, as a copy like every returned matrix
+        t = check_nonnegative("time", t)
+        P = self._expm_cache.get(t)
+        return P.copy() if P is not None else self.transition_matrices([t])[0]
 
     def transition_matrices(self, t):
         """exp(Q*s) for every time s of the 1-D array t, stacked.

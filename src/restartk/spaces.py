@@ -20,9 +20,9 @@ from .errors import ConfigError, DomainError, UnsupportedTarget
 
 
 def _index(v):
-    # a config number naming a state index: finite before int(), which raises
-    # on NaN and inf
-    return not isinstance(v, str) and math.isfinite(v) and v == int(v)
+    # a number naming a state index: finite before int(), which raises on NaN
+    # and inf; anything else (None, a string, a list) names none
+    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v) and v == int(v)
 
 
 def _member(space, x):
@@ -100,11 +100,12 @@ class FiniteSet:
         return len(self.values)
 
     def contains(self, x):
-        return isinstance(x, (int, np.integer)) and 0 <= int(x) < self.n
+        """Whether x names one of the n states: an integral number in range, 1.0 and True naming 1."""
+        return _index(x) and 0 <= x < self.n
 
     def index(self, x):
         """State x as an int index, refused unless it names one of the n states."""
-        if not (_index(x) and 0 <= x < len(self.values)):
+        if not self.contains(x):
             raise DomainError(f"state {x} is not in {self!r}")
         return int(x)
 

@@ -236,7 +236,10 @@ def test_minus_infinity_is_no_stationary_limit():
 
 @pytest.mark.parametrize(
     "nu",
-    [PointMass(-1), PointMass(1.5), PointMass(3), FiniteSupport(((-1, 0.5), (0, 0.5))), FiniteSupport(((5, 1.0),))],
+    [
+        PointMass(-1), PointMass(1.5), PointMass(3), PointMass(None),
+        FiniteSupport(((-1, 0.5), (0, 0.5))), FiniteSupport(((5, 1.0),)),
+    ],
     ids=repr,
 )
 def test_nu_weights_refuses_states_off_the_finite_space(nu):
@@ -244,6 +247,35 @@ def test_nu_weights_refuses_states_off_the_finite_space(nu):
     # raise a bare IndexError
     with pytest.raises(DomainError, match=r"is not supported in FiniteSet"):
         nu_weights(nu, CHAIN.space)
+
+
+@pytest.mark.parametrize(
+    "nu, same",
+    [
+        (PointMass(1.0), PointMass(1)),
+        (PointMass(True), PointMass(1)),
+        (PointMass(np.float64(2.0)), PointMass(2)),
+        (FiniteSupport(((0.0, 0.5), (2.0, 0.5))), FiniteSupport(((0, 0.5), (2, 0.5)))),
+    ],
+    ids=repr,
+)
+def test_an_integral_number_names_the_state_of_that_index(nu, same):
+    # contains (behind supported_in) once refused 1.0, which index accepts
+    assert np.array_equal(nu_weights(nu, CHAIN.space), nu_weights(same, CHAIN.space))
+    want = _restarted(CHAIN, same).invariant_vector()
+    assert np.array_equal(_restarted(CHAIN, nu).invariant_vector(), want)
+
+
+def test_contains_and_index_agree_on_the_finite_space():
+    # what names no state is refused as such, never with a TypeError
+    for x in (0, 1.0, True, np.int64(2), np.float64(2.0), -1, 3, 1.5, -0.5, math.nan, math.inf, "1", None, [1]):
+        named = CHAIN.space.contains(x)
+        try:
+            CHAIN.space.index(x)
+        except DomainError:
+            assert not named, x
+        else:
+            assert named, x
 
 
 def test_messages_name_the_argument_and_its_rule():
