@@ -351,8 +351,10 @@ class _Runner:
         rows = []
         for g in self._targets(task):
             rows.append(("measure", str(g), self.proc.invariant_measure(g, rel_tol=self.rel_tol)))
-        for z in task.get("density_points", []):
-            rows.append(("density", str(z), self.proc.invariant_density(z, rel_tol=self.rel_tol)))
+        points = task.get("density_points", [])
+        densities = self.proc.invariant_density(points, rel_tol=self.rel_tol).tolist() if points else []
+        for z, v in zip(points, densities):
+            rows.append(("density", str(z), v))
         # the limit ignores the start, but the route checks it: a state nu charges, else 1.0
         x = (self.proc.restart.nu.atoms or (1.0,))[0]
         for k in task.get("moments", []):

@@ -18,16 +18,21 @@ integral itself (``stationary_probability``, ``stationary_density``,
 ``stationary_vector``, each at a horizon t <= inf): in closed form where it
 has one, by certified quadrature of its array-in-time forms
 (``transition_probabilities`` and its siblings, a whole refinement round of
-times in one call) otherwise.  Letting the horizon grow gives the invariant
-law, which the restarted process always has, no matter how badly the base
-process escapes.  Two routes stay on the quadrature defaults whatever the
-base kernel: the finite-t law under a density nu, and ``moment`` where the
-kernel has no closed form.  Over one time the sampler draws from the rows of
-the restarted matrix where the base kernel has a matrix, else by that split.
-Kernels state the moment formulas themselves: ``restarted_moment`` (the
-restarted k-th moment in closed form, a number at every finite t, and at
-t = inf a :class:`Divergent` where the limit does not exist) and
-``moment_growth_rate`` (eta_k, the finiteness threshold), both None by default.
+times in one call) otherwise.  ``stationary_density`` takes a 1-D array of
+points as well; its default integrates them as one lockstep batch, which
+calls ``transition_densities`` once per round with the points aligned with
+the times.  Letting the horizon grow gives the invariant law, which the
+restarted process always has, no matter how badly the base process escapes.
+``invariant_density`` checks every point first, then asks the base kernel
+once per atom of a point or finite nu for all of them.  Two routes stay on
+the quadrature defaults whatever the base kernel: the finite-t law under a
+density nu, and ``moment`` where the kernel has no closed form.  Over one
+time the sampler draws from the rows of the restarted matrix where the base
+kernel has a matrix, else by that split.  Kernels state the moment formulas
+themselves: ``restarted_moment`` (the restarted k-th moment in closed form,
+a number at every finite t, and at t = inf a :class:`Divergent` where the
+limit does not exist) and ``moment_growth_rate`` (eta_k, the finiteness
+threshold), both None by default.
 """
 
 from __future__ import annotations
@@ -39,8 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import nu_weights
-from .errors import DomainError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
-from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, exp_weighted_integral
+from .errors import DomainError, RestartkError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
+from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integrals, exp_weighted_integral
 
 
 @dataclass(frozen=True)
@@ -119,7 +124,10 @@ class MarkovKernel(abc.ABC):
         return np.array([self.transition_probability(s, x, target) for s in np.asarray(t).tolist()])
 
     def transition_densities(self, t, x, z):
-        return np.array([self.transition_density(s, x, z) for s in np.asarray(t).tolist()])
+        # x and z are each a scalar or an array aligned with t
+        t = np.asarray(t)
+        x, z = (np.broadcast_to(v, t.shape).tolist() for v in (x, z))
+        return np.array([self.transition_density(s, a, b) for s, a, b in zip(t.tolist(), x, z)])
 
     def transition_matrices(self, t):
         return np.array([self.transition_matrix(s) for s in np.asarray(t).tolist()])
@@ -143,19 +151,25 @@ class MarkovKernel(abc.ABC):
         ).value
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=DEFAULT_REL_TOL):
-        """lam * int_0^t exp(-lam*s) p(s, y, z) ds, the density of ``stationary_probability``.
+        """lam * int_0^t exp(-lam*s) p(s, y, z) ds, the density of ``stationary_probability``,
+        at a point z (a float) or at each point of a 1-D array z (an array).
 
-        The default is certified quadrature; at t = inf its truncation
-        rests on the kernel's ``density_envelope``.
+        The default is certified quadrature, all the points one lockstep
+        batch; at t = inf each point's truncation rests on the kernel's
+        ``density_envelope`` there.
         """
         lam = check_positive("restart rate", lam)
-        bound = {}
+        points = np.atleast_1d(np.asarray(z, dtype=float))
+        bounds, valid_from = [(1.0, 0.0)] * len(points), 0.0
         if math.isinf(check_horizon("horizon", t)):
-            s_min = min(1.0 / lam, 1.0)
-            bound = {"growth_bound": self.density_envelope(z, s_min), "bound_valid_from": s_min}
-        return exp_weighted_integral(
-            lambda s: self.transition_densities(s, y, z), lam, t, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL, **bound
-        ).value
+            valid_from = min(1.0 / lam, 1.0)
+            bounds = [self.density_envelope(p, valid_from) for p in points.tolist()]
+        results = _exp_weighted_integrals(
+            lambda s, j: self.transition_densities(s, y, points[j]),
+            lam, [t] * len(points), rel_tol, DEFAULT_ABS_TOL, bounds, valid_from,
+        )
+        values = np.array([r.value for r in results])
+        return float(values[0]) if np.ndim(z) == 0 else values
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """lam * w int_0^t exp(-lam*s) P(s) ds for a weight vector w.
@@ -314,11 +328,26 @@ class RestartedProcess(MarkovKernel):
         )
 
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
-        """Density of the invariant law at z, for kernels with densities."""
-        z = self.space.state(z)
-        return self._nu_expect(
-            lambda y: self.base.stationary_density(self.rate, y, z, rel_tol=rel_tol), rel_tol
-        )
+        """Density of the invariant law at z (a float), or at each point of a
+        1-D array z (an array), for kernels with densities.
+
+        Every point is checked before any integral.  Under a point or finite
+        nu the base kernel takes all the points in one call per atom; a
+        density nu integrates each point's density over nu.
+        """
+        points = np.array([self.space.state(p) for p in np.atleast_1d(z).tolist()], dtype=float)
+        if hasattr(self.restart.nu, "pdf"):
+            density = np.array([self._invariant_density_at(p, rel_tol) for p in points.tolist()])
+        else:
+            try:
+                density = self._invariant_density_at(points, rel_tol)
+            except RestartkError:
+                # each atom's call raises for its first failing point; point
+                # by point, the first (point, atom) that fails raises instead
+                for p in points.tolist():
+                    self._invariant_density_at(p, rel_tol)
+                raise
+        return float(density[0]) if np.ndim(z) == 0 else density
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):
         """Invariant weight vector on a finite state space."""
@@ -326,6 +355,9 @@ class RestartedProcess(MarkovKernel):
         return self.base.stationary_vector(self.rate, w, rel_tol=rel_tol)
 
     # -- helpers ---------------------------------------------------------
+
+    def _invariant_density_at(self, z, rel_tol):
+        return self._nu_expect(lambda y: self.base.stationary_density(self.rate, y, z, rel_tol=rel_tol), rel_tol)
 
     def _age_integrals(self):
         """The class whose ``stationary_probability``/``stationary_density``

@@ -22,6 +22,14 @@ axis: shape (n,) for scalar integrands, (n, ...) for array-valued ones,
 whose error is controlled in the max norm.  A finite horizon longer than
 1e4/lam starts from panels that double in length from 1/lam (quad_vec's
 ``points``), so that the first rule sees the weight decay at all.
+
+The core refines a batch of such integrals in lockstep: each member keeps
+its own truncation point, segments, heaps, tolerance and exits, and each
+round calls one integrand f(s, j) once, on the nodes of every member's
+bisected intervals, j naming each node's member.  A member's result is the
+one it gets alone, bit for bit; ``exp_weighted_integral`` is the batch of
+one, and the kernels' density defaults integrate all their points as one
+batch.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
+from .errors import DomainError, RestartkError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
@@ -74,6 +82,10 @@ _MAX_SUBDIVISIONS = 10000
 
 # far segments longer than this many 1/lam start from _doublings
 _LONG = 1e4
+
+# the rule's arithmetic, and the integrand, run with these floating-point
+# warnings off: a non-finite value is caught by the error estimate instead
+_QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 
 
 @dataclass
@@ -162,9 +174,101 @@ def exp_weighted_integral(
     QuadratureResult; ToleranceNotMet, carrying it, when the certified
     error exceeds the tolerance.
     """
+    return _exp_weighted_integrals(
+        lambda s, j: f(s), lam, [upper], rel_tol, abs_tol, [growth_bound], bound_valid_from
+    )[0]
+
+
+def _exp_weighted_integrals(f, lam, uppers, rel_tol, abs_tol, growth_bounds, bound_valid_from=0.0):
+    """``exp_weighted_integral`` for a batch of integrals, refined in lockstep.
+
+    Member i is int_0^uppers[i] lam*exp(-lam*s)*f(s, i) ds under the growth
+    bound growth_bounds[i].  f maps a 1-D array of times and the aligned
+    array of their members' indices to the values there, with that leading
+    axis.  Each member refines as ``exp_weighted_integral`` refines it alone:
+    its own truncation point, near and far segments, doublings, heaps,
+    tolerance and exits.  Each round calls f once, on the nodes of every
+    segment's bisected intervals, so each member's result is the one it gets
+    alone, bit for bit.  Returns the members' results in order.  Where
+    members fail, raises the exception of the first of them, as a loop over
+    the members would.
+    """
     lam = check_positive("restart rate", lam)
     rel_tol = check_positive("rel_tol", rel_tol)
     abs_tol = check_positive("abs_tol", abs_tol)
+    members = []
+    for i, (upper, bound) in enumerate(zip(uppers, growth_bounds)):
+        try:
+            members.append(_member(f, i, lam, upper, rel_tol, abs_tol, bound, bound_valid_from))
+        except RestartkError as exc:
+            members.append(exc)
+    runs = [
+        (segment, root, i)
+        for i, member in enumerate(members)
+        if not isinstance(member, RestartkError)
+        for segment, root in member[0]
+    ]
+    outcomes = iter(_lockstep(f, lam, runs))
+    results = []
+    for member in members:
+        if isinstance(member, RestartkError):
+            raise member
+        segments, finish = member
+        results.append(finish([next(outcomes) for _ in segments]))
+    return results
+
+
+def _lockstep(f, lam, runs):
+    """Refine the segments of ``runs`` together; return what each returns.
+
+    runs holds (segment, root, member): a ``_segment`` generator, whether
+    it integrates in u = sqrt(s) (a near segment), and the index f takes
+    for its member.  Each round applies the 21-point rule to the intervals
+    that every unfinished segment asks for, with one call of f on all their
+    nodes, and sends each segment its intervals' integrals and estimates.
+    """
+    outcomes = [None] * len(runs)
+    wanted = [None] * len(runs)
+
+    def advance(k, rule):
+        try:
+            wanted[k] = runs[k][0].send(rule)
+        except StopIteration as done:
+            wanted[k], outcomes[k] = None, done.value
+
+    for k in range(len(runs)):
+        advance(k, None)
+    active = [k for k in range(len(runs)) if wanted[k] is not None]
+    while active:
+        counts = [len(wanted[k][0]) for k in active]
+        per_node = [len(_GK_NODES) * m for m in counts]
+        root = np.repeat([runs[k][1] for k in active], per_node)
+        # the rule's arithmetic, f's and the segments' runs in here
+        with np.errstate(**_QUIET):
+            x, h, half = _gk_nodes([a for k in active for a in wanted[k][0]], [b for k in active for b in wanted[k][1]])
+            # a near segment's node u is the time u*u, with weight 2*u*lam*exp(-lam*s)
+            s = np.where(root, np.maximum(x * x, _TINY), x)
+            weights = np.where(root, 2.0 * x * lam, lam) * np.exp(-lam * s)
+            values = np.asarray(f(s, np.repeat([runs[k][2] for k in active], per_node)), dtype=float)
+            if values.shape[:1] != s.shape:
+                raise DomainError(
+                    f"integrand returned shape {values.shape} for {len(s)} times; "
+                    "it must map an array of times to an array with that leading axis"
+                )
+            integrals, estimates = _gk_rule(weights.reshape(weights.shape + (1,) * (values.ndim - 1)) * values, h, half)
+            start = 0
+            for k, m in zip(active, counts):
+                advance(k, (integrals[start : start + m], estimates[start : start + m]))
+                start += m
+        active = [k for k in active if wanted[k] is not None]
+    return outcomes
+
+
+def _member(f, i, lam, upper, rel_tol, abs_tol, growth_bound, bound_valid_from):
+    """Member i of a batch: its segments, each with whether it is the near
+    one, and the function that makes its QuadratureResult of what they
+    return.  That function raises ToleranceNotMet, carrying the result, when
+    the certified error exceeds the tolerance."""
     upper = check_horizon("upper limit", upper)
 
     tail_err = 0.0
@@ -181,9 +285,14 @@ def exp_weighted_integral(
         U = upper
 
     if U == 0.0:
-        probe = np.asarray(f(np.array([_TINY])), dtype=float)[0] * 0.0
-        value = float(probe) if probe.ndim == 0 else probe
-        return QuadratureResult(value, tail_err, 0, truncated_at)
+
+        def empty(_):
+            # f at one time, times 0: the integral over no interval, in f's shape
+            probe = np.asarray(f(np.array([_TINY]), np.array([i])), dtype=float)[0] * 0.0
+            value = float(probe) if probe.ndim == 0 else probe
+            return QuadratureResult(value, tail_err, 0, truncated_at)
+
+        return [], empty
 
     # Split at ~1/lam: a sqrt substitution on [0, split] turns s^(-1/2)
     # endpoint behaviour into a bounded smooth integrand, the remainder is
@@ -191,39 +300,35 @@ def exp_weighted_integral(
     split = min(1.0 / lam, U)
     seg_rel = rel_tol / 4.0
     seg_abs = abs_tol / 4.0
-
-    def near(u):
-        s = np.maximum(u * u, _TINY)
-        return _weigh(2.0 * u * lam * np.exp(-lam * s), f(s))
-
-    value, err, nodes, ok = _segment(near, 0.0, math.sqrt(split), seg_abs, seg_rel, _MAX_SUBDIVISIONS)
-
+    segments = [(_segment(0.0, math.sqrt(split), seg_abs, seg_rel, _MAX_SUBDIVISIONS), True)]
     if U > split:
+        segments.append((_segment(split, U, seg_abs, seg_rel, _MAX_SUBDIVISIONS, _doublings(split, U)), False))
 
-        def far(s):
-            return _weigh(lam * np.exp(-lam * s), f(s))
+    def finish(outcomes):
+        value, err, nodes, ok = outcomes[0]
+        for v2, e2, n2, ok2 in outcomes[1:]:
+            value = value + v2
+            err += e2
+            nodes += n2
+            ok = ok and ok2
 
-        v2, e2, n2, ok2 = _segment(far, split, U, seg_abs, seg_rel, _MAX_SUBDIVISIONS, _doublings(split, U))
-        value = value + v2
-        err += e2
-        nodes += n2
-        ok = ok and ok2
+        err_total = err + tail_err
+        scale = _max_abs(value)
+        tol = max(abs_tol, rel_tol * scale)
+        reliable = ok and math.isfinite(err_total) and err_total <= tol
 
-    err_total = err + tail_err
-    scale = float(np.max(np.abs(value))) if np.ndim(value) else abs(float(value))
-    tol = max(abs_tol, rel_tol * scale)
-    reliable = ok and math.isfinite(err_total) and err_total <= tol
+        if np.ndim(value) == 0:
+            value = float(value)
+        result = QuadratureResult(value, err_total, nodes, truncated_at, reliable)
+        if not reliable:
+            raise ToleranceNotMet(
+                f"certified error {err_total:.3e} exceeds tolerance {tol:.3e} "
+                f"(adaptive rule {'converged' if ok else 'did not converge'})",
+                result=result,
+            )
+        return result
 
-    if np.ndim(value) == 0:
-        value = float(value)
-    result = QuadratureResult(value, err_total, nodes, truncated_at, reliable)
-    if not reliable:
-        raise ToleranceNotMet(
-            f"certified error {err_total:.3e} exceeds tolerance {tol:.3e} "
-            f"(adaptive rule {'converged' if ok else 'did not converge'})",
-            result=result,
-        )
-    return result
+    return segments, finish
 
 
 def _doublings(split, U):
@@ -242,29 +347,22 @@ def _doublings(split, U):
     return points
 
 
-def _weigh(weights, values):
-    """weights[i] * values[i] for the values of f at n times."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[:1] != weights.shape:
-        raise DomainError(
-            f"integrand returned shape {values.shape} for {len(weights)} times; "
-            "it must map an array of times to an array with that leading axis"
-        )
-    return weights.reshape(weights.shape + (1,) * (values.ndim - 1)) * values
-
-
-def _gk21(g, lo, hi):
-    """The 21-point Gauss-Kronrod rule on each interval [lo[i], hi[i]].
-
-    One call of g on all 21*m nodes; the rule's sums are dot products.
-    Returns the integrals, shaped (m, *value shape), and per interval
-    QUADPACK's error and rounding estimates in the max norm.
-    """
-    m = len(lo)
+def _gk_nodes(lo, hi):
+    """The 21 nodes of each interval [lo[i], hi[i]], all in one array, with
+    the half-lengths as a list and as a column for ``_gk_rule``."""
     h = [0.5 * (b - a) for a, b in zip(lo, hi)]
     c = np.array([0.5 * (a + b) for a, b in zip(lo, hi)])
     half = np.array(h)[:, None]
-    values = g((c[:, None] + half * _GK_NODES).ravel())
+    return (c[:, None] + half * _GK_NODES).ravel(), h, half
+
+
+def _gk_rule(values, h, half):
+    """The 21-point Gauss-Kronrod rule on each interval of ``_gk_nodes``,
+    from the integrand's values at its nodes; the rule's sums are dot
+    products, each interval's alone.  Returns the integrals, shaped
+    (m, *value shape), and per interval QUADPACK's error and rounding
+    estimates in the max norm."""
+    m = len(h)
     F = values.reshape(m, len(_GK_NODES), -1)
     kronrod = _GK_KRONROD @ F
     # max norms taken before the scaling by h > 0, which commutes with them
@@ -273,6 +371,12 @@ def _gk21(g, lo, hi):
     size = (_GK_KRONROD @ np.abs(F)).max(axis=1)
     estimates = list(map(_gk_error, h, diff.tolist(), spread.tolist(), size.tolist()))
     return (half * kronrod).reshape((m,) + values.shape[1:]), estimates
+
+
+def _max_abs(value):
+    # the max norm of a value: a Python float's abs where it is a scalar,
+    # which costs a tenth of numpy's reduction
+    return abs(float(value)) if np.ndim(value) == 0 else float(np.abs(value).max())
 
 
 def _gk_error(h, diff, spread, size):
@@ -287,69 +391,70 @@ def _gk_error(h, diff, spread, size):
     return err, rounding
 
 
-def _segment(g, a, b, epsabs, epsrel, limit, points=()):
+def _segment(a, b, epsabs, epsrel, limit, points=()):
     """Globally adaptive GK21 on [a, b]: value, error, node count, converged.
 
-    The refinement of scipy.integrate.quad_vec, with its ``points``: the
-    initial intervals are [a, b] cut at the sorted interior breakpoints, in
-    a heap of (-error, lo, hi); rounds bisect the intervals of largest error
-    until their errors cover all but tol/8 of the total, with the same exits
-    (total error below tol/8, below the rounding error, or the interval
-    limit).  Only the evaluation differs: all the initial intervals share
-    one call of g, and so do all the bisected halves of a round.
+    A generator: it yields the intervals it wants the 21-point rule on, as
+    (lows, highs), and receives their integrals and estimates from
+    ``_gk_rule``; its caller keeps floating-point warnings off while it runs.  The refinement of scipy.integrate.quad_vec, with its
+    ``points``: the initial intervals are [a, b] cut at the sorted interior
+    breakpoints, in a heap of (-error, lo, hi); rounds bisect the intervals
+    of largest error until their errors cover all but tol/8 of the total,
+    with the same exits (total error below tol/8, below the rounding error,
+    or the interval limit).  Only the evaluation differs: all the initial
+    intervals are asked for at once, and so are all the bisected halves of
+    a round.
     """
     edges = [a, *points, b]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        integral, estimates = _gk21(g, edges[:-1], edges[1:])
-        value = integral[0]
-        for more in integral[1:]:
-            value = value + more
-        error = sum(e for e, _ in estimates)
-        round_error = sum(r for _, r in estimates)
-        cache = dict(zip(zip(edges[:-1], edges[1:]), integral))
-        heap = [(-e, lo, hi) for (e, _), lo, hi in zip(estimates, edges[:-1], edges[1:])]
-        heapq.heapify(heap)
-        nodes = len(_GK_NODES) * len(integral)
-        converged = False
-        while heap and len(heap) < limit:
-            tol = max(epsabs, epsrel * float(np.abs(value).max()))
-            batch = []
-            popped = 0.0
-            while heap and len(batch) < _ROUND and not (batch and popped > error - tol / 8):
-                neg, lo, hi = heapq.heappop(heap)
-                batch.append((lo, hi, 0.5 * (lo + hi), -neg, cache.pop((lo, hi), None)))
-                popped -= neg
-            # the two halves of every interval, then each interval whose own
-            # integral was not kept (a degenerate interval met twice)
-            redo = [iv for iv in batch if iv[4] is None]
-            integral, estimates = _gk21(
-                g,
-                [iv[0] for iv in batch] + [iv[2] for iv in batch] + [iv[0] for iv in redo],
-                [iv[2] for iv in batch] + [iv[1] for iv in batch] + [iv[1] for iv in redo],
-            )
-            nodes += len(_GK_NODES) * len(integral)
-            m = len(batch)
-            redone = iter(integral[2 * m :])
-            # in interval order, as quad_vec adds them
-            for j, (lo, hi, mid, old_err, old) in enumerate(batch):
-                left, right = integral[j], integral[m + j]
-                (e1, r1), (e2, r2) = estimates[j], estimates[m + j]
-                value = value + (left + right - (next(redone) if old is None else old))
-                error += e1 + e2 - old_err
-                round_error += r1 + r2
-                cache[(lo, mid)] = left
-                cache[(mid, hi)] = right
-                heapq.heappush(heap, (-e1, lo, mid))
-                heapq.heappush(heap, (-e2, mid, hi))
-            if len(heap) >= 2:
-                tol = max(epsabs, epsrel * float(np.abs(value).max()))
-                if error < tol / 8:
-                    converged = True
-                    break
-                if error < round_error:
-                    break
-            if not (math.isfinite(error) and math.isfinite(round_error)):
+    integral, estimates = yield edges[:-1], edges[1:]
+    value = integral[0]
+    for more in integral[1:]:
+        value = value + more
+    error = sum(e for e, _ in estimates)
+    round_error = sum(r for _, r in estimates)
+    cache = dict(zip(zip(edges[:-1], edges[1:]), integral))
+    heap = [(-e, lo, hi) for (e, _), lo, hi in zip(estimates, edges[:-1], edges[1:])]
+    heapq.heapify(heap)
+    nodes = len(_GK_NODES) * len(integral)
+    converged = False
+    tol = max(epsabs, epsrel * _max_abs(value))
+    while heap and len(heap) < limit:
+        batch = []
+        popped = 0.0
+        while heap and len(batch) < _ROUND and not (batch and popped > error - tol / 8):
+            neg, lo, hi = heapq.heappop(heap)
+            batch.append((lo, hi, 0.5 * (lo + hi), -neg, cache.pop((lo, hi), None)))
+            popped -= neg
+        # the two halves of every interval, then each interval whose own
+        # integral was not kept (a degenerate interval met twice)
+        redo = [iv for iv in batch if iv[4] is None]
+        integral, estimates = yield (
+            [iv[0] for iv in batch] + [iv[2] for iv in batch] + [iv[0] for iv in redo],
+            [iv[2] for iv in batch] + [iv[1] for iv in batch] + [iv[1] for iv in redo],
+        )
+        nodes += len(_GK_NODES) * len(integral)
+        m = len(batch)
+        redone = iter(integral[2 * m :])
+        # in interval order, as quad_vec adds them
+        for j, (lo, hi, mid, old_err, old) in enumerate(batch):
+            left, right = integral[j], integral[m + j]
+            (e1, r1), (e2, r2) = estimates[j], estimates[m + j]
+            value = value + (left + right - (next(redone) if old is None else old))
+            error += e1 + e2 - old_err
+            round_error += r1 + r2
+            cache[(lo, mid)] = left
+            cache[(mid, hi)] = right
+            heapq.heappush(heap, (-e1, lo, mid))
+            heapq.heappush(heap, (-e2, mid, hi))
+        tol = max(epsabs, epsrel * _max_abs(value))
+        if len(heap) >= 2:
+            if error < tol / 8:
+                converged = True
                 break
+            if error < round_error:
+                break
+        if not (math.isfinite(error) and math.isfinite(round_error)):
+            break
     ok = converged and bool(np.all(np.isfinite(value)))
     total = error + round_error
     if not math.isfinite(total):

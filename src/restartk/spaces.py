@@ -19,10 +19,15 @@ import numpy as np
 from .errors import ConfigError, DomainError, UnsupportedTarget
 
 
+def _finite(v):
+    # a finite real number; anything else (None, a string, a list, an array)
+    # is none, and NaN and inf are refused before int() would raise on them
+    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+
+
 def _index(v):
-    # a number naming a state index: finite before int(), which raises on NaN
-    # and inf; anything else (None, a string, a list) names none
-    return isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v) and v == int(v)
+    # a number naming a state index
+    return _finite(v) and v == int(v)
 
 
 def _member(space, x):
@@ -62,7 +67,7 @@ class RealLine(_Continuous):
     lower = -math.inf
 
     def contains(self, x):
-        return bool(np.isfinite(x))
+        return _finite(x)
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class HalfLinePositive(_Continuous):
     lower = 0.0
 
     def contains(self, x):
-        return bool(np.isfinite(x)) and x > 0.0
+        return _finite(x) and x > 0.0
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 One table: each row names an entry, the argument it feeds, and the rule the
 argument obeys.  The rule fixes the values fed: NaN and -inf always, -1
 where the value must be nonnegative, 0 where it must be positive, and +inf
-wherever it must be finite.  Each must raise DomainError; none may be read
-as a limit (a horizon of -inf as the stationary law) or pass through to a
-result.
+wherever it must be finite; a state of the line or the half line is also fed
+None, a string and a list, which name no state.  Each must raise
+DomainError; none may be read as a limit (a horizon of -inf as the
+stationary law) or pass through to a result.
 """
 
 import math
@@ -44,6 +45,8 @@ BAD = {
     "positive": (math.nan, -math.inf, -1.0, 0.0, math.inf),
     "horizon": (math.nan, -math.inf, -1.0),
 }
+BAD["line state"] = BAD["finite"] + (None, "a", [1.0])
+BAD["half-line state"] = BAD["positive"] + (None, "a", [1.0])
 
 BM = BrownianWithDrift(0.3, 1.2)
 GBM = GeometricBrownian(0.1, 0.4)
@@ -165,6 +168,9 @@ ENTRIES = [
     ("GeometricBrownian.stationary_probability y", "positive",
      lambda v: GBM.stationary_probability(1.5, v, Interval(0.5, 2.0), 1.0)),
     ("GeometricBrownian.stationary_density y", "positive", lambda v: GBM.stationary_density(1.5, v, 1.5)),
+    # restart atoms: supported_in asks the space, which takes real numbers only
+    ("RestartedProcess nu atom", "line state", lambda v: _restarted(BM, PointMass(v))),
+    ("RestartedProcess nu atom, GBM", "half-line state", lambda v: _restarted(GBM, PointMass(v))),
     # start states of the moment forms, and of the restarted kernel at t = 0
     ("BrownianWithDrift.moment x", "finite", lambda v: BM.moment(2, 1.0, v)),
     ("BrownianWithDrift.moments x", "finite", lambda v: BM.moments(2, _times(1.0), v)),
@@ -290,6 +296,9 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: RestartSpec(-0.0, PointMass(0.0)), "restart rate must be positive and finite, got -0.0"),
         (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
         (lambda: BM.moments(1, _times(1.0), math.nan), "state must be finite, got nan"),
+        (lambda: _restarted(BM, PointMass(None)), "restart distribution PointMass(x=None) is not supported in RealLine()"),
+        (lambda: _restarted(GBM, PointMass([1.0])),
+         "restart distribution PointMass(x=[1.0]) is not supported in HalfLinePositive()"),
         (lambda: GBM.moment(1, 1.0, -1.0), "state must be positive and finite, got -1.0"),
         (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [1.0], []), "test_sets must not be empty"),
         (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [], [G]), "t_grid must not be empty"),

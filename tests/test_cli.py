@@ -172,6 +172,23 @@ class TestStationary:
             want = modified_moment(proc, k, math.inf, 0).analytic
             assert [r[2] for r in rows if r[0] == f"moment_{k}"] == [want]
 
+    @pytest.mark.parametrize(
+        "process, restart, space",
+        [
+            (BM, RESTART, "RealLine()"),
+            ({"type": "gbm", "mu": 0.1, "sigma": 0.5}, {"rate": 0.5, "nu": {"type": "point", "x": 1.0}}, "HalfLinePositive()"),
+        ],
+        ids=["bm", "gbm"],
+    )
+    def test_a_nan_among_the_density_points_is_refused(self, tmp_path, capsys, process, restart, space):
+        # the points go to the library in one call, which checks each before
+        # any integral: the message is the one a point-by-point loop gave
+        task = {"name": "stationary", "targets": [[0.5, 2.0]], "density_points": [1.0, math.nan, 2.0]}
+        path, out = write_config(tmp_path, task, process=process, restart=restart, fmt="csv")
+        assert run_cli(path) == 2
+        assert capsys.readouterr().err == f"validation error: state nan is not in {space}\n"
+        assert not os.path.exists(out)
+
     def test_chain_answers_every_target_from_one_solve_per_rate(self, tmp_path, monkeypatch):
         solves = []
         solve = np.linalg.solve

@@ -30,11 +30,11 @@ from restartk import (
     RestartSpec,
     RestartedProcess,
     Subset,
-    exp_weighted_integral,
     gaussian,
+    lognormal,
     resolvent,
 )
-from restartk.errors import DomainError
+from restartk.errors import DomainError, ToleranceNotMet
 from restartk.kernels import MarkovKernel
 
 from conftest import (
@@ -175,24 +175,83 @@ class TestDefaultRoute:
 
     def test_invariant_density_asks_the_base_kernel(self, monkeypatch):
         # BM answers in closed form; GBM's t = inf density is the quadrature
-        # default, one time integral per restart atom
-        calls = []
+        # default: one lockstep batch per restart atom, one member per point
+        batches = []
+        batch = restartk.kernels._exp_weighted_integrals
 
-        def counting(*args, **kwargs):
-            calls.append(args)
-            return exp_weighted_integral(*args, **kwargs)
+        def counting(f, lam, uppers, *args, **kwargs):
+            batches.append(len(uppers))
+            return batch(f, lam, uppers, *args, **kwargs)
 
-        monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
+        monkeypatch.setattr(restartk.kernels, "_exp_weighted_integrals", counting)
         bm, gbm = BrownianWithDrift(0.4, 0.8), GeometricBrownian(0.1, 0.5)
-        for base, nu, z, want in (
-            (bm, PointMass(0.1), 0.5, 0),
-            (bm, FiniteSupport(((-0.2, 0.4), (0.3, 0.6))), 0.5, 0),
-            (gbm, PointMass(1.2), 0.8, 1),
-            (gbm, FiniteSupport(((0.9, 0.4), (1.5, 0.6))), 0.8, 2),
+        z = [0.5, 0.8, 1.3]
+        for base, nu, want in (
+            (bm, PointMass(0.1), []),
+            (bm, FiniteSupport(((-0.2, 0.4), (0.3, 0.6))), []),
+            (gbm, PointMass(1.2), [3]),
+            (gbm, FiniteSupport(((0.9, 0.4), (1.5, 0.6))), [3, 3]),
         ):
-            calls.clear()
-            assert RestartedProcess(base, RestartSpec(1.5, nu)).invariant_density(z) > 0.0
-            assert len(calls) == want, (base, nu)
+            batches.clear()
+            assert (RestartedProcess(base, RestartSpec(1.5, nu)).invariant_density(z) > 0.0).all()
+            assert batches == want, (base, nu)
+
+    @pytest.mark.parametrize(
+        "base, nu",
+        [
+            (BrownianWithDrift(0.4, 0.8), PointMass(0.1)),
+            (BrownianWithDrift(0.4, 0.8), FiniteSupport(((-0.2, 0.4), (0.3, 0.6)))),
+            (BrownianWithDrift(0.4, 0.8), gaussian(0.1, 0.5)),
+            (GeometricBrownian(0.1, 0.5), PointMass(1.2)),
+            (GeometricBrownian(0.1, 0.5), FiniteSupport(((0.9, 0.4), (1.5, 0.6)))),
+            (GeometricBrownian(0.1, 0.5), lognormal(0.1, 0.3)),
+        ],
+        ids=repr,
+    )
+    def test_invariant_density_of_an_array_is_its_points_bit_for_bit(self, base, nu):
+        # a loose tolerance keeps the density nu's nested quadrature cheap
+        proc = RestartedProcess(base, RestartSpec(1.5, nu))
+        z = [0.5, 2.7, 0.5, 1.3]
+        got = proc.invariant_density(np.array(z), rel_tol=1e-6)
+        assert got.dtype == float and got.tolist() == [proc.invariant_density(p, rel_tol=1e-6) for p in z]
+
+    def test_failing_density_points_raise_what_a_loop_over_them_raises(self):
+        # from the atom 0.1 the second point fails, from 0.3 the first: a loop
+        # over the points, atoms inner, meets (first point, 0.3) first, though
+        # the batch of the atom 0.1 fails first; the two failures differ in
+        # their node counts, NaN everywhere against NaN past s = 1/lam only
+        class FailsAt(_QuadratureOnly):
+            def transition_densities(self, t, x, z):
+                values = self.inner.transition_densities(t, x, z)
+                values = np.where((x == 0.1) & (z == 0.9), math.nan, values)
+                return np.where((x == 0.3) & (z == 0.5) & (t > 1.0 / 1.5), math.nan, values)
+
+        base = FailsAt(BrownianWithDrift(0.4, 0.8))
+        proc = RestartedProcess(base, RestartSpec(1.5, FiniteSupport(((0.1, 0.4), (0.3, 0.6)))))
+        with pytest.raises(ToleranceNotMet) as want:
+            [proc.invariant_density(p) for p in (0.5, 0.9)]
+        with pytest.raises(ToleranceNotMet) as got:
+            proc.invariant_density([0.5, 0.9])
+        assert str(got.value) == str(want.value) and repr(got.value.result) == repr(want.value.result)
+        with pytest.raises(ToleranceNotMet) as first_atom:
+            RestartedProcess(base, RestartSpec(1.5, PointMass(0.1))).invariant_density([0.5, 0.9])
+        assert first_atom.value.result.nodes_used != want.value.result.nodes_used
+
+    def test_aligned_starts_and_points_give_the_one_time_densities_bit_for_bit(self):
+        # the form the density batch integrates: a start and a point per time
+        t = np.array([0.2, 1.5, 0.7, 0.2])
+        for base, x, z in (
+            (BrownianWithDrift(0.4, 0.8), [0.1, -0.3, 0.1, 0.1], [0.5, 0.5, 2.0, -1.0]),
+            (GeometricBrownian(0.1, 0.5), [1.2, 0.9, 1.2, 1.2], [0.8, 1.3, 0.8, 2.5]),
+        ):
+            want = [base.transition_density(s, a, b) for s, a, b in zip(t.tolist(), x, z)]
+            for kernel in (base, _QuadratureOnly(base)):
+                assert kernel.transition_densities(t, np.array(x), np.array(z)).tolist() == want
+                assert kernel.transition_densities(t, x[0], np.array(z))[[0, 2, 3]].tolist() == [want[0], want[2], want[3]]
+        # GBM's array forms take math.log, as its one-time forms do: numpy's
+        # log differs from it in the last bit at 1.05 on some hosts
+        states = [1.05, 2.0, 1.05]
+        assert restartk.processes._log_states(np.array(states)).tolist() == [math.log(v) for v in states]
 
     def test_array_forms_loop_over_the_scalar_methods(self, three_state_chain):
         bm = BrownianWithDrift(0.4, 0.8)

@@ -194,14 +194,29 @@ def _integrand(kind, lam):
     return lambda s: np.exp(-c / s) / np.sqrt(2.0 * np.pi * s), bound, s_min
 
 
+def _weighted(f, lam, near):
+    """A segment's integrand in its own variable: u = sqrt(s) on the near
+    segment, s itself on the far one, weight included."""
+
+    def g(x):
+        s = np.maximum(x * x, quadrature._TINY) if near else x
+        w = (2.0 * x * lam if near else lam) * np.exp(-lam * s)
+        v = np.asarray(f(s), dtype=float)
+        return w.reshape(w.shape + (1,) * (v.ndim - 1)) * v
+
+    return g
+
+
 def _segments_of(f, lam, upper, **kw):
-    """exp_weighted_integral's result, and each (integrand, a, b, ...) it handed to _segment."""
+    """exp_weighted_integral's result, and each (integrand, a, b, ...) it handed
+    to _segment, the integrand taken in the segment's own variable; the near
+    segment, which starts at 0, first."""
     seen = []
     real = quadrature._segment
 
-    def spy(*args):
-        out = real(*args)
-        seen.append((args, out))
+    def spy(a, *args):
+        out = yield from real(a, *args)
+        seen.append(((_weighted(f, lam, a == 0.0), a, *args), out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -210,7 +225,22 @@ def _segments_of(f, lam, upper, **kw):
             result = exp_weighted_integral(f, lam, upper, **kw)
         except ToleranceNotMet as exc:
             result = exc.result
-    return result, seen
+    return result, sorted(seen, key=lambda item: item[0][1])
+
+
+def _run_segment(g, *args):
+    """quadrature._segment on g, an integrand of the segment's own variable:
+    each round's intervals get the rule on g's values at their nodes."""
+    run = quadrature._segment(*args)
+    rule = None
+    with np.errstate(all="ignore"):
+        try:
+            while True:
+                lo, hi = run.send(rule)
+                x, h, half = quadrature._gk_nodes(lo, hi)
+                rule = quadrature._gk_rule(np.asarray(g(x), dtype=float), h, half)
+        except StopIteration as done:
+            return done.value
 
 
 def _quad_vec(g, a, b, epsabs, epsrel, limit, points=()):
@@ -263,7 +293,7 @@ def test_segment_matches_quad_vec_on_oscillations(w, epsabs, epsrel):
     def g(s):
         return np.cos(w * s) * np.exp(-s)
 
-    value, err, used, converged = quadrature._segment(g, 0.0, 3.0, epsabs, epsrel, 10000)
+    value, err, used, converged = _run_segment(g, 0.0, 3.0, epsabs, epsrel, 10000)
     want, want_err, info = _quad_vec(g, 0.0, 3.0, epsabs, epsrel, 10000)
     assert used == info.neval and converged == info.success
     assert abs(value - want) <= 1e-15 and abs(err - want_err) <= 0.01 * want_err
@@ -274,7 +304,7 @@ def test_repeated_degenerate_intervals_count_like_quad_vec():
     # twice; quad_vec integrates such a repeat afresh, so its nodes count
     b = math.nextafter(1.0, 2.0)
     for limit in (8, 30):
-        value, _, used, converged = quadrature._segment(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
+        value, _, used, converged = _run_segment(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
         want, _, info = _quad_vec(np.zeros_like, 1.0, b, 0.0, 0.0, limit)
         assert used == info.neval
         assert value == want == 0.0 and not converged and not info.success
@@ -322,3 +352,108 @@ def test_round_evaluates_the_integrand_once():
 def test_integrand_must_keep_the_time_axis():
     with pytest.raises(DomainError, match="leading axis"):
         exp_weighted_integral(lambda s: 1.0, 1.0, 1.0)
+
+
+# -- the lockstep batch against its members one at a time -------------------
+
+
+def _family(kind):
+    """Integrands f(s, a) of one parameter a, broadcast against s, and a bound
+    on |f| for each a: the batch takes a per node, a member its own a."""
+    if kind == "scalar":
+        return lambda s, a: np.cos(a * s) + a * np.exp(-s) / np.sqrt(1.0 + s), lambda a: 1.0 + a
+    return (
+        lambda s, a: np.stack([np.cos(a * s), np.sin(a * s) * np.exp(-a * s), a / (1.0 + s)], axis=-1),
+        lambda a: 1.0 + a,
+    )
+
+
+def _bits(result):
+    """Every field of a QuadratureResult, as bits."""
+    value = np.asarray(result.value)
+    truncated = None if result.truncated_at is None else float(result.truncated_at).hex()
+    return (
+        type(result.value), value.shape, value.tobytes(), float(result.abs_error_estimate).hex(),
+        result.nodes_used, truncated, result.reliable,
+    )
+
+
+def _outcome(call):
+    """What a call returns, or the ToleranceNotMet it raises, as bits."""
+    try:
+        return [_bits(r) for r in call()]
+    except ToleranceNotMet as exc:
+        return str(exc), _bits(exc.result)
+
+
+def _one_by_one(f, lam, params, uppers, bounds, **kw):
+    return lambda: [
+        exp_weighted_integral(lambda s, a=a: f(s, a), lam, upper, growth_bound=bound, **kw)
+        for a, upper, bound in zip(params, uppers, bounds)
+    ]
+
+
+def _in_lockstep(f, lam, params, uppers, bounds, rel_tol=quadrature.DEFAULT_REL_TOL, abs_tol=quadrature.DEFAULT_ABS_TOL):
+    params = np.array(params)
+    return lambda: quadrature._exp_weighted_integrals(
+        lambda s, j: f(s, params[j]), lam, uppers, rel_tol, abs_tol, bounds
+    )
+
+
+# a horizon in units of 1/lam: 0, near segment only, one far panel, doublings, inf
+_LAM_TIMES = st.one_of(
+    st.just(0.0), st.floats(0.01, 1.0), st.floats(1.0, 40.0), st.floats(1.5e4, 1e6), st.just(INF)
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    kind=st.sampled_from(("scalar", "array")),
+    members=st.lists(st.tuples(st.floats(0.1, 3.0), _LAM_TIMES, st.floats(0.0, 0.9)), min_size=1, max_size=6),
+    rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)),
+)
+def test_lockstep_batch_is_its_members_bit_for_bit(lam, kind, members, rel_tol):
+    f, bound_of = _family(kind)
+    params = [a for a, _, _ in members]
+    uppers = [lam_t / lam for _, lam_t, _ in members]
+    # each member's own growth bound: its constant, and a rate below lam
+    bounds = [(bound_of(a), share * lam) for a, _, share in members]
+    want = _outcome(_one_by_one(f, lam, params, uppers, bounds, rel_tol=rel_tol))
+    assert _outcome(_in_lockstep(f, lam, params, uppers, bounds, rel_tol=rel_tol)) == want
+
+
+def test_lockstep_batch_raises_the_first_failing_members_error(monkeypatch):
+    # the second and third members, a > 0, cannot meet the tolerance in 4
+    # intervals; the batch raises the second's error, as a loop over the
+    # members would
+    def f(s, a):
+        return np.where(a > 0.0, 1.0 / np.sqrt(np.abs(s - a)) + np.sin(40.0 * s), np.exp(a * s))
+
+    monkeypatch.setattr(quadrature, "_MAX_SUBDIVISIONS", 4)
+    params, uppers, bounds = [-1.0, 0.5, 0.7], [1.0, 1.0, 1.0], [(1.0, 0.0)] * 3
+    kw = {"rel_tol": 1e-10, "abs_tol": 1e-12}
+    want = _outcome(_one_by_one(f, 1.0, params, uppers, bounds, **kw))
+    assert want == _outcome(_one_by_one(f, 1.0, params[1:2], uppers[1:2], bounds[1:2], **kw))
+    assert _outcome(_in_lockstep(f, 1.0, params, uppers, bounds, **kw)) == want
+    assert _outcome(_one_by_one(f, 1.0, params[:1], uppers[:1], bounds[:1], **kw))[0][-1]
+
+
+def test_lockstep_round_calls_the_integrand_once_for_every_member():
+    calls = []
+
+    def f(s, j):
+        calls.append(len(s))
+        return np.cos((1.0 + j) * s)
+
+    results = quadrature._exp_weighted_integrals(f, 1.0, [3.0, 30.0, INF], 1e-9, 1e-12, [(1.0, 0.0)] * 3)
+    assert sum(calls) == sum(r.nodes_used for r in results)
+    # each member alone makes as many rounds as the longest of its segments
+    alone = []
+    for i in range(3):
+        calls.clear()
+        exp_weighted_integral(lambda s: f(s, i), 1.0, [3.0, 30.0, INF][i])
+        alone.append(len(calls))
+    calls.clear()
+    quadrature._exp_weighted_integrals(f, 1.0, [3.0, 30.0, INF], 1e-9, 1e-12, [(1.0, 0.0)] * 3)
+    assert len(calls) == max(alone)
