@@ -167,9 +167,9 @@ ERGODICITY_SLACK = 1e-6
 def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     """Verify |q(G) - P(t, x, G)| <= exp(-lam*t) over the (t, set) matrix.
 
-    Finite chains are handled exactly through matrices; continuous kernels
-    through quadrature, with ERGODICITY_SLACK absorbing the certified
-    numerical error on both sides.
+    Finite chains go through exact matrices; continuous kernels through their
+    masses: closed forms for BM and GBM under a point or finite nu, quadrature
+    otherwise, with ERGODICITY_SLACK absorbing the certified error on both sides.
     """
     if not test_sets:
         raise DomainError("test_sets must not be empty")

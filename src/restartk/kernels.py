@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import nu_weights
-from .errors import DomainError, RestartkError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
+from .errors import DomainError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integrals, exp_weighted_integral
 
 
@@ -124,10 +124,10 @@ class MarkovKernel(abc.ABC):
         return np.array([self.transition_probability(s, x, target) for s in np.asarray(t).tolist()])
 
     def transition_densities(self, t, x, z):
-        # x and z are each a scalar or an array aligned with t
+        # one start x; z is a scalar or an array aligned with t
         t = np.asarray(t)
-        x, z = (np.broadcast_to(v, t.shape).tolist() for v in (x, z))
-        return np.array([self.transition_density(s, a, b) for s, a, b in zip(t.tolist(), x, z)])
+        z = np.broadcast_to(z, t.shape).tolist()
+        return np.array([self.transition_density(s, x, b) for s, b in zip(t.tolist(), z)])
 
     def transition_matrices(self, t):
         return np.array([self.transition_matrix(s) for s in np.asarray(t).tolist()])
@@ -141,11 +141,11 @@ class MarkovKernel(abc.ABC):
         At t = inf the invariant mass of the target when the kernel is
         restarted at rate lam to the point y; at finite t the part of the
         restarted kernel's mass that the restarts contribute.  The default
-        is certified quadrature; kernels that know their Laplace transform
-        override it.
+        is one certified quadrature at any horizon; kernels that know their
+        Laplace transform override it.
         """
-        if math.isinf(check_horizon("horizon", t)):
-            return lam * resolvent(self, lam, y, target, rel_tol=rel_tol)
+        t = check_horizon("horizon", t)
+        self.space.check_target(target)
         return exp_weighted_integral(
             lambda s: self.transition_probabilities(s, y, target), lam, t, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
         ).value
@@ -180,6 +180,14 @@ class MarkovKernel(abc.ABC):
         The default is certified quadrature of the transition matrices.
         """
         return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
+
+    def _restarted_matrix(self, restart, t, rel_tol=DEFAULT_REL_TOL):
+        # P(t) under the restarts, which add one row whatever the start state
+        P = self.transition_matrix(t)
+        w = nu_weights(restart.nu, self.space)
+        if t == 0.0:
+            return P
+        return math.exp(-restart.rate * t) * P + self.stationary_vector(restart.rate, w, t, rel_tol=rel_tol)
 
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
@@ -267,13 +275,7 @@ class RestartedProcess(MarkovKernel):
         )
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
-        t = check_nonnegative("time", t)
-        P = self.base.transition_matrix(t)
-        if t == 0.0:
-            return P
-        w = nu_weights(self.restart.nu, self.space)
-        # the restarts add the same row whatever the start state
-        return math.exp(-self.rate * t) * P + self.base.stationary_vector(self.rate, w, t, rel_tol=rel_tol)
+        return self.base._restarted_matrix(self.restart, check_nonnegative("time", t), rel_tol)
 
     def sample_transition(self, t, x, rng):
         return self.sample_transitions(check_nonnegative("time", t), np.asarray([x]), rng)[0].item()
@@ -339,14 +341,7 @@ class RestartedProcess(MarkovKernel):
         if hasattr(self.restart.nu, "pdf"):
             density = np.array([self._invariant_density_at(p, rel_tol) for p in points.tolist()])
         else:
-            try:
-                density = self._invariant_density_at(points, rel_tol)
-            except RestartkError:
-                # each atom's call raises for its first failing point; point
-                # by point, the first (point, atom) that fails raises instead
-                for p in points.tolist():
-                    self._invariant_density_at(p, rel_tol)
-                raise
+            density = self._invariant_density_at(points, rel_tol)
         return float(density[0]) if np.ndim(z) == 0 else density
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):

@@ -30,9 +30,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment
+from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel, RestartedProcess
+from .kernels import Divergent, MarkovKernel
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
@@ -267,9 +267,9 @@ class BrownianWithDrift(MarkovKernel):
         return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
 
     def transition_densities(self, t, x, z):
-        # x and z are each a scalar or an array aligned with t
+        # one start x; z is a scalar or an array aligned with t
         t = check_times(t, positive=True)
-        x = _finite_states(x)
+        x = check_finite("state", x)
         sd = self.sigma * np.sqrt(t)
         u = (z - x - self.mu * t) / sd
         return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
@@ -362,17 +362,6 @@ def _log_states(x):
     return np.array([_log_state(v) for v in states.tolist()])[where]
 
 
-def _finite_states(x):
-    """A state, or an array of them, refused unless finite, as check_finite refuses one."""
-    if np.ndim(x) == 0:
-        return check_finite("state", x)
-    x = np.asarray(x, dtype=float)
-    bad = ~np.isfinite(x)
-    if bad.any():
-        check_finite("state", x[bad][0])
-    return x
-
-
 @dataclass(frozen=True)
 class GeometricBrownian(MarkovKernel):
     """dX = mu*X dt + sigma*X dW on (0, inf), solved exactly in log space.
@@ -414,7 +403,7 @@ class GeometricBrownian(MarkovKernel):
         return self.log.transition_probability(t, _log_state(x), self._log_target(target))
 
     def transition_densities(self, t, x, z):
-        return self.log.transition_densities(t, _log_states(x), _log_states(z)) / z
+        return self.log.transition_densities(t, _log_state(x), _log_states(z)) / z
 
     def transition_probabilities(self, t, x, target):
         return self.log.transition_probabilities(t, _log_state(x), self._log_target(target))
@@ -513,15 +502,15 @@ class FiniteCTMC(MarkovKernel):
         n = Q.shape[0]
         if not np.all(np.isfinite(Q)):
             raise DomainError("generator entries must be finite")
-        for i in range(n):
-            for j in range(n):
-                if i != j and Q[i, j] < 0.0:
-                    raise DomainError(f"off-diagonal entry Q[{i},{j}]={Q[i, j]} is negative")
+        negative = np.argwhere((Q < 0.0) & ~np.eye(n, dtype=bool))
+        if negative.size:
+            i, j = negative[0]
+            raise DomainError(f"off-diagonal entry Q[{i},{j}]={Q[i, j]} is negative")
         rowsums = Q.sum(axis=1)
         bad = np.nonzero(np.abs(rowsums) > 1e-12 * max(1.0, float(np.abs(Q).max())))[0]
         if bad.size:
             i = int(bad[0])
-            raise DomainError(f"row {i} of the generator sums to {rowsums[i]!r}, expected 0")
+            raise DomainError(f"row {i} of the generator sums to {float(rowsums[i])!r}, expected 0")
         if state_values is None:
             state_values = np.arange(n, dtype=float)
         values = np.asarray(state_values, dtype=float)
@@ -647,11 +636,10 @@ class FiniteCTMC(MarkovKernel):
         """
         k = check_count("moment order k", k, least=0)
         i = self._space.index(x)
-        proc = RestartedProcess(self, restart)
         if math.isinf(check_horizon("horizon", t)):
-            q = proc.invariant_vector()
+            q = self.stationary_vector(restart.rate, nu_weights(restart.nu, self._space))
         else:
-            q = proc.transition_matrix(t)[i]
+            q = self._restarted_matrix(restart, t)[i]
         return float(q @ self.values**k)
 
     def certifies_absolute_moment(self, k):

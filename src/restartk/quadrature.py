@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, RestartkError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
+from .errors import DomainError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
@@ -189,33 +189,21 @@ def _exp_weighted_integrals(f, lam, uppers, rel_tol, abs_tol, growth_bounds, bou
     its own truncation point, near and far segments, doublings, heaps,
     tolerance and exits.  Each round calls f once, on the nodes of every
     segment's bisected intervals, so each member's result is the one it gets
-    alone, bit for bit.  Returns the members' results in order.  Where
-    members fail, raises the exception of the first of them, as a loop over
-    the members would.
+    alone, bit for bit.  Returns the members' results in order.  A member
+    whose set-up is refused (its upper limit or growth bound) raises at
+    once, before any round; otherwise the first member to miss its
+    tolerance raises its ToleranceNotMet.
     """
     lam = check_positive("restart rate", lam)
     rel_tol = check_positive("rel_tol", rel_tol)
     abs_tol = check_positive("abs_tol", abs_tol)
-    members = []
-    for i, (upper, bound) in enumerate(zip(uppers, growth_bounds)):
-        try:
-            members.append(_member(f, i, lam, upper, rel_tol, abs_tol, bound, bound_valid_from))
-        except RestartkError as exc:
-            members.append(exc)
-    runs = [
-        (segment, root, i)
-        for i, member in enumerate(members)
-        if not isinstance(member, RestartkError)
-        for segment, root in member[0]
+    members = [
+        _member(f, i, lam, upper, rel_tol, abs_tol, bound, bound_valid_from)
+        for i, (upper, bound) in enumerate(zip(uppers, growth_bounds))
     ]
+    runs = [(segment, root, i) for i, (segments, _) in enumerate(members) for segment, root in segments]
     outcomes = iter(_lockstep(f, lam, runs))
-    results = []
-    for member in members:
-        if isinstance(member, RestartkError):
-            raise member
-        segments, finish = member
-        results.append(finish([next(outcomes) for _ in segments]))
-    return results
+    return [finish([next(outcomes) for _ in segments]) for segments, finish in members]
 
 
 def _lockstep(f, lam, runs):

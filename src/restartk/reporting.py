@@ -7,7 +7,6 @@ rerun with the same config and seed produces byte-identical files.
 from __future__ import annotations
 
 import json
-import math
 
 
 def fmt(value):
@@ -17,8 +16,6 @@ def fmt(value):
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
         return format(value, ".17g")
     return str(value)
 
@@ -37,8 +34,7 @@ def write_json(path, payload):
 
 
 def _jsonable(value):
-    if isinstance(value, float) and math.isnan(value):
-        return None
+    # json.dump writes every float itself; only other values come here
     if hasattr(value, "tolist"):
         return value.tolist()
     return str(value)

@@ -181,7 +181,7 @@ def _grid_index(config, t):
     grid = np.asarray(config.record_grid)
     hits = np.nonzero(np.isclose(grid, t, rtol=0.0, atol=1e-12))[0]
     if hits.size == 0:
-        raise DomainError(f"t={t} is not on the record grid {list(grid)}")
+        raise DomainError(f"t={t} is not on the record grid {list(config.record_grid)}")
     return int(hits[0])
 
 

@@ -59,8 +59,8 @@ G = Interval(-1.0, 1.0)
 RNG = np.random.default_rng(0)
 
 
-def _restarted(base, nu, rate=1.5):
-    return RestartedProcess(base, RestartSpec(rate, nu))
+def _restarted(base, nu):
+    return RestartedProcess(base, RestartSpec(1.5, nu))
 
 
 def _times(v):
@@ -87,13 +87,18 @@ ENTRIES = [
     ("BrownianWithDrift.sample_transitions t", "nonnegative",
      lambda v: BM.sample_transitions(_times(v), np.zeros(2), RNG)),
     ("BrownianWithDrift.moment t", "nonnegative", lambda v: BM.moment(2, v, 0.0)),
+    ("BrownianWithDrift.moments t", "nonnegative", lambda v: BM.moments(2, _times(v), 0.0)),
     ("GeometricBrownian.transition_probability t", "nonnegative",
      lambda v: GBM.transition_probability(v, 1.0, Interval(0.5, 2.0))),
     ("GeometricBrownian.transition_density t", "positive", lambda v: GBM.transition_density(v, 1.0, 1.5)),
+    ("GeometricBrownian.transition_probabilities t", "nonnegative",
+     lambda v: GBM.transition_probabilities(_times(v), 1.0, Interval(0.5, 2.0))),
+    ("GeometricBrownian.transition_densities t", "positive", lambda v: GBM.transition_densities(_times(v), 1.0, 1.5)),
     ("GeometricBrownian.sample_transition t", "nonnegative", lambda v: GBM.sample_transition(v, 1.0, RNG)),
     ("GeometricBrownian.sample_transitions t", "nonnegative",
      lambda v: GBM.sample_transitions(_times(v), np.ones(2), RNG)),
     ("GeometricBrownian.moments t", "nonnegative", lambda v: GBM.moments(1, _times(v), 1.0)),
+    ("GeometricBrownian.moment t", "nonnegative", lambda v: GBM.moment(1, v, 1.0)),
     ("FiniteCTMC.transition_probability t", "nonnegative",
      lambda v: CHAIN.transition_probability(v, 0, Subset([0]))),
     ("FiniteCTMC.transition_matrices t", "nonnegative", lambda v: CHAIN.transition_matrices(_times(v))),
@@ -110,6 +115,7 @@ ENTRIES = [
     ("BrownianWithDrift.stationary_density t", "horizon", lambda v: BM.stationary_density(1.5, 0.0, 0.5, v)),
     ("GeometricBrownian.stationary_probability t", "horizon",
      lambda v: GBM.stationary_probability(1.5, 1.0, Interval(0.5, 2.0), v)),
+    ("GeometricBrownian.stationary_density t", "horizon", lambda v: GBM.stationary_density(1.5, 1.0, 1.5, v)),
     ("FiniteCTMC.stationary_probability t", "horizon",
      lambda v: CHAIN.stationary_probability(1.5, 0, Subset([0]), v)),
     ("FiniteCTMC.stationary_vector t", "horizon", lambda v: CHAIN.stationary_vector(1.5, W, v)),
@@ -120,7 +126,8 @@ ENTRIES = [
     ("exp_weighted_integral upper", "horizon", lambda v: exp_weighted_integral(np.ones_like, 1.5, v)),
     ("PathConfig horizon", "positive",
      lambda v: PathConfig(seed=0, horizon=v, record_grid=(0.0,), n_paths=1, initial=PointMass(0.0))),
-    # restart rates
+    # restart rates; the restarted moments and the invariant law read theirs
+    # from a RestartSpec, whose own check is this first row
     ("RestartSpec rate", "positive", lambda v: RestartSpec(v, PointMass(0.0))),
     ("resolvent lam", "positive", lambda v: resolvent(BM, v, 0.0, G)),
     ("exp_weighted_integral lam", "positive", lambda v: exp_weighted_integral(np.ones_like, v, 1.0)),
@@ -136,18 +143,6 @@ ENTRIES = [
     ("FiniteCTMC.stationary_probability lam", "positive",
      lambda v: CHAIN.stationary_probability(v, 0, Subset([0]))),
     ("FiniteCTMC.stationary_vector lam", "positive", lambda v: CHAIN.stationary_vector(v, W)),
-    ("BrownianWithDrift.restarted_moment rate", "positive",
-     lambda v: BM.restarted_moment(RestartSpec(v, PointMass(0.0)), 1, 1.0, 0.0)),
-    ("GeometricBrownian.restarted_moment rate", "positive",
-     lambda v: GBM.restarted_moment(RestartSpec(v, PointMass(1.0)), 1, 1.0, 1.0)),
-    ("FiniteCTMC.restarted_moment rate", "positive",
-     lambda v: CHAIN.restarted_moment(RestartSpec(v, PointMass(0)), 1, 1.0, 0)),
-    ("RestartedProcess.invariant_measure rate", "positive",
-     lambda v: _restarted(BM, PointMass(0.0), v).invariant_measure(G)),
-    ("RestartedProcess.invariant_density rate", "positive",
-     lambda v: _restarted(BM, PointMass(0.0), v).invariant_density(0.5)),
-    ("RestartedProcess.invariant_vector rate", "positive",
-     lambda v: _restarted(CHAIN, PointMass(0), v).invariant_vector()),
     ("small_lambda_sweep lambda", "positive",
      lambda v: small_lambda_sweep(CHAIN, PointMass(0), [Subset([0])], [2.0, v])),
     # start states: the line's rule for BM, the half line's for GBM
@@ -158,6 +153,9 @@ ENTRIES = [
     ("BrownianWithDrift.transition_densities x", "finite", lambda v: BM.transition_densities(_times(1.0), v, 0.5)),
     ("BrownianWithDrift.stationary_probability y", "finite", lambda v: BM.stationary_probability(1.5, v, G, 1.0)),
     ("BrownianWithDrift.stationary_density y", "finite", lambda v: BM.stationary_density(1.5, v, 0.5)),
+    ("MarkovKernel.stationary_probability y", "finite",
+     lambda v: MarkovKernel.stationary_probability(BM, 1.5, v, G, 1.0)),
+    ("MarkovKernel.stationary_density y", "finite", lambda v: MarkovKernel.stationary_density(BM, 1.5, v, 0.5)),
     ("GeometricBrownian.transition_probability x", "positive",
      lambda v: GBM.transition_probability(1.0, v, Interval(0.5, 2.0))),
     ("GeometricBrownian.transition_density x", "positive", lambda v: GBM.transition_density(1.0, v, 1.5)),
@@ -168,6 +166,10 @@ ENTRIES = [
     ("GeometricBrownian.stationary_probability y", "positive",
      lambda v: GBM.stationary_probability(1.5, v, Interval(0.5, 2.0), 1.0)),
     ("GeometricBrownian.stationary_density y", "positive", lambda v: GBM.stationary_density(1.5, v, 1.5)),
+    # end points of GBM's densities: the half line's rule
+    ("GeometricBrownian.transition_density z", "positive", lambda v: GBM.transition_density(1.0, 1.0, v)),
+    ("GeometricBrownian.transition_densities z", "positive",
+     lambda v: GBM.transition_densities(_times(1.0), 1.0, v)),
     # restart atoms: supported_in asks the space, which takes real numbers only
     ("RestartedProcess nu atom", "line state", lambda v: _restarted(BM, PointMass(v))),
     ("RestartedProcess nu atom, GBM", "half-line state", lambda v: _restarted(GBM, PointMass(v))),
@@ -189,6 +191,13 @@ ENTRIES = [
     ("RestartedProcess.transition_probability x at t=0, GBM", "positive",
      lambda v: _restarted(GBM, PointMass(1.0)).transition_probability(0.0, v, Interval(0.5, 2.0))),
     ("RestartedProcess.moment x at t=0, GBM", "positive", lambda v: _restarted(GBM, PointMass(1.0)).moment(1, 0.0, v)),
+    # and at t > 0, where the base kernel reads the start
+    ("RestartedProcess.transition_probability x", "finite",
+     lambda v: _restarted(BM, PointMass(0.0)).transition_probability(1.0, v, G)),
+    ("RestartedProcess.moment x", "finite", lambda v: _restarted(BM, PointMass(0.0)).moment(1, 1.0, v)),
+    ("RestartedProcess.transition_probability x, GBM", "positive",
+     lambda v: _restarted(GBM, PointMass(1.0)).transition_probability(1.0, v, Interval(0.5, 2.0))),
+    ("RestartedProcess.moment x, GBM", "positive", lambda v: _restarted(GBM, PointMass(1.0)).moment(1, 1.0, v)),
     # scales and law parameters
     ("BrownianWithDrift sigma", "positive", lambda v: BrownianWithDrift(0.0, v)),
     ("BrownianWithDrift mu", "finite", lambda v: BrownianWithDrift(v, 1.0)),

@@ -189,6 +189,14 @@ class TestStationary:
         assert capsys.readouterr().err == f"validation error: state nan is not in {space}\n"
         assert not os.path.exists(out)
 
+    def test_a_generator_row_off_zero_is_refused_with_its_sum(self, tmp_path, capsys):
+        chain = {"type": "ctmc", "Q": [[-1.0, 0.5], [1.0, -1.0]]}
+        task = {"name": "stationary", "targets": [[0]]}
+        path, out = write_config(tmp_path, task, process=chain, restart=CHAIN2_RESTART, fmt="csv")
+        assert run_cli(path) == 2
+        assert capsys.readouterr().err == "validation error: row 0 of the generator sums to -0.5, expected 0\n"
+        assert not os.path.exists(out)
+
     def test_chain_answers_every_target_from_one_solve_per_rate(self, tmp_path, monkeypatch):
         solves = []
         solve = np.linalg.solve

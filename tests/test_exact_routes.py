@@ -215,11 +215,11 @@ class TestDefaultRoute:
         got = proc.invariant_density(np.array(z), rel_tol=1e-6)
         assert got.dtype == float and got.tolist() == [proc.invariant_density(p, rel_tol=1e-6) for p in z]
 
-    def test_failing_density_points_raise_what_a_loop_over_them_raises(self):
-        # from the atom 0.1 the second point fails, from 0.3 the first: a loop
-        # over the points, atoms inner, meets (first point, 0.3) first, though
-        # the batch of the atom 0.1 fails first; the two failures differ in
-        # their node counts, NaN everywhere against NaN past s = 1/lam only
+    def test_failing_density_points_raise_what_the_first_failing_atom_raises(self):
+        # from the atom 0.1 the second point fails, from 0.3 the first: the
+        # atoms' batches run in order, so the batch of 0.1 raises, for its
+        # failing point; the two failures differ in their node counts, NaN
+        # everywhere against NaN past s = 1/lam only
         class FailsAt(_QuadratureOnly):
             def transition_densities(self, t, x, z):
                 values = self.inner.transition_densities(t, x, z)
@@ -228,26 +228,25 @@ class TestDefaultRoute:
 
         base = FailsAt(BrownianWithDrift(0.4, 0.8))
         proc = RestartedProcess(base, RestartSpec(1.5, FiniteSupport(((0.1, 0.4), (0.3, 0.6)))))
-        with pytest.raises(ToleranceNotMet) as want:
-            [proc.invariant_density(p) for p in (0.5, 0.9)]
         with pytest.raises(ToleranceNotMet) as got:
             proc.invariant_density([0.5, 0.9])
-        assert str(got.value) == str(want.value) and repr(got.value.result) == repr(want.value.result)
         with pytest.raises(ToleranceNotMet) as first_atom:
             RestartedProcess(base, RestartSpec(1.5, PointMass(0.1))).invariant_density([0.5, 0.9])
-        assert first_atom.value.result.nodes_used != want.value.result.nodes_used
+        with pytest.raises(ToleranceNotMet) as second_atom:
+            RestartedProcess(base, RestartSpec(1.5, PointMass(0.3))).invariant_density([0.5, 0.9])
+        assert str(got.value) == str(first_atom.value) and repr(got.value.result) == repr(first_atom.value.result)
+        assert first_atom.value.result.nodes_used != second_atom.value.result.nodes_used
 
-    def test_aligned_starts_and_points_give_the_one_time_densities_bit_for_bit(self):
-        # the form the density batch integrates: a start and a point per time
+    def test_aligned_points_give_the_one_time_densities_bit_for_bit(self):
+        # the form the density batch integrates: one start, a point per time
         t = np.array([0.2, 1.5, 0.7, 0.2])
         for base, x, z in (
-            (BrownianWithDrift(0.4, 0.8), [0.1, -0.3, 0.1, 0.1], [0.5, 0.5, 2.0, -1.0]),
-            (GeometricBrownian(0.1, 0.5), [1.2, 0.9, 1.2, 1.2], [0.8, 1.3, 0.8, 2.5]),
+            (BrownianWithDrift(0.4, 0.8), 0.1, [0.5, 0.5, 2.0, -1.0]),
+            (GeometricBrownian(0.1, 0.5), 1.2, [0.8, 1.3, 0.8, 2.5]),
         ):
-            want = [base.transition_density(s, a, b) for s, a, b in zip(t.tolist(), x, z)]
+            want = [base.transition_density(s, x, b) for s, b in zip(t.tolist(), z)]
             for kernel in (base, _QuadratureOnly(base)):
-                assert kernel.transition_densities(t, np.array(x), np.array(z)).tolist() == want
-                assert kernel.transition_densities(t, x[0], np.array(z))[[0, 2, 3]].tolist() == [want[0], want[2], want[3]]
+                assert kernel.transition_densities(t, x, np.array(z)).tolist() == want
         # GBM's array forms take math.log, as its one-time forms do: numpy's
         # log differs from it in the last bit at 1.05 on some hosts
         states = [1.05, 2.0, 1.05]
@@ -456,6 +455,22 @@ class TestChainResolvent:
         q = proc.invariant_vector()
         for g in (Subset([4]), Subset([0, 3, 11]), Subset(range(12))):
             assert abs(proc.invariant_measure(g) - sum(q[i] for i in g.indices)) < 1e-13
+
+    @pytest.mark.parametrize("nu", [PointMass(1), FiniteSupport(((0, 0.3), (2, 0.7)))], ids=repr)
+    def test_restarted_moment_is_the_restarted_row_bit_for_bit(self, three_state_chain, nu):
+        # the chain's moments read the restarted row without building the
+        # restarted process; the process's own matrix and vector are the
+        # oracle, which pins the row index, the t = 0 and t = inf branches
+        restart = RestartSpec(1.5, nu)
+        proc = RestartedProcess(three_state_chain, restart)
+        for k in (1, 2):
+            powers = three_state_chain.values**k
+            for i in range(3):
+                for t in (0.0, 0.8):
+                    want = float(proc.transition_matrix(t)[i] @ powers)
+                    assert three_state_chain.restarted_moment(restart, k, t, i) == want
+                want = float(proc.invariant_vector() @ powers)
+                assert three_state_chain.restarted_moment(restart, k, math.inf, i) == want
 
     def test_probability_matches_quadrature_resolvent(self, three_state_chain):
         for lam in (0.1, 2.0, 40.0):

@@ -52,6 +52,10 @@ def _csv_matches(got, want):
     )
 
 
+def _refuse_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
 @pytest.mark.parametrize("name", sorted(p.stem for p in GOLDEN.glob("*.json")))
 def test_golden_run(name, tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("RESTARTK_SEED", raising=False)
@@ -68,6 +72,7 @@ def test_golden_run(name, tmp_path, capsys, monkeypatch):
         return
     got, want = (tmp_path / out).read_text(), expected.read_text()
     if config["output"]["format"] == "json":
-        assert _json_matches(json.loads(got), json.loads(want)), got
+        # strict JSON: no report writes a NaN or Infinity token
+        assert _json_matches(json.loads(got, parse_constant=_refuse_constant), json.loads(want)), got
     else:
         assert _csv_matches(got, want), got

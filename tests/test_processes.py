@@ -259,6 +259,15 @@ class TestFiniteCTMC:
             FiniteCTMC([[-math.inf, math.inf], [1.0, -1.0]])
         with pytest.raises(DomainError, match="labels"):
             FiniteCTMC([[-1.0, 1.0], [1.0, -1.0]], state_values=[1.0])
+        # the row sum once printed as "np.float64(-0.5)"; of two negative
+        # off-diagonal entries the first in row-major order is named
+        for Q, message in (
+            ([[-1.0, 0.5], [1.0, -1.0]], "row 0 of the generator sums to -0.5, expected 0"),
+            ([[-1.0, 1.5, -0.5], [-0.25, 0.0, 0.25], [0.0, 0.0, 0.0]], "off-diagonal entry Q[0,2]=-0.5 is negative"),
+        ):
+            with pytest.raises(DomainError) as err:
+                FiniteCTMC(Q)
+            assert str(err.value) == message
 
     def test_matrix_exponential_overflow_diagnostic(self):
         chain = FiniteCTMC([[-1e200, 1e200], [1e200, -1e200]])

@@ -564,10 +564,12 @@ class TestMonteCarloMoment:
         assert _hill_tail_index(self.gbm_squares(4.0)) > 1.0
 
     def test_off_grid_time_rejected(self):
+        # the grid once printed as "[np.float64(0.5), np.float64(1.0)]"
         proc = bm_process()
-        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=4, initial=PointMass(0.0))
-        with pytest.raises(DomainError):
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(0.5, 1.0), n_paths=4, initial=PointMass(0.0))
+        with pytest.raises(DomainError) as err:
             monte_carlo_moment(proc, cfg, 1, 0.7)
+        assert str(err.value) == "t=0.7 is not on the record grid [0.5, 1.0]"
 
     @pytest.mark.parametrize("k", [0, -1, True, 2.5, math.inf, math.nan])
     def test_order_must_be_a_whole_number_of_at_least_one(self, k):
