@@ -182,13 +182,15 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     finite = isinstance(proc.space, FiniteSet)
     if finite:
         q = proc.invariant_vector(rel_tol=rel_tol)
+        # every grid time's restarted row: the chain's exp(Q*t) in one stacked call
+        rows = proc.transition_matrices(np.asarray(t_grid, dtype=float), rel_tol=rel_tol)[:, proc.space.index(x)]
     else:
         q_by_set = [proc.invariant_measure(g, rel_tol=rel_tol) for g in test_sets]
-    for t in t_grid:
+    for k, t in enumerate(t_grid):
         bound = math.exp(-lam * float(t))
         tv = tv_bound = None
         if finite:
-            row_x = proc.transition_matrix(float(t), rel_tol=rel_tol)[proc.space.index(x)]
+            row_x = rows[k]
             devs = [
                 abs(float(sum(q[i] for i in g.indices)) - float(sum(row_x[i] for i in g.indices)))
                 for g in test_sets

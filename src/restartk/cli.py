@@ -19,6 +19,7 @@ import os
 import sys
 
 import jsonschema
+import numpy as np
 from jsonschema.exceptions import best_match
 
 from . import analysis, simulation
@@ -352,7 +353,8 @@ class _Runner:
         for g in self._targets(task):
             rows.append(("measure", str(g), self.proc.invariant_measure(g, rel_tol=self.rel_tol)))
         points = task.get("density_points", [])
-        densities = self.proc.invariant_density(points, rel_tol=self.rel_tol).tolist() if points else []
+        states = np.array([self.proc.space.state(z) for z in points])
+        densities = self.proc.invariant_density(states, rel_tol=self.rel_tol).tolist() if points else []
         for z, v in zip(points, densities):
             rows.append(("density", str(z), v))
         # the limit ignores the start, but the route checks it: a state nu charges, else 1.0

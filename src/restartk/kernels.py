@@ -44,8 +44,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import nu_weights
-from .errors import DomainError, SingularityAtOrigin, check_count, check_horizon, check_nonnegative, check_positive
+from .errors import (
+    DomainError,
+    SingularityAtOrigin,
+    check_count,
+    check_horizon,
+    check_nonnegative,
+    check_positive,
+    check_times,
+)
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integrals, exp_weighted_integral
+from .spaces import check_state
 
 
 @dataclass(frozen=True)
@@ -181,13 +190,16 @@ class MarkovKernel(abc.ABC):
         """
         return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
 
-    def _restarted_matrix(self, restart, t, rel_tol=DEFAULT_REL_TOL):
-        # P(t) under the restarts, which add one row whatever the start state
-        P = self.transition_matrix(t)
+    def _restarted_matrices(self, restart, t, rel_tol=DEFAULT_REL_TOL):
+        # P(s) under the restarts at each time s of the 1-D array t, which add
+        # one row whatever the start state; the base matrices in one stacked call
+        P = self.transition_matrices(t)
         w = nu_weights(restart.nu, self.space)
-        if t == 0.0:
-            return P
-        return math.exp(-restart.rate * t) * P + self.stationary_vector(restart.rate, w, t, rel_tol=rel_tol)
+        lam = restart.rate
+        return np.array([
+            P_s if s == 0.0 else math.exp(-lam * s) * P_s + self.stationary_vector(lam, w, s, rel_tol=rel_tol)
+            for s, P_s in zip(t.tolist(), P)
+        ])
 
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
@@ -266,7 +278,7 @@ class RestartedProcess(MarkovKernel):
         t = check_nonnegative("time", t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
-        z = self.space.state(z)
+        z = float(check_state(self.space, z))
         integrals = self._age_integrals()
         return self._compose(
             self.base.transition_density(t, x, z),
@@ -275,10 +287,15 @@ class RestartedProcess(MarkovKernel):
         )
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
-        return self.base._restarted_matrix(self.restart, check_nonnegative("time", t), rel_tol)
+        t = check_nonnegative("time", t)
+        return self.base._restarted_matrices(self.restart, np.array([t]), rel_tol)[0]
+
+    def transition_matrices(self, t, rel_tol=DEFAULT_REL_TOL):
+        return self.base._restarted_matrices(self.restart, check_times(t), rel_tol)
 
     def sample_transition(self, t, x, rng):
-        return self.sample_transitions(check_nonnegative("time", t), np.asarray([x]), rng)[0].item()
+        t = check_nonnegative("time", t)
+        return self.sample_transitions(t, np.asarray([check_state(self.space, x)]), rng)[0].item()
 
     def _has_matrix(self):
         return self.base._has_matrix()
@@ -330,14 +347,15 @@ class RestartedProcess(MarkovKernel):
         )
 
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
-        """Density of the invariant law at z (a float), or at each point of a
-        1-D array z (an array), for kernels with densities.
+        """Density of the invariant law at a state z (a float), or at each
+        state of a 1-D numpy array z (an array), for kernels with densities.
 
         Every point is checked before any integral.  Under a point or finite
         nu the base kernel takes all the points in one call per atom; a
         density nu integrates each point's density over nu.
         """
-        points = np.array([self.space.state(p) for p in np.atleast_1d(z).tolist()], dtype=float)
+        states = np.atleast_1d(z).tolist() if isinstance(z, np.ndarray) else [z]
+        points = np.array([check_state(self.space, p) for p in states], dtype=float)
         if hasattr(self.restart.nu, "pdf"):
             density = np.array([self._invariant_density_at(p, rel_tol) for p in points.tolist()])
         else:

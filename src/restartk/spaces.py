@@ -30,9 +30,12 @@ def _index(v):
     return _finite(v) and v == int(v)
 
 
-def _member(space, x):
+def check_state(space, x, error=DomainError):
+    """x, refused with ``error`` unless it names a state of the space: a
+    DomainError for a library argument, a ConfigError where ``state`` checks
+    a config value."""
     if not space.contains(x):
-        raise ConfigError(f"state {x} is not in {space!r}")
+        raise error(f"state {x} is not in {space!r}")
     return x
 
 
@@ -49,7 +52,7 @@ class _Continuous:
             )
 
     def state(self, x):
-        return _member(self, float(x))
+        return check_state(self, float(x), ConfigError)
 
     def target(self, raw):
         if len(raw) != 2:
@@ -110,9 +113,7 @@ class FiniteSet:
 
     def index(self, x):
         """State x as an int index, refused unless it names one of the n states."""
-        if not self.contains(x):
-            raise DomainError(f"state {x} is not in {self!r}")
-        return int(x)
+        return int(check_state(self, x))
 
     def whole(self):
         return Subset(range(self.n))
@@ -129,7 +130,7 @@ class FiniteSet:
     def state(self, x):
         if not _index(x):
             raise ConfigError(f"finite-space states are integer indices, got {x}")
-        return _member(self, int(x))
+        return check_state(self, int(x), ConfigError)
 
     def target(self, raw):
         # indices only: check_target, on use, checks their range

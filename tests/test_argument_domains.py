@@ -4,7 +4,8 @@ One table: each row names an entry, the argument it feeds, and the rule the
 argument obeys.  The rule fixes the values fed: NaN and -inf always, -1
 where the value must be nonnegative, 0 where it must be positive, and +inf
 wherever it must be finite; a state of the line or the half line is also fed
-None, a string and a list, which name no state.  Each must raise
+None, a string and a list, which name no state, and a state of the 3-state
+chain also 3 and 1.5, which name no index.  Each must raise
 DomainError; none may be read as a limit (a horizon of -inf as the
 stationary law) or pass through to a result.
 """
@@ -47,6 +48,7 @@ BAD = {
 }
 BAD["line state"] = BAD["finite"] + (None, "a", [1.0])
 BAD["half-line state"] = BAD["positive"] + (None, "a", [1.0])
+BAD["chain state"] = BAD["nonnegative"] + (3, 1.5, None, "a", [1.0])
 
 BM = BrownianWithDrift(0.3, 1.2)
 GBM = GeometricBrownian(0.1, 0.4)
@@ -170,6 +172,22 @@ ENTRIES = [
     ("GeometricBrownian.transition_density z", "positive", lambda v: GBM.transition_density(1.0, 1.0, v)),
     ("GeometricBrownian.transition_densities z", "positive",
      lambda v: GBM.transition_densities(_times(1.0), 1.0, v)),
+    # the points of the restarted densities and the start of the restarted sampler
+    ("RestartedProcess.transition_density z", "line state",
+     lambda v: _restarted(BM, PointMass(0.0)).transition_density(1.0, 0.0, v)),
+    ("RestartedProcess.transition_density z, GBM", "half-line state",
+     lambda v: _restarted(GBM, PointMass(1.0)).transition_density(1.0, 1.0, v)),
+    ("RestartedProcess.invariant_density z", "line state", lambda v: _restarted(BM, PointMass(0.0)).invariant_density(v)),
+    ("RestartedProcess.invariant_density z, GBM", "half-line state",
+     lambda v: _restarted(GBM, PointMass(1.0)).invariant_density(v)),
+    ("RestartedProcess.invariant_density z in an array", "finite",
+     lambda v: _restarted(BM, PointMass(0.0)).invariant_density(np.array([0.5, v]))),
+    ("RestartedProcess.sample_transition x", "line state",
+     lambda v: _restarted(BM, PointMass(0.0)).sample_transition(0.5, v, RNG)),
+    ("RestartedProcess.sample_transition x, GBM", "half-line state",
+     lambda v: _restarted(GBM, PointMass(1.0)).sample_transition(0.5, v, RNG)),
+    ("RestartedProcess.sample_transition x, chain", "chain state",
+     lambda v: _restarted(CHAIN, PointMass(0)).sample_transition(0.5, v, RNG)),
     # restart atoms: supported_in asks the space, which takes real numbers only
     ("RestartedProcess nu atom", "line state", lambda v: _restarted(BM, PointMass(v))),
     ("RestartedProcess nu atom, GBM", "half-line state", lambda v: _restarted(GBM, PointMass(v))),

@@ -8,7 +8,6 @@ from scipy import integrate
 
 from restartk import (
     BrownianWithDrift,
-    ConfigError,
     DomainError,
     FiniteCTMC,
     FiniteSupport,
@@ -252,7 +251,7 @@ class TestEdgeBehaviour:
         gbm = RestartedProcess(GeometricBrownian(mu=0.1, sigma=0.5), RestartSpec(0.5, PointMass(1.0)))
         for proc in (restarted_bm, gbm):
             for call in (lambda: proc.transition_density(0.5, 1.0, z), lambda: proc.invariant_density(z)):
-                with pytest.raises(ConfigError, match=f"state {z} is not in"):
+                with pytest.raises(DomainError, match=f"state {z} is not in"):
                     call()
 
     def test_wrong_target_type(self, restarted_bm, restarted_chain):

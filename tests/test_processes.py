@@ -317,6 +317,70 @@ class TestFiniteCTMC:
                 call()
 
 
+_RATES = st.one_of(st.just(0.0), st.floats(-3.0, 3.0).map(lambda e: 10.0**e))
+
+
+@st.composite
+def _generators(draw):
+    """Generators of 1-8 states, each off-diagonal rate 0 or log-uniform on
+    [1e-3, 1e3]: absorbing states and reducible chains come with the zeros.
+    Each row with a rate sums to 0 or to half the rounding the constructor
+    allows, of either sign, as rates written in rounded decimals do."""
+    n = draw(st.integers(1, 8))
+    Q = np.array(draw(st.lists(_RATES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(Q, 0.0)
+    np.fill_diagonal(Q, -Q.sum(axis=1))
+    drift = np.array(draw(st.lists(st.sampled_from([0.0, 5e-13, -5e-13]), min_size=n, max_size=n)))
+    np.fill_diagonal(Q, np.diag(Q) + np.where(np.diag(Q) < 0.0, drift, 0.0) * max(1.0, np.abs(Q).max()))
+    return Q
+
+
+class TestChainExponential:
+    """exp(Q*t) of the chain's stacked Pade pass against mpmath's at 30 digits."""
+
+    @settings(max_examples=36, deadline=None)
+    @given(_generators(), st.floats(-6.0, 3.0))
+    def test_entries_are_within_1e_12_of_mpmath(self, Q, log_norm_t):
+        mp = pytest.importorskip("mpmath")
+        norm = np.abs(Q).sum(axis=0).max()
+        # ||Q||_1 * t from 1e-6 to 1e3; a zero generator takes t itself
+        t = 10.0**log_norm_t / (norm if norm > 0.0 else 1.0)
+        with mp.workdps(30):
+            want = mp.expm(mp.matrix(Q.tolist()) * mp.mpf(t))
+            want = np.array([[float(want[i, j]) for j in range(len(Q))] for i in range(len(Q))])
+        got = FiniteCTMC(Q).transition_matrix(t)
+        assert np.abs(got - want).max() <= 1e-12, np.abs(got - want).max()
+
+    @pytest.mark.parametrize("t", [1.0, 1e2, 1e4, 1e6])
+    def test_rows_that_sum_to_rounding_drift_as_scipy_does(self, t):
+        # the constructor takes this generator (row 0 sums to 5e-13), and
+        # exp(Q*t) rows then drift from 1 by about 5e-13 * t, past the
+        # rounding of the pass from t = 1 on
+        Q = np.array([[-1.0, 1.0000000000005], [1.0, -1.0]])
+        got = FiniteCTMC(Q).transition_matrix(t)
+        assert np.abs(got - expm(Q * t)).max() <= 1e-15 * max(1.0, t)
+
+    def test_a_zero_generator_is_the_identity_at_every_time(self):
+        # every state absorbing: ||Q|| = 0, and no time squares
+        got = FiniteCTMC(np.zeros((3, 3))).transition_matrices(np.array([0.0, 1.0, 1e300]))
+        assert np.array_equal(got, np.broadcast_to(np.eye(3), (3, 3, 3)))
+
+    @pytest.mark.parametrize(
+        "Q, t",
+        [
+            ([[-1e300, 1e300], [1e300, -1e300]], [1e10]),
+            ([[-1e300, 1e300], [1e300, -1e300]], [1.0, 1e10]),
+            # ||Q||*t is finite, but the rows drift past the float range: the
+            # drift bound is inf there, and only its cap refuses the inf rows
+            ([[-1.0, 1.0000000000005], [1.0, -1.0]], [1e16]),
+        ],
+    )
+    def test_a_result_past_the_float_range_asks_for_a_rescale(self, Q, t):
+        # the rates-1e200 case, whose squarings drain every row, is the overflow diagnostic above
+        with pytest.raises(DomainError, match="rescale the generator"):
+            FiniteCTMC(Q).transition_matrices(np.array(t))
+
+
 class TestArraySamplers:
     """``sample_transitions``: one exact draw per path, each after its own time."""
 
@@ -521,16 +585,17 @@ class TestArrayForms:
 
     def test_misses_take_one_stacked_expm(self, three_state_chain, monkeypatch):
         calls = []
+        evaluate = FiniteCTMC._expm
 
-        def counting(A):
-            calls.append(A.shape)
-            return expm(A)
+        def counting(chain, t):
+            calls.append(t.shape)
+            return evaluate(chain, t)
 
-        monkeypatch.setattr(restartk.processes, "expm", counting)
+        monkeypatch.setattr(FiniteCTMC, "_expm", counting)
         three_state_chain.transition_matrix(0.5)
         t = np.linspace(1.1, 4.0, 30)
         first = three_state_chain.transition_matrices(np.append(t, 0.5))
-        assert calls == [(1, 3, 3), (30, 3, 3)]
+        assert calls == [(1,), (30,)]
         assert np.array_equal(three_state_chain.transition_matrices(t), first[:-1])
         assert len(calls) == 2
 
@@ -546,14 +611,15 @@ class TestArrayForms:
 
     def test_misses_are_computed_in_chunks_of_the_memo_bound(self, three_state_chain, monkeypatch):
         shapes = []
+        evaluate = FiniteCTMC._expm
 
-        def counting(A):
-            shapes.append(A.shape[0])
-            return expm(A)
+        def counting(chain, t):
+            shapes.append(t.shape[0])
+            return evaluate(chain, t)
 
         t = np.linspace(5.0, 6.0, 20)
         want = FiniteCTMC(three_state_chain.Q).transition_matrices(t)
-        monkeypatch.setattr(restartk.processes, "expm", counting)
+        monkeypatch.setattr(FiniteCTMC, "_expm", counting)
         monkeypatch.setattr(restartk.processes, "_MEMO_SIZE", 8)
         chain = FiniteCTMC(three_state_chain.Q)
         assert np.array_equal(chain.transition_matrices(t), want)
