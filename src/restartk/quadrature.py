@@ -27,9 +27,11 @@ The core refines a batch of such integrals in lockstep: each member keeps
 its own truncation point, segments, heaps, tolerance and exits, and each
 round calls one integrand f(s, j) once, on the nodes of every member's
 bisected intervals, j naming each node's member.  A member's result is the
-one it gets alone, bit for bit; ``exp_weighted_integral`` is the batch of
-one, and the kernels' density defaults integrate all their points as one
-batch.
+one it gets alone, bit for bit.  ``exp_weighted_integral`` at one upper
+limit is the batch of one; at a 1-D array of upper limits it is the batch
+of one integrand up to each of them, so a kernel's grid of horizons costs
+one call and one evaluation of f per round.  The kernels' density defaults
+integrate all their points as one batch.
 """
 
 from __future__ import annotations
@@ -40,7 +42,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, TailBoundViolated, ToleranceNotMet, check_finite, check_horizon, check_positive
+from .errors import (
+    DomainError,
+    TailBoundViolated,
+    ToleranceNotMet,
+    check_finite,
+    check_horizon,
+    check_one_dimensional,
+    check_positive,
+)
 
 DEFAULT_REL_TOL = 1e-9
 DEFAULT_ABS_TOL = 1e-12
@@ -92,17 +102,23 @@ _QUIET = {"over": "ignore", "invalid": "ignore", "divide": "ignore"}
 class QuadratureResult:
     """Value of an exponentially weighted integral plus error bookkeeping.
 
+    At a 1-D array of upper limits ``value`` and ``abs_error_estimate``
+    hold one entry per upper limit, each the one-limit result's, and
+    ``nodes_used`` is their total.
+
     Attributes
     ----------
     value : float or ndarray
-        The integral estimate (same shape as the integrand values).
-    abs_error_estimate : float
+        The integral estimate (same shape as the integrand values; at an
+        array of upper limits, those stacked along a leading axis).
+    abs_error_estimate : float or ndarray
         Certified bound combining the adaptive rule's own estimate and,
         for semi-infinite integrals, the bound on the truncated tail.
     nodes_used : int
         Total number of integrand evaluations.
     truncated_at : float or None
-        Truncation point for U = inf, None for finite U.
+        Truncation point for U = inf, None for finite U; at an array of
+        upper limits, the one its infinite entries share, None if it has none.
     reliable : bool
         False when the estimate did not meet the requested tolerance; such
         a result only travels on the ToleranceNotMet that reports it.
@@ -159,8 +175,10 @@ def exp_weighted_integral(
         density are acceptable.
     lam : float
         Restart rate, must be positive.
-    upper : float
-        Upper limit; may be ``math.inf``.
+    upper : float or 1-D ndarray
+        Upper limit; may be ``math.inf``.  At a 1-D numpy array of them the
+        integrals to each limit refine in lockstep, one call of f per round
+        on all their nodes, and each is the one-limit call's, bit for bit.
     growth_bound : (C, eta)
         Certified bound |f(s)| <= C*exp(eta*s), used only for upper = inf
         to pick the truncation point.  Requires eta < lam there.
@@ -171,12 +189,25 @@ def exp_weighted_integral(
 
     Returns
     -------
-    QuadratureResult; ToleranceNotMet, carrying it, when the certified
-    error exceeds the tolerance.
+    QuadratureResult, one entry per limit at an array of them;
+    ToleranceNotMet, carrying the first missing limit's own result, when a
+    certified error exceeds its tolerance.  All the limits refine before
+    any of them raises.
     """
-    return _exp_weighted_integrals(
-        lambda s, j: f(s), lam, [upper], rel_tol, abs_tol, [growth_bound], bound_valid_from
-    )[0]
+    uppers = check_one_dimensional("upper limits", upper).tolist() if isinstance(upper, np.ndarray) else [upper]
+    results = _exp_weighted_integrals(
+        lambda s, j: f(s), lam, uppers, rel_tol, abs_tol, [growth_bound] * len(uppers), bound_valid_from
+    )
+    if not isinstance(upper, np.ndarray):
+        return results[0]
+    # the infinite limits share one truncation point: it depends on lam and the bound alone
+    cut = next((r.truncated_at for r in results if r.truncated_at is not None), None)
+    return QuadratureResult(
+        np.array([r.value for r in results]),
+        np.array([r.abs_error_estimate for r in results]),
+        sum(r.nodes_used for r in results),
+        cut,
+    )
 
 
 def _exp_weighted_integrals(f, lam, uppers, rel_tol, abs_tol, growth_bounds, bound_valid_from=0.0):

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from jsonschema.exceptions import best_match
 from jsonschema.validators import Draft7Validator, Draft202012Validator, validator_for
 
-from restartk import cli
+from restartk import cli, kernels
 from restartk import (
     BrownianWithDrift,
     ConfigError,
@@ -120,6 +120,25 @@ class TestKernelEval:
         assert rows[0][0] == "probability" and abs(rows[0][3] - want0) < 1e-12
         assert abs(rows[1][3] - want1) < 1e-12
         assert rows[2][0] == "density" and abs(rows[2][3] - want2) < 1e-12
+
+    def test_chain_makes_one_quadrature_call_per_target_and_atom(self, tmp_path, monkeypatch):
+        calls = []
+        integrate = kernels.exp_weighted_integral
+
+        def counting(f, lam, upper, **kw):
+            calls.append(len(upper))
+            return integrate(f, lam, upper, **kw)
+
+        monkeypatch.setattr(kernels, "exp_weighted_integral", counting)
+        task = {"name": "kernel-eval", "t": [1.5, 0.25, 0.0, 4.0], "x": 1, "targets": [[0], [1, 2], [0, 2]]}
+        restart = {"rate": 0.8, "nu": {"type": "finite", "points": [[0, 0.5], [1, 0.5]]}}
+        chain3 = {"type": "ctmc", "Q": [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]}
+        path, out = write_config(tmp_path, task, process=chain3, restart=restart)
+        assert run_cli(path) == 0
+        # three targets, two atoms, each call at the three positive times
+        assert calls == [3] * 6
+        rows = json.loads(open(out).read())["rows"]
+        assert [(r[1], r[2]) for r in rows] == [(t, g) for t in task["t"] for g in ("{0}", "{1 2}", "{0 2}")]
 
     def test_csv_output_is_flat(self, tmp_path):
         task = {"name": "kernel-eval", "t": [0.5], "x": 0.0, "targets": [[-0.5, 0.5]]}

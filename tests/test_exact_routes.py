@@ -252,6 +252,12 @@ class TestDefaultRoute:
         # log differs from it in the last bit at 1.05 on some hosts
         states = [1.05, 2.0, 1.05]
         assert restartk.processes._log_states(np.array(states)).tolist() == [math.log(v) for v in states]
+        # in runs, as a batch's points come, and empty
+        states = [1.05] * 3 + [2.0] + [0.7] * 2 + [1.05]
+        assert restartk.processes._log_states(np.array(states)).tolist() == [math.log(v) for v in states]
+        assert restartk.processes._log_states(np.array([])).shape == (0,)
+        with pytest.raises(DomainError, match="got -1.0"):
+            restartk.processes._log_states(np.array([2.0, 2.0, -1.0, -3.0]))
 
     def test_array_forms_loop_over_the_scalar_methods(self, three_state_chain):
         bm = BrownianWithDrift(0.4, 0.8)

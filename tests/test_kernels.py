@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
+import restartk.kernels
 from restartk import (
     BrownianWithDrift,
     DomainError,
@@ -214,6 +217,99 @@ class TestDensityRestartLaw:
         a = proc.invariant_measure(Interval(0.0, 1.0))
         b = proc.invariant_measure(Interval(0.0, 2.0))
         assert 0.0 < a < b < 1.0
+
+
+# a base kernel (made afresh, so a chain starts with an empty memo), a start,
+# a target, a point law and atoms for a finite law; a density law lives on a
+# continuous space only
+_ARRAY_CASES = {
+    "bm": (lambda: BrownianWithDrift(0.3, 1.2), 0.2, Interval(-0.5, 1.0), (PointMass(0.0), ((0.0, 0.6), (1.0, 0.4)))),
+    "gbm": (lambda: GeometricBrownian(0.1, 0.4), 1.1, Interval(0.8, 1.5), (PointMass(1.0), ((0.9, 0.3), (1.4, 0.7)))),
+    "chain": (
+        lambda: FiniteCTMC([[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]),
+        1,
+        Subset([0, 2]),
+        (PointMass(2), ((0, 0.5), (2, 0.5))),
+    ),
+}
+
+
+def _array_case(kind, nu_kind, rate):
+    make, x, target, (point, atoms) = _ARRAY_CASES[kind]
+    base = make()
+    density = gaussian(x, 0.5) if kind == "bm" else exponential(1.0)
+    nu = {"point": point, "finite": FiniteSupport(atoms), "density": density}[nu_kind]
+    return RestartedProcess(base, RestartSpec(rate, nu)), x, target
+
+
+class TestArrayOfTimes:
+    """transition_probability at a 1-D array of times is the float calls at
+    each of them, bit for bit."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        case=st.sampled_from([(k, n) for k in ("bm", "gbm", "chain") for n in ("point", "finite")]),
+        rate=st.floats(0.2, 5.0),
+        times=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)), min_size=1, max_size=6),
+        repeat=st.integers(0, 5),
+    )
+    def test_array_is_the_float_calls(self, case, rate, times, repeat):
+        proc, x, target = _array_case(*case, rate)
+        # unsorted, one time repeated
+        t = np.array(times + [times[repeat % len(times)]])
+        want = [proc.transition_probability(s, x, target) for s in t.tolist()]
+        # on a fresh kernel, whose chain memo the float calls did not fill
+        proc, x, target = _array_case(*case, rate)
+        got = proc.transition_probability(t, x, target)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_no_restart_weight_is_the_float_calls_exp(self):
+        # times where numpy's exp(-t) differs from math.exp(-t) in the last
+        # bit on some hosts (found on an x86-64 one), and P~ with it
+        proc, x, target = _array_case("bm", "point", 1.0)
+        t = np.array([0.526966861807677, 0.17570410441558304, 0.12920066570461253, 0.26680692073881596])
+        want = [proc.transition_probability(s, x, target) for s in t.tolist()]
+        assert proc.transition_probability(t, x, target).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm"])
+    def test_density_law_takes_the_times_one_by_one(self, kind):
+        proc, x, target = _array_case(kind, "density", 1.3)
+        t = np.array([0.7, 0.0, 0.7])
+        want = [proc.transition_probability(s, x, target) for s in t.tolist()]
+        assert proc.transition_probability(t, x, target).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
+    def test_stationary_probability_takes_an_array_of_horizons(self, kind):
+        proc, _, target = _array_case(kind, "point", 0.9)
+        y = proc.restart.nu.x
+        t = np.array([2.0, math.inf, 0.0, 0.4, 2.0])
+        got = proc.base.stationary_probability(0.9, y, target, t)
+        want = [proc.base.stationary_probability(0.9, y, target, s) for s in t.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_chain_makes_one_quadrature_call_per_atom(self, monkeypatch):
+        calls = []
+        evaluate = restartk.kernels.exp_weighted_integral
+
+        def counting(f, lam, upper, **kw):
+            calls.append(np.shape(upper))
+            return evaluate(f, lam, upper, **kw)
+
+        monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
+        proc, x, target = _array_case("chain", "finite", 1.5)
+        proc.transition_probability(np.array([0.5, 0.0, 1.5, 3.0]), x, target)
+        # the two atoms, each at the three positive times
+        assert calls == [(3,), (3,)]
+
+    def test_times_are_checked_first_and_must_be_one_dimensional(self, restarted_bm):
+        with pytest.raises(DomainError, match="time must be nonnegative and finite, got inf"):
+            restarted_bm.transition_probability(np.array([0.5, math.inf]), 0.0, Subset([0]))
+        with pytest.raises(DomainError, match="1-D"):
+            restarted_bm.transition_probability(np.ones((2, 2)), 0.0, Interval(0.0, 1.0))
+        with pytest.raises(UnsupportedTarget):
+            restarted_bm.transition_probability(np.array([0.5]), 0.0, Subset([0]))
+        with pytest.raises(DomainError, match="horizon must be nonnegative or inf, got -1.0"):
+            restarted_bm.base.stationary_probability(1.0, 0.0, Interval(0.0, 1.0), np.array([1.0, -1.0]))
 
 
 class TestEdgeBehaviour:

@@ -439,6 +439,37 @@ class TestArraySamplers:
         with pytest.raises(DomainError):
             GeometricBrownian().sample_transitions(1.0, np.array([1.0, 0.0]), rng)
 
+    @pytest.mark.parametrize(
+        "x",
+        [
+            np.array([2, 5, 0, -1, 7]),
+            np.array([0.0, 1.0, 2.5, -3.0, math.nan]),
+            np.array([1.0, math.inf, math.nan]),
+            np.array([True, False]),
+            np.array([0, 1], dtype=np.uint8) + 3,
+        ],
+    )
+    def test_chain_row_draws_refuse_the_first_bad_start_in_sorted_order(self, three_state_chain, x):
+        # the smallest state that names none, as a check of the sorted distinct states raises it
+        want = None
+        for state in np.unique(x):
+            try:
+                three_state_chain.space.index(state)
+            except DomainError as exc:
+                want = str(exc)
+                break
+        assert want is not None
+        for kernel in (three_state_chain, RestartedProcess(three_state_chain, RestartSpec(1.0, PointMass(0)))):
+            with pytest.raises(DomainError) as raised:
+                kernel.sample_transitions(0.5, x, np.random.default_rng(0))
+            assert str(raised.value) == want
+
+    def test_chain_row_draws_take_integral_float_starts(self, three_state_chain):
+        x = np.array([0, 2, 1, 2, 0])
+        want = three_state_chain.sample_transitions(0.5, x, np.random.default_rng(3))
+        got = three_state_chain.sample_transitions(0.5, x.astype(float), np.random.default_rng(3))
+        assert np.array_equal(got, want)
+
     @pytest.mark.parametrize("time", [math.nan, -0.1])
     def test_scalar_samplers_reject_bad_times(self, three_state_chain, time):
         # a NaN time never ends the chain's jump loop: elapsed >= nan is never true
@@ -624,6 +655,54 @@ class TestArrayForms:
         chain = FiniteCTMC(three_state_chain.Q)
         assert np.array_equal(chain.transition_matrices(t), want)
         assert shapes == [8, 8, 4]
+
+    def test_repeated_array_is_one_memo_hit_returned_as_a_copy(self, three_state_chain, monkeypatch):
+        calls = []
+        evaluate = FiniteCTMC._expm
+
+        def counting(chain, t):
+            calls.append(t.shape)
+            return evaluate(chain, t)
+
+        monkeypatch.setattr(FiniteCTMC, "_expm", counting)
+        chain = FiniteCTMC(three_state_chain.Q)
+        t = np.array([0.9, 0.1, 2.5, 0.1])
+        first = chain.transition_matrices(t)
+        want = first.copy()
+        first[:] = 0.0
+        # its times leave the memo first; the stack still answers the array
+        chain._expm_cache.clear()
+        again = chain.transition_matrices(t)
+        assert np.array_equal(again, want) and calls == [(3,)]
+        again[:] = 0.0
+        assert np.array_equal(chain.transition_matrices(t), want)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        calls=st.lists(
+            st.one_of(
+                st.integers(1, 40).map(lambda i: 0.05 * i),
+                st.lists(st.integers(1, 40).map(lambda i: 0.05 * i), min_size=1, max_size=20).map(np.array),
+            ),
+            min_size=1,
+            max_size=25,
+        )
+    )
+    def test_both_memos_together_hold_at_most_the_memo_bound(self, calls):
+        bound = 16
+        chain = FiniteCTMC([[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]])
+        fresh = FiniteCTMC(chain.Q)
+        saved = restartk.processes._MEMO_SIZE
+        restartk.processes._MEMO_SIZE = bound
+        try:
+            for t in calls:
+                got = chain.transition_matrix(t) if np.ndim(t) == 0 else chain.transition_matrices(t)
+                held = len(chain._expm_cache) + sum(len(P) for P in chain._rounds.values())
+                assert held == chain._held <= bound
+                want = fresh.transition_matrix(t) if np.ndim(t) == 0 else fresh.transition_matrices(t)
+                assert np.array_equal(got, want)
+        finally:
+            restartk.processes._MEMO_SIZE = saved
 
     def test_stacked_overflow_is_a_domain_error(self):
         chain = FiniteCTMC([[-1e200, 1e200], [1e200, -1e200]])

@@ -457,3 +457,61 @@ def test_lockstep_round_calls_the_integrand_once_for_every_member():
     calls.clear()
     quadrature._exp_weighted_integrals(f, 1.0, [3.0, 30.0, INF], 1e-9, 1e-12, [(1.0, 0.0)] * 3)
     assert len(calls) == max(alone)
+
+
+# -- an array of upper limits against one call per limit --------------------
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    lam=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    kind=st.sampled_from(("scalar", "array")),
+    lam_ts=st.lists(_LAM_TIMES, min_size=1, max_size=6),
+    rel_tol=st.sampled_from((1e-6, 1e-9, 1e-12)),
+)
+def test_array_of_uppers_is_the_per_upper_calls_bit_for_bit(lam, kind, lam_ts, rel_tol):
+    f, bound_of = _family(kind)
+    g = lambda s: f(s, 0.7)  # noqa: E731
+    uppers = np.array([lam_t / lam for lam_t in lam_ts])
+    kw = {"rel_tol": rel_tol, "growth_bound": (bound_of(0.7), 0.5 * lam)}
+    try:
+        alone = [exp_weighted_integral(g, lam, upper, **kw) for upper in uppers.tolist()]
+    except ToleranceNotMet as exc:
+        # the first limit to miss raises its own result, as the loop does
+        with pytest.raises(ToleranceNotMet) as raised:
+            exp_weighted_integral(g, lam, uppers, **kw)
+        assert (str(raised.value), _bits(raised.value.result)) == (str(exc), _bits(exc.result))
+        return
+    got = exp_weighted_integral(g, lam, uppers, **kw)
+    assert got.value.shape == (len(uppers),) + np.shape(alone[0].value)
+    assert got.value.tobytes() == np.array([r.value for r in alone]).tobytes()
+    assert got.abs_error_estimate.tobytes() == np.array([r.abs_error_estimate for r in alone]).tobytes()
+    assert got.nodes_used == sum(r.nodes_used for r in alone)
+    assert got.truncated_at == next((r.truncated_at for r in alone if r.truncated_at is not None), None)
+    assert got.reliable
+
+
+def test_array_of_uppers_evaluates_the_integrand_once_per_round():
+    calls = []
+
+    def f(s):
+        calls.append(len(s))
+        return np.cos(s)
+
+    uppers = [0.3, 3.0, 30.0, 3e5, INF]
+    rounds = []
+    for upper in uppers:
+        calls.clear()
+        exp_weighted_integral(f, 1.0, upper)
+        rounds.append(len(calls))
+    calls.clear()
+    result = exp_weighted_integral(f, 1.0, np.array(uppers))
+    assert len(calls) == max(rounds)
+    assert sum(calls) == result.nodes_used
+
+
+def test_array_of_uppers_must_be_one_dimensional():
+    with pytest.raises(DomainError, match="1-D"):
+        exp_weighted_integral(np.cos, 1.0, np.ones((2, 2)))
+    with pytest.raises(DomainError, match="upper limit"):
+        exp_weighted_integral(np.cos, 1.0, np.array([1.0, -1.0]))
