@@ -57,7 +57,7 @@ from .errors import (
     check_times,
 )
 from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integrals, exp_weighted_integral
-from .spaces import check_state
+from .spaces import FiniteSet, check_state
 
 
 def _horizons(t):
@@ -65,6 +65,16 @@ def _horizons(t):
     if not isinstance(t, np.ndarray):
         return check_horizon("horizon", t)
     return np.array([check_horizon("horizon", s) for s in check_one_dimensional("horizons", t).tolist()])
+
+
+def _weight_vector(space, w):
+    """w as a float vector, refused unless it holds one weight per state of a finite space."""
+    if not isinstance(space, FiniteSet):
+        raise DomainError("weight vectors only exist on finite state spaces")
+    w = np.asarray(w, dtype=float)
+    if w.shape != (space.n,):
+        raise DomainError(f"need {space.n} weights, one per state, got shape {w.shape}")
+    return w
 
 
 @dataclass(frozen=True)
@@ -204,6 +214,7 @@ class MarkovKernel(abc.ABC):
         restarted transition matrix's rows that the restarts contribute.
         The default is certified quadrature of the transition matrices.
         """
+        w = _weight_vector(self.space, w)
         return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
 
     def _restarted_matrices(self, restart, t, rel_tol=DEFAULT_REL_TOL):

@@ -15,9 +15,11 @@ convolution (the resolvent identity), or the first-passage form where that
 difference cancels (``_RestartAgeLaw``); GBM reads it in log space.  The
 chain's is one linear solve against lam*I - Q per rate, which with the
 memoised exp(Q*t) also gives the restarted chain's transition matrix at any
-finite t.  The chain computes exp(Q*t) itself, for a whole array of times
-in one numpy pass of a scaled-and-squared Pade approximant, so no chain
-route loads scipy.  scipy's ``erfcx``, ``gammainc`` and ``ndtr`` start as
+finite t, and its restart-age masses wherever that difference keeps its
+digits; the short horizons where it would cancel take quadrature.  The
+chain computes exp(Q*t) itself, for a whole array of times in one numpy
+pass of a scaled-and-squared Pade approximant, so no chain route loads
+scipy.  scipy's ``erfcx``, ``gammainc`` and ``ndtr`` start as
 stand-ins that import the real function on their first call and rebind the
 module name to it, so importing this module loads no scipy.
 """
@@ -35,7 +37,7 @@ import numpy as np
 
 from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel, _horizons
+from .kernels import Divergent, MarkovKernel, _horizons, _weight_vector
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
@@ -785,26 +787,40 @@ class FiniteCTMC(MarkovKernel):
         return M
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
-        """Row y of lam*(lam*I - Q)^(-1) summed over the target; at finite t
-        the quadrature default, one call for all the finite horizons of a
-        1-D numpy array t."""
+        """v_G, row y of v = lam*(lam*I - Q)^(-1) summed over the target G, at
+        t = inf; at a horizon t (a float) or each horizon of a 1-D numpy
+        array t (an array).
+
+        A finite horizon s takes the resolvent identity v_G - late, with
+        late = exp(-lam*s) (v exp(Q*s))_G, wherever late <= v_G/2: the
+        difference then loses at most one bit (BM's ``_RestartAgeLaw.mass``
+        keeps the same rule).  Above that, at small lam*s, the difference
+        would cancel, and those horizons take the quadrature default, one
+        call for all of them, each refined alone and so accurate to its own
+        value.  exp(Q*s) is the memo's matrix, which the no-restart term
+        has already asked for.
+        """
         t = _horizons(t)
-        if isinstance(t, np.ndarray):
-            # each horizon by its float route: the finite ones in one quadrature call
-            finite = t < math.inf
-            values = np.empty(len(t))
-            if finite.any():
-                values[finite] = super().stationary_probability(lam, y, target, t[finite], rel_tol=rel_tol)
-            if not finite.all():
-                values[~finite] = self.stationary_probability(lam, y, target, rel_tol=rel_tol)
-            return values
-        if not math.isinf(t):
-            # perfbench/test_smoke.py asserts quadrature.calls > 0 on the
-            # kernel-chain3 workload config, which only this route makes
-            # (ROADMAP 2b: the row of stationary_vector instead)
-            return super().stationary_probability(lam, y, target, t, rel_tol=rel_tol)
         self._space.check_target(target)
-        return float(self._stationary_matrix(lam)[self._space.index(y), list(target.indices)].sum())
+        columns = list(target.indices)
+        v = self._stationary_matrix(lam)[self._space.index(y)]
+        mass = float(v[columns].sum())
+        horizons = t if isinstance(t, np.ndarray) else np.array([t])
+        values = np.full(len(horizons), mass)
+        cancels = []
+        for k, s in enumerate(horizons.tolist()):
+            if s < math.inf:
+                late = math.exp(-lam * s) * float((v @ self.transition_matrix(s))[columns].sum())
+                if late <= 0.5 * mass:
+                    values[k] = mass - late
+                else:
+                    cancels.append(k)
+        if cancels:
+            # the accurate route where the identity cancels; it is also what
+            # keeps quadrature.calls > 0 on the kernel-chain3 workload config,
+            # which perfbench/test_smoke.py asserts (its lam*t = 0.01 horizon)
+            values[cancels] = super().stationary_probability(lam, y, target, horizons[cancels], rel_tol=rel_tol)
+        return values if isinstance(t, np.ndarray) else float(values[0])
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
         """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly.
@@ -814,7 +830,7 @@ class FiniteCTMC(MarkovKernel):
         the value at t = inf, and a finite horizon subtracts
         exp(-lam*t) v exp(Q*t).
         """
-        v = np.asarray(w, dtype=float) @ self._stationary_matrix(lam)
+        v = _weight_vector(self._space, w) @ self._stationary_matrix(lam)
         if math.isinf(check_horizon("horizon", t)):
             return v
         return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))

@@ -1,8 +1,11 @@
 """Shared fixtures: reference chains, generator-matrix factories and the event log's clock."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from restartk import FiniteCTMC, FiniteSupport, PointMass
 from restartk.simulation import _first_chunk, _restart_times
@@ -31,6 +34,17 @@ def restarted_generator(chain, lam, w):
     """Q + lam*(1 w - I): the generator of the chain under rate-lam restarts drawn from w."""
     n = chain.space.n
     return chain.Q + lam * (np.outer(np.ones(n), np.asarray(w, dtype=float)) - np.eye(n))
+
+
+def cancelling_horizons(chain, lam, y, target, times):
+    """The positive times s of ``times`` at which the resolvent identity for the
+    chain's restart term would cancel, exp(-lam*s) (v exp(Q*s))_G > v_G/2 with
+    v = row y of lam*(lam*I - Q)^(-1) and G the target's states: the chain
+    integrates these by quadrature and takes the identity at the others."""
+    v = lam * resolvent_matrix(chain, lam)[y]
+    columns = list(target.indices)
+    late = lambda s: math.exp(-lam * s) * (v @ expm(chain.Q * s))[columns].sum()
+    return [s for s in times if s > 0.0 and late(s) > 0.5 * v[columns].sum()]
 
 
 def random_restart_weights(rng, n):

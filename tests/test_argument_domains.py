@@ -267,6 +267,19 @@ def test_minus_infinity_is_no_stationary_limit():
             call()
 
 
+def test_weight_vector_needs_one_weight_per_state():
+    # a 2-vector on the 3-state chain once raised numpy's matmul ValueError
+    default = lambda lam, w, t: MarkovKernel.stationary_vector(CHAIN, lam, w, t)
+    for call in (CHAIN.stationary_vector, default):
+        for w, shape in ((W[:2], "(2,)"), (np.full(4, 0.25), "(4,)"), (W[None, :], "(1, 3)")):
+            for t in (math.inf, 1.0):
+                with pytest.raises(DomainError) as err:
+                    call(1.5, w, t)
+                assert str(err.value) == f"need 3 weights, one per state, got shape {shape}"
+    with pytest.raises(DomainError, match="^weight vectors only exist on finite state spaces$"):
+        MarkovKernel.stationary_vector(BM, 1.5, np.ones(1), 1.0)
+
+
 @pytest.mark.parametrize(
     "nu",
     [

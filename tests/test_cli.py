@@ -32,6 +32,7 @@ from restartk import (
     RestartSpec,
     RestartedProcess,
     SingularityAtOrigin,
+    Subset,
     TailBoundViolated,
     ToleranceNotMet,
     UnsupportedTarget,
@@ -40,6 +41,8 @@ from restartk import (
 )
 from restartk.analysis import ErgodicityReport, ErgodicityRow
 from restartk.cli import SCHEMA, _schema_error_message, exit_code_for, main
+
+from conftest import cancelling_horizons
 
 REPO = Path(__file__).resolve().parents[1]
 GOLDEN = REPO / "tests" / "golden"
@@ -126,7 +129,7 @@ class TestKernelEval:
         integrate = kernels.exp_weighted_integral
 
         def counting(f, lam, upper, **kw):
-            calls.append(len(upper))
+            calls.append(upper.tolist())
             return integrate(f, lam, upper, **kw)
 
         monkeypatch.setattr(kernels, "exp_weighted_integral", counting)
@@ -135,8 +138,18 @@ class TestKernelEval:
         chain3 = {"type": "ctmc", "Q": [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]}
         path, out = write_config(tmp_path, task, process=chain3, restart=restart)
         assert run_cli(path) == 0
-        # three targets, two atoms, each call at the three positive times
-        assert calls == [3] * 6
+        # three targets, two atoms: each pair's call carries the horizons
+        # where the resolvent identity would cancel, and a pair without one
+        # makes none; the others take the identity
+        chain = FiniteCTMC(chain3["Q"])
+        want = [
+            horizons
+            for g in task["targets"]
+            for y in (0, 1)
+            if (horizons := cancelling_horizons(chain, 0.8, y, Subset(g), task["t"]))
+        ]
+        assert want == [[0.25]] * 6
+        assert calls == want
         rows = json.loads(open(out).read())["rows"]
         assert [(r[1], r[2]) for r in rows] == [(t, g) for t in task["t"] for g in ("{0}", "{1 2}", "{0 2}")]
 

@@ -39,6 +39,7 @@ from restartk.kernels import MarkovKernel
 
 from conftest import (
     finite_support_from_weights,
+    make_three_state_chain,
     point_or_two_atom_laws,
     random_generator,
     random_restart_weights,
@@ -485,6 +486,117 @@ class TestChainResolvent:
                 g = Subset([0, 2])
                 got = three_state_chain.stationary_probability(lam, y, g)
                 assert abs(got - lam * resolvent(three_state_chain, lam, y, g)) < 1e-10
+
+
+def _mp_restarted_mass(chain, lam, w, t, x, columns):
+    """P~(t, x, G) from exp(R*t), R = Q - lam*I + lam*1w the restarted
+    generator, and the restart term r_G, its part beyond exp(-lam*t) exp(Q*t)
+    at 30 digits.  That part is one row r whatever the start, and the chain's
+    own stationary law pi (pi Q = 0) sees exp(-lam*t) pi + r in pi exp(R*t);
+    where r_G is small the difference loses about log10(1/(lam*t)) digits.
+
+    Q's diagonal is taken as minus its row's off-diagonal sum, exactly: the
+    float diagonal misses it by a rounding, and over t = 5000 a row that
+    leaks that much mass moves P~ by 2e-12 on a 12-state chain, which is the
+    generator's rounding, not the chain's route."""
+    mp = pytest.importorskip("mpmath")
+    n = chain.space.n
+    with mp.workdps(30):
+        l, h = mp.mpf(lam), mp.mpf(t)
+        Q = mp.matrix(chain.Q.tolist())
+        for i in range(n):
+            Q[i, i] = -mp.fsum(Q[i, j] for j in range(n) if j != i)
+        R = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = Q[i, j] + l * mp.mpf(w[j]) - (l if i == j else 0)
+        E = mp.expm(R * h)
+        A = Q.T
+        for j in range(n):
+            A[n - 1, j] = 1
+        pi = mp.lu_solve(A, mp.matrix([0] * (n - 1) + [1]))
+        restarted = mp.fsum(E[x, j] for j in columns)
+        term = mp.fsum(mp.fsum(pi[i] * E[i, j] for i in range(n)) - mp.exp(-l * h) * pi[j] for j in columns)
+        return restarted, term
+
+
+class TestChainRestartTermAgainstMpmath:
+    """The chain's finite-t restart term takes the resolvent identity where
+    the subtracted term is at most half the first, and quadrature where it
+    would cancel; both against mpmath, with no absolute floor."""
+
+    CHAINS = (
+        make_three_state_chain(),
+        FiniteCTMC(random_generator(np.random.default_rng(5), 5)),
+        _twelve_state_chain()[0],
+    )
+
+    def test_restarted_law_matches_the_restarted_generator(self, monkeypatch):
+        quadrature = []
+        evaluate = restartk.kernels.exp_weighted_integral
+
+        def counting(f, lam, upper, **kw):
+            quadrature.extend(np.atleast_1d(upper).tolist())
+            return evaluate(f, lam, upper, **kw)
+
+        monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
+        branches = set()
+
+        def compare(chain, lam, lam_t, x, target, nu):
+            t = lam_t / lam
+            want, want_term = _mp_restarted_mass(chain, lam, nu.weights(chain.space), t, x, target.indices)
+            quadrature.clear()
+            term = nu.expect(lambda y: chain.stationary_probability(lam, y, target, t))
+            # one call per atom, each at t: by quadrature or by the identity
+            atoms = len(nu.points) if hasattr(nu, "points") else 1
+            branches.update(["quadrature"] * (len(quadrature) > 0) + ["identity"] * (len(quadrature) < atoms))
+            assert abs(term - want_term) <= 1e-13 * want_term, (term, want_term)
+            got = RestartedProcess(chain, RestartSpec(lam, nu)).transition_probability(t, x, target)
+            assert abs(got - want) <= 1e-13 * want, (got, want)
+
+        # few examples: a 12-state 30-digit expm takes about 0.1 s
+        @settings(max_examples=25, deadline=None, derandomize=True, database=None)
+        @given(
+            chain=st.sampled_from(self.CHAINS),
+            # log grids: hypothesis's floats crowd around 1 at this few examples
+            lam=st.integers(-8, 8).map(lambda k: 10.0 ** (k / 4)),
+            lam_t=st.integers(-12, 6).map(lambda k: 10.0 ** (k / 4) if k < 6 else 50.0),
+            data=st.data(),
+        )
+        def check(chain, lam, lam_t, data):
+            states = st.integers(0, chain.space.n - 1)
+            x = data.draw(states)
+            target = Subset(data.draw(st.lists(states, min_size=1, max_size=chain.space.n, unique=True)))
+            compare(chain, lam, lam_t, x, target, data.draw(point_or_two_atom_laws(states)))
+
+        check()
+        # and the corners of the box, which so few draws may miss
+        for chain in self.CHAINS:
+            n = chain.space.n
+            for lam in (1e-2, 1e2):
+                for lam_t, nu in ((1e-3, PointMass(0)), (50.0, FiniteSupport(((0, 0.3), (n - 1, 0.7))))):
+                    compare(chain, lam, lam_t, n - 1, Subset([0, 1]), nu)
+        assert branches == {"identity", "quadrature"}
+
+    @pytest.mark.parametrize("lam", [1e-4, 1e-6])
+    def test_small_rate_times_horizon_takes_quadrature(self, three_state_chain, lam, monkeypatch):
+        # at lam*t = 1e-7 and 1e-9 the identity v_G - exp(-lam*t) (v exp(Q*t))_G
+        # subtracts two numbers that agree in all but their last few digits
+        quadrature = []
+        evaluate = restartk.kernels.exp_weighted_integral
+
+        def counting(f, lam, upper, **kw):
+            quadrature.append(upper.tolist())
+            return evaluate(f, lam, upper, **kw)
+
+        monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
+        t, target = 1e-3, Subset([1])
+        _, want = _mp_restarted_mass(three_state_chain, lam, np.eye(3)[0], t, 0, [1])
+        got = three_state_chain.stationary_probability(lam, 0, target, t)
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
+        assert quadrature == [[t]]
+        identity = three_state_chain.stationary_vector(lam, np.eye(3)[0], t)[1]
+        assert abs(identity - want) > 1e-8 * want
 
 
 class _CountingExpm:

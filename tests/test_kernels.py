@@ -27,7 +27,7 @@ from restartk import (
     resolvent,
 )
 
-from conftest import resolvent_matrix, restarted_generator
+from conftest import cancelling_horizons, resolvent_matrix, restarted_generator
 
 
 @pytest.fixture
@@ -292,14 +292,18 @@ class TestArrayOfTimes:
         evaluate = restartk.kernels.exp_weighted_integral
 
         def counting(f, lam, upper, **kw):
-            calls.append(np.shape(upper))
+            calls.append(upper.tolist())
             return evaluate(f, lam, upper, **kw)
 
         monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
         proc, x, target = _array_case("chain", "finite", 1.5)
-        proc.transition_probability(np.array([0.5, 0.0, 1.5, 3.0]), x, target)
-        # the two atoms, each at the three positive times
-        assert calls == [(3,), (3,)]
+        times = [0.5, 0.0, 1.5, 0.05, 3.0]
+        proc.transition_probability(np.array(times), x, target)
+        # the two atoms, each at the horizons where the resolvent identity
+        # would cancel, in the order given: here the short one alone
+        want = [cancelling_horizons(proc.base, 1.5, y, target, times) for y, _ in proc.restart.nu.points]
+        assert want == [[0.05], [0.05]]
+        assert calls == want
 
     def test_times_are_checked_first_and_must_be_one_dimensional(self, restarted_bm):
         with pytest.raises(DomainError, match="time must be nonnegative and finite, got inf"):
