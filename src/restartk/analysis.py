@@ -29,7 +29,6 @@ import numpy as np
 from .errors import DomainError, FubiniUnverified, check_count, check_positive
 from .kernels import Divergent, RestartedProcess, RestartSpec
 from .quadrature import DEFAULT_REL_TOL
-from .spaces import FiniteSet
 
 
 @dataclass
@@ -167,9 +166,11 @@ ERGODICITY_SLACK = 1e-6
 def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
     """Verify |q(G) - P(t, x, G)| <= exp(-lam*t) over the (t, set) matrix.
 
-    Finite chains go through exact matrices; continuous kernels through their
-    masses: closed forms for BM and GBM under a point or finite nu, quadrature
-    otherwise, with ERGODICITY_SLACK absorbing the certified error on both sides.
+    Kernels with a transition matrix go through exact matrices, and their
+    rows also report ``tv``, the total variation distance, against
+    ``tv_bound``; other kernels go through their masses (closed forms for BM
+    and GBM, quadrature otherwise) and leave both None.  ERGODICITY_SLACK
+    absorbs the certified error on both sides.
     """
     if not test_sets:
         raise DomainError("test_sets must not be empty")
@@ -177,34 +178,25 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
         raise DomainError("t_grid must not be empty")
     for g in test_sets:
         proc.space.check_target(g)
-    lam = proc.rate
-    report = ErgodicityReport(x)
-    finite = isinstance(proc.space, FiniteSet)
-    if finite:
+    times = [float(t) for t in t_grid]
+    if proc._has_matrix():
         q = proc.invariant_vector(rel_tol=rel_tol)
         # every grid time's restarted row: the chain's exp(Q*t) in one stacked call
-        rows = proc.transition_matrices(np.asarray(t_grid, dtype=float), rel_tol=rel_tol)[:, proc.space.index(x)]
+        rows = proc.transition_matrices(np.array(times), rel_tol=rel_tol)[:, proc.space.index(x)]
+        q_by_set = [float(sum(q[i] for i in g.indices)) for g in test_sets]
+        masses = [[float(sum(row[i] for i in g.indices)) for g in test_sets] for row in rows]
+        tvs = [0.5 * float(np.abs(q - row).sum()) for row in rows]
     else:
         q_by_set = [proc.invariant_measure(g, rel_tol=rel_tol) for g in test_sets]
-    for k, t in enumerate(t_grid):
-        bound = math.exp(-lam * float(t))
-        tv = tv_bound = None
-        if finite:
-            row_x = rows[k]
-            devs = [
-                abs(float(sum(q[i] for i in g.indices)) - float(sum(row_x[i] for i in g.indices)))
-                for g in test_sets
-            ]
-            tv = 0.5 * float(np.abs(q - row_x).sum())
-            tv_bound = bound
-        else:
-            devs = [
-                abs(qg - proc.transition_probability(float(t), x, g, rel_tol=rel_tol))
-                for qg, g in zip(q_by_set, test_sets)
-            ]
-        sup_dev = max(devs)
+        masses = [[proc.transition_probability(t, x, g, rel_tol=rel_tol) for g in test_sets] for t in times]
+        tvs = [None] * len(times)
+    report = ErgodicityReport(x)
+    for t, mass, tv in zip(times, masses, tvs):
+        bound = math.exp(-proc.rate * t)
+        tv_bound = None if tv is None else bound
+        sup_dev = max(abs(qg - p) for qg, p in zip(q_by_set, mass))
         ok = sup_dev <= bound + ERGODICITY_SLACK and (tv is None or tv <= tv_bound + ERGODICITY_SLACK)
-        report.rows.append(ErgodicityRow(float(t), sup_dev, bound, ok, tv, tv_bound))
+        report.rows.append(ErgodicityRow(t, sup_dev, bound, ok, tv, tv_bound))
         report.passed = report.passed and ok
     return report
 

@@ -27,14 +27,16 @@ gives the invariant law, which the restarted process always has, no matter
 how badly the base process escapes.  ``invariant_density`` checks every
 point first, then asks the base kernel once per atom of a point or finite
 nu for all of them; so does ``transition_probability`` at a 1-D array of
-times.  Two routes stay on the quadrature defaults whatever the base
-kernel: the finite-t law under a density nu, and ``moment`` where the
-kernel has no closed form.  Over one time the sampler draws from the rows of the restarted matrix where the base
-kernel has a matrix, else by that split.  Kernels state the moment formulas
-themselves: ``restarted_moment`` (the restarted k-th moment in closed form,
-a number at every finite t, and at t = inf a :class:`Divergent` where the
-limit does not exist) and ``moment_growth_rate`` (eta_k, the finiteness
-threshold), both None by default.
+times, whose no-restart term is one array call of the base kernel.  A
+density nu asks the base kernel at each of its points inside a quadrature
+over nu.  Over one time the sampler draws from the rows of the restarted
+matrix where the base kernel has a matrix, else by that split.  Kernels
+state the moment formulas themselves: ``restarted_moment`` (the restarted
+k-th moment in closed form, a number at every finite t, and at t = inf a
+:class:`Divergent` where the limit does not exist) and
+``moment_growth_rate`` (eta_k, the finiteness threshold), both None by
+default; where they are None, ``moment`` integrates the base kernel's
+moments by quadrature.
 """
 
 from __future__ import annotations
@@ -293,11 +295,12 @@ class RestartedProcess(MarkovKernel):
         """P~(t, x, target) at a time t (a float), or at each time of a 1-D
         numpy array t (an array, each entry the float call's bit for bit).
 
-        At an array the no-restart term is the base kernel's one time at a
-        time, and under a point or finite nu the restart term is one
-        ``stationary_probability`` call per atom for all the positive
-        times.  A density nu takes the times one by one: its ``expect`` is
-        scipy's quad, whose integrand returns one number.
+        At an array the no-restart term is one ``transition_probabilities``
+        call of the base kernel (on the shipped kernels each entry is the
+        base's float call bit for bit), and under a point or finite nu the
+        restart term is one ``stationary_probability`` call per atom for
+        all the positive times.  A density nu takes the times one by one: its
+        ``expect`` is scipy's quad, whose integrand returns one number.
         """
         # the array rides on this method, not a new one: perfbench's tracer
         # counts kernels.calls on these method names; isinstance, not np.ndim,
@@ -308,10 +311,7 @@ class RestartedProcess(MarkovKernel):
         self.space.check_target(target)
         if hasattr(self.restart.nu, "pdf"):
             return np.array([self._probability_at(s, x, target, rel_tol) for s in t.tolist()])
-        # the base's float call per time: perfbench/test_smoke.py asserts
-        # processes.expm_calls > 0 on kernel-chain3, which counts only
-        # FiniteCTMC.transition_matrix
-        values = np.array([self.base.transition_probability(s, x, target) for s in t.tolist()])
+        values = self.base.transition_probabilities(t, x, target)
         late = t > 0.0
         ages = t[late]
         if len(ages):
@@ -329,10 +329,9 @@ class RestartedProcess(MarkovKernel):
         self.space.check_target(target)
         if t == 0.0:
             return self.base.transition_probability(0.0, x, target)
-        integrals = self._age_integrals()
         return self._compose(
             self.base.transition_probability(t, x, target),
-            lambda y: integrals.stationary_probability(self.base, self.rate, y, target, t, rel_tol=rel_tol),
+            lambda y: self.base.stationary_probability(self.rate, y, target, t, rel_tol=rel_tol),
             t, rel_tol
         )
 
@@ -341,10 +340,9 @@ class RestartedProcess(MarkovKernel):
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         z = float(check_state(self.space, z))
-        integrals = self._age_integrals()
         return self._compose(
             self.base.transition_density(t, x, z),
-            lambda y: integrals.stationary_density(self.base, self.rate, y, z, t, rel_tol=rel_tol),
+            lambda y: self.base.stationary_density(self.rate, y, z, t, rel_tol=rel_tol),
             t, rel_tol
         )
 
@@ -433,17 +431,6 @@ class RestartedProcess(MarkovKernel):
 
     def _invariant_density_at(self, z, rel_tol):
         return self._nu_expect(lambda y: self.base.stationary_density(self.rate, y, z, rel_tol=rel_tol), rel_tol)
-
-    def _age_integrals(self):
-        """The class whose ``stationary_probability``/``stationary_density``
-        integrate the base kernel over the restart age at finite t.
-
-        The base kernel's own, except under a density nu, which keeps the
-        quadrature defaults: the closed forms would fix the two
-        nested-gaussian-* configs of perfbench/defects.py, which
-        perfbench/test_smoke.py requires to miss their tolerance (ROADMAP 2b).
-        """
-        return MarkovKernel if hasattr(self.restart.nu, "pdf") else type(self.base)
 
     def _compose(self, unrestarted, restarted, t, rel_tol):
         """exp(-lam*t) f(t, x) + int nu(dy) restarted(y).

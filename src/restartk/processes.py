@@ -553,15 +553,6 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # for the one-path sampler, per state: its mean holding time (None
-        # where absorbing) and the distribution function of where it jumps,
-        # built as Generator.choice would build it, as lists
-        rates = (-np.diag(Q)).tolist()
-        jumps = Q - np.diag(np.diag(Q))
-        self._scale_list = [1.0 / r if r > 0.0 else None for r in rates]
-        self._jump_cdf_lists = [
-            categorical_cdf(jumps[i] / r).tolist() if r > 0.0 else [1.0] * n for i, r in enumerate(rates)
-        ]
         # exp(Q*t) by the float t, the stack of them at an array of times by
         # the array's bytes, and the number of matrices the two hold
         self._expm_cache = {}
@@ -569,6 +560,7 @@ class FiniteCTMC(MarkovKernel):
         self._held = 0
         self._resolvent_cache = {}
         self._pade = None
+        self._walker = None
 
     def __getstate__(self):
         # keep pickles (ensemble workers) small: the caches are rebuilt on demand
@@ -578,7 +570,21 @@ class FiniteCTMC(MarkovKernel):
         state["_held"] = 0
         state["_resolvent_cache"] = {}
         state["_pade"] = None
+        state["_walker"] = None
         return state
+
+    def _walker_tables(self):
+        """For the one-path sampler, per state: its mean holding time (None
+        where absorbing) and the distribution function of where it jumps,
+        built as Generator.choice would build it, as lists; built on the
+        first ``sample_transition``, since most chains are never walked."""
+        rates = (-np.diag(self.Q)).tolist()
+        jumps = self.Q - np.diag(np.diag(self.Q))
+        self._walker = (
+            [1.0 / r if r > 0.0 else None for r in rates],
+            [categorical_cdf(jumps[i] / r).tolist() if r > 0.0 else [1.0] * len(rates) for i, r in enumerate(rates)],
+        )
+        return self._walker
 
     def _keep(self, cache, key, P):
         """Memoise P in cache: exp(Q*t) at one time, or the stack of them at
@@ -717,12 +723,16 @@ class FiniteCTMC(MarkovKernel):
         return float(sum(row[i] for i in target.indices))
 
     def transition_probabilities(self, t, x, target):
+        # the target's columns added in turn to 0, as the float form adds
+        # them: numpy's sum of 9 or more entries of one row goes by unrolled
+        # blocks, and its last bit can differ
         self._space.check_target(target)
-        return self.transition_matrices(t)[:, self._space.index(x), list(target.indices)].sum(axis=1)
+        rows = self.transition_matrices(t)[:, self._space.index(x)]
+        return sum((rows[:, i] for i in target.indices), np.zeros(len(rows)))
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
-        scales, cdfs = self._scale_list, self._jump_cdf_lists
+        scales, cdfs = self._walker or self._walker_tables()
         state = int(x) if 0 <= x < len(cdfs) else math.nan  # int() of NaN or inf would raise
         if state != x:
             self._space.index(x)  # raises: x names no state (inline test: one per walker event)

@@ -366,6 +366,27 @@ class TestErgodicity:
         assert rep.passed
         assert all(r.tv is None for r in rep.rows)
 
+    def test_finite_space_without_a_matrix(self, three_state_chain):
+        # a chain seen through its masses only: no tv, and the deviations the
+        # matrix route finds
+        class MassesOnly(MarkovKernel):
+            space = three_state_chain.space
+
+            def transition_probability(self, t, x, target):
+                return three_state_chain.transition_probability(t, x, target)
+
+            def sample_transition(self, t, x, rng):
+                return three_state_chain.sample_transition(t, x, rng)
+
+        nu = FiniteSupport(((0, 0.4), (1, 0.6)))
+        sets = [Subset([0]), Subset([1, 2])]
+        rep = ergodicity_check(RestartedProcess(MassesOnly(), RestartSpec(2.0, nu)), 0, (0.3, 1.0), sets)
+        want = ergodicity_check(RestartedProcess(three_state_chain, RestartSpec(2.0, nu)), 0, (0.3, 1.0), sets)
+        assert rep.passed
+        for row, exact in zip(rep.rows, want.rows):
+            assert row.tv is None and row.tv_bound is None
+            assert abs(row.sup_deviation - exact.sup_deviation) <= 1e-8
+
     def test_table(self, three_state_chain):
         proc = RestartedProcess(three_state_chain, RestartSpec(1.0, PointMass(0)))
         rep = ergodicity_check(proc, 0, (1.0,), [Subset([0])])

@@ -420,16 +420,35 @@ class TestFiniteHorizonClosedForm:
         with pytest.raises(DomainError, match="horizon"):
             bm.stationary_probability(2.0, 0.1, g, math.nan)
 
-    def test_density_nu_keeps_the_nested_quadrature(self, monkeypatch):
-        # the closed forms are not asked for under a density nu
-        def refuse(*args, **kwargs):
-            raise AssertionError("closed form called")
+    def test_density_nu_takes_the_closed_forms(self, monkeypatch):
+        # under a density nu each nu-point takes the closed form, as an atom
+        # does: no quadrature over the restart age
+        bm = BrownianWithDrift(0.2, 0.9)
+        restart = RestartSpec(1.5, gaussian(0.1, 0.3))
+        oracle = RestartedProcess(_QuadratureOnly(bm), restart)
+        target = Interval(-0.5, 0.5)
+        want = (oracle.transition_probability(0.7, 0.0, target, rel_tol=1e-11),
+                oracle.transition_density(0.7, 0.0, 0.2, rel_tol=1e-11))
 
-        monkeypatch.setattr(BrownianWithDrift, "stationary_probability", refuse)
-        monkeypatch.setattr(BrownianWithDrift, "stationary_density", refuse)
-        proc = RestartedProcess(BrownianWithDrift(0.2, 0.9), RestartSpec(1.5, gaussian(0.1, 0.3)))
-        assert 0.0 < proc.transition_probability(0.7, 0.0, Interval(-0.5, 0.5)) < 1.0
-        assert proc.transition_density(0.7, 0.0, 0.2) > 0.0
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature over the restart age")
+
+        monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", refuse)
+        monkeypatch.setattr(restartk.kernels, "_exp_weighted_integrals", refuse)
+        proc = RestartedProcess(bm, restart)
+        got = (proc.transition_probability(0.7, 0.0, target), proc.transition_density(0.7, 0.0, 0.2))
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-9 * w, (g, w)
+
+    def test_density_nu_sees_a_drift_dominated_peak(self):
+        # a time integrand whose peak the restart-age quadrature stepped over,
+        # returning 0.0: each nu-point's closed form sees it, and a narrow nu
+        # around 0 gives about the point law's value there
+        bm = BrownianWithDrift(1.158, 1.77e-3)
+        got = RestartedProcess(bm, RestartSpec(2.28e-4, gaussian(0.0, 0.01))).transition_density(403.0, 0.0, 107.7)
+        want = RestartedProcess(bm, RestartSpec(2.28e-4, PointMass(0.0))).transition_density(403.0, 0.0, 107.7)
+        assert abs(want - 1.9276003e-4) <= 1e-7 * want
+        assert abs(got - want) <= 1e-9 * want, (got, want)
 
 
 def _twelve_state_chain():

@@ -27,7 +27,7 @@ from restartk import (
     resolvent,
 )
 
-from conftest import cancelling_horizons, resolvent_matrix, restarted_generator
+from conftest import cancelling_horizons, random_generator, resolvent_matrix, restarted_generator
 
 
 @pytest.fixture
@@ -231,6 +231,13 @@ _ARRAY_CASES = {
         Subset([0, 2]),
         (PointMass(2), ((0, 0.5), (2, 0.5))),
     ),
+    # a target of more states than numpy's unrolled sum adds one by one
+    "chain12": (
+        lambda: FiniteCTMC(random_generator(np.random.default_rng(12), 12)),
+        4,
+        Subset([0, 1, 2, 3, 5, 6, 8, 9, 10, 11]),
+        (PointMass(7), ((3, 0.4), (10, 0.6))),
+    ),
 }
 
 
@@ -248,7 +255,7 @@ class TestArrayOfTimes:
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
-        case=st.sampled_from([(k, n) for k in ("bm", "gbm", "chain") for n in ("point", "finite")]),
+        case=st.sampled_from([(k, n) for k in _ARRAY_CASES for n in ("point", "finite")]),
         rate=st.floats(0.2, 5.0),
         times=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 6.0)), min_size=1, max_size=6),
         repeat=st.integers(0, 5),
@@ -270,6 +277,13 @@ class TestArrayOfTimes:
         t = np.array([0.526966861807677, 0.17570410441558304, 0.12920066570461253, 0.26680692073881596])
         want = [proc.transition_probability(s, x, target) for s in t.tolist()]
         assert proc.transition_probability(t, x, target).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("kind", list(_ARRAY_CASES))
+    def test_one_time_is_the_float_call(self, kind):
+        proc, x, target = _array_case(kind, "point", 0.7)
+        for s in (0.0, 0.013, 0.4, 2.5):
+            want = np.array([proc.transition_probability(s, x, target)])
+            assert proc.transition_probability(np.array([s]), x, target).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["bm", "gbm"])
     def test_density_law_takes_the_times_one_by_one(self, kind):
