@@ -227,10 +227,11 @@ def small_lambda_sweep(kernel, nu, target_sets, lambda_grid, rel_tol=DEFAULT_REL
     """Invariant masses along a decreasing grid of restart rates.
 
     When the base kernel knows its own stationary law (a finite chain), the
-    report carries the l1 distance of the invariant vector to it and a
-    fitted convergence order in lam.  For diffusions with no stationary law
-    of their own the masses are reported as they are -- typically draining
-    to zero on bounded windows -- and no limit is asserted.
+    report carries the l1 distance of the invariant vector to it and, over
+    two or more rates, a fitted convergence order in lam.  For diffusions
+    with no stationary law of their own the masses are reported as they are
+    -- typically draining to zero on bounded windows -- and no limit is
+    asserted.
     """
     lams = [check_positive("lambda_grid entry", l) for l in lambda_grid]
     if not lams:
@@ -245,6 +246,6 @@ def small_lambda_sweep(kernel, nu, target_sets, lambda_grid, rel_tol=DEFAULT_REL
         dev = None if pi is None else float(np.abs(proc.invariant_vector(rel_tol=rel_tol) - pi).sum())
         rows.append(SweepRow(lam, masses, dev))
     order = None
-    if pi is not None and all(r.l1_deviation > 0.0 for r in rows):
+    if pi is not None and len(rows) > 1 and all(r.l1_deviation > 0.0 for r in rows):
         order = float(np.polyfit(np.log(lams), np.log([r.l1_deviation for r in rows]), 1)[0])
     return SweepReport(rows, comparison=pi, fitted_order=order)

@@ -9,10 +9,13 @@ its last restart, at most one redraw from nu and one exact base transition.
 An ensemble is the (paths, grid times) array of the states on the grid
 (state indices on finite spaces).
 
-The event log (``write_path_csv``) walks one path event by event instead,
-in one loop that writes each row as it reaches the event: restart times are
-drawn from the exponential clock, and the base kernel is sampled over each
-inter-event interval, with each grid time and restart atom formatted once.
+The event log (``write_path_csv``) walks one path event by event instead:
+restart times are drawn from the exponential clock, and the base kernel is
+sampled over each inter-event interval.  Each row it reaches is a %-template
+fragment from tables made once per log, with the grid time, a chain's label
+or a restart atom already in its text; the path id, the restart time and any
+other state are kept as values, and one % over a block's fragments formats
+them all, so the numbers are formatted in C and each block is one write.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
@@ -266,9 +269,12 @@ def write_path_csv(proc, config, out):
 def _write_paths(proc, config, fh):
     # the restarts after the last grid time are walked too, so every path uses
     # up the same draws; the grid and the restarts each end at infinity, whose
-    # pass ends the path.  Texts made once: each grid time, a chain's labels,
-    # the atoms of a finite restart law (not 0, whose key would also take
-    # -0.0); format(x, ".17g") of any other state
+    # pass ends the path.  Each row is a %-template fragment from tables made
+    # once per log: each grid time, a chain's labels and the atoms of a finite
+    # restart law (not 0, whose key would also take -0.0) are written into
+    # the fragments (formatted numbers hold no %); the path id, each restart
+    # time and any other state fill %d and %.17g slots, one % over a block's
+    # fragments fills them all
     start = config.initial.sample
     step = proc.base.sample_transition
     redraw = proc.restart.nu.sample
@@ -276,19 +282,26 @@ def _write_paths(proc, config, fh):
     scale = 1.0 / proc.rate
     chunk = _first_chunk(proc.rate, horizon)
     stops = config.record_grid + (math.inf,)
-    grid_text = [format(g, ".17g") for g in config.record_grid]
     if isinstance(proc.space, FiniteSet):
         state_text = {i: format(v, ".17g") for i, v in enumerate(proc.space.values)}
     else:
         state_text = {x: format(x, ".17g") for x in proc.restart.nu.atoms if x}
-    text = state_text.get
+
+    def fragments(time, kind):
+        # (the row with a %.17g state slot, the rows of the known states)
+        known = {x: f"%d,{time},{text},{kind}\n" for x, text in state_text.items()}
+        return f"%d,{time},%.17g,{kind}\n", known.get
+
+    grid_rows = [fragments(format(g, ".17g"), "grid") for g in config.record_grid]
+    restart_row, restart_known = fragments("%.17g", "restart")
     fh.write("path_id,time,state,event_type\n")
     for block, lo in enumerate(range(0, config.n_paths, BLOCK)):
         rng = block_rng(config.seed, block)
         rows = []
         row = rows.append
+        values = []
+        value = values.append
         for i in range(lo, min(lo + BLOCK, config.n_paths)):
-            path = f"{i},"
             state = start(rng)
             restarts = _restart_times(rng, scale, horizon, chunk)
             restarts.append(math.inf)
@@ -300,7 +313,13 @@ def _write_paths(proc, config, fh):
                     if g > now:
                         state = step(g - now, state, rng)
                         now = g
-                    row(f"{path}{grid_text[j]},{text(state) or format(state, '.17g')},grid\n")
+                    free, known = grid_rows[j]
+                    value(i)
+                    fragment = known(state)
+                    if fragment is None:
+                        fragment = free
+                        value(state)
+                    row(fragment)
                     j += 1
                 if r == math.inf:
                     break
@@ -308,5 +327,11 @@ def _write_paths(proc, config, fh):
                     state = step(r - now, state, rng)
                 state = redraw(rng)
                 now = r
-                row(f"{path}{r:.17g},{text(state) or format(state, '.17g')},restart\n")
-        fh.write("".join(rows))
+                value(i)
+                value(r)
+                fragment = restart_known(state)
+                if fragment is None:
+                    fragment = restart_row
+                    value(state)
+                row(fragment)
+        fh.write("".join(rows) % tuple(values))

@@ -419,6 +419,12 @@ class TestSmallLambdaSweep:
         assert 0.8 < rep.fitted_order < 1.2
         assert np.abs(rep.comparison @ chain.Q).max() < 1e-12
 
+    def test_single_rate_reports_no_order(self, three_state_chain):
+        # one point fixes no slope: np.polyfit would raise LinAlgError
+        rep = small_lambda_sweep(three_state_chain, PointMass(2), [Subset([0])], (1.0,))
+        assert rep.fitted_order is None
+        assert len(rep.rows) == 1 and rep.rows[0].l1_deviation > 0.0
+
     def test_diffusion_masses_reported_without_comparison(self):
         kernel = BrownianWithDrift(mu=0.0, sigma=1.0)
         rep = small_lambda_sweep(kernel, PointMass(0.0), [Interval(-1.0, 1.0)], (1.0, 0.5))

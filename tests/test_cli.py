@@ -391,6 +391,17 @@ class TestSweep:
         assert payload["comparison"] == [0.5, 0.5]
         assert payload["fitted_order"] is not None
 
+    def test_single_rate_reports_no_fitted_order(self, tmp_path):
+        # [1, 1] is one rate once deduplicated
+        process = {"type": "ctmc", "Q": [[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]]}
+        restart = {"rate": 1.0, "nu": {"type": "point", "x": 2}}
+        task = {"name": "sweep-lambda", "lambdas": [1, 1], "targets": [[0]]}
+        path, out = write_config(tmp_path, task, process=process, restart=restart)
+        assert run_cli(path) == 0
+        payload = json.loads(open(out).read())
+        assert [row[0] for row in payload["rows"]] == [1.0]
+        assert payload["comparison"] is not None and payload["fitted_order"] is None
+
     def test_file_and_inline_conflict(self, tmp_path, capsys):
         chain_file = tmp_path / "chain.json"
         chain_file.write_text(json.dumps({"Q": [[-1.0, 1.0], [1.0, -1.0]]}))

@@ -30,7 +30,9 @@ from restartk import (
     PointMass,
     RestartSpec,
     RestartedProcess,
+    exponential,
     gaussian,
+    lognormal,
     monte_carlo_moment,
     run_ensemble,
     write_path_csv,
@@ -310,7 +312,14 @@ WALKS = st.one_of(
         st.floats(-2.0, 2.0),
         st.just(gaussian(0.3, 0.8)),
     ),
-    _with_laws(st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.1, 1.0)), st.floats(0.2, 5.0)),
+    _with_laws(
+        st.builds(GeometricBrownian, st.floats(-0.5, 0.5), st.floats(0.1, 1.0)),
+        st.floats(0.2, 5.0),
+        st.one_of(
+            st.builds(exponential, st.floats(0.5, 3.0)),
+            st.builds(lognormal, st.floats(-0.5, 0.5), st.floats(0.1, 1.0)),
+        ),
+    ),
     _with_laws(st.sampled_from([make_three_state_chain(), ABSORBING_CHAIN]), st.integers(0, 2)),
 )
 
@@ -318,7 +327,7 @@ WALKS = st.one_of(
 class TestFrozenWalker:
     """The event log writes the bytes of the frozen walker, draw for draw."""
 
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(
         WALKS,
         st.floats(0.1, 5.0),
