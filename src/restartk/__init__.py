@@ -37,7 +37,7 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedTarget,
 )
-from .kernels import Divergent, MarkovKernel, RestartedProcess, RestartSpec, resolvent
+from .kernels import Divergent, MarkovKernel, RestartedProcess, RestartSpec
 from .processes import (
     BrownianWithDrift,
     FiniteCTMC,
@@ -104,7 +104,6 @@ __all__ = [
     "modified_moment",
     "monte_carlo_moment",
     "nu_weights",
-    "resolvent",
     "run_ensemble",
     "small_lambda_sweep",
     "tail_truncation_point",

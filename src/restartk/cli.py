@@ -200,8 +200,8 @@ class _CheckedOnce:
     than the Draft7Validator.  Only a rejected config goes to the
     Draft7Validator, whose errors make the message, so every message is
     jsonschema's; jsonschema also stays the oracle the tests hold _conforms
-    to.  It is still imported at start-up because the benchmark's tracer
-    (perfbench/tracing.py) times validation by wrapping jsonschema.validate.
+    to.  It is imported at start-up: every ``run`` validates its config
+    before any other work, so importing it later would only move the cost.
     """
 
     validator = None

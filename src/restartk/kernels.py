@@ -228,7 +228,7 @@ class MarkovKernel(abc.ABC):
         return np.array([
             P_s if s == 0.0 else math.exp(-lam * s) * P_s + self.stationary_vector(lam, w, s, rel_tol=rel_tol)
             for s, P_s in zip(t.tolist(), P)
-        ])
+        ]).reshape(P.shape)
 
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
@@ -309,7 +309,7 @@ class RestartedProcess(MarkovKernel):
             return self._probability_at(check_nonnegative("time", t), x, target, rel_tol)
         t = check_one_dimensional("times", check_times(t))
         self.space.check_target(target)
-        if hasattr(self.restart.nu, "pdf"):
+        if not self.restart.nu.atoms:
             return np.array([self._probability_at(s, x, target, rel_tol) for s in t.tolist()])
         values = self.base.transition_probabilities(t, x, target)
         late = t > 0.0
@@ -416,7 +416,7 @@ class RestartedProcess(MarkovKernel):
         """
         states = np.atleast_1d(z).tolist() if isinstance(z, np.ndarray) else [z]
         points = np.array([check_state(self.space, p) for p in states], dtype=float)
-        if hasattr(self.restart.nu, "pdf"):
+        if not self.restart.nu.atoms:
             density = np.array([self._invariant_density_at(p, rel_tol) for p in points.tolist()])
         else:
             density = self._invariant_density_at(points, rel_tol)
@@ -448,18 +448,3 @@ class RestartedProcess(MarkovKernel):
         # tighter than 1e-10; point and finite laws sum exactly
         return self.restart.nu.expect(inner, rel_tol=max(rel_tol, 1e-10))
 
-
-def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):
-    """R_lam(y, target) = int_0^inf exp(-lam*s) P(s, y, target) ds.
-
-    The invariant law of the restarted process is lam times the nu-average
-    of this resolvent.  This is the quadrature definition, whatever the
-    kernel: it never takes the kernel's exact ``stationary_probability``,
-    so the tests keep it as the independent oracle for those routes.
-    """
-    lam = check_positive("restart rate", lam)
-    kernel.space.check_target(target)
-    weighted = exp_weighted_integral(
-        lambda s: kernel.transition_probabilities(s, y, target), lam, math.inf, rel_tol=rel_tol
-    ).value
-    return weighted / lam

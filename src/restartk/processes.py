@@ -562,16 +562,10 @@ class FiniteCTMC(MarkovKernel):
         self._pade = None
         self._walker = None
 
-    def __getstate__(self):
-        # keep pickles (ensemble workers) small: the caches are rebuilt on demand
-        state = self.__dict__.copy()
-        state["_expm_cache"] = {}
-        state["_rounds"] = {}
-        state["_held"] = 0
-        state["_resolvent_cache"] = {}
-        state["_pade"] = None
-        state["_walker"] = None
-        return state
+    def __reduce__(self):
+        # a pickle (an ensemble worker's) is the generator and the labels:
+        # every memo and table is rebuilt on demand
+        return type(self), (self.Q, self.values)
 
     def _walker_tables(self):
         """For the one-path sampler, per state: its mean holding time (None
@@ -647,7 +641,7 @@ class FiniteCTMC(MarkovKernel):
             for s, P in zip(chunk, self._expm(np.array(chunk))):
                 found[s] = P
                 self._keep(cache, s, P.copy())
-        return np.array([found[s] for s in times])
+        return np.array([found[s] for s in times]).reshape(len(times), *self.Q.shape)
 
     def _pade_terms(self):
         """||Q||_1; b_i * Qh^i for i = 0..13, Qh = Q/||Q||_1, shaped

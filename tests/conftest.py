@@ -7,7 +7,9 @@ import pytest
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from restartk import FiniteCTMC, FiniteSupport, PointMass
+from restartk import FiniteCTMC, FiniteSupport, PointMass, exp_weighted_integral
+from restartk.errors import check_positive
+from restartk.quadrature import DEFAULT_REL_TOL
 from restartk.simulation import _first_chunk, _restart_times
 
 
@@ -23,6 +25,22 @@ def random_generator(rng, n, scale=1.0):
     np.fill_diagonal(Q, 0.0)
     np.fill_diagonal(Q, -Q.sum(axis=1))
     return Q
+
+
+def resolvent(kernel, lam, y, target, rel_tol=DEFAULT_REL_TOL):
+    """R_lam(y, target) = int_0^inf exp(-lam*s) P(s, y, target) ds.
+
+    The invariant law of the restarted process is lam times the nu-average
+    of this resolvent.  This is the quadrature definition, whatever the
+    kernel: it never takes the kernel's exact ``stationary_probability``,
+    so it is the independent oracle for those routes.
+    """
+    lam = check_positive("restart rate", lam)
+    kernel.space.check_target(target)
+    weighted = exp_weighted_integral(
+        lambda s: kernel.transition_probabilities(s, y, target), lam, math.inf, rel_tol=rel_tol
+    ).value
+    return weighted / lam
 
 
 def resolvent_matrix(chain, lam):

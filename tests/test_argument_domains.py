@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_three_state_chain
+from conftest import make_three_state_chain, resolvent
 
 from restartk import (
     BrownianWithDrift,
@@ -35,7 +35,6 @@ from restartk import (
     lognormal,
     modified_moment,
     nu_weights,
-    resolvent,
     small_lambda_sweep,
     tail_truncation_point,
 )

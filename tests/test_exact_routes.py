@@ -1,7 +1,7 @@
 """Exact invariant-law routes, each against an independent oracle.
 
 The diffusions' closed-form Laplace masses are checked against the
-quadrature definition ``kernels.resolvent``, their finite-t restarted
+quadrature definition ``conftest.resolvent``, their finite-t restarted
 kernels against the quadrature defaults and against mpmath, the chains'
 linear solves against the exponential of the restarted generator, at long
 and at finite times.  Also here:
@@ -32,7 +32,6 @@ from restartk import (
     Subset,
     gaussian,
     lognormal,
-    resolvent,
 )
 from restartk.errors import DomainError, ToleranceNotMet
 from restartk.kernels import MarkovKernel
@@ -43,6 +42,7 @@ from conftest import (
     point_or_two_atom_laws,
     random_generator,
     random_restart_weights,
+    resolvent,
     restarted_generator,
 )
 
@@ -644,13 +644,27 @@ class TestExpmMemo:
         assert np.array_equal(three_state_chain.transition_matrix(0.7), want)
 
     def test_pickle_carries_no_cache(self, three_state_chain):
-        empty = len(pickle.dumps(three_state_chain))
-        for t in np.linspace(0.1, 5.0, 50):
-            three_state_chain.transition_matrix(t)
-        blob = pickle.dumps(three_state_chain)
+        empty = len(pickle.dumps(make_three_state_chain()))
+        chain, times, w = three_state_chain, np.linspace(0.1, 5.0, 50), [0.2, 0.5, 0.3]
+        # every memo and table: by time, by array of times (met twice), the
+        # resolvent by rate, the walker's tables and the Pade terms
+        for t in times:
+            chain.transition_matrix(t)
+        for _ in range(2):
+            chain.transition_matrices(times[::-1])
+        chain.stationary_vector(1.5, w)
+        chain.sample_transition(0.7, 1, np.random.default_rng(3))
+        chain._pade_terms()
+        blob = pickle.dumps(chain)
         assert len(blob) == empty
         clone = pickle.loads(blob)
-        assert np.array_equal(clone.transition_matrix(1.3), three_state_chain.transition_matrix(1.3))
+
+        def outputs(c):
+            rng = np.random.default_rng(5)
+            draws = np.array([c.sample_transition(2.0, 0, rng) for _ in range(20)])
+            return [c.transition_matrix(1.3), c.transition_matrices(times), c.stationary_vector(1.5, w), draws]
+
+        assert [a.tobytes() for a in outputs(clone)] == [a.tobytes() for a in outputs(chain)]
 
     def test_repeated_probability_makes_no_new_expm(self, three_state_chain, monkeypatch):
         counting = _CountingExpm(monkeypatch)

@@ -24,10 +24,9 @@ from restartk import (
     UnsupportedTarget,
     exponential,
     gaussian,
-    resolvent,
 )
 
-from conftest import cancelling_horizons, random_generator, resolvent_matrix, restarted_generator
+from conftest import cancelling_horizons, random_generator, resolvent, resolvent_matrix, restarted_generator
 
 
 @pytest.fixture
@@ -284,6 +283,16 @@ class TestArrayOfTimes:
         for s in (0.0, 0.013, 0.4, 2.5):
             want = np.array([proc.transition_probability(s, x, target)])
             assert proc.transition_probability(np.array([s]), x, target).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind", list(_ARRAY_CASES))
+    def test_empty_array_gives_empty_results(self, kind):
+        proc, x, target = _array_case(kind, "point", 0.7)
+        t = np.array([])
+        assert proc.transition_probability(t, x, target).shape == (0,)
+        if proc._has_matrix():
+            n = proc.space.n
+            assert proc.base.transition_matrices(t).shape == (0, n, n)
+            assert proc.transition_matrices(t).shape == (0, n, n)
 
     @pytest.mark.parametrize("kind", ["bm", "gbm"])
     def test_density_law_takes_the_times_one_by_one(self, kind):
