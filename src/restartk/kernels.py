@@ -24,13 +24,14 @@ of horizons as well; its default is one quadrature call to all of them.
 them as one lockstep batch, which calls ``transition_densities`` once per
 round with the points aligned with the times.  Letting the horizon grow
 gives the invariant law, which the restarted process always has, no matter
-how badly the base process escapes.  ``invariant_density`` checks every
-point first, then asks the base kernel once per atom of a point or finite
-nu for all of them; so does ``transition_probability`` at a 1-D array of
-times, whose no-restart term is one array call of the base kernel.  A
-density nu asks the base kernel at each of its points inside a quadrature
-over nu.  Over one time the sampler draws from the rows of the restarted
-matrix where the base kernel has a matrix, else by that split.  Kernels
+how badly the base process escapes.  :class:`RestartedProcess` is the one
+place that composes the split (``_compose``), for every quantity, transition
+matrices included, at a time or at a 1-D array of times.  Its nu-average
+asks the base kernel once per atom of a point or finite nu for all the times
+or points; a density nu asks it at each of its points inside a quadrature
+over nu, one time or point at a time.  Over one time the sampler draws from
+the rows of the restarted matrix where the base kernel has a matrix, else by
+that split.  Kernels
 state the moment formulas themselves: ``restarted_moment`` (the restarted
 k-th moment in closed form, a number at every finite t, and at t = inf a
 :class:`Divergent` where the limit does not exist) and
@@ -44,6 +45,7 @@ from __future__ import annotations
 import abc
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -219,17 +221,6 @@ class MarkovKernel(abc.ABC):
         w = _weight_vector(self.space, w)
         return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
 
-    def _restarted_matrices(self, restart, t, rel_tol=DEFAULT_REL_TOL):
-        # P(s) under the restarts at each time s of the 1-D array t, which add
-        # one row whatever the start state; the base matrices in one stacked call
-        P = self.transition_matrices(t)
-        w = nu_weights(restart.nu, self.space)
-        lam = restart.rate
-        return np.array([
-            P_s if s == 0.0 else math.exp(-lam * s) * P_s + self.stationary_vector(lam, w, s, rel_tol=rel_tol)
-            for s, P_s in zip(t.tolist(), P)
-        ]).reshape(P.shape)
-
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
         return None
@@ -299,59 +290,43 @@ class RestartedProcess(MarkovKernel):
         call of the base kernel (on the shipped kernels each entry is the
         base's float call bit for bit), and under a point or finite nu the
         restart term is one ``stationary_probability`` call per atom for
-        all the positive times.  A density nu takes the times one by one: its
-        ``expect`` is scipy's quad, whose integrand returns one number.
+        all the positive times.
         """
         # the array rides on this method, not a new one: perfbench's tracer
         # counts kernels.calls on these method names; isinstance, not np.ndim,
         # keeps the float call as cheap as it was
-        if not isinstance(t, np.ndarray):
-            return self._probability_at(check_nonnegative("time", t), x, target, rel_tol)
-        t = check_one_dimensional("times", check_times(t))
+        array = isinstance(t, np.ndarray)
+        t = check_one_dimensional("times", check_times(t)) if array else check_nonnegative("time", t)
         self.space.check_target(target)
-        if not self.restart.nu.atoms:
-            return np.array([self._probability_at(s, x, target, rel_tol) for s in t.tolist()])
-        values = self.base.transition_probabilities(t, x, target)
-        late = t > 0.0
-        ages = t[late]
-        if len(ages):
-            # math.exp per time, as the float call takes it: numpy's exp
-            # differs from it in the last bit on some inputs
-            kept = np.array([math.exp(-self.rate * s) for s in ages.tolist()])
-            restarted = self._nu_expect(
-                lambda y: self.base.stationary_probability(self.rate, y, target, ages, rel_tol=rel_tol), rel_tol
-            )
-            values[late] = kept * values[late] + restarted
-        return values
-
-    def _probability_at(self, t, x, target, rel_tol):
-        # the law at one checked time t
-        self.space.check_target(target)
-        if t == 0.0:
-            return self.base.transition_probability(0.0, x, target)
-        return self._compose(
-            self.base.transition_probability(t, x, target),
-            lambda y: self.base.stationary_probability(self.rate, y, target, t, rel_tol=rel_tol),
-            t, rel_tol
-        )
+        unrestarted = (self.base.transition_probabilities if array else self.base.transition_probability)(t, x, target)
+        return self._compose(unrestarted, partial(
+            self._nu_expect, lambda y, s: self.base.stationary_probability(self.rate, y, target, s, rel_tol=rel_tol),
+            rel_tol
+        ), t)
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
         t = check_nonnegative("time", t)
         if t == 0.0:
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         z = float(check_state(self.space, z))
-        return self._compose(
-            self.base.transition_density(t, x, z),
-            lambda y: self.base.stationary_density(self.rate, y, z, t, rel_tol=rel_tol),
-            t, rel_tol
-        )
+        return self._compose(self.base.transition_density(t, x, z), partial(
+            self._nu_expect, lambda y, s: self.base.stationary_density(self.rate, y, z, s, rel_tol=rel_tol), rel_tol
+        ), t)
 
     def transition_matrix(self, t, rel_tol=DEFAULT_REL_TOL):
-        t = check_nonnegative("time", t)
-        return self.base._restarted_matrices(self.restart, np.array([t]), rel_tol)[0]
+        return self.transition_matrices(np.array([check_nonnegative("time", t)]), rel_tol)[0]
 
     def transition_matrices(self, t, rel_tol=DEFAULT_REL_TOL):
-        return self.base._restarted_matrices(self.restart, check_times(t), rel_tol)
+        """P~(s) at each time s of the 1-D array t, stacked: the base
+        matrices in one call, and at each positive time the row that the
+        restarts add whatever the start, the base's ``stationary_vector``
+        from nu's weights."""
+        t = check_times(t)
+        P = self.base.transition_matrices(t)
+        w = nu_weights(self.restart.nu, self.space)
+        return self._compose(P, lambda ages: np.array([
+            self.base.stationary_vector(self.rate, w, s, rel_tol=rel_tol) for s in ages.tolist()
+        ])[:, None], t)
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
@@ -387,15 +362,11 @@ class RestartedProcess(MarkovKernel):
         k = check_count("moment order k", k, least=0)
         t = check_nonnegative("time", t)
         unrestarted = self.base.moment(k, t, x)
-        if unrestarted is None or t == 0.0:
-            return unrestarted
-        return self._compose(
-            unrestarted,
-            lambda y: exp_weighted_integral(
-                lambda s: self.base.moments(k, s, y), self.rate, t, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
-            ).value,
-            t, rel_tol
-        )
+        if unrestarted is None:
+            return None
+        return self._compose(unrestarted, partial(self._nu_expect, lambda y, s: exp_weighted_integral(
+            lambda u: self.base.moments(k, u, y), self.rate, s, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
+        ).value, rel_tol), t)
 
     # -- stationary law --------------------------------------------------
 
@@ -403,23 +374,21 @@ class RestartedProcess(MarkovKernel):
         """Mass the unique invariant law puts on the target set."""
         self.space.check_target(target)
         return self._nu_expect(
-            lambda y: self.base.stationary_probability(self.rate, y, target, rel_tol=rel_tol), rel_tol
+            lambda y, t: self.base.stationary_probability(self.rate, y, target, t, rel_tol=rel_tol), rel_tol, math.inf
         )
 
     def invariant_density(self, z, rel_tol=DEFAULT_REL_TOL):
         """Density of the invariant law at a state z (a float), or at each
         state of a 1-D numpy array z (an array), for kernels with densities.
 
-        Every point is checked before any integral.  Under a point or finite
-        nu the base kernel takes all the points in one call per atom; a
-        density nu integrates each point's density over nu.
+        Every point is checked before any integral; then one ``_nu_expect``
+        asks the base kernel's ``stationary_density`` for all of them.
         """
         states = np.atleast_1d(z).tolist() if isinstance(z, np.ndarray) else [z]
         points = np.array([check_state(self.space, p) for p in states], dtype=float)
-        if not self.restart.nu.atoms:
-            density = np.array([self._invariant_density_at(p, rel_tol) for p in points.tolist()])
-        else:
-            density = self._invariant_density_at(points, rel_tol)
+        density = self._nu_expect(
+            lambda y, p: self.base.stationary_density(self.rate, y, p, rel_tol=rel_tol), rel_tol, points
+        )
         return float(density[0]) if np.ndim(z) == 0 else density
 
     def invariant_vector(self, rel_tol=DEFAULT_REL_TOL):
@@ -429,22 +398,39 @@ class RestartedProcess(MarkovKernel):
 
     # -- helpers ---------------------------------------------------------
 
-    def _invariant_density_at(self, z, rel_tol):
-        return self._nu_expect(lambda y: self.base.stationary_density(self.rate, y, z, rel_tol=rel_tol), rel_tol)
+    def _compose(self, unrestarted, restarted, t):
+        """exp(-lam*t) f(t, x) + restarted(t), the one place the split of the
+        restarted law over the age of the restart clock is composed.
 
-    def _compose(self, unrestarted, restarted, t, rel_tol):
-        """exp(-lam*t) f(t, x) + int nu(dy) restarted(y).
-
-        The split of the restarted law over the age of the restart clock,
-        applied to any base quantity f(s, y) of the time and start state;
-        ``unrestarted`` is its value f(t, x) without a restart, and
-        restarted(y) = int_0^t lam exp(-lam*s) f(s, y) ds its share from a
-        restart to y.
+        f(s, y) is any base quantity of the time and start state: a
+        probability, a density, a moment or a transition matrix.
+        ``unrestarted`` is f(t, x), its value without a restart, and
+        restarted(s) = int nu(dy) lam int_0^s exp(-lam*u) f(u, y) du its
+        share from the restarts.  t is a float, or a 1-D array with f
+        stacked along the leading axis; a zero time keeps f, and restarted
+        is asked once, for all the positive times.
         """
-        return math.exp(-self.rate * t) * unrestarted + self._nu_expect(restarted, rel_tol)
+        if not isinstance(t, np.ndarray):
+            return unrestarted if t == 0.0 else math.exp(-self.rate * t) * unrestarted + restarted(t)
+        late = t > 0.0
+        ages = t[late]
+        if len(ages):
+            # math.exp per time, as a float time takes it: numpy's exp
+            # differs from it in the last bit on some inputs
+            kept = np.array([math.exp(-self.rate * s) for s in ages.tolist()])
+            kept = kept.reshape(-1, *(1,) * (unrestarted.ndim - 1))
+            unrestarted[late] = kept * unrestarted[late] + restarted(ages)
+        return unrestarted
 
-    def _nu_expect(self, inner, rel_tol):
-        # a density nu integrates the inner time integral once more, never
-        # tighter than 1e-10; point and finite laws sum exactly
-        return self.restart.nu.expect(inner, rel_tol=max(rel_tol, 1e-10))
+    def _nu_expect(self, inner, rel_tol, at):
+        """int nu(dy) inner(y, at), at a float or a 1-D array at.
 
+        Point and finite laws sum exactly, one call for all of at.  A
+        density nu integrates once more, never tighter than 1e-10, and an
+        array one element at a time: its ``expect`` is scipy's quad, whose
+        integrand returns one number.
+        """
+        nu, rel_tol = self.restart.nu, max(rel_tol, 1e-10)
+        if nu.atoms or not isinstance(at, np.ndarray):
+            return nu.expect(lambda y: inner(y, at), rel_tol=rel_tol)
+        return np.array([nu.expect(lambda y: inner(y, a), rel_tol=rel_tol) for a in at.tolist()])

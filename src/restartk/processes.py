@@ -37,7 +37,7 @@ import numpy as np
 
 from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel, _horizons, _weight_vector
+from .kernels import Divergent, MarkovKernel, RestartedProcess, _horizons, _weight_vector
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
@@ -553,10 +553,9 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # exp(Q*t) by the float t, the stack of them at an array of times by
-        # the array's bytes, and the number of matrices the two hold
-        self._expm_cache = {}
-        self._rounds = {}
+        # exp(Q*t) by the float t and the stack of them at an array of times
+        # by the array's bytes, in one memo, and the number of matrices it holds
+        self._memo = {}
         self._held = 0
         self._resolvent_cache = {}
         self._pade = None
@@ -580,21 +579,17 @@ class FiniteCTMC(MarkovKernel):
         )
         return self._walker
 
-    def _keep(self, cache, key, P):
-        """Memoise P in cache: exp(Q*t) at one time, or the stack of them at
-        an array of times.  The two memos hold at most _MEMO_SIZE matrices
-        between them, and keep no stack larger than that.  The oldest times
-        leave first, then the oldest stacks: a config's targets cycle
-        through the same rounds of nodes, and a stack answers a whole round.
-        (Stacks first thrashes: on a 12-state kernel-eval config the cycle
-        of rounds and their times overfills the bound, and no round hit.)"""
+    def _keep(self, key, P):
+        """Memoise P: exp(Q*t) at one time by the float t, or the stack of
+        them at an array of times by its bytes.  The memo holds at most
+        _MEMO_SIZE matrices and keeps no stack larger than that; the oldest
+        entry of either kind leaves first."""
         size = P.size // self.Q.size
         if size > _MEMO_SIZE:
             return
         while self._held + size > _MEMO_SIZE:
-            older = self._expm_cache or self._rounds
-            self._held -= older.pop(next(iter(older))).size // self.Q.size
-        cache[key] = P
+            self._held -= self._memo.pop(next(iter(self._memo))).size // self.Q.size
+        self._memo[key] = P
         self._held += size
 
     def __repr__(self):
@@ -607,7 +602,7 @@ class FiniteCTMC(MarkovKernel):
     def transition_matrix(self, t):
         # a memo hit is read directly, as a copy like every returned matrix
         t = check_nonnegative("time", t)
-        P = self._expm_cache.get(t)
+        P = self._memo.get(t)
         return P.copy() if P is not None else self._stack([t])[0]
 
     def transition_matrices(self, t):
@@ -621,17 +616,17 @@ class FiniteCTMC(MarkovKernel):
         """
         t = check_times(t)
         key = t.tobytes()
-        P = self._rounds.get(key)
+        P = self._memo.get(key)
         if P is not None:
             return P.copy()
         P = self._stack(t.tolist())
-        self._keep(self._rounds, key, P.copy())
+        self._keep(key, P.copy())
         return P
 
     def _stack(self, times):
         # exp(Q*s) for each float s of the list times, through the memo by time
-        cache = self._expm_cache
-        found = {s: cache[s] for s in times if s in cache}
+        memo = self._memo
+        found = {s: memo[s] for s in times if s in memo}
         missing = sorted({s for s in times if s not in found}, reverse=True)
         # in chunks the memo's size, each entry its own copy, so neither
         # _expm's temporaries nor a memo entry holds more than the memo's bound
@@ -640,7 +635,7 @@ class FiniteCTMC(MarkovKernel):
             chunk = missing[lo : lo + step]
             for s, P in zip(chunk, self._expm(np.array(chunk))):
                 found[s] = P
-                self._keep(cache, s, P.copy())
+                self._keep(s, P.copy())
         return np.array([found[s] for s in times]).reshape(len(times), *self.Q.shape)
 
     def _pade_terms(self):
@@ -750,16 +745,17 @@ class FiniteCTMC(MarkovKernel):
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted; t may be inf.
 
-        The row of the restarted transition matrix (the invariant vector at
-        t = inf) against the k-th powers of the state values; the chain's
-        resolvent linear algebra gives both exactly, so no quadrature enters.
+        The row of the restarted transition matrix, as ``RestartedProcess``
+        composes it (the invariant vector at t = inf), against the k-th
+        powers of the state values: the chain's resolvent linear algebra
+        and exp(Q*t), so no quadrature enters.
         """
         k = check_count("moment order k", k, least=0)
         i = self._space.index(x)
         if math.isinf(check_horizon("horizon", t)):
             q = self.stationary_vector(restart.rate, nu_weights(restart.nu, self._space))
         else:
-            q = self._restarted_matrices(restart, np.array([t]))[0, i]
+            q = RestartedProcess(self, restart).transition_matrices(np.array([t]))[0, i]
         return float(q @ self.values**k)
 
     def certifies_absolute_moment(self, k):

@@ -499,6 +499,26 @@ class TestChainResolvent:
                 want = float(proc.invariant_vector() @ powers)
                 assert three_state_chain.restarted_moment(restart, k, math.inf, i) == want
 
+    @pytest.mark.parametrize("n", [3, 12])
+    @pytest.mark.parametrize("two_atoms", [False, True], ids=["point", "two-atom"])
+    def test_stacked_restarted_matrices_and_moments_are_the_one_time_forms_bit_for_bit(self, n, two_atoms):
+        # each chain fresh, so that no memo hit makes two sides share a matrix
+        fresh = make_three_state_chain if n == 3 else (lambda: _twelve_state_chain()[0])
+        nu = FiniteSupport(((0, 0.3), (n - 1, 0.7))) if two_atoms else PointMass(1)
+        restart = RestartSpec(1.5, nu)
+        t = np.array([0.8, 0.0, 2.5, 0.8, 1e-3])
+        stacked = RestartedProcess(fresh(), restart).transition_matrices(t)
+        one_time = RestartedProcess(fresh(), restart)
+        assert np.array_equal(stacked, [one_time.transition_matrix(s) for s in t.tolist()])
+        chain = fresh()
+        for k in (1, 2):
+            powers = chain.values**k
+            for s in (0.0, 0.8):
+                want = float(RestartedProcess(fresh(), restart).transition_matrix(s)[n - 1] @ powers)
+                assert chain.restarted_moment(restart, k, s, n - 1) == want
+            want = float(RestartedProcess(fresh(), restart).invariant_vector() @ powers)
+            assert chain.restarted_moment(restart, k, math.inf, n - 1) == want
+
     def test_probability_matches_quadrature_resolvent(self, three_state_chain):
         for lam in (0.1, 2.0, 40.0):
             for y in range(3):

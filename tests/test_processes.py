@@ -635,10 +635,12 @@ class TestArrayForms:
         chain = FiniteCTMC(three_state_chain.Q)
         t = np.linspace(5.0, 6.0, 20)
         got = chain.transition_matrices(t)
-        assert len(chain._expm_cache) == 8
+        # the round's last 8 times, one matrix each; the stack of 20 is too large to keep
+        assert chain._held == len(chain._memo) == 8
+        assert all(P.shape == (3, 3) for P in chain._memo.values())
         assert np.array_equal(got, FiniteCTMC(chain.Q).transition_matrices(t))
         # each entry owns its matrix, so the memo does not keep a round alive
-        assert all(P.base is None for P in chain._expm_cache.values())
+        assert all(P.base is None for P in chain._memo.values())
 
     def test_misses_are_computed_in_chunks_of_the_memo_bound(self, three_state_chain, monkeypatch):
         shapes = []
@@ -665,15 +667,20 @@ class TestArrayForms:
             return evaluate(chain, t)
 
         monkeypatch.setattr(FiniteCTMC, "_expm", counting)
+        # room for the round's three times and its stack of four
+        monkeypatch.setattr(restartk.processes, "_MEMO_SIZE", 7)
         chain = FiniteCTMC(three_state_chain.Q)
         t = np.array([0.9, 0.1, 2.5, 0.1])
         first = chain.transition_matrices(t)
         want = first.copy()
         first[:] = 0.0
-        # its times leave the memo first; the stack still answers the array
-        chain._expm_cache.clear()
+        # three new times in one pass push the round's times out of the
+        # memo, oldest first; their stack of eight is too large to keep
+        chain.transition_matrices(np.array([3.0, 3.5, 4.0] * 2 + [3.0, 3.5]))
+        assert calls == [(3,), (3,)] and not {0.9, 0.1, 2.5} & chain._memo.keys()
+        # the stack still answers the array
         again = chain.transition_matrices(t)
-        assert np.array_equal(again, want) and calls == [(3,)]
+        assert np.array_equal(again, want) and calls == [(3,), (3,)]
         again[:] = 0.0
         assert np.array_equal(chain.transition_matrices(t), want)
 
@@ -688,7 +695,7 @@ class TestArrayForms:
             max_size=25,
         )
     )
-    def test_both_memos_together_hold_at_most_the_memo_bound(self, calls):
+    def test_memo_holds_at_most_the_memo_bound(self, calls):
         bound = 16
         chain = FiniteCTMC([[-2.0, 1.5, 0.5], [1.0, -3.0, 2.0], [0.5, 0.5, -1.0]])
         fresh = FiniteCTMC(chain.Q)
@@ -697,7 +704,8 @@ class TestArrayForms:
         try:
             for t in calls:
                 got = chain.transition_matrix(t) if np.ndim(t) == 0 else chain.transition_matrices(t)
-                held = len(chain._expm_cache) + sum(len(P) for P in chain._rounds.values())
+                # a matrix at one time counts one, a stack one per time
+                held = sum(P.size // 9 for P in chain._memo.values())
                 assert held == chain._held <= bound
                 want = fresh.transition_matrix(t) if np.ndim(t) == 0 else fresh.transition_matrices(t)
                 assert np.array_equal(got, want)
