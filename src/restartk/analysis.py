@@ -188,7 +188,8 @@ def ergodicity_check(proc, x, t_grid, test_sets, rel_tol=DEFAULT_REL_TOL):
         tvs = [0.5 * float(np.abs(q - row).sum()) for row in rows]
     else:
         q_by_set = [proc.invariant_measure(g, rel_tol=rel_tol) for g in test_sets]
-        masses = [[proc.transition_probability(t, x, g, rel_tol=rel_tol) for g in test_sets] for t in times]
+        by_set = [proc.transition_probability(np.array(times), x, g, rel_tol=rel_tol) for g in test_sets]
+        masses = np.transpose(by_set).tolist()
         tvs = [None] * len(times)
     report = ErgodicityReport(x)
     for t, mass, tv in zip(times, masses, tvs):

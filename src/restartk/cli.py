@@ -337,16 +337,15 @@ class _Runner:
     def task_kernel_eval(self, task, out_path, fmt):
         x = self.proc.space.state(task["x"])
         targets = self._targets(task)
-        # one call per target for all the times, its rows still t-major
+        # one call per target and per density point for all the times, its rows still t-major
         times = np.array(task["t"], dtype=float)
         by_target = [self.proc.transition_probability(times, x, g, rel_tol=self.rel_tol).tolist() for g in targets]
+        points = task.get("density_points", [])
+        by_point = [self.proc.transition_density(times, x, z, rel_tol=self.rel_tol).tolist() for z in points]
         rows = []
         for k, t in enumerate(task["t"]):
-            for g, p in zip(targets, by_target):
-                rows.append(("probability", t, str(g), p[k]))
-            for z in task.get("density_points", []):
-                v = self.proc.transition_density(t, x, z, rel_tol=self.rel_tol)
-                rows.append(("density", t, str(z), v))
+            rows += [("probability", t, str(g), p[k]) for g, p in zip(targets, by_target)]
+            rows += [("density", t, str(z), v[k]) for z, v in zip(points, by_point)]
         self._emit("kernel-eval", ["kind", "t", "where", "value"], rows, out_path, fmt)
         return 0
 

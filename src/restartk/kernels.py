@@ -15,24 +15,21 @@ therefore the no-restart term plus the nu-average of an exponentially
 weighted time integral of the corresponding base quantity,
 lam * int_0^t exp(-lam*s) P(s, y, .) ds.  The base kernel supplies that
 integral itself (``stationary_probability``, ``stationary_density``,
-``stationary_vector``, each at a horizon t <= inf): in closed form where it
-has one, by certified quadrature of its array-in-time forms
-(``transition_probabilities`` and its siblings, a whole refinement round of
-times in one call) otherwise.  ``stationary_probability`` takes a 1-D array
-of horizons as well; its default is one quadrature call to all of them.
-``stationary_density`` takes a 1-D array of points; its default integrates
-them as one lockstep batch, which calls ``transition_densities`` once per
-round with the points aligned with the times.  Letting the horizon grow
-gives the invariant law, which the restarted process always has, no matter
-how badly the base process escapes.  :class:`RestartedProcess` is the one
-place that composes the split (``_compose``), for every quantity, transition
-matrices included, at a time or at a 1-D array of times.  Its nu-average
-asks the base kernel once per atom of a point or finite nu for all the times
-or points; a density nu asks it at each of its points inside a quadrature
-over nu, one time or point at a time.  Over one time the sampler draws from
-the rows of the restarted matrix where the base kernel has a matrix, else by
-that split.  Kernels
-state the moment formulas themselves: ``restarted_moment`` (the restarted
+``stationary_vector``, each at a horizon t <= inf or at a 1-D numpy array
+of them): in closed form where it has one, by certified quadrature of its
+array-in-time forms (``transition_probabilities`` and its siblings, a whole
+refinement round of times in one call) otherwise, one lockstep batch for
+all the horizons.  ``stationary_density`` takes a 1-D array of points at
+one horizon instead.  Letting the horizon grow gives the invariant law,
+which the restarted process always has, no matter how badly the base
+process escapes.  :class:`RestartedProcess` is the one place that composes
+the split (``_compose``), for every quantity, at a time or at a 1-D array
+of times, and its nu-average asks the base kernel once per atom of a point
+or finite nu for all the times or points; a density nu asks it at each of
+its points inside a quadrature over nu, one time or point at a time.  Over
+one time the sampler draws from the rows of the restarted matrix where the
+base kernel has a matrix, else by that split.  Kernels state the moment
+formulas themselves: ``restarted_moment`` (the restarted
 k-th moment in closed form, a number at every finite t, and at t = inf a
 :class:`Divergent` where the limit does not exist) and
 ``moment_growth_rate`` (eta_k, the finiteness threshold), both None by
@@ -69,6 +66,15 @@ def _horizons(t):
     if not isinstance(t, np.ndarray):
         return check_horizon("horizon", t)
     return np.array([check_horizon("horizon", s) for s in check_one_dimensional("horizons", t).tolist()])
+
+
+def _density_pairs(z, t):
+    """A ``stationary_density`` call's points and horizons as aligned lists, and whether it is at one
+    of each: an array of points shares the horizon t, a 1-D numpy array of horizons t the point z."""
+    if isinstance(t, np.ndarray) and np.ndim(z):
+        raise DomainError("stationary_density takes an array of points or of horizons, not both")
+    points, horizons = np.broadcast_arrays(np.asarray(z, dtype=float), _horizons(t))
+    return np.atleast_1d(points).tolist(), np.atleast_1d(horizons).tolist(), points.ndim == 0
 
 
 def _weight_vector(space, w):
@@ -191,24 +197,25 @@ class MarkovKernel(abc.ABC):
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """lam * int_0^t exp(-lam*s) p(s, y, z) ds, the density of ``stationary_probability``,
-        at a point z (a float) or at each point of a 1-D array z (an array).
+        at a point z and a horizon t (a float), at each point of a 1-D array
+        z, or at each horizon of a 1-D numpy array t (an array).
 
-        The default is certified quadrature, all the points one lockstep
-        batch; at t = inf each point's truncation rests on the kernel's
-        ``density_envelope`` there.
+        The default is certified quadrature, each (point, horizon) pair one
+        member of a lockstep batch; at t = inf the point's truncation rests
+        on the kernel's ``density_envelope`` there.
         """
         lam = check_positive("restart rate", lam)
-        points = np.atleast_1d(np.asarray(z, dtype=float))
-        bounds, valid_from = [(1.0, 0.0)] * len(points), 0.0
-        if math.isinf(check_horizon("horizon", t)):
-            valid_from = min(1.0 / lam, 1.0)
-            bounds = [self.density_envelope(p, valid_from) for p in points.tolist()]
+        points, horizons, one = _density_pairs(z, t)
+        valid_from = min(1.0 / lam, 1.0)
+        bounds = [(1.0, 0.0) if s < math.inf else self.density_envelope(p, valid_from)
+                  for p, s in zip(points, horizons)]
+        points = np.array(points)
         results = _exp_weighted_integrals(
             lambda s, j: self.transition_densities(s, y, points[j]),
-            lam, [t] * len(points), rel_tol, DEFAULT_ABS_TOL, bounds, valid_from,
+            lam, horizons, rel_tol, DEFAULT_ABS_TOL, bounds, valid_from,
         )
         values = np.array([r.value for r in results])
-        return float(values[0]) if np.ndim(z) == 0 else values
+        return float(values[0]) if one else values
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """lam * w int_0^t exp(-lam*s) P(s) ds for a weight vector w.
@@ -284,17 +291,11 @@ class RestartedProcess(MarkovKernel):
 
     def transition_probability(self, t, x, target, rel_tol=DEFAULT_REL_TOL):
         """P~(t, x, target) at a time t (a float), or at each time of a 1-D
-        numpy array t (an array, each entry the float call's bit for bit).
-
-        At an array the no-restart term is one ``transition_probabilities``
-        call of the base kernel (on the shipped kernels each entry is the
-        base's float call bit for bit), and under a point or finite nu the
-        restart term is one ``stationary_probability`` call per atom for
-        all the positive times.
-        """
-        # the array rides on this method, not a new one: perfbench's tracer
-        # counts kernels.calls on these method names; isinstance, not np.ndim,
-        # keeps the float call as cheap as it was
+        numpy array t (an array, each entry the float call's bit for bit):
+        one ``transition_probabilities`` call of the base kernel, and under a
+        point or finite nu one ``stationary_probability`` call per atom."""
+        # the array rides on this method: perfbench's tracer counts kernels.calls
+        # on its name; isinstance, not np.ndim, keeps the float call cheap
         array = isinstance(t, np.ndarray)
         t = check_one_dimensional("times", check_times(t)) if array else check_nonnegative("time", t)
         self.space.check_target(target)
@@ -305,11 +306,15 @@ class RestartedProcess(MarkovKernel):
         ), t)
 
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
-        t = check_nonnegative("time", t)
-        if t == 0.0:
+        """The density of ``transition_probability``, at a time or a 1-D numpy
+        array of them as it is; a zero time is refused before any integral."""
+        array = isinstance(t, np.ndarray)
+        t = check_one_dimensional("times", check_times(t)) if array else check_nonnegative("time", t)
+        if not (t.all() if array else t):
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         z = float(check_state(self.space, z))
-        return self._compose(self.base.transition_density(t, x, z), partial(
+        unrestarted = (self.base.transition_densities if array else self.base.transition_density)(t, x, z)
+        return self._compose(unrestarted, partial(
             self._nu_expect, lambda y, s: self.base.stationary_density(self.rate, y, z, s, rel_tol=rel_tol), rel_tol
         ), t)
 
@@ -318,15 +323,14 @@ class RestartedProcess(MarkovKernel):
 
     def transition_matrices(self, t, rel_tol=DEFAULT_REL_TOL):
         """P~(s) at each time s of the 1-D array t, stacked: the base
-        matrices in one call, and at each positive time the row that the
-        restarts add whatever the start, the base's ``stationary_vector``
-        from nu's weights."""
+        matrices in one call, and the rows that the restarts add whatever
+        the start, the base's ``stationary_vector`` from nu's weights, in
+        one call for all the positive times."""
         t = check_times(t)
         P = self.base.transition_matrices(t)
         w = nu_weights(self.restart.nu, self.space)
-        return self._compose(P, lambda ages: np.array([
-            self.base.stationary_vector(self.rate, w, s, rel_tol=rel_tol) for s in ages.tolist()
-        ])[:, None], t)
+        return self._compose(P, lambda ages: self.base.stationary_vector(
+            self.rate, w, ages, rel_tol=rel_tol)[:, None], t)
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)

@@ -37,16 +37,16 @@ import numpy as np
 
 from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
 from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel, RestartedProcess, _horizons, _weight_vector
+from .kernels import Divergent, MarkovKernel, RestartedProcess, _density_pairs, _horizons, _weight_vector
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
-# per chain, at most this many matrices of exp(Q*t), memoised by t and by a
-# whole array of times together, and this many resolvents lam*(lam*I - Q)^(-1)
-# by lam: quadrature revisits the same nodes, the targets of one rate and atom
-# walk the same rounds of them, and every restart law at one rate reads one resolvent
+# per chain, at most this many matrices in its memo: exp(Q*t) by t and by a
+# whole array of times together, and resolvents lam*(lam*I - Q)^(-1) by lam:
+# quadrature revisits the same nodes, the targets of one rate and atom walk
+# the same rounds of them, and every restart law at one rate reads one resolvent
 _MEMO_SIZE = 1024
 # the degree-13 Pade approximant to exp(A) (Higham, SIAM J. Matrix Anal. Appl.
 # 26:1179, 2005): its coefficients b_0..b_13 over b_0, so that at A = 0 the
@@ -266,26 +266,11 @@ class BrownianWithDrift(MarkovKernel):
     def space(self):
         return RealLine()
 
-    # the one-time forms repeat the array forms' arithmetic on floats, with
-    # the same numpy exp and scipy ndtr, so that the two agree bit for bit;
-    # where sigma*sqrt(t) is 0 (t = 0, or an underflow) they defer to them
     def transition_density(self, t, x, z):
-        t = check_positive("time", t)
-        x = check_finite("state", x)
-        sd = self.sigma * math.sqrt(t)
-        if sd == 0.0:
-            return _at_one_time(self.transition_densities, t, x, z)
-        u = (z - x - self.mu * t) / sd
-        return float(np.exp(-0.5 * u * u)) / (sd * _SQRT_2PI)
+        return _at_one_time(self.transition_densities, t, x, z)
 
     def transition_probability(self, t, x, target):
-        t = check_nonnegative("time", t)
-        x = check_finite("state", x)
-        sd = self.sigma * math.sqrt(t)
-        if sd == 0.0:
-            return _at_one_time(self.transition_probabilities, t, x, target)
-        m = x + self.mu * t
-        return float(ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd))
+        return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_densities(self, t, x, z):
         # one start x; z is a scalar or an array aligned with t
@@ -316,13 +301,13 @@ class BrownianWithDrift(MarkovKernel):
         return law.mass(y, target.lower, target.upper, check_horizon("horizon", t))
 
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=None):
-        """The restart-age law's density at z, or at each point of a 1-D array z,
-        in closed form at any t."""
+        """The restart-age law's density in closed form at any t, at z, at each point
+        of a 1-D array z or at each horizon of a 1-D numpy array t: one law for all."""
         law = _RestartAgeLaw(self.mu, self.sigma, check_positive("restart rate", lam))
-        y, t = check_finite("state", y), check_horizon("horizon", t)
-        if np.ndim(z) == 0:
-            return law.density(y, float(z), t)
-        return np.array([law.density(y, p, t) for p in np.asarray(z, dtype=float).tolist()])
+        y = check_finite("state", y)
+        points, horizons, one = _density_pairs(z, t)
+        values = [law.density(y, p, s) for p, s in zip(points, horizons)]
+        return values[0] if one else np.array(values)
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
@@ -449,12 +434,16 @@ class GeometricBrownian(MarkovKernel):
     def stationary_density(self, lam, y, z, t=math.inf, rel_tol=DEFAULT_REL_TOL):
         """The log-space law's density at log z, over z, in closed form at
         finite t; at t = inf the certified quadrature default.  z is a point
-        or a 1-D array of them."""
-        if math.isinf(check_horizon("horizon", t)):
+        or a 1-D array of them, or t a 1-D numpy array of horizons."""
+        if not isinstance(t, np.ndarray) and math.isinf(check_horizon("horizon", t)):
             # the closed form would fix the false-convergence-gbm-stationary-density config
             # of perfbench/defects.py, which perfbench/test_smoke.py requires to stay open (ROADMAP item 2)
             return super().stationary_density(lam, y, z, t, rel_tol=rel_tol)
-        return self.log.stationary_density(lam, _log_state(y), _log_states(z), t) / z
+        values = self.log.stationary_density(lam, _log_state(y), _log_states(z), t) / z
+        if isinstance(t, np.ndarray) and np.isinf(t).any():
+            # the same route at the infinite horizons of an array
+            values[np.isinf(t)] = super().stationary_density(lam, y, z, t[np.isinf(t)], rel_tol=rel_tol)
+        return values
 
     def sample_transition(self, t, x, rng):
         # _log_state inline: the event-log walker calls this once per event
@@ -553,11 +542,10 @@ class FiniteCTMC(MarkovKernel):
         self.Q = Q
         self.values = values
         self._space = FiniteSet(tuple(values))
-        # exp(Q*t) by the float t and the stack of them at an array of times
-        # by the array's bytes, in one memo, and the number of matrices it holds
+        # exp(Q*t) by the float t, stacks of them by the times' bytes and resolvents
+        # by ("resolvent", lam), in one memo, and the number of matrices it holds
         self._memo = {}
         self._held = 0
-        self._resolvent_cache = {}
         self._pade = None
         self._walker = None
 
@@ -580,10 +568,10 @@ class FiniteCTMC(MarkovKernel):
         return self._walker
 
     def _keep(self, key, P):
-        """Memoise P: exp(Q*t) at one time by the float t, or the stack of
-        them at an array of times by its bytes.  The memo holds at most
-        _MEMO_SIZE matrices and keeps no stack larger than that; the oldest
-        entry of either kind leaves first."""
+        """Memoise P: exp(Q*t) at one time by the float t, the stack of them
+        at an array of times by its bytes, or a resolvent by its tuple key.
+        The memo holds at most _MEMO_SIZE matrices and keeps no stack larger
+        than that; the oldest entry of any kind leaves first."""
         size = P.size // self.Q.size
         if size > _MEMO_SIZE:
             return
@@ -774,16 +762,13 @@ class FiniteCTMC(MarkovKernel):
         return pi
 
     def _stationary_matrix(self, lam):
-        """lam * (lam*I - Q)^(-1), one linear solve per rate, memoised."""
+        """lam * (lam*I - Q)^(-1), one linear solve per rate, in the memo."""
         lam = check_positive("restart rate", lam)
-        cache = self._resolvent_cache
-        M = cache.get(lam)
+        M = self._memo.get(("resolvent", lam))
         if M is None:
             eye = np.eye(self.space.n)
             M = np.linalg.solve(lam * eye - self.Q, lam * eye)
-            if len(cache) >= _MEMO_SIZE:
-                del cache[next(iter(cache))]
-            cache[lam] = M
+            self._keep(("resolvent", lam), M)
         return M
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=DEFAULT_REL_TOL):
@@ -823,17 +808,22 @@ class FiniteCTMC(MarkovKernel):
         return values if isinstance(t, np.ndarray) else float(values[0])
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
-        """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly.
+        """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly, at a horizon t or
+        at each horizon of a 1-D numpy array t (one row each, its float call's).
 
         The integral is lam * w (lam*I - Q)^(-1) (I - exp(-lam*t) exp(Q*t)):
         the rate's memoised resolvent gives v = lam * w (lam*I - Q)^(-1),
         the value at t = inf, and a finite horizon subtracts
-        exp(-lam*t) v exp(Q*t).
+        exp(-lam*t) v exp(Q*t), an array's from one stack of exp(Q*t).
         """
         v = _weight_vector(self._space, w) @ self._stationary_matrix(lam)
-        if math.isinf(check_horizon("horizon", t)):
-            return v
-        return v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
+        t = _horizons(t)
+        if not isinstance(t, np.ndarray):
+            return v if math.isinf(t) else v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
+        rows, finite = np.tile(v, (len(t), 1)), np.isfinite(t)
+        kept = np.array([math.exp(-lam * s) for s in t[finite].tolist()])
+        rows[finite] = v - kept[:, None] * (v @ self.transition_matrices(t[finite]))
+        return rows
 
 
 def ctmc_from_dict(data):

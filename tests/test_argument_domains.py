@@ -266,6 +266,42 @@ def test_minus_infinity_is_no_stationary_limit():
             call()
 
 
+# (id, call with a time or horizon t) for every form that takes a 1-D numpy
+# array of times or horizons as well as a float
+ARRAY_FORMS = [
+    ("RestartedProcess.transition_density", lambda t: _restarted(BM, PointMass(0.0)).transition_density(t, 0.0, 0.5)),
+    ("RestartedProcess.transition_density, GBM",
+     lambda t: _restarted(GBM, PointMass(1.0)).transition_density(t, 1.0, 1.5)),
+    ("MarkovKernel.stationary_density", lambda t: MarkovKernel.stationary_density(BM, 1.5, 0.0, 0.5, t)),
+    ("BrownianWithDrift.stationary_density", lambda t: BM.stationary_density(1.5, 0.0, 0.5, t)),
+    ("GeometricBrownian.stationary_density", lambda t: GBM.stationary_density(1.5, 1.0, 1.5, t)),
+    ("FiniteCTMC.stationary_vector", lambda t: CHAIN.stationary_vector(1.5, W, t)),
+    ("MarkovKernel.stationary_vector", lambda t: MarkovKernel.stationary_vector(CHAIN, 1.5, W, t)),
+]
+
+
+@pytest.mark.parametrize("name, call", ARRAY_FORMS, ids=[e[0] for e in ARRAY_FORMS])
+def test_an_array_refuses_a_time_as_the_float_call_does(name, call):
+    for bad in (-1.0, math.nan):
+        with pytest.raises(DomainError) as one:
+            call(bad)
+        with pytest.raises(DomainError) as many:
+            call(np.array([0.5, bad]))
+        assert str(many.value) == str(one.value)
+    with pytest.raises(DomainError, match=r"must be a 1-D array, got shape \(2, 2\)"):
+        call(np.full((2, 2), 0.5))
+
+
+def test_stationary_density_takes_an_array_of_points_or_of_horizons_not_both():
+    for call in (
+        lambda z, t: MarkovKernel.stationary_density(BM, 1.5, 0.0, z, t),
+        lambda z, t: BM.stationary_density(1.5, 0.0, z, t),
+        lambda z, t: GBM.stationary_density(1.5, 1.0, z, t),
+    ):
+        with pytest.raises(DomainError, match="^stationary_density takes an array of points or of horizons, not both$"):
+            call(np.array([0.5, 1.5]), np.array([1.0, 2.0]))
+
+
 def test_weight_vector_needs_one_weight_per_state():
     # a 2-vector on the 3-state chain once raised numpy's matmul ValueError
     default = lambda lam, w, t: MarkovKernel.stationary_vector(CHAIN, lam, w, t)

@@ -27,6 +27,7 @@ from restartk import (
 )
 
 from conftest import cancelling_horizons, random_generator, resolvent, resolvent_matrix, restarted_generator
+from test_exact_routes import _QuadratureOnly
 
 
 @pytest.fixture
@@ -248,6 +249,18 @@ def _array_case(kind, nu_kind, rate):
     return RestartedProcess(base, RestartSpec(rate, nu)), x, target
 
 
+# a density point per continuous kind; "default" is the "bm" case with the
+# base kernel's transition law alone, so the MarkovKernel defaults integrate it
+_DENSITY_POINTS = {"bm": 0.7, "gbm": 1.3, "default": 0.7}
+
+
+def _density_case(kind, nu_kind, rate):
+    proc, x, target = _array_case("bm" if kind == "default" else kind, nu_kind, rate)
+    if kind == "default":
+        proc = RestartedProcess(_QuadratureOnly(proc.base), proc.restart)
+    return proc, x, target
+
+
 class TestArrayOfTimes:
     """transition_probability at a 1-D array of times is the float calls at
     each of them, bit for bit."""
@@ -293,6 +306,43 @@ class TestArrayOfTimes:
             n = proc.space.n
             assert proc.base.transition_matrices(t).shape == (0, n, n)
             assert proc.transition_matrices(t).shape == (0, n, n)
+            assert proc.base.stationary_vector(0.7, np.full(n, 1.0 / n), t).shape == (0, n)
+        else:
+            z = _DENSITY_POINTS[kind]
+            assert proc.transition_density(t, x, z).shape == (0,)
+            assert proc.base.stationary_density(0.7, x, z, t).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "kind, nu_kind",
+        [(k, n) for k in ("bm", "gbm") for n in ("point", "finite", "density")]
+        + [("default", "point"), ("default", "finite")],
+    )
+    def test_density_array_is_the_float_calls(self, kind, nu_kind):
+        # unsorted, one time repeated; "default" is BM through the MarkovKernel defaults
+        t = np.array([0.5, 0.013, 2.5, 0.5, 1.1])
+        proc, x, _ = _density_case(kind, nu_kind, 1.3)
+        z = _DENSITY_POINTS[kind]
+        want = [proc.transition_density(s, x, z) for s in t.tolist()]
+        proc, x, _ = _density_case(kind, nu_kind, 1.3)
+        assert proc.transition_density(t, x, z).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "default"])
+    def test_a_zero_time_refuses_the_density_before_any_integral(self, kind, monkeypatch):
+        proc, x, _ = _density_case(kind, "finite", 1.3)
+        asked = []
+        monkeypatch.setattr(type(proc.base), "stationary_density", lambda *args, **kwargs: asked.append(args))
+        with pytest.raises(SingularityAtOrigin, match="point mass"):
+            proc.transition_density(np.array([0.5, 1.0, 0.0]), x, _DENSITY_POINTS[kind])
+        assert asked == []
+
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "default"])
+    def test_stationary_density_takes_an_array_of_horizons(self, kind):
+        proc, _, _ = _density_case(kind, "point", 0.9)
+        y, z = proc.restart.nu.x, _DENSITY_POINTS[kind]
+        t = np.array([2.0, math.inf, 0.0, 0.4, 2.0])
+        got = proc.base.stationary_density(0.9, y, z, t)
+        want = [proc.base.stationary_density(0.9, y, z, s) for s in t.tolist()]
+        assert got.tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("kind", ["bm", "gbm"])
     def test_density_law_takes_the_times_one_by_one(self, kind):

@@ -18,6 +18,7 @@ from restartk import (
     FiniteCTMC,
     GeometricBrownian,
     Interval,
+    MarkovKernel,
     PointMass,
     RestartedProcess,
     RestartSpec,
@@ -30,7 +31,7 @@ from restartk import (
     gbm_stationary_moment,
 )
 
-from conftest import make_three_state_chain, resolvent_matrix, restarted_generator
+from conftest import make_three_state_chain, random_generator, resolvent_matrix, restarted_generator
 
 _BOUNDS = st.one_of(st.floats(-50.0, 50.0), st.sampled_from([-math.inf, math.inf]))
 
@@ -521,8 +522,8 @@ class TestArrayForms:
         bounds=st.tuples(_BOUNDS, _BOUNDS).map(sorted),
     )
     def test_brownian_one_time_forms_are_the_array_forms(self, mu, sigma, t, x, z, bounds):
-        # bit for bit, signed zeros included: the one-time forms are not
-        # _at_one_time over the array forms, but must give the same floats
+        # bit for bit, signed zeros included: the one-time forms are
+        # _at_one_time over the array forms, and must give the same floats
         p, target = BrownianWithDrift(mu, sigma), Interval(*bounds)
         with np.errstate(over="ignore"):  # u*u past the float range is inf either way
             want = p.transition_probabilities(np.array([t]), x, target)[0]
@@ -601,6 +602,25 @@ class TestArrayForms:
             gbm.moment(2, 700.0, 1.0)
         with pytest.raises(OverflowError):
             gbm.moments(2, np.array([1.0, 700.0]), 1.0)
+
+    @pytest.mark.parametrize("n", [3, 12])
+    def test_stationary_vectors_at_an_array_of_horizons_are_the_float_calls(self, n):
+        # the chain's exact form and the MarkovKernel quadrature default, each
+        # side on a fresh chain; inf keeps the invariant vector, 0 gives zeros
+        Q = make_three_state_chain().Q if n == 3 else random_generator(np.random.default_rng(12), 12)
+        w = np.linspace(1.0, 2.0, n) / np.linspace(1.0, 2.0, n).sum()
+        t = np.array([0.3, math.inf, 1e-4, 2.0, 0.3, 0.0, 17.5])
+        for form in (FiniteCTMC.stationary_vector, MarkovKernel.stationary_vector):
+            got = form(FiniteCTMC(Q), 0.7, w, t)
+            assert got.shape == (len(t), n)
+            want = [form(FiniteCTMC(Q), 0.7, w, s) for s in t.tolist()]
+            assert got.tobytes() == np.array(want).tobytes()
+
+    def test_resolvent_is_one_entry_of_the_memo(self, three_state_chain):
+        chain = FiniteCTMC(three_state_chain.Q)
+        v = chain.stationary_vector(1.5, np.array([0.2, 0.3, 0.5]))
+        assert list(chain._memo) == [("resolvent", 1.5)] and chain._held == 1
+        assert np.allclose(v, 1.5 * np.array([0.2, 0.3, 0.5]) @ resolvent_matrix(chain, 1.5), rtol=1e-13)
 
     def test_stacked_matrices_are_the_scalar_matrices(self, three_state_chain):
         Q = three_state_chain.Q
