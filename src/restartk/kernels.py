@@ -23,18 +23,18 @@ all the horizons.  ``stationary_density`` takes a 1-D array of points at
 one horizon instead.  Letting the horizon grow gives the invariant law,
 which the restarted process always has, no matter how badly the base
 process escapes.  :class:`RestartedProcess` is the one place that composes
-the split (``_compose``), for every quantity, at a time or at a 1-D array
-of times, and its nu-average asks the base kernel once per atom of a point
-or finite nu for all the times or points; a density nu asks it at each of
-its points inside a quadrature over nu, one time or point at a time.  Over
-one time the sampler draws from the rows of the restarted matrix where the
-base kernel has a matrix, else by that split.  Kernels state the moment
-formulas themselves: ``restarted_moment`` (the restarted
-k-th moment in closed form, a number at every finite t, and at t = inf a
-:class:`Divergent` where the limit does not exist) and
-``moment_growth_rate`` (eta_k, the finiteness threshold), both None by
-default; where they are None, ``moment`` integrates the base kernel's
-moments by quadrature.
+the split (``_compose``), for every quantity, at a 1-D array of times (a
+float time is the one-element case), and its nu-average asks the base
+kernel once per atom of a point or finite nu for all the times or points;
+a density nu asks it at each of its points inside a quadrature over nu,
+one time or point at a time.  Over one time the sampler draws from the
+rows of the restarted matrix where the base kernel has a matrix, else by
+that split.  Kernels state the moment formulas themselves:
+``restarted_moment`` (the restarted k-th moment in closed form, a number
+at every finite t, and at t = inf a :class:`Divergent` where the limit
+does not exist) and ``moment_growth_rate`` (eta_k, the finiteness
+threshold), both None by default; where they are None, ``moment``
+integrates the base kernel's moments by quadrature.
 """
 
 from __future__ import annotations
@@ -61,6 +61,11 @@ from .quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL, _exp_weighted_integral
 from .spaces import FiniteSet, check_state
 
 
+def _at_one_time(array_form, t, *args):
+    """A quantity at one time: the one-time case of its array-in-time form."""
+    return float(array_form(np.array([float(t)]), *args)[0])
+
+
 def _horizons(t):
     """A horizon as ``check_horizon`` takes it, or each of a 1-D numpy array of them (an array)."""
     if not isinstance(t, np.ndarray):
@@ -71,9 +76,10 @@ def _horizons(t):
 def _density_pairs(z, t):
     """A ``stationary_density`` call's points and horizons as aligned lists, and whether it is at one
     of each: an array of points shares the horizon t, a 1-D numpy array of horizons t the point z."""
-    if isinstance(t, np.ndarray) and np.ndim(z):
+    z = np.asarray(z, dtype=float)
+    if isinstance(t, np.ndarray) and z.ndim:
         raise DomainError("stationary_density takes an array of points or of horizons, not both")
-    points, horizons = np.broadcast_arrays(np.asarray(z, dtype=float), _horizons(t))
+    points, horizons = np.broadcast_arrays(check_one_dimensional("points", z) if z.ndim else z, _horizons(t))
     return np.atleast_1d(points).tolist(), np.atleast_1d(horizons).tolist(), points.ndim == 0
 
 
@@ -159,9 +165,9 @@ class MarkovKernel(abc.ABC):
         """eta_k, the rate a finite stationary k-th moment needs the restarts to beat, or None."""
         return None
 
-    # The same four quantities at every time of a 1-D array t, stacked along
-    # a leading axis: the form the quadrature integrates.  The defaults loop
-    # over the scalar methods; kernels with array formulas override them.
+    # The same four quantities at every time of a 1-D array t, stacked along a leading
+    # axis: the form the quadrature integrates.  The defaults loop over the scalar methods;
+    # kernels with array formulas override them and read one time through ``_at_one_time``.
 
     def transition_probabilities(self, t, x, target):
         return np.array([self.transition_probability(s, x, target) for s in np.asarray(t).tolist()])
@@ -226,7 +232,7 @@ class MarkovKernel(abc.ABC):
         The default is certified quadrature of the transition matrices.
         """
         w = _weight_vector(self.space, w)
-        return w @ exp_weighted_integral(self.transition_matrices, lam, t, rel_tol=rel_tol).value
+        return w @ exp_weighted_integral(self.transition_matrices, lam, _horizons(t), rel_tol=rel_tol).value
 
     def stationary_distribution(self):
         """The process's own stationary law as a vector, or None when the kernel supplies none."""
@@ -290,16 +296,15 @@ class RestartedProcess(MarkovKernel):
     # -- transition law -------------------------------------------------
 
     def transition_probability(self, t, x, target, rel_tol=DEFAULT_REL_TOL):
-        """P~(t, x, target) at a time t (a float), or at each time of a 1-D
-        numpy array t (an array, each entry the float call's bit for bit):
-        one ``transition_probabilities`` call of the base kernel, and under a
-        point or finite nu one ``stationary_probability`` call per atom."""
-        # the array rides on this method: perfbench's tracer counts kernels.calls
-        # on its name; isinstance, not np.ndim, keeps the float call cheap
-        array = isinstance(t, np.ndarray)
-        t = check_one_dimensional("times", check_times(t)) if array else check_nonnegative("time", t)
+        """P~(t, x, target) at each time of a 1-D numpy array t, a time t (a float) being its
+        one-element case: one ``transition_probabilities`` call of the base kernel, and
+        under a point or finite nu one ``stationary_probability`` call per atom."""
+        # the array rides on this method: perfbench's tracer counts kernels.calls on its name
+        if not isinstance(t, np.ndarray):
+            return _at_one_time(self.transition_probability, t, x, target, rel_tol)
+        t = check_one_dimensional("times", check_times(t))
         self.space.check_target(target)
-        unrestarted = (self.base.transition_probabilities if array else self.base.transition_probability)(t, x, target)
+        unrestarted = self.base.transition_probabilities(t, x, target)
         return self._compose(unrestarted, partial(
             self._nu_expect, lambda y, s: self.base.stationary_probability(self.rate, y, target, s, rel_tol=rel_tol),
             rel_tol
@@ -308,12 +313,13 @@ class RestartedProcess(MarkovKernel):
     def transition_density(self, t, x, z, rel_tol=DEFAULT_REL_TOL):
         """The density of ``transition_probability``, at a time or a 1-D numpy
         array of them as it is; a zero time is refused before any integral."""
-        array = isinstance(t, np.ndarray)
-        t = check_one_dimensional("times", check_times(t)) if array else check_nonnegative("time", t)
-        if not (t.all() if array else t):
+        if not isinstance(t, np.ndarray):
+            return _at_one_time(self.transition_density, t, x, z, rel_tol)
+        t = check_one_dimensional("times", check_times(t))
+        if not t.all():
             raise SingularityAtOrigin("the transition law at t=0 is a point mass, not a density")
         z = float(check_state(self.space, z))
-        unrestarted = (self.base.transition_densities if array else self.base.transition_density)(t, x, z)
+        unrestarted = self.base.transition_densities(t, x, z)
         return self._compose(unrestarted, partial(
             self._nu_expect, lambda y, s: self.base.stationary_density(self.rate, y, z, s, rel_tol=rel_tol), rel_tol
         ), t)
@@ -326,7 +332,7 @@ class RestartedProcess(MarkovKernel):
         matrices in one call, and the rows that the restarts add whatever
         the start, the base's ``stationary_vector`` from nu's weights, in
         one call for all the positive times."""
-        t = check_times(t)
+        t = check_one_dimensional("times", check_times(t))
         P = self.base.transition_matrices(t)
         w = nu_weights(self.restart.nu, self.space)
         return self._compose(P, lambda ages: self.base.stationary_vector(
@@ -362,15 +368,15 @@ class RestartedProcess(MarkovKernel):
         return self.base.sample_transitions(np.where(hit, back, t), start, rng)
 
     def moment(self, k, t, x, rel_tol=DEFAULT_REL_TOL):
-        """E_x[X(t)^k] by weighting the base kernel's closed-form moments."""
+        """E_x[X(t)^k] by weighting the base kernel's closed-form moments, composed at t as a one-element array."""
         k = check_count("moment order k", k, least=0)
         t = check_nonnegative("time", t)
         unrestarted = self.base.moment(k, t, x)
         if unrestarted is None:
             return None
-        return self._compose(unrestarted, partial(self._nu_expect, lambda y, s: exp_weighted_integral(
-            lambda u: self.base.moments(k, u, y), self.rate, s, rel_tol=rel_tol, abs_tol=DEFAULT_ABS_TOL
-        ).value, rel_tol), t)
+        restarted = partial(self._nu_expect, lambda y, s: exp_weighted_integral(
+            lambda u: self.base.moments(k, u, y), self.rate, s, rel_tol=rel_tol).value, rel_tol)
+        return float(self._compose(np.array([unrestarted], dtype=float), restarted, np.array([t]))[0])
 
     # -- stationary law --------------------------------------------------
 
@@ -410,16 +416,14 @@ class RestartedProcess(MarkovKernel):
         probability, a density, a moment or a transition matrix.
         ``unrestarted`` is f(t, x), its value without a restart, and
         restarted(s) = int nu(dy) lam int_0^s exp(-lam*u) f(u, y) du its
-        share from the restarts.  t is a float, or a 1-D array with f
-        stacked along the leading axis; a zero time keeps f, and restarted
-        is asked once, for all the positive times.
+        share from the restarts.  t is a 1-D array, f stacked along the
+        leading axis, one element for one time; a zero time keeps f, and
+        restarted is asked once, for all the positive times.
         """
-        if not isinstance(t, np.ndarray):
-            return unrestarted if t == 0.0 else math.exp(-self.rate * t) * unrestarted + restarted(t)
         late = t > 0.0
         ages = t[late]
         if len(ages):
-            # math.exp per time, as a float time takes it: numpy's exp
+            # math.exp per time, as every output has taken it: numpy's exp
             # differs from it in the last bit on some inputs
             kept = np.array([math.exp(-self.rate * s) for s in ages.tolist()])
             kept = kept.reshape(-1, *(1,) * (unrestarted.ndim - 1))

@@ -4,24 +4,24 @@ Drifted Brownian motion on the line, geometric Brownian motion on the
 positive half line, and finite-state chains in continuous time given by a
 generator matrix.  All three expose exact densities/matrices, exact samplers
 (one path, or a whole array of paths with their own times) and closed-form
-moments, each also at a whole array of times in one call (the form the
-quadrature integrates), so they serve both as base processes for restarting
-and as the analytic reference in tests.  All three also answer the moments
-(``restarted_moment``) and the restart-age integrals of their transition
-law exactly.  The moments integrate the base moments over the restart age
-in closed form.  The diffusions' restart-age law is the asymmetric Laplace
-law at t = inf and, at finite t, that law less its normal-Laplace
-convolution (the resolvent identity), or the first-passage form where that
-difference cancels (``_RestartAgeLaw``); GBM reads it in log space.  The
-chain's is one linear solve against lam*I - Q per rate, which with the
-memoised exp(Q*t) also gives the restarted chain's transition matrix at any
-finite t, and its restart-age masses wherever that difference keeps its
-digits; the short horizons where it would cancel take quadrature.  The
-chain computes exp(Q*t) itself, for a whole array of times in one numpy
+moments, each at a whole array of times in one call (the form the quadrature
+integrates; at one time, its one-element case), so they serve both as base
+processes for restarting and as the analytic reference in tests.  All three
+also answer the moments (``restarted_moment``) and the restart-age integrals
+of their transition law exactly.  The moments integrate the base moments
+over the restart age in closed form.  The diffusions' restart-age law is the
+asymmetric Laplace law at t = inf and, at finite t, that law less its
+normal-Laplace convolution (the resolvent identity), or the first-passage
+form where that difference cancels (``_RestartAgeLaw``); GBM reads it in log
+space.  The chain's is one linear solve against lam*I - Q per rate, which
+with the memoised exp(Q*t) also gives the restarted chain's transition
+matrix at any finite t, and its restart-age masses wherever that difference
+keeps its digits; the short horizons where it would cancel take quadrature.
+The chain computes exp(Q*t) itself, for a whole array of times in one numpy
 pass of a scaled-and-squared Pade approximant, so no chain route loads
-scipy.  scipy's ``erfcx``, ``gammainc`` and ``ndtr`` start as
-stand-ins that import the real function on their first call and rebind the
-module name to it, so importing this module loads no scipy.
+scipy.  scipy's ``erfcx``, ``gammainc`` and ``ndtr`` start as stand-ins that
+import the real function on their first call and rebind the module name to
+it, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -36,8 +36,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import _double_factorial_odd, categorical_cdf, gaussian_raw_moment, nu_weights
-from .errors import DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_positive, check_times
-from .kernels import Divergent, MarkovKernel, RestartedProcess, _density_pairs, _horizons, _weight_vector
+from .errors import (DomainError, check_count, check_finite, check_horizon, check_nonnegative, check_one_dimensional,
+                     check_positive, check_times)
+from .kernels import Divergent, MarkovKernel, RestartedProcess, _at_one_time, _density_pairs, _horizons, _weight_vector
 from .quadrature import DEFAULT_REL_TOL
 from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
@@ -81,11 +82,6 @@ def _on_first_call(module, name):
 erfcx = _on_first_call("scipy.special", "erfcx")
 gammainc = _on_first_call("scipy.special", "gammainc")
 ndtr = _on_first_call("scipy.special", "ndtr")
-
-
-def _at_one_time(array_form, t, *args):
-    """A scalar transition law: the one-time case of its array-in-time form."""
-    return float(array_form(np.array([float(t)]), *args)[0])
 
 
 def _weight_poly(m, lam, t):
@@ -372,7 +368,7 @@ def _log_states(x):
     """
     if np.ndim(x) == 0:
         return _log_state(x)
-    x = np.asarray(x, dtype=float)
+    x = check_one_dimensional("points", np.asarray(x, dtype=float))
     head = np.ones(len(x), dtype=bool)
     head[1:] = x[1:] != x[:-1]
     starts = np.flatnonzero(head)
@@ -412,13 +408,11 @@ class GeometricBrownian(MarkovKernel):
         # the target's image in log space; a bound at or below 0 maps to -inf
         return Interval(*(math.log(b) if b > 0.0 else -math.inf for b in (target.lower, target.upper)))
 
-    # the one-time forms are the log motion's, as the array forms are, so
-    # the two agree bit for bit
     def transition_density(self, t, x, z):
-        return self.log.transition_density(t, _log_state(x), _log_state(z)) / z
+        return _at_one_time(self.transition_densities, t, x, z)
 
     def transition_probability(self, t, x, target):
-        return self.log.transition_probability(t, _log_state(x), self._log_target(target))
+        return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_densities(self, t, x, z):
         return self.log.transition_densities(t, _log_state(x), _log_states(z)) / z
@@ -602,7 +596,7 @@ class FiniteCTMC(MarkovKernel):
         falling time, take one pass of ``_expm`` per ``_MEMO_SIZE`` of them,
         each matrix bit for bit the one its time gets alone.
         """
-        t = check_times(t)
+        t = check_one_dimensional("times", check_times(t))
         key = t.tobytes()
         P = self._memo.get(key)
         if P is not None:
@@ -695,13 +689,11 @@ class FiniteCTMC(MarkovKernel):
         return R
 
     def transition_probability(self, t, x, target):
-        self._space.check_target(target)
-        row = self.transition_matrix(t)[self._space.index(x)]
-        return float(sum(row[i] for i in target.indices))
+        return _at_one_time(self.transition_probabilities, t, x, target)
 
     def transition_probabilities(self, t, x, target):
-        # the target's columns added in turn to 0, as the float form adds
-        # them: numpy's sum of 9 or more entries of one row goes by unrolled
+        # the target's columns added in turn to 0, the order every output was
+        # computed in: numpy's sum of 9 or more entries of one row goes by unrolled
         # blocks, and its last bit can differ
         self._space.check_target(target)
         rows = self.transition_matrices(t)[:, self._space.index(x)]
@@ -724,8 +716,7 @@ class FiniteCTMC(MarkovKernel):
             state = bisect_right(cdfs[state], rng.random())
 
     def moment(self, k, t, x):
-        row = self.transition_matrix(t)[self._space.index(x)]
-        return float(row @ self.values**k)
+        return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
         return self.transition_matrices(t)[:, self._space.index(x)] @ self.values**k
@@ -795,6 +786,8 @@ class FiniteCTMC(MarkovKernel):
         cancels = []
         for k, s in enumerate(horizons.tolist()):
             if s < math.inf:
+                # one exp(Q*s) per horizon: on kernel-chain* configs the only FiniteCTMC.transition_matrix
+                # calls, which keep processes.expm_calls > 0 as perfbench/test_smoke.py asserts (ROADMAP 1a)
                 late = math.exp(-lam * s) * float((v @ self.transition_matrix(s))[columns].sum())
                 if late <= 0.5 * mass:
                     values[k] = mass - late
@@ -808,18 +801,18 @@ class FiniteCTMC(MarkovKernel):
         return values if isinstance(t, np.ndarray) else float(values[0])
 
     def stationary_vector(self, lam, w, t=math.inf, rel_tol=None):
-        """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly, at a horizon t or
-        at each horizon of a 1-D numpy array t (one row each, its float call's).
+        """lam * w int_0^t exp(-lam*s) exp(Q*s) ds, exactly, at each horizon of a
+        1-D numpy array t (one row each), or at a horizon t (a finite one is row 0 of its one-element array).
 
         The integral is lam * w (lam*I - Q)^(-1) (I - exp(-lam*t) exp(Q*t)):
         the rate's memoised resolvent gives v = lam * w (lam*I - Q)^(-1),
-        the value at t = inf, and a finite horizon subtracts
-        exp(-lam*t) v exp(Q*t), an array's from one stack of exp(Q*t).
+        the value at t = inf, and the finite horizons subtract
+        exp(-lam*t) v exp(Q*t), from one stack of exp(Q*t).
         """
         v = _weight_vector(self._space, w) @ self._stationary_matrix(lam)
         t = _horizons(t)
         if not isinstance(t, np.ndarray):
-            return v if math.isinf(t) else v - math.exp(-lam * t) * (v @ self.transition_matrix(t))
+            return v if math.isinf(t) else self.stationary_vector(lam, w, np.array([t]))[0]
         rows, finite = np.tile(v, (len(t), 1)), np.isfinite(t)
         kept = np.array([math.exp(-lam * s) for s in t[finite].tolist()])
         rows[finite] = v - kept[:, None] * (v @ self.transition_matrices(t[finite]))

@@ -300,6 +300,33 @@ def test_stationary_density_takes_an_array_of_points_or_of_horizons_not_both():
     ):
         with pytest.raises(DomainError, match="^stationary_density takes an array of points or of horizons, not both$"):
             call(np.array([0.5, 1.5]), np.array([1.0, 2.0]))
+        for t in (math.inf, 1.0):
+            with pytest.raises(DomainError, match=r"^points must be a 1-D array, got shape \(2, 2\)$"):
+                call(np.full((2, 2), 0.5), t)
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warmed"])
+@pytest.mark.parametrize("t", [np.array([[0.1, 0.2], [0.3, 0.4]]), np.array(0.1)], ids=["(2, 2)", "()"])
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda chain, t: chain.transition_matrices(t),
+        lambda chain, t: chain.transition_probabilities(t, 0, Subset([0, 2])),
+        lambda chain, t: chain.moments(2, t, 0),
+        lambda chain, t: RestartedProcess(chain, CHAIN_RATE).transition_matrices(t),
+    ],
+    ids=["transition_matrices", "transition_probabilities", "moments", "RestartedProcess.transition_matrices"],
+)
+def test_chain_array_forms_take_a_1d_array_of_times(entry, t, warm):
+    # on a fresh chain these raised a bare TypeError; on a chain that had met
+    # the same four times as a 1-D array, the memo answered the (2, 2) array
+    # by its bytes with the (4, 3, 3) stack
+    chain = make_three_state_chain()
+    if warm:
+        chain.transition_matrices(np.array([0.1, 0.2, 0.3, 0.4]))
+    with pytest.raises(DomainError) as err:
+        entry(chain, t)
+    assert str(err.value) == f"times must be a 1-D array, got shape {t.shape}"
 
 
 def test_weight_vector_needs_one_weight_per_state():
@@ -370,6 +397,7 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: RestartSpec(-1.0, PointMass(0.0)), "restart rate must be positive and finite, got -1.0"),
         (lambda: RestartSpec(-0.0, PointMass(0.0)), "restart rate must be positive and finite, got -0.0"),
         (lambda: CHAIN.stationary_vector(1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
+        (lambda: MarkovKernel.stationary_vector(CHAIN, 1.5, W, -1.0), "horizon must be nonnegative or inf, got -1.0"),
         (lambda: BM.moments(1, _times(1.0), math.nan), "state must be finite, got nan"),
         (lambda: _restarted(BM, PointMass(None)), "restart distribution PointMass(x=None) is not supported in RealLine()"),
         (lambda: _restarted(GBM, PointMass([1.0])),
