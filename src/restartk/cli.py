@@ -116,9 +116,8 @@ _TASK = {
     ]
 }
 
-# Draft-07 on purpose: each process checks SCHEMA against its metaschema
-# once (see _CheckedOnce), and the draft-07 one is ~5x cheaper to check than
-# the default 2020-12 one; every keyword used here means the same in both.
+# Draft-07: a rejected config's message is Draft7Validator's (see _Validator),
+# and TestSchemaDialect holds it to the 2020-12 default's answers and messages.
 # tests/cli_schema.json holds the full schema as JSON, key order included.
 SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -190,37 +189,27 @@ def _conforms(instance, schema):
     return True
 
 
-class _CheckedOnce:
-    """The ``cls`` that ``run`` hands to jsonschema.validate.
+class _Validator:
+    """The ``cls`` that ``run`` hands to jsonschema.validate; it keeps only the schema.
 
-    jsonschema.validate checks the schema against its metaschema before each
-    validation.  Here the first call of a process checks SCHEMA and builds one
-    Draft7Validator, and later calls reuse it.  Validity itself is decided by
-    walking SCHEMA's own dict (_conforms), over ten times cheaper per config
-    than the Draft7Validator.  Only a rejected config goes to the
-    Draft7Validator, whose errors make the message, so every message is
-    jsonschema's; jsonschema also stays the oracle the tests hold _conforms
-    to.  It is imported at start-up: every ``run`` validates its config
-    before any other work, so importing it later would only move the cost.
+    Validity is decided by walking SCHEMA's own dict (_conforms), over ten
+    times cheaper per config than a Draft7Validator, which sees only a
+    rejected config and writes its message; it also stays the oracle the
+    tests hold _conforms to.  jsonschema is imported at start-up, since every
+    ``run`` validates its config before any other work.
     """
 
-    validator = None
+    def __init__(self, schema):
+        self.schema = schema
 
-    def check_schema(self, schema):
-        if self.validator is None:
-            jsonschema.Draft7Validator.check_schema(schema)
-            self.validator = jsonschema.Draft7Validator(schema)
-
-    def __call__(self, schema):
-        return self
+    @staticmethod
+    def check_schema(schema):
+        """No check: tests/test_cli.py::TestSchemaDialect::test_schema_is_draft7 checks SCHEMA."""
 
     def iter_errors(self, instance):
-        if _conforms(instance, self.validator.schema):
+        if _conforms(instance, self.schema):
             return ()
-        return self.validator.iter_errors(instance)
-
-
-_SCHEMA_CHECK = _CheckedOnce()
+        return jsonschema.Draft7Validator(self.schema).iter_errors(instance)
 
 
 def exit_code_for(exc):
@@ -441,7 +430,9 @@ def run(config_path, threads=None, out_dir=None):
                 print(f"{config_path} is not valid JSON: {exc}", file=sys.stderr)
                 return 2
         try:
-            jsonschema.validate(config, SCHEMA, cls=_SCHEMA_CHECK)
+            # jsonschema.validate only for the benchmark's span around it (pin:
+            # cli.validate_s > 0 in perfbench/test_smoke.py; ROADMAP 1a and 6 free it)
+            jsonschema.validate(config, SCHEMA, cls=_Validator)
         except jsonschema.ValidationError as exc:
             print(_schema_error_message(exc), file=sys.stderr)
             return 2

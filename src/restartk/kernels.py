@@ -394,7 +394,7 @@ class RestartedProcess(MarkovKernel):
         Every point is checked before any integral; then one ``_nu_expect``
         asks the base kernel's ``stationary_density`` for all of them.
         """
-        states = np.atleast_1d(z).tolist() if isinstance(z, np.ndarray) else [z]
+        states = check_one_dimensional("points", np.atleast_1d(z)).tolist() if isinstance(z, np.ndarray) else [z]
         points = np.array([check_state(self.space, p) for p in states], dtype=float)
         density = self._nu_expect(
             lambda y, p: self.base.stationary_density(self.rate, y, p, rel_tol=rel_tol), rel_tol, points

@@ -161,6 +161,9 @@ class _RestartAgeLaw:
         s2 = sigma * sigma
         alpha = math.sqrt(mu * mu + 2.0 * lam * s2)
         wide = alpha + abs(mu)
+        if not (0.0 < s2 and 0.0 < alpha and wide / s2 < math.inf):
+            raise DomainError(f"restart rate {lam!r} with mu={mu!r}, sigma={sigma!r} takes the restart-age "
+                              "law out of the float range; rescale the process")
         narrow = 2.0 * lam * s2 / wide
         a_minus_mu, a_plus_mu = (narrow, wide) if mu >= 0.0 else (wide, narrow)
         self.mu, self.sigma, self.lam, self.alpha = mu, sigma, lam, alpha
@@ -719,7 +722,9 @@ class FiniteCTMC(MarkovKernel):
         return float(self.moments(k, np.array([float(t)]), x)[0])
 
     def moments(self, k, t, x):
-        return self.transition_matrices(t)[:, self._space.index(x)] @ self.values**k
+        # the state columns added in turn, as in transition_probabilities: a stacked @ rounds a row by its place
+        rows = self.transition_matrices(t)[:, self._space.index(x)]
+        return sum((rows[:, i] * v for i, v in enumerate(self.values**k)), np.zeros(len(rows)))
 
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted; t may be inf.

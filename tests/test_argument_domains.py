@@ -10,6 +10,7 @@ DomainError; none may be read as a limit (a horizon of -inf as the
 stationary law) or pass through to a result.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -405,8 +406,49 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: GBM.moment(1, 1.0, -1.0), "state must be positive and finite, got -1.0"),
         (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [1.0], []), "test_sets must not be empty"),
         (lambda: ergodicity_check(_restarted(BM, PointMass(0.0)), 0.0, [], [G]), "t_grid must not be empty"),
+        (lambda: _restarted(BM, PointMass(0.0)).invariant_density(np.zeros((2, 2))),
+         "points must be a 1-D array, got shape (2, 2)"),
+        (lambda: BrownianWithDrift(0.0, 1e200).stationary_probability(1.0, 0.0, G),
+         "restart rate 1.0 with mu=0.0, sigma=1e+200 takes the restart-age law out of the float range; "
+         "rescale the process"),
+        (lambda: BrownianWithDrift(0.3, 1e-200).stationary_density(1.0, 0.0, 0.5, 1.0),
+         "restart rate 1.0 with mu=0.3, sigma=1e-200 takes the restart-age law out of the float range; "
+         "rescale the process"),
+        # GBM's law is its log motion's, whose drift is mu - sigma^2/2
+        (lambda: GeometricBrownian(0.1, 1e100).stationary_probability(1.0, 1.0, Interval(0.5, 2.0)),
+         "restart rate 1.0 with mu=-5e+199, sigma=1e+100 takes the restart-age law out of the float range; "
+         "rescale the process"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == message
+
+
+def _age_law_values(kernel, lam, t):
+    """The restart-age law's mass and density from one start, at horizon t."""
+    if isinstance(kernel, GeometricBrownian):
+        yield kernel.stationary_probability(lam, 1.0, Interval(0.5, 2.0), t)
+        if t < math.inf:  # at t = inf GBM's density is the quadrature default's, not the law's
+            yield kernel.stationary_density(lam, 1.0, 1.5, t)
+    else:
+        yield kernel.stationary_probability(lam, 0.0, Interval(0.0, 1.0), t)
+        yield kernel.stationary_density(lam, 0.0, 0.5, t)
+
+
+def test_restart_age_law_is_finite_or_refused():
+    # from the float range's edges to well inside it; inside the box no law is refused
+    mus = (0.0, 1e-300, 1.0, -1.0, 1e10, -1e10, 1e100, 1e300, -1e300)
+    sigmas = (1e-300, 1e-200, 1e-100, 1e-10, 1.0, 1e10, 1e70, 1e100, 1e200)
+    lams = (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300)
+    for kind, top in ((BrownianWithDrift, 1e100), (GeometricBrownian, 1e70)):
+        for mu, sigma, lam, t in itertools.product(mus, sigmas, lams, (math.inf, 1e-3, 1.0, 1e3)):
+            if kind is GeometricBrownian and sigma > 1e150:
+                continue  # sigma^2 overflows before the law is built
+            inside = abs(mu) <= 1e10 and 1e-100 <= sigma <= top and 1e-100 <= lam <= 1e100
+            try:
+                values = list(_age_law_values(kind(mu, sigma), lam, t))
+            except DomainError:
+                assert not inside, (kind.__name__, mu, sigma, lam, t)
+            else:
+                assert all(math.isfinite(v) for v in values), (kind.__name__, mu, sigma, lam, t, values)

@@ -598,8 +598,8 @@ def mutated(config, dotted, value):
 
 
 class TestSchemaDialect:
-    """SCHEMA declares draft-07, whose metaschema is cheap to check once per
-    process; it must accept and reject exactly as the 2020-12 default did."""
+    """SCHEMA declares draft-07; it must accept and reject exactly as the
+    2020-12 default did."""
 
     def test_schema_is_draft7(self):
         assert validator_for(SCHEMA) is Draft7Validator
@@ -645,15 +645,10 @@ class TestSchemaDialect:
 
 
 class TestSchemaCheckedOnce:
-    """Each process checks SCHEMA against its metaschema before it validates
-    its first config, and only then; every config is still validated."""
+    """No run checks SCHEMA against its metaschema (TestSchemaDialect does);
+    every config is still validated."""
 
     INVALID_RATE = {"rate": -1.0, "nu": {"type": "point", "x": 0.0}}
-
-    @pytest.fixture(autouse=True)
-    def fresh_process(self, monkeypatch):
-        # the one-time state of a process that has not validated a config yet
-        monkeypatch.setattr(cli, "_SCHEMA_CHECK", cli._CheckedOnce())
 
     def configs(self, tmp_path):
         task = {"name": "stationary", "targets": [[0.0, 1.0]]}
@@ -663,19 +658,24 @@ class TestSchemaCheckedOnce:
         invalid, _ = write_config(tmp_path / "invalid", task, restart=self.INVALID_RATE)
         return valid, invalid
 
-    def test_one_metaschema_check_per_process(self, tmp_path, monkeypatch):
-        checked = []
-        check_schema = Draft7Validator.check_schema
-
-        def counted(schema, *args, **kwargs):
-            checked.append(schema)
-            return check_schema(schema, *args, **kwargs)
-
-        monkeypatch.setattr(Draft7Validator, "check_schema", counted)
+    def test_no_run_checks_the_metaschema(self, tmp_path):
+        # a new python, so that no earlier run in this one hides a first-run check
+        probe = (
+            "import sys\n"
+            "from jsonschema import Draft7Validator\n"
+            "checked = []\n"
+            "check_schema = Draft7Validator.check_schema\n"
+            "def counted(schema, *args, **kwargs):\n"
+            "    checked.append(schema)\n"
+            "    return check_schema(schema, *args, **kwargs)\n"
+            "Draft7Validator.check_schema = counted\n"
+            "from restartk import cli\n"
+            "print([cli.run(path, threads=1) for path in sys.argv[1:]], len(checked))\n"
+        )
         valid, invalid = self.configs(tmp_path)
-        codes = [run_cli(path) for path in (invalid, valid, invalid, valid, valid)]
-        assert codes == [2, 0, 2, 0, 0]
-        assert len(checked) == 1 and checked[0] is SCHEMA
+        res = _fresh_interpreter(probe, invalid, valid, invalid)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == "[2, 0, 2] 0\n"
 
     def test_invalid_config_reports_the_same_first_and_later(self, tmp_path, capsys):
         valid, invalid = self.configs(tmp_path)
@@ -687,12 +687,6 @@ class TestSchemaCheckedOnce:
         for _ in range(2):
             assert run_cli(valid) == 0
         assert (run_cli(invalid), capsys.readouterr().err) == want
-
-    def test_broken_schema_fails_on_first_use(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "SCHEMA", {**SCHEMA, "type": "mapping"})
-        valid, _ = self.configs(tmp_path)
-        assert run_cli(valid) == 1
-        assert "jsonschema.exceptions.SchemaError: 'mapping' is not valid" in capsys.readouterr().err
 
 
 def _subschemas(schema):
@@ -821,9 +815,6 @@ class TestSchemaInterpreter:
 
     @pytest.mark.parametrize("config", VALID_GOLDENS, ids=lambda p: p.stem)
     def test_a_valid_config_never_reaches_the_draft7_validator(self, config, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_SCHEMA_CHECK", cli._CheckedOnce())
-        cli._SCHEMA_CHECK.check_schema(SCHEMA)  # its metaschema check iterates errors itself
-
         def refuse(*args, **kwargs):
             raise AssertionError("a valid config went to Draft7Validator.iter_errors")
 
