@@ -12,7 +12,6 @@ log-normal), each a frozen dataclass of its parameters on the
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,13 +106,12 @@ class FiniteSupport:
         object.__setattr__(self, "points", pts)
         cdf = categorical_cdf([w for _, w in pts])
         object.__setattr__(self, "_cdf", cdf)
-        object.__setattr__(self, "_cdf_list", cdf.tolist())
         object.__setattr__(self, "atoms", tuple(s for s, _ in pts))
         object.__setattr__(self, "_states", np.asarray(self.atoms))
 
     def sample(self, rng, size=None):
         if size is None:
-            return self.atoms[bisect_right(self._cdf_list, rng.random())]
+            return self.atoms[int(self._cdf.searchsorted(rng.random(), side="right"))]
         return self._states[self._cdf.searchsorted(rng.random(size), side="right")]
 
     def expect(self, f, rel_tol=None):

@@ -283,9 +283,12 @@ class BrownianWithDrift(MarkovKernel):
         t = check_times(t)
         x = check_finite("state", x)
         sd = self.sigma * np.sqrt(t)
-        m = x + self.mu * t
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            m = x + self.mu * t
             p = ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd)
+        if not np.isfinite(m).all():
+            raise DomainError(f"drift mu={self.mu!r} from x={x!r} takes the mean x + mu*t out of the float range "
+                              f"by t = {float(t.max())!r}; rescale the process")
         return np.where(t > 0.0, p, indicator(target, x))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
@@ -326,7 +329,14 @@ class BrownianWithDrift(MarkovKernel):
 
     def density_envelope(self, z, s_min):
         # the Gaussian peak is the prefactor; past s_min it only flattens
-        return (1.0 / (self.sigma * math.sqrt(2.0 * math.pi * s_min)), 0.0)
+        try:
+            peak = 1.0 / (self.sigma * math.sqrt(2.0 * math.pi * s_min))
+        except ZeroDivisionError:
+            peak = math.inf
+        if peak == math.inf:
+            raise DomainError(f"sigma={self.sigma!r} takes the density's peak at times from {s_min!r} "
+                              "out of the float range; rescale the process")
+        return (peak, 0.0)
 
     def restarted_moment(self, restart, k, t, x):
         """E_x[X(t)^k] restarted, closed form; t may be inf.
@@ -393,7 +403,16 @@ class GeometricBrownian(MarkovKernel):
     log: BrownianWithDrift = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "log", BrownianWithDrift(self.mu - 0.5 * self.sigma**2, self.sigma))
+        check_positive("sigma", self.sigma)
+        check_finite("mu", self.mu)
+        try:
+            drift = self.mu - 0.5 * self.sigma**2
+        except OverflowError:
+            drift = -math.inf
+        if math.isinf(drift):
+            raise DomainError(f"sigma={self.sigma!r} with mu={self.mu!r} takes the drift of log X, mu - sigma^2/2, "
+                              "out of the float range; rescale the process")
+        object.__setattr__(self, "log", BrownianWithDrift(drift, self.sigma))
 
     @property
     def space(self):

@@ -147,7 +147,14 @@ def tail_truncation_point(lam, eta, growth_const=1.0, eps=1e-12):
             f"growth rate eta={eta} is not below the restart rate lam={lam}; "
             "the weighted tail does not vanish"
         )
-    s_star = math.log(C * lam / ((lam - eta) * eps)) / (lam - eta)
+    try:
+        ratio = C * lam / ((lam - eta) * eps)
+    except ZeroDivisionError:
+        ratio = math.inf
+    if not 0.0 < ratio < math.inf:
+        raise DomainError(f"the tail bound C*lam/((lam - eta)*eps) at lam={lam!r}, eta={eta!r}, C={C!r}, "
+                          f"eps={eps!r} is out of the float range; rescale the problem")
+    s_star = math.log(ratio) / (lam - eta)
     return max(s_star, 0.0)
 
 

@@ -9,19 +9,22 @@ its last restart, at most one redraw from nu and one exact base transition.
 An ensemble is the (paths, grid times) array of the states on the grid
 (state indices on finite spaces).
 
-The event log (``write_path_csv``) walks one path event by event instead:
-restart times are drawn from the exponential clock, and the base kernel is
-sampled over each inter-event interval.  Each row it reaches is a %-template
-fragment from tables made once per log, with the grid time, a chain's label
-or a restart atom already in its text; the path id, the restart time and any
-other state are kept as values, and one % over a block's fragments formats
-them all, so the numbers are formatted in C and each block is one write.
+The event log (``write_path_csv``) walks one path event by event instead.
+Each block first draws what no path's state changes, one numpy call each:
+the start states, the restart clocks (per path a Poisson(lam*h) count of
+sorted uniform times on (0, h], the Poisson process's order statistics)
+and the redraws from nu.  The walk then samples the base kernel over each
+inter-event interval.  Each row it reaches is a %-template fragment from
+tables made once per log, with the grid time, a chain's label or a restart
+atom already in its text; the path id, the restart time and any other state
+are kept as values, and one % over a block's fragments formats them all, so
+the numbers are formatted in C and each block is one write.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
-ensemble for all paths of the block at once, the event log for one path
-after another.  So the draws depend on the seed and the path count only,
-never on how blocks are spread over workers.
+ensemble for all paths of the block at once, the event log its block draws
+and then each path's transitions in turn.  So the draws depend on the seed
+and the path count only, never on how blocks are spread over workers.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -100,26 +102,17 @@ def block_rng(seed, block):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=(block,))))
 
 
-def _first_chunk(rate, horizon):
-    # gaps in a clock's first draw: the mean count plus six standard
-    # deviations, so almost every clock passes the horizon in one draw
-    return max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
-
-
-def _restart_times(rng, scale, horizon, chunk):
-    """The restart times in (0, horizon] as a list: one draw of ``chunk``
-    Exp(scale) gaps, then draws of 16 more while the clock has not passed
-    the horizon.  The gaps are summed in order, as numpy's 1-D cumsum sums
-    them, and only up to the first time past the horizon."""
-    gaps = rng.exponential(scale, size=chunk).tolist()
-    times = []
-    while True:
-        for s in accumulate(gaps):
-            if s > horizon:
-                return times
-            times.append(s)
-        gaps = rng.exponential(scale, size=16).tolist()
-        gaps[0] += times[-1]
+def _restart_clock(rng, rate, horizon, m):
+    """The restart times in (0, horizon] of m paths of a rate-``rate`` Poisson
+    clock: Poisson(rate * horizon) counts, then for each path that many sorted
+    times horizon * (1 - u), u uniform on [0, 1).  Returns the counts and an
+    (m, max count + 1) array whose row i holds path i's times, then infinity."""
+    counts = rng.poisson(rate * horizon, m)
+    slots = np.arange(counts.max() + 1) < counts[:, None]
+    times = np.full(slots.shape, math.inf)
+    times[slots] = horizon * (1.0 - rng.random(int(counts.sum())))
+    times.sort(axis=1)
+    return counts, times
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -247,9 +240,11 @@ def write_path_csv(proc, config, out):
 
     A row is written at each restart (state just after the redraw) and at
     each grid time, in time order; restart rows precede a grid row at the
-    same instant.  States on finite spaces are written as labels.  Each path
-    is walked and written in one loop, the paths of block b in order on
-    ``block_rng(config.seed, b)``, the stream of the ensemble's block b.
+    same instant.  States on finite spaces are written as labels.  Block b
+    draws from ``block_rng(config.seed, b)``, the stream of the ensemble's
+    block b: its start states, its restart clocks and its redraws from nu,
+    then the base transitions of each path in order, walked and written in
+    one loop.
     The log is written beside ``out`` under a temporary name and takes its
     place only when every path is written, so a failed run leaves no
     partial log and an earlier log at ``out`` stays as it was.
@@ -267,20 +262,16 @@ def write_path_csv(proc, config, out):
 
 
 def _write_paths(proc, config, fh):
-    # the restarts after the last grid time are walked too, so every path uses
-    # up the same draws; the grid and the restarts each end at infinity, whose
-    # pass ends the path.  Each row is a %-template fragment from tables made
-    # once per log: each grid time, a chain's labels and the atoms of a finite
-    # restart law (not 0, whose key would also take -0.0) are written into
-    # the fragments (formatted numbers hold no %); the path id, each restart
-    # time and any other state fill %d and %.17g slots, one % over a block's
-    # fragments fills them all
-    start = config.initial.sample
+    # block b draws its start states, restart clocks and redraws from nu first,
+    # each in one call, then walks its paths in order on the rest of its
+    # stream.  The restarts after the last grid time are walked too, and each
+    # path's clock ends at infinity, whose pass ends the path.  Each row is a
+    # %-template fragment from tables made once per log: each grid time, a
+    # chain's labels and the atoms of a finite restart law (not 0, whose key
+    # would also take -0.0) are written into the fragments (formatted numbers
+    # hold no %); the path id, each restart time and any other state fill %d
+    # and %.17g slots, one % over a block's fragments fills them all
     step = proc.base.sample_transition
-    redraw = proc.restart.nu.sample
-    horizon = config.horizon
-    scale = 1.0 / proc.rate
-    chunk = _first_chunk(proc.rate, horizon)
     stops = config.record_grid + (math.inf,)
     if isinstance(proc.space, FiniteSet):
         state_text = {i: format(v, ".17g") for i, v in enumerate(proc.space.values)}
@@ -297,17 +288,18 @@ def _write_paths(proc, config, fh):
     fh.write("path_id,time,state,event_type\n")
     for block, lo in enumerate(range(0, config.n_paths, BLOCK)):
         rng = block_rng(config.seed, block)
+        m = min(BLOCK, config.n_paths - lo)
+        starts = config.initial.sample(rng, m).tolist()
+        counts, clocks = _restart_clock(rng, proc.rate, config.horizon, m)
+        redraw = iter(proc.restart.nu.sample(rng, int(counts.sum())).tolist()).__next__
         rows = []
         row = rows.append
         values = []
         value = values.append
-        for i in range(lo, min(lo + BLOCK, config.n_paths)):
-            state = start(rng)
-            restarts = _restart_times(rng, scale, horizon, chunk)
-            restarts.append(math.inf)
+        for i, state, clock in zip(range(lo, lo + m), starts, clocks.tolist()):
             now = 0.0
             j = 0
-            for r in restarts:
+            for r in clock:
                 while stops[j] < r:
                     g = stops[j]
                     if g > now:
@@ -324,8 +316,11 @@ def _write_paths(proc, config, fh):
                 if r == math.inf:
                     break
                 if r > now:
-                    state = step(r - now, state, rng)
-                state = redraw(rng)
+                    # a transition the redraw replaces, drawn only for the pin
+                    # 0 < simulation.useful_transition_ratio < 1 in perfbench/test_smoke.py
+                    # (ROADMAP 1a and 3 free it)
+                    step(r - now, state, rng)
+                state = redraw()
                 now = r
                 value(i)
                 value(r)

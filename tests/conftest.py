@@ -1,4 +1,4 @@
-"""Shared fixtures: reference chains, generator-matrix factories and the event log's clock."""
+"""Shared fixtures: reference chains and generator-matrix factories."""
 
 import math
 
@@ -10,13 +10,6 @@ from scipy.linalg import expm
 from restartk import FiniteCTMC, FiniteSupport, PointMass, exp_weighted_integral
 from restartk.errors import check_positive
 from restartk.quadrature import DEFAULT_REL_TOL
-from restartk.simulation import _first_chunk, _restart_times
-
-
-def draw_restart_times(rng, rate, horizon):
-    """The event log's restart times in (0, horizon] at rate > 0, as an array:
-    its clock, with its first draw of ``_first_chunk`` gaps."""
-    return np.array(_restart_times(rng, 1.0 / rate, horizon, _first_chunk(rate, horizon)))
 
 
 def random_generator(rng, n, scale=1.0):

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import draw_restart_times, finite_support_from_weights, random_generator, random_restart_weights
+from conftest import finite_support_from_weights, random_generator, random_restart_weights
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -37,7 +37,7 @@ from restartk import (
     small_lambda_sweep,
 )
 from restartk.analysis import ERGODICITY_SLACK
-from restartk.simulation import block_rng
+from restartk.simulation import BLOCK, _restart_clock, block_rng
 
 
 def _report(num, ok, detail):
@@ -264,12 +264,16 @@ def test_age_of_restart_clock_is_truncated_exponential():
     """Criterion 7: the age law behind the kernel identity, at Monte Carlo scale.
 
     P[age <= s, at least one restart] = 1 - exp(-lam*s) on [0, t], read off
-    the event log's own clock: path i's restart times on block_rng(515, i).
+    the event log's own block clocks: those of a 100,000-path log seeded 515
+    from a point, whose start states take no draws.
     """
     lam, t, n = 5.0, 10.0, 100000
-    last = np.array([times[-1] if len(times) else -math.inf
-                     for times in (draw_restart_times(block_rng(515, i), lam, t) for i in range(n))])
-    ages = np.sort(t - last)  # inf where the clock never rang
+    ages = []
+    for b, lo in enumerate(range(0, n, BLOCK)):
+        counts, clocks = _restart_clock(block_rng(515, b), lam, t, min(BLOCK, n - lo))
+        last = clocks[np.arange(len(counts)), np.maximum(counts - 1, 0)]
+        ages.append(np.where(counts > 0, t - last, math.inf))  # inf where the clock never rang
+    ages = np.sort(np.concatenate(ages))
     grid = np.linspace(0.0, t, 200)
     gap = float(np.abs(np.searchsorted(ages, grid, side="right") / n - (1.0 - np.exp(-lam * grid))).max())
     band = 3.0 / math.sqrt(n)

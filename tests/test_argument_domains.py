@@ -12,6 +12,7 @@ stationary law) or pass through to a result.
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -418,11 +419,41 @@ def test_messages_name_the_argument_and_its_rule():
         (lambda: GeometricBrownian(0.1, 1e100).stationary_probability(1.0, 1.0, Interval(0.5, 2.0)),
          "restart rate 1.0 with mu=-5e+199, sigma=1e+100 takes the restart-age law out of the float range; "
          "rescale the process"),
+        # sigma^2 raised a bare OverflowError past about 1.3e154
+        (lambda: GeometricBrownian(0.0, 1e200),
+         "sigma=1e+200 with mu=0.0 takes the drift of log X, mu - sigma^2/2, out of the float range; "
+         "rescale the process"),
+        (lambda: GeometricBrownian(-1e308, 1.3e154),
+         "sigma=1.3e+154 with mu=-1e+308 takes the drift of log X, mu - sigma^2/2, out of the float range; "
+         "rescale the process"),
     ]
     for call, message in cases:
         with pytest.raises(DomainError) as err:
             call()
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("call", [
+    # the peak 1/(sigma*sqrt(2*pi/lam)) of the log motion's density: 1/0
+    lambda: GeometricBrownian(1.0, 1e-300).stationary_density(1e100, 1.0, 1.5),
+    # the tail bound's C*lam underflows to 0, whose log is undefined
+    lambda: GeometricBrownian(1.0, 1e100).stationary_density(1e-300, 1.0, 1.5),
+], ids=["peak-overflows", "tail-bound-underflows"])
+def test_invariant_density_past_the_float_range_is_refused(call):
+    # these raised a bare ZeroDivisionError and ValueError
+    with pytest.raises(DomainError, match="out of the float range"):
+        call()
+
+
+def test_mean_past_the_float_range_is_refused():
+    # mu*t overflows: the no-restart mass was nan, under numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"mean x \+ mu\*t out of the float range by t = 10.0"):
+            BrownianWithDrift(1e308, 1.0).transition_probability(10.0, 0.0, Interval(0.0, math.inf))
+        # mu*t fits, x + mu*t does not
+        with pytest.raises(DomainError, match="by t = 1.0"):
+            BrownianWithDrift(1e308, 1.0).transition_probability(1.0, 1e308, Interval(0.0, math.inf))
 
 
 def _age_law_values(kernel, lam, t):
@@ -443,8 +474,6 @@ def test_restart_age_law_is_finite_or_refused():
     lams = (1e-300, 1e-100, 1e-10, 1.0, 1e10, 1e100, 1e300)
     for kind, top in ((BrownianWithDrift, 1e100), (GeometricBrownian, 1e70)):
         for mu, sigma, lam, t in itertools.product(mus, sigmas, lams, (math.inf, 1e-3, 1.0, 1e3)):
-            if kind is GeometricBrownian and sigma > 1e150:
-                continue  # sigma^2 overflows before the law is built
             inside = abs(mu) <= 1e10 and 1e-100 <= sigma <= top and 1e-100 <= lam <= 1e100
             try:
                 values = list(_age_law_values(kind(mu, sigma), lam, t))

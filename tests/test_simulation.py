@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
+from scipy.stats import kstest
 
 import restartk.simulation
 from restartk import (
@@ -44,12 +45,12 @@ from restartk.simulation import (
     KURTOSIS_THRESHOLD,
     MAX_SHARE_THRESHOLD,
     POOL_BLOCKS_PER_WORKER,
+    _restart_clock,
     block_rng,
 )
 from restartk.spaces import FiniteSet, RealLine, indicator
 
 from conftest import (
-    draw_restart_times,
     make_three_state_chain,
     point_or_two_atom_laws,
     random_generator,
@@ -108,39 +109,51 @@ class TestRandomness:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_restart_times_properties(self):
-        rng = block_rng(1, 0)
-        times = draw_restart_times(rng, 2.0, 5.0)
-        assert np.all(times > 0.0) and np.all(times <= 5.0)
-        assert np.all(np.diff(times) > 0.0)
 
-    def test_restart_count_is_poisson_mean(self):
-        rng = block_rng(3, 0)
-        counts = [len(draw_restart_times(rng, 2.0, 3.0)) for _ in range(4000)]
-        assert abs(np.mean(counts) - 6.0) < 4.5 * math.sqrt(6.0 / 4000)
-
-    def test_long_horizon_chunking(self):
-        times = draw_restart_times(block_rng(4, 0), 0.5, 400.0)
-        assert abs(len(times) - 200) < 4.5 * math.sqrt(200)
-        assert times[-1] <= 400.0
+# a statistic outside 4.5 standard errors, or a p-value below this two-sided
+# normal tail, fails a law test
+BAND = 4.5
+P_BAND = math.erfc(BAND / math.sqrt(2.0))
 
 
-# The event-log walker as it stood before its rewrite for speed, its clock,
-# row format and two categorical samplers (searchsorted, since rewritten to
-# bisect over lists) included, kept here as an independent oracle: the
-# rewritten walker must make the same draws in the same order and write the
-# same bytes.
+class TestBlockClock:
+    """The event log's restart clocks: per path a Poisson(rate * horizon) count
+    of sorted uniform times on (0, horizon], then infinity to the row's end."""
+
+    @pytest.mark.parametrize("rate, horizon", [(2.0, 5.0), (0.3, 1.0), (40.0, 0.5)])
+    def test_times_increase_within_the_horizon(self, rate, horizon):
+        counts, clocks = _restart_clock(block_rng(1, 0), rate, horizon, BLOCK)
+        assert clocks.shape == (BLOCK, counts.max() + 1)
+        for n, clock in zip(counts.tolist(), clocks):
+            times = clock[:n]
+            assert np.all(np.diff(times) > 0.0)
+            assert np.all(times > 0.0) and np.all(times <= horizon)
+            assert np.all(clock[n:] == math.inf)
+
+    def test_counts_are_poisson(self):
+        lam_h, m = 6.0, 4000
+        counts = _restart_clock(block_rng(3, 0), 2.0, 3.0, m)[0]
+        assert abs(counts.mean() - lam_h) < BAND * math.sqrt(lam_h / m)
+        # a Poisson count's fourth central moment is lam_h + 3 lam_h^2
+        assert abs(counts.var(ddof=1) - lam_h) < BAND * math.sqrt((lam_h + 2.0 * lam_h**2) / m)
+
+    def test_pooled_times_are_uniform(self):
+        clocks = _restart_clock(block_rng(5, 0), 2.0, 3.0, 4000)[1]
+        assert kstest(clocks[np.isfinite(clocks)], "uniform", args=(0.0, 3.0)).pvalue > P_BAND
+
+    def test_long_horizon_keeps_its_count(self):
+        # lam * h = 200: every time of each path's count is in its row
+        counts, clocks = _restart_clock(block_rng(4, 0), 0.5, 400.0, 64)
+        assert np.array_equal(np.isfinite(clocks).sum(axis=1), counts)
+        assert abs(counts.mean() - 200.0) < BAND * math.sqrt(200.0 / 64)
+        assert clocks[np.isfinite(clocks)].max() <= 400.0
 
 
-def frozen_draw_restart_times(rng, rate, horizon):
-    """All restart times in (0, horizon], drawn as cumulative exponential gaps."""
-    chunk = max(16, int(rate * horizon + 6.0 * math.sqrt(rate * horizon) + 10.0))
-    times = rng.exponential(1.0 / rate, size=chunk).cumsum()
-    while times[-1] <= horizon:
-        gaps = rng.exponential(1.0 / rate, size=16)
-        gaps[0] += times[-1]
-        times = np.concatenate((times, gaps.cumsum()))
-    return times[: times.searchsorted(horizon, "right")]
+# The event-log walker written plainly, its row format and the chain's
+# categorical sampler (searchsorted, since rewritten to bisect over lists)
+# included: each block's draws, then its paths walked in turn, in the order
+# the event log takes them.  It is the independent oracle: the event log must
+# make the same draws in the same order and write the same bytes.
 
 
 def frozen_jump_tables(chain):
@@ -167,54 +180,64 @@ def frozen_chain_step(tables, t, x, rng):
         state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
 
 
-def frozen_sample(law, rng):
-    """One draw of a law; FiniteSupport.sample before the rewrite."""
+def frozen_sample(law, rng, size=None):
+    """Draws of a law; a FiniteSupport's by searchsorted on its distribution function."""
     if isinstance(law, FiniteSupport):
-        return law.points[int(law._cdf.searchsorted(rng.random(), side="right"))][0]
-    return law.sample(rng)
+        states = [s for s, _ in law.points]
+        index = categorical_cdf([w for _, w in law.points]).searchsorted(rng.random(size), side="right")
+        return states[int(index)] if size is None else np.array(states)[index]
+    if isinstance(law, PointMass):
+        return law.x if size is None else np.full(size, law.x)
+    return law.sample(rng, size)
 
 
-def frozen_run_path(proc, config, rng, events=None):
-    """Walk one path over the grid from rng; optionally collect per-event rows."""
-    state = frozen_sample(config.initial, rng)
-    times = frozen_draw_restart_times(rng, proc.rate, config.horizon)
-    restarts = times.tolist()
+def frozen_block_draws(proc, config, rng, m):
+    """A block's draws before its walk, per path: (start state, sorted restart
+    times, redraws from nu).  The block draws m start states, m Poisson counts,
+    their total of uniforms u for the times horizon * (1 - u), then as many
+    redraws, each path's share in path order."""
+    starts = frozen_sample(config.initial, rng, m)
+    counts = rng.poisson(proc.rate * config.horizon, m)
+    times = config.horizon * (1.0 - rng.random(counts.sum()))
+    redraws = frozen_sample(proc.restart.nu, rng, counts.sum())
+    cuts = np.cumsum(counts)[:-1]
+    return [(x, np.sort(t), r) for x, t, r in zip(starts, np.split(times, cuts), np.split(redraws, cuts))]
+
+
+def frozen_run_path(proc, config, rng, start, restarts, redraws):
+    """Walk one path from its block draws on the rest of rng; its (time, state, kind) rows."""
+    state = start
+    restarts = restarts.tolist()
+    redraws = redraws.tolist()
     grid = config.record_grid
-    states = np.empty(len(grid))
     base = proc.base
     step = base.sample_transition
     if isinstance(base, FiniteCTMC):
         step = partial(frozen_chain_step, frozen_jump_tables(base))
-    nu = proc.restart.nu
+    events = []
     ri = 0
     now = 0.0
-    stops = grid + (math.inf,)
-    for j, g in enumerate(stops):
+    for g in grid + (math.inf,):
         while ri < len(restarts) and restarts[ri] <= g:
             dt = restarts[ri] - now
             if dt > 0.0:
-                state = step(dt, state, rng)
-            state = frozen_sample(nu, rng)
+                step(dt, state, rng)  # the walker draws this transition and drops it
+            state = redraws[ri]
             now = restarts[ri]
             ri += 1
-            if events is not None:
-                events.append((now, state, "restart"))
-        if j == len(grid):
-            break
+            events.append((now, state, "restart"))
+        if g == math.inf:
+            return events
         dt = g - now
         if dt > 0.0:
             state = step(dt, state, rng)
         now = g
-        states[j] = state
-        if events is not None:
-            events.append((g, state, "grid"))
-    return states, times
+        events.append((g, state, "grid"))
 
 
 def numpy_walk(proc, cfg, wrap=lambda rng: rng):
-    """The event log's rows by the frozen walker, each block's paths walked in
-    order on numpy's own Generator(PCG64(SeedSequence(seed, spawn_key=(b,)))),
-    seen through ``wrap``."""
+    """The event log's rows by the frozen walker, each block walked on numpy's
+    own Generator(PCG64(SeedSequence(seed, spawn_key=(b,)))), seen through ``wrap``."""
     if isinstance(proc.space, FiniteSet):
         labels = [format(v, ".17g") for v in proc.space.values]
 
@@ -226,13 +249,11 @@ def numpy_walk(proc, cfg, wrap=lambda rng: rng):
             return format(state, ".17g")
 
     rows = ["path_id,time,state,event_type"]
-    for i in range(cfg.n_paths):
-        if i % BLOCK == 0:
-            seq = np.random.SeedSequence(cfg.seed, spawn_key=(i // BLOCK,))
-            rng = wrap(np.random.Generator(np.random.PCG64(seq)))
-        events = []
-        frozen_run_path(proc, cfg, rng, events=events)
-        rows += [f"{i},{t:.17g},{show(x)},{kind}" for t, x, kind in events]
+    for lo in range(0, cfg.n_paths, BLOCK):
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(lo // BLOCK,))
+        rng = wrap(np.random.Generator(np.random.PCG64(seq)))
+        for i, draws in enumerate(frozen_block_draws(proc, cfg, rng, min(BLOCK, cfg.n_paths - lo)), lo):
+            rows += [f"{i},{t:.17g},{show(x)},{kind}" for t, x, kind in frozen_run_path(proc, cfg, rng, *draws)]
     return rows
 
 
@@ -277,21 +298,18 @@ class TestPathStreams:
             two_atom_bm_paths(-1)
 
 
-class _FastClock:
-    """A Generator whose arrays of exponential gaps come out ``factor`` times
-    shorter, so that a clock needs several extensions of its first draw, and
-    rounded up to multiples of ``lattice`` when one is given, so that restarts
-    fall on grid times; every other draw is the wrapped Generator's own."""
+class _Lattice:
+    """A Generator whose arrays of uniforms come out as multiples of
+    1/``units``, so that the restart times horizon * (1 - u) fall on
+    multiples of horizon/``units`` and meet grid times; every other draw is
+    the wrapped Generator's own."""
 
-    def __init__(self, rng, factor, lattice=None):
-        self.rng, self.factor, self.lattice = rng, factor, lattice
+    def __init__(self, rng, units):
+        self.rng, self.units = rng, units
 
-    def exponential(self, scale, size=None):
-        gaps = self.rng.exponential(scale, size)
-        if size is None:
-            return gaps
-        gaps = gaps / self.factor
-        return gaps if self.lattice is None else np.ceil(gaps / self.lattice) * self.lattice
+    def random(self, size=None):
+        u = self.rng.random(size)
+        return u if size is None else np.floor(u * self.units) / self.units
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -336,25 +354,27 @@ class TestFrozenWalker:
         st.sets(st.sampled_from((0.0, 0.1, 0.25, 0.5, 0.8, 1.0)), min_size=1),
         st.integers(1, 12),
         st.integers(0, 2**64),
-        st.sampled_from((1.0, 20.0)),
-        # restart times on multiples of 1/8 meet the grid times of a whole horizon
-        st.sampled_from((None, 0.125)),
+        # restart times on multiples of horizon/8 meet the grid times at
+        # 0.25, 0.5 and 1 of it, each other and the horizon itself
+        st.sampled_from((None, 8)),
     )
-    def test_log_bytes_match(self, walk, rate, horizon, fractions, n_paths, seed, squeeze, lattice):
+    def test_log_bytes_match(self, walk, rate, horizon, fractions, n_paths, seed, units):
         base, nu, initial = walk
         proc = RestartedProcess(base, RestartSpec(rate, nu))
         grid = tuple(sorted(horizon * f for f in fractions))
         cfg = PathConfig(seed=seed, horizon=horizon, record_grid=grid, n_paths=n_paths, initial=initial)
-        assert_same_rows(proc, cfg, lambda rng: _FastClock(rng, squeeze, lattice))
+        assert_same_rows(proc, cfg, lambda rng: rng if units is None else _Lattice(rng, units))
 
     def test_restarts_on_grid_times_come_first(self):
         proc = bm_process(mu=0.3, rate=2.0, nu=FiniteSupport(((-0.5, 0.4), (1.5, 0.6))))
         cfg = PathConfig(seed=5, horizon=2.0, record_grid=(0.5, 1.0, 2.0), n_paths=40, initial=PointMass(0.0))
-        assert_same_rows(proc, cfg, lambda rng: _FastClock(rng, 1.0, 0.5))
-        with mock.patch.object(restartk.simulation, "block_rng", lambda s, b: _FastClock(block_rng(s, b), 1.0, 0.5)):
+        # restart times on multiples of 0.5
+        assert_same_rows(proc, cfg, lambda rng: _Lattice(rng, 4))
+        with mock.patch.object(restartk.simulation, "block_rng", lambda s, b: _Lattice(block_rng(s, b), 4)):
             rows = [row.split(",") for row in log_rows(proc, cfg)[1:]]
-        met = [(a, b) for a, b in zip(rows, rows[1:]) if a[0] == b[0] and a[1] == b[1]]
-        assert met and all(a[3] == "restart" and b[3] == "grid" for a, b in met)
+        # the kinds of two rows of one path at one time: restarts may meet each other too
+        met = {(a[3], b[3]) for a, b in zip(rows, rows[1:]) if a[:2] == b[:2]}
+        assert ("restart", "grid") in met and ("grid", "restart") not in met
 
     def test_signed_zero_atoms_keep_their_sign(self):
         # 0.0 == -0.0, so a table of atom texts keyed by value would write one for both
@@ -371,32 +391,23 @@ class TestFrozenWalker:
             def __init__(self, values):
                 self.values = list(values)
 
-            def random(self):
-                return self.values.pop(0)
+            def random(self, size=None):
+                return self.values.pop(0) if size is None else np.array([self.values.pop(0) for _ in range(size)])
 
             def exponential(self, scale):
                 return 1e-9
 
         law = FiniteSupport(((3.0, 0.25), (4.0, 0.5), (5.0, 0.25)))
         us = [0.0, 0.25, 0.5, 0.75, 0.999]
-        assert [law.sample(Uniforms([u])) for u in us] == [frozen_sample(law, Uniforms([u])) for u in us]
+        want = [frozen_sample(law, Uniforms([u])) for u in us]
+        assert [law.sample(Uniforms([u])) for u in us] == want
+        # the event log's block of redraws breaks them alike
+        assert law.sample(Uniforms(us), len(us)).tolist() == want
         chain = FiniteCTMC([[-4.0, 1.0, 3.0], [2.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
         for u in (0.0, 0.25, 0.5, 0.75):
             # one jump from state 0, then state 1 or 2 holds past t
             got = chain.sample_transition(1.5e-9, 0, Uniforms([u, 0.0]))
             assert got == frozen_chain_step(frozen_jump_tables(chain), 1.5e-9, 0, Uniforms([u, 0.0]))
-
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
-    @given(st.floats(0.5, 10.0), st.floats(0.5, 10.0), st.integers(0, 2**64))
-    def test_restart_times_match_over_several_extensions(self, rate, horizon, seed):
-        if rate * horizon < 5.0:
-            horizon = 5.0 / rate
-        got = draw_restart_times(_FastClock(block_rng(seed, 0), 20.0), rate, horizon)
-        want = frozen_draw_restart_times(_FastClock(block_rng(seed, 0), 20.0), rate, horizon)
-        assert got.tobytes() == want.tobytes()
-        # the first draw, then at least two draws of 16 more gaps
-        lam_h = rate * horizon
-        assert len(want) > lam_h + 6.0 * math.sqrt(lam_h) + 10.0 + 32
 
     @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
     def test_two_blocks(self, kind):
@@ -409,35 +420,6 @@ class TestFrozenWalker:
         proc = RestartedProcess(base, RestartSpec(1.7, nu))
         cfg = PathConfig(seed=2002, horizon=2.5, record_grid=(0.6, 1.2, 2.5), n_paths=1030, initial=PointMass(x))
         assert_same_rows(proc, cfg)
-
-
-class _ConstantGaps:
-    """A stand-in rng whose exponential gaps are all ``gap``; records the sizes asked for."""
-
-    def __init__(self, gap):
-        self.gap = gap
-        self.sizes = []
-
-    def exponential(self, scale, size):
-        self.sizes.append(size)
-        return np.full(size, self.gap)
-
-
-class TestRestartClock:
-    def test_later_chunks_extend_the_first(self):
-        # 38 gaps of 0.25 end at 9.5, short of the horizon, so one chunk of
-        # 16 more is drawn; a time equal to the horizon is kept
-        rng = _ConstantGaps(0.25)
-        times = draw_restart_times(rng, 1.0, 10.0)
-        assert rng.sizes == [38, 16]
-        assert np.array_equal(times, np.cumsum(np.full(40, 0.25)))
-        assert times[-1] == 10.0
-
-    def test_one_chunk_past_the_horizon_is_cut_there(self):
-        rng = _ConstantGaps(0.5)
-        times = draw_restart_times(rng, 1.0, 10.0)
-        assert rng.sizes == [38]
-        assert np.array_equal(times, 0.5 * np.arange(1, 21))
 
 
 class TestEnsemble:
