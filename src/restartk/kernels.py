@@ -118,7 +118,14 @@ class MarkovKernel(abc.ABC):
 
     @abc.abstractmethod
     def sample_transition(self, t, x, rng):
-        """One exact draw of the state at time t started from x."""
+        """One exact draw of the state at time t started from x.
+
+        rng is a numpy Generator or, in the event log, a view of one whose
+        scalar ``standard_normal()`` and ``random()`` are the stream's next
+        values, drawn in chunks; every other call goes to the Generator.  A
+        kernel that draws only scalar normals, or only scalar uniforms, logs
+        the same bytes whatever the chunk size, as the shipped kernels do.
+        """
 
     def sample_transitions(self, t, x, rng):
         """One exact draw per entry of the state array x, each after its time in t.

@@ -44,6 +44,7 @@ from .spaces import FiniteSet, HalfLinePositive, Interval, RealLine, indicator
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _SQRT2 = math.sqrt(2.0)
+_INF = math.inf
 # per chain, at most this many matrices in its memo: exp(Q*t) by t and by a
 # whole array of times together, and resolvents lam*(lam*I - Q)^(-1) by lam:
 # quadrature revisits the same nodes, the targets of one rate and atom walk
@@ -271,10 +272,24 @@ class BrownianWithDrift(MarkovKernel):
     def transition_probability(self, t, x, target):
         return _at_one_time(self.transition_probabilities, t, x, target)
 
+    def _means(self, t, x):
+        """x + mu*t at each time of the array t, refused where it leaves the float range."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            m = x + self.mu * t
+        if not np.isfinite(m).all():
+            raise DomainError(f"drift mu={self.mu!r} from x={x!r} takes the mean x + mu*t out of the float range "
+                              f"by t = {float(t.max())!r}; rescale the process")
+        return m
+
+    def _out_of_range(self, t):
+        return DomainError(f"mu={self.mu!r}, sigma={self.sigma!r} take a draw x + mu*t + sigma*W(t) out of the "
+                           f"float range by t = {t!r}; rescale the process")
+
     def transition_densities(self, t, x, z):
         # one start x; z is a scalar or an array aligned with t
         t = check_times(t, positive=True)
         x = check_finite("state", x)
+        self._means(t, x)
         sd = self.sigma * np.sqrt(t)
         u = (z - x - self.mu * t) / sd
         return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
@@ -282,13 +297,10 @@ class BrownianWithDrift(MarkovKernel):
     def transition_probabilities(self, t, x, target):
         t = check_times(t)
         x = check_finite("state", x)
+        m = self._means(t, x)
         sd = self.sigma * np.sqrt(t)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            m = x + self.mu * t
             p = ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd)
-        if not np.isfinite(m).all():
-            raise DomainError(f"drift mu={self.mu!r} from x={x!r} takes the mean x + mu*t out of the float range "
-                              f"by t = {float(t.max())!r}; rescale the process")
         return np.where(t > 0.0, p, indicator(target, x))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
@@ -313,11 +325,18 @@ class BrownianWithDrift(MarkovKernel):
 
     def sample_transition(self, t, x, rng):
         t = check_nonnegative("time", t)
-        return x + self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
+        y = x + self.mu * t + self.sigma * math.sqrt(t) * rng.standard_normal()
+        if -_INF < y < _INF:  # one comparison: the event-log walker calls this once per event
+            return y
+        raise self._out_of_range(t)
 
     def sample_transitions(self, t, x, rng):
         t = check_times(t, np.shape(x))
-        return x + self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x + self.mu * t + self.sigma * np.sqrt(t) * rng.standard_normal(t.shape)
+        if not np.isfinite(y).all():
+            raise self._out_of_range(float(t.max()))
+        return y
 
     def moment(self, k, t, x):
         return float(self.moments(k, np.array([float(t)]), x)[0])
@@ -325,7 +344,7 @@ class BrownianWithDrift(MarkovKernel):
     def moments(self, k, t, x):
         t = check_times(t)
         x = check_finite("state", x)
-        return gaussian_raw_moment(k, x + self.mu * t, self.sigma * np.sqrt(t))
+        return gaussian_raw_moment(k, self._means(t, x), self.sigma * np.sqrt(t))
 
     def density_envelope(self, z, s_min):
         # the Gaussian peak is the prefactor; past s_min it only flattens
@@ -732,7 +751,7 @@ class FiniteCTMC(MarkovKernel):
             scale = scales[state]
             if scale is None:
                 return state
-            elapsed += rng.exponential(scale)
+            elapsed -= scale * math.log1p(-rng.random())  # an exponential holding time, by inversion
             if elapsed >= t:
                 return state
             state = bisect_right(cdfs[state], rng.random())

@@ -147,14 +147,23 @@ def tail_truncation_point(lam, eta, growth_const=1.0, eps=1e-12):
             f"growth rate eta={eta} is not below the restart rate lam={lam}; "
             "the weighted tail does not vanish"
         )
+    gap = lam - eta
     try:
-        ratio = C * lam / ((lam - eta) * eps)
+        ratio = C * lam / (gap * eps)
     except ZeroDivisionError:
         ratio = math.inf
-    if not 0.0 < ratio < math.inf:
-        raise DomainError(f"the tail bound C*lam/((lam - eta)*eps) at lam={lam!r}, eta={eta!r}, C={C!r}, "
-                          f"eps={eps!r} is out of the float range; rescale the problem")
-    s_star = math.log(ratio) / (lam - eta)
+    if 0.0 < ratio < math.inf:
+        s_star = math.log(ratio) / gap
+    elif gap < math.inf:
+        # the ratio left the float range on the way; its log has not
+        s_star = (math.log(C) + math.log(lam) - math.log(gap) - math.log(eps)) / gap
+    else:
+        # lam - eta past the float range, and its half within it
+        half = 0.5 * lam - 0.5 * eta
+        s_star = (math.log(C) + math.log(lam) - math.log(half) - math.log(2.0) - math.log(eps)) / half / 2.0
+    if not s_star < math.inf:
+        raise DomainError(f"the tail truncation point log(C*lam/((lam - eta)*eps))/(lam - eta) at lam={lam!r}, "
+                          f"eta={eta!r}, C={C!r}, eps={eps!r} is out of the float range; rescale the problem")
     return max(s_star, 0.0)
 
 

@@ -14,11 +14,15 @@ Each block first draws what no path's state changes, one numpy call each:
 the start states, the restart clocks (per path a Poisson(lam*h) count of
 sorted uniform times on (0, h], the Poisson process's order statistics)
 and the redraws from nu.  The walk then samples the base kernel over each
-inter-event interval.  Each row it reaches is a %-template fragment from
-tables made once per log, with the grid time, a chain's label or a restart
-atom already in its text; the path id, the restart time and any other state
-are kept as values, and one % over a block's fragments formats them all, so
-the numbers are formatted in C and each block is one write.
+inter-event interval, its scalar draws taken from chunks of DRAW_CHUNK
+values, one numpy call each (``_Prefetched``): a diffusion's steps are the
+stream's next normals, a chain's holding times -log(1 - u)/rate and jumps
+its next uniforms u, whatever the chunk size.  Each row it reaches is a
+%-template fragment from tables made once per log, with the grid time, a
+chain's label or a restart atom already in its text; the path id, the
+restart time and any other state are kept as values, and one % over a
+block's fragments formats them all, so the numbers are formatted in C and
+each block is one write.
 
 Both routes draw block b (paths b*BLOCK to (b + 1)*BLOCK - 1) of a run
 seeded with s from one stream, SeedSequence(s, spawn_key=(b,)): the
@@ -29,6 +33,7 @@ and the path count only, never on how blocks are spread over workers.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 import os
@@ -43,6 +48,12 @@ from .spaces import FiniteSet
 # paths per block: the unit of vectorisation, of random streams (ensemble
 # and event log alike) and of work handed to a worker
 BLOCK = 1024
+
+# values per numpy call behind the scalar draws of the event log's walk
+# (_Prefetched): 256 normals take about 7 µs, 256 uniforms 5 µs, against
+# 0.4-0.8 µs a scalar call (2-core x86-64); 64 to 1024 ran the paths
+# workload's logs alike, and a block that walks few events wastes less of a chunk
+DRAW_CHUNK = 256
 
 # blocks each worker must get before run_ensemble starts a process pool.  No
 # pool of 2 won its start back on a 2-core x86-64 host (run_ensemble, 3 grid
@@ -113,6 +124,35 @@ def _restart_clock(rng, rate, horizon, m):
     times[slots] = horizon * (1.0 - rng.random(int(counts.sum())))
     times.sort(axis=1)
     return counts, times
+
+
+class _Prefetched:
+    """A block's stream as the event log's walk sees it.  Each scalar
+    ``standard_normal()`` and ``random()`` is the next value of a chunk of
+    ``chunk`` drawn in one numpy call, and numpy's Generator draws a chunk
+    as the values, in order, of that many scalar calls.  A call with a size
+    or any other argument, and every other method, goes to the stream
+    itself (ahead of what the chunks have drawn)."""
+
+    def __init__(self, rng, chunk):
+        self._rng = rng
+        self.standard_normal = _in_chunks(rng.standard_normal, chunk)
+        self.random = _in_chunks(rng.random, chunk)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+
+def _in_chunks(draw, chunk):
+    take = itertools.chain.from_iterable(iter(lambda: draw(chunk).tolist(), None)).__next__
+    float64 = np.float64
+
+    def scalar_or_array(size=None, dtype=float64, out=None):
+        if size is None and dtype is float64 and out is None:
+            return take()
+        return draw(size, dtype, out)
+
+    return scalar_or_array
 
 
 def ProcessPoolExecutor(*args, **kwargs):
@@ -244,7 +284,7 @@ def write_path_csv(proc, config, out):
     draws from ``block_rng(config.seed, b)``, the stream of the ensemble's
     block b: its start states, its restart clocks and its redraws from nu,
     then the base transitions of each path in order, walked and written in
-    one loop.
+    one loop, on the stream's next values in chunks (``_Prefetched``).
     The log is written beside ``out`` under a temporary name and takes its
     place only when every path is written, so a failed run leaves no
     partial log and an earlier log at ``out`` stays as it was.
@@ -264,8 +304,9 @@ def write_path_csv(proc, config, out):
 def _write_paths(proc, config, fh):
     # block b draws its start states, restart clocks and redraws from nu first,
     # each in one call, then walks its paths in order on the rest of its
-    # stream.  The restarts after the last grid time are walked too, and each
-    # path's clock ends at infinity, whose pass ends the path.  Each row is a
+    # stream, seen through _Prefetched.  The restarts after the last grid
+    # time are walked too, and each path's clock ends at infinity, whose pass
+    # ends the path.  Each row is a
     # %-template fragment from tables made once per log: each grid time, a
     # chain's labels and the atoms of a finite restart law (not 0, whose key
     # would also take -0.0) are written into the fragments (formatted numbers
@@ -292,6 +333,7 @@ def _write_paths(proc, config, fh):
         starts = config.initial.sample(rng, m).tolist()
         counts, clocks = _restart_clock(rng, proc.rate, config.horizon, m)
         redraw = iter(proc.restart.nu.sample(rng, int(counts.sum())).tolist()).__next__
+        draws = _Prefetched(rng, DRAW_CHUNK)
         rows = []
         row = rows.append
         values = []
@@ -303,7 +345,7 @@ def _write_paths(proc, config, fh):
                 while stops[j] < r:
                     g = stops[j]
                     if g > now:
-                        state = step(g - now, state, rng)
+                        state = step(g - now, state, draws)
                         now = g
                     free, known = grid_rows[j]
                     value(i)
@@ -319,7 +361,7 @@ def _write_paths(proc, config, fh):
                     # a transition the redraw replaces, drawn only for the pin
                     # 0 < simulation.useful_transition_ratio < 1 in perfbench/test_smoke.py
                     # (ROADMAP 1a and 3 free it)
-                    step(r - now, state, rng)
+                    step(r - now, state, draws)
                 state = redraw()
                 now = r
                 value(i)

@@ -436,13 +436,22 @@ def test_messages_name_the_argument_and_its_rule():
 @pytest.mark.parametrize("call", [
     # the peak 1/(sigma*sqrt(2*pi/lam)) of the log motion's density: 1/0
     lambda: GeometricBrownian(1.0, 1e-300).stationary_density(1e100, 1.0, 1.5),
-    # the tail bound's C*lam underflows to 0, whose log is undefined
-    lambda: GeometricBrownian(1.0, 1e100).stationary_density(1e-300, 1.0, 1.5),
-], ids=["peak-overflows", "tail-bound-underflows"])
+], ids=["peak-overflows"])
 def test_invariant_density_past_the_float_range_is_refused(call):
-    # these raised a bare ZeroDivisionError and ValueError
+    # this raised a bare ZeroDivisionError
     with pytest.raises(DomainError, match="out of the float range"):
         call()
+
+
+def test_invariant_density_where_the_tail_bound_underflows():
+    # the tail bound's C*lam underflows to 0 (it was refused, and raised a bare
+    # ValueError before that): its ratio taken in logs is below 1, so the
+    # tail from 0 on is within budget.  The density itself is lam times the
+    # log motion's occupation density, exp(-2|m| log z / sigma^2)/|m| with
+    # drift m = 1 - sigma^2/2, over z: about 8.9e-501, below every float
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert GeometricBrownian(1.0, 1e100).stationary_density(1e-300, 1.0, 1.5) == 0.0
 
 
 def test_mean_past_the_float_range_is_refused():
@@ -454,6 +463,44 @@ def test_mean_past_the_float_range_is_refused():
         # mu*t fits, x + mu*t does not
         with pytest.raises(DomainError, match="by t = 1.0"):
             BrownianWithDrift(1e308, 1.0).transition_probability(1.0, 1e308, Interval(0.0, math.inf))
+
+
+DRIFT_PAST_RANGE = BrownianWithDrift(1e308, 1.0)
+WIDE = BrownianWithDrift(0.0, 1e308)
+
+
+@pytest.mark.parametrize("call, message", [
+    # each returned 0.0, inf or a nan moment, most under numpy's overflow warning
+    (lambda: DRIFT_PAST_RANGE.transition_density(10.0, 0.0, 0.5), r"mean x \+ mu\*t .* by t = 10.0"),
+    (lambda: DRIFT_PAST_RANGE.transition_densities(_times(10.0), 0.0, 0.5), r"mean x \+ mu\*t .* by t = 10.0"),
+    (lambda: DRIFT_PAST_RANGE.moment(1, 10.0, 0.0), r"mean x \+ mu\*t .* by t = 10.0"),
+    (lambda: DRIFT_PAST_RANGE.moments(2, _times(10.0), 0.0), r"mean x \+ mu\*t .* by t = 10.0"),
+    # mu*t fits, x + mu*t does not
+    (lambda: DRIFT_PAST_RANGE.moment(1, 1.0, 1e308), r"mean x \+ mu\*t .* by t = 1.0"),
+    # the sampler returned inf without a warning
+    (lambda: DRIFT_PAST_RANGE.sample_transition(10.0, 0.0, RNG), r"draw x \+ mu\*t \+ sigma\*W\(t\) .* by t = 10.0"),
+    (lambda: DRIFT_PAST_RANGE.sample_transitions(_times(10.0), np.zeros(2), RNG),
+     r"draw x \+ mu\*t \+ sigma\*W\(t\) .* by t = 10.0"),
+    # the mean fits, the Gaussian step does not
+    (lambda: WIDE.sample_transition(4.0, 0.0, np.random.default_rng(3)), r"sigma\*W\(t\) .* by t = 4.0"),
+    (lambda: WIDE.sample_transitions(_times(4.0), np.zeros(2), np.random.default_rng(3)),
+     r"sigma\*W\(t\) .* by t = 4.0"),
+], ids=["density", "densities", "moment", "moments", "moment-from-x", "sample", "samples", "sample-step",
+        "samples-step"])
+def test_bm_routes_refuse_a_mean_or_draw_past_the_float_range(call, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
+def test_bm_routes_at_the_edge_of_the_float_range_still_answer():
+    # mu*t = 1e308 at t = 1: every route answers, the sampler's draw a float
+    bm = BrownianWithDrift(1e308, 1.0)
+    assert bm.transition_density(1.0, 0.0, 1e308) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi))
+    assert bm.moment(1, 1.0, 0.0) == 1e308
+    assert bm.sample_transition(1.0, 0.0, np.random.default_rng(0)) == 1e308
+    assert np.all(bm.sample_transitions(_times(1.0), np.zeros(2), np.random.default_rng(0)) < math.inf)
 
 
 def _age_law_values(kernel, lam, t):

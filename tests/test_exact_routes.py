@@ -709,12 +709,13 @@ class TestExpmMemo:
 
 
 def _choice_walk(Q, t, x, rng):
-    """The chain's jump loop with each jump drawn by Generator.choice."""
+    """The chain's jump loop with each jump drawn by Generator.choice, each
+    holding time by inversion of a uniform."""
     n = Q.shape[0]
     state, elapsed = x, 0.0
     while True:
         rate = -Q[state, state]
-        elapsed += rng.exponential(1.0 / rate)
+        elapsed += -(1.0 / rate) * math.log1p(-rng.random())
         if elapsed >= t:
             return state
         probs = Q[state].copy()

@@ -1,10 +1,12 @@
 """Exponentially weighted integrals: values, error honesty, tail control."""
 
 import math
+import sys
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad_vec
 
@@ -125,6 +127,43 @@ def test_tail_truncation_scaling():
 
 def test_tail_truncation_clamped_nonnegative():
     assert tail_truncation_point(2.0, 0.0, 1e-6, 1.0) == 0.0
+
+
+# floats from the smallest subnormal to the largest finite one
+POSITIVE = st.floats(5e-324, 1.7976931348623157e308)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(POSITIVE, st.floats(-1.7976931348623157e308, 1.7976931348623157e308), POSITIVE, POSITIVE)
+@example(1e-323, 0.0, 0.1, 1e-14)  # C*lam underflows; the true ratio is 1e13, so s* overflows
+@example(1e-300, 0.0, 2.659615202676218e-101, 1e-14)  # C*lam underflows; the true ratio is below 1
+@example(1.0, 0.0, 1e300, 1e-300)  # the ratio overflows, s* is about 1381.6
+@example(1e-310, 0.0, 1e300, 1e-300)  # the ratio overflows, and so does s*
+@example(1.0, 1.0 - 2.0**-52, 1e300, 1e-300)  # the ratio overflows, s* is about 6.2e18
+@example(1e308, -1e308, 1e300, 1e-300)  # lam - eta overflows, s* is about 6.9e-306
+def test_tail_truncation_point_past_the_float_range(lam, eta, C, eps):
+    # where C*lam/((lam - eta)*eps) is a positive float the point is its log
+    # over lam - eta, bit for bit; elsewhere the exact point, refused only
+    # where it leaves the float range
+    assume(eta < lam)
+    with mpmath.workprec(4000):
+        gap = mpmath.mpf(lam) - mpmath.mpf(eta)
+        logs = [mpmath.log(v) for v in (mpmath.mpf(C), mpmath.mpf(lam), gap, mpmath.mpf(eps))]
+        want = max((logs[0] + logs[1] - logs[2] - logs[3]) / gap, 0)
+        slack = 8 * 2.0**-52 * (sum(abs(v) for v in logs) / gap + want)
+    try:
+        ratio = C * lam / ((lam - eta) * eps)
+    except ZeroDivisionError:
+        ratio = math.inf
+    if 0.0 < ratio < math.inf:
+        assert tail_truncation_point(lam, eta, C, eps) == max(math.log(ratio) / (lam - eta), 0.0)
+    elif want > sys.float_info.max:
+        assume(want > mpmath.mpf(sys.float_info.max) * (1 + 1e-9))
+        with pytest.raises(DomainError, match="out of the float range"):
+            tail_truncation_point(lam, eta, C, eps)
+    else:
+        assume(want < sys.float_info.max * (1.0 - 1e-9))
+        assert abs(tail_truncation_point(lam, eta, C, eps) - want) <= slack
 
 
 def test_tail_bound_violated():

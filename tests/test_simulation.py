@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
 import restartk.simulation
 from restartk import (
@@ -42,9 +42,11 @@ from restartk.distributions import categorical_cdf
 from restartk.kernels import MarkovKernel
 from restartk.simulation import (
     BLOCK,
+    DRAW_CHUNK,
     KURTOSIS_THRESHOLD,
     MAX_SHARE_THRESHOLD,
     POOL_BLOCKS_PER_WORKER,
+    _Prefetched,
     _restart_clock,
     block_rng,
 )
@@ -166,7 +168,8 @@ def frozen_jump_tables(chain):
 
 
 def frozen_chain_step(tables, t, x, rng):
-    """FiniteCTMC.sample_transition before the rewrite, on ``frozen_jump_tables``."""
+    """FiniteCTMC.sample_transition before the rewrite, on ``frozen_jump_tables``:
+    each holding time -log(1 - u)/rate by inversion of a uniform u."""
     rates, jump_cdfs = tables
     state = int(x)
     elapsed = 0.0
@@ -174,7 +177,7 @@ def frozen_chain_step(tables, t, x, rng):
         rate = rates.item(state)
         if rate <= 0.0:
             return state
-        elapsed += rng.exponential(1.0 / rate)
+        elapsed += -(1.0 / rate) * math.log1p(-rng.random())
         if elapsed >= t:
             return state
         state = int(jump_cdfs[state].searchsorted(rng.random(), side="right"))
@@ -299,17 +302,24 @@ class TestPathStreams:
 
 
 class _Lattice:
-    """A Generator whose arrays of uniforms come out as multiples of
-    1/``units``, so that the restart times horizon * (1 - u) fall on
-    multiples of horizon/``units`` and meet grid times; every other draw is
-    the wrapped Generator's own."""
+    """A Generator whose restart clock's uniforms, the array drawn next after
+    the Poisson counts, come out as multiples of 1/``units``, so that the
+    restart times horizon * (1 - u) fall on multiples of horizon/``units``
+    and meet grid times; every other draw is the wrapped Generator's own."""
 
     def __init__(self, rng, units):
-        self.rng, self.units = rng, units
+        self.rng, self.units, self.clock_next = rng, units, False
+
+    def poisson(self, lam, size=None):
+        self.clock_next = True
+        return self.rng.poisson(lam, size)
 
     def random(self, size=None):
         u = self.rng.random(size)
-        return u if size is None else np.floor(u * self.units) / self.units
+        if size is None or not self.clock_next:
+            return u
+        self.clock_next = False
+        return np.floor(u * self.units) / self.units
 
     def __getattr__(self, name):
         return getattr(self.rng, name)
@@ -394,9 +404,6 @@ class TestFrozenWalker:
             def random(self, size=None):
                 return self.values.pop(0) if size is None else np.array([self.values.pop(0) for _ in range(size)])
 
-            def exponential(self, scale):
-                return 1e-9
-
         law = FiniteSupport(((3.0, 0.25), (4.0, 0.5), (5.0, 0.25)))
         us = [0.0, 0.25, 0.5, 0.75, 0.999]
         want = [frozen_sample(law, Uniforms([u])) for u in us]
@@ -405,21 +412,73 @@ class TestFrozenWalker:
         assert law.sample(Uniforms(us), len(us)).tolist() == want
         chain = FiniteCTMC([[-4.0, 1.0, 3.0], [2.0, -2.0, 0.0], [1.0, 1.0, -2.0]])
         for u in (0.0, 0.25, 0.5, 0.75):
-            # one jump from state 0, then state 1 or 2 holds past t
-            got = chain.sample_transition(1.5e-9, 0, Uniforms([u, 0.0]))
-            assert got == frozen_chain_step(frozen_jump_tables(chain), 1.5e-9, 0, Uniforms([u, 0.0]))
+            # state 0 holds -log(1 - 4e-9)/4, about 1e-9, and jumps on u; then
+            # state 1 or 2 holds -log(1 - 0.5)/2, past t
+            got = chain.sample_transition(1.5e-9, 0, Uniforms([4e-9, u, 0.5]))
+            assert got == frozen_chain_step(frozen_jump_tables(chain), 1.5e-9, 0, Uniforms([4e-9, u, 0.5]))
+            assert got == categorical_cdf([0.0, 0.25, 0.75]).searchsorted(u, side="right")
 
     @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
     def test_two_blocks(self, kind):
-        # 1,030 paths: a whole block and 6 paths of the next
-        base, nu, x = {
-            "bm": (BrownianWithDrift(0.2, 0.9), FiniteSupport(((-0.5, 0.4), (1.5, 0.6))), 0.0),
-            "gbm": (GeometricBrownian(0.1, 0.3), FiniteSupport(((0.8, 0.5), (1.3, 0.5))), 1.0),
-            "chain": (make_three_state_chain(), PointMass(2), 0),
-        }[kind]
-        proc = RestartedProcess(base, RestartSpec(1.7, nu))
-        cfg = PathConfig(seed=2002, horizon=2.5, record_grid=(0.6, 1.2, 2.5), n_paths=1030, initial=PointMass(x))
-        assert_same_rows(proc, cfg)
+        assert_same_rows(*two_block_log(kind))
+
+
+def two_block_log(kind):
+    # 1,030 paths: a whole block and 6 paths of the next
+    base, nu, x = {
+        "bm": (BrownianWithDrift(0.2, 0.9), FiniteSupport(((-0.5, 0.4), (1.5, 0.6))), 0.0),
+        "gbm": (GeometricBrownian(0.1, 0.3), FiniteSupport(((0.8, 0.5), (1.3, 0.5))), 1.0),
+        "chain": (make_three_state_chain(), PointMass(2), 0),
+    }[kind]
+    proc = RestartedProcess(base, RestartSpec(1.7, nu))
+    cfg = PathConfig(seed=2002, horizon=2.5, record_grid=(0.6, 1.2, 2.5), n_paths=1030, initial=PointMass(x))
+    return proc, cfg
+
+
+class TestPrefetchedDraws:
+    """The walk's scalar normals and uniforms come from chunks of DRAW_CHUNK
+    drawn in one numpy call each: the stream's own scalar draws, in order."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7, DRAW_CHUNK])
+    @pytest.mark.parametrize("method", ["standard_normal", "random"])
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**64), st.integers(0, 3 * DRAW_CHUNK))
+    def test_scalar_draws_are_the_streams_in_order(self, chunk, method, seed, n):
+        prefetched = getattr(_Prefetched(block_rng(seed, 0), chunk), method)
+        scalar = getattr(block_rng(seed, 0), method)
+        assert [prefetched() for _ in range(n)] == [scalar() for _ in range(n)]
+
+    def test_other_calls_go_to_the_stream(self):
+        draws, stream = _Prefetched(block_rng(3, 0), 7), block_rng(3, 0)
+        assert draws.standard_normal(4).tolist() == stream.standard_normal(4).tolist()
+        assert draws.random((2, 2)).tolist() == stream.random((2, 2)).tolist()
+        assert draws.random(dtype=np.float32) == stream.random(dtype=np.float32)
+        assert draws.poisson(2.0, 3).tolist() == stream.poisson(2.0, 3).tolist()
+        assert draws.exponential(0.5) == stream.exponential(0.5)
+        # the first chunk is drawn at the first scalar call, from where the stream is
+        assert draws.random() == stream.random()
+
+    # at DRAW_CHUNK itself this is test_two_blocks
+    @pytest.mark.parametrize("chunk", [1, 7])
+    @pytest.mark.parametrize("kind", ["bm", "gbm", "chain"])
+    def test_logs_keep_their_bytes_whatever_the_chunk(self, kind, chunk):
+        with mock.patch.object(restartk.simulation, "DRAW_CHUNK", chunk):
+            assert_same_rows(*two_block_log(kind))
+
+    @pytest.mark.parametrize("chain", [make_three_state_chain(), ABSORBING_CHAIN], ids=["three-state", "absorbing"])
+    def test_chain_walker_draws_the_transition_law(self, chain):
+        # the state at t from x by the holding times -log(1 - u)/rate, against
+        # row x of exp(Q t); a state out of the row's support never comes
+        draws, n = _Prefetched(block_rng(9, 0), DRAW_CHUNK), 4000
+        for t in (0.3, 2.0):
+            rows = chain.transition_matrix(t)
+            for x, row in enumerate(rows):
+                counts = np.bincount([chain.sample_transition(t, x, draws) for _ in range(n)], minlength=len(row))
+                support = row > 1e-12
+                assert counts[~support].sum() == 0
+                if support.sum() > 1:
+                    want = n * row[support] / row[support].sum()
+                    assert chisquare(counts[support], want).pvalue > P_BAND, (t, x, counts, want)
 
 
 class TestEnsemble:
