@@ -120,11 +120,8 @@ class ConfigError(RestartkError, ValueError):
 
 
 class MomentUnstable(RuntimeWarning):
-    """A Monte Carlo moment estimate shows heavy-tail symptoms.
-
-    The reported standard error is then unreliable and the underlying
-    moment may not be finite.
-    """
+    """A Monte Carlo k-th moment whose standard error is unreliable: lam <= eta_{2k}, where the
+    estimator's variance E[X(t)^{2k}] - E[X(t)^k]^2 grows without bound in t, or a non-finite estimate."""
 
 
 class FubiniUnverified(RuntimeWarning):

@@ -169,7 +169,8 @@ class MarkovKernel(abc.ABC):
         return None
 
     def moment_growth_rate(self, k):
-        """eta_k, the rate a finite stationary k-th moment needs the restarts to beat, or None."""
+        """eta_k, the rate a finite stationary k-th moment needs the restarts to beat, or None: then
+        ``monte_carlo_moment`` flags a k-th moment only on a non-finite estimate, not by lam <= eta_{2k}."""
         return None
 
     # The same four quantities at every time of a 1-D array t, stacked along a leading

@@ -273,13 +273,17 @@ class BrownianWithDrift(MarkovKernel):
         return _at_one_time(self.transition_probabilities, t, x, target)
 
     def _means(self, t, x):
-        """x + mu*t at each time of the array t, refused where it leaves the float range."""
+        """(x + mu*t, sigma*sqrt(t)) at each time of the array t, refused where either leaves the float range."""
         with np.errstate(over="ignore", invalid="ignore"):
             m = x + self.mu * t
+            sd = self.sigma * np.sqrt(t)
         if not np.isfinite(m).all():
             raise DomainError(f"drift mu={self.mu!r} from x={x!r} takes the mean x + mu*t out of the float range "
                               f"by t = {float(t.max())!r}; rescale the process")
-        return m
+        if not np.isfinite(sd).all():
+            raise DomainError(f"sigma={self.sigma!r} takes the spread sigma*sqrt(t) out of the float range "
+                              f"by t = {float(t.max())!r}; rescale the process")
+        return m, sd
 
     def _out_of_range(self, t):
         return DomainError(f"mu={self.mu!r}, sigma={self.sigma!r} take a draw x + mu*t + sigma*W(t) out of the "
@@ -289,18 +293,19 @@ class BrownianWithDrift(MarkovKernel):
         # one start x; z is a scalar or an array aligned with t
         t = check_times(t, positive=True)
         x = check_finite("state", x)
-        self._means(t, x)
-        sd = self.sigma * np.sqrt(t)
+        sd = self._means(t, x)[1]
         u = (z - x - self.mu * t) / sd
         return np.exp(-0.5 * u * u) / (sd * _SQRT_2PI)
 
     def transition_probabilities(self, t, x, target):
         t = check_times(t)
         x = check_finite("state", x)
-        m = self._means(t, x)
-        sd = self.sigma * np.sqrt(t)
+        m, sd = self._means(t, x)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            p = ndtr((target.upper - m) / sd) - ndtr((target.lower - m) / sd)
+            lo, hi = (target.lower - m) / sd, (target.upper - m) / sd
+            # a window above the mean from the upper tails, whose small values keep their digits
+            f = np.where(lo > 0.0, -1.0, 1.0)
+            p = f * (ndtr(f * hi) - ndtr(f * lo))
         return np.where(t > 0.0, p, indicator(target, x))
 
     def stationary_probability(self, lam, y, target, t=math.inf, rel_tol=None):
@@ -344,7 +349,7 @@ class BrownianWithDrift(MarkovKernel):
     def moments(self, k, t, x):
         t = check_times(t)
         x = check_finite("state", x)
-        return gaussian_raw_moment(k, self._means(t, x), self.sigma * np.sqrt(t))
+        return gaussian_raw_moment(k, *self._means(t, x))
 
     def density_envelope(self, z, s_min):
         # the Gaussian peak is the prefactor; past s_min it only flattens

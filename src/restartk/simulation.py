@@ -66,11 +66,6 @@ POOL_BLOCKS_PER_WORKER = 64
 
 _logger = logging.getLogger("restartk")
 
-# heavy-tail diagnostics for Monte Carlo moments: excess kurtosis of the
-# k-th powers, and the largest single path's share of their absolute sum
-KURTOSIS_THRESHOLD = 1000.0
-MAX_SHARE_THRESHOLD = 0.2
-
 
 @dataclass(frozen=True)
 class PathConfig:
@@ -100,7 +95,8 @@ class PathConfig:
 
 @dataclass(frozen=True)
 class EstimatorReport:
-    """A Monte Carlo estimate with its standard error and sample size."""
+    """A Monte Carlo estimate with its standard error and sample size; ``heavy_tailed``
+    when lam <= eta_{2k} (MomentUnstable) or the estimate or its error is not finite."""
 
     estimate: float
     std_error: float
@@ -222,13 +218,15 @@ def _grid_index(config, t):
 
 
 def monte_carlo_moment(proc, config, k, t, ensemble=None):
-    """Estimate E[X(t)^k] over the ensemble, with heavy-tail diagnostics.
+    """Estimate E[X(t)^k] over the ensemble, with its sample standard error.
 
-    Emits MomentUnstable (and flags the report) when the k-th powers show
-    heavy-tail symptoms: enormous excess kurtosis or one path dominating
-    their absolute sum.  The standard error is then unreliable and the
-    moment itself may not exist.  ``ensemble`` is ``run_ensemble``'s array;
-    without one it simulates one in this process.
+    Emits MomentUnstable (and flags the report) by the paper's criterion:
+    when the restart rate lam is at most eta_{2k}, the base kernel's
+    ``moment_growth_rate(2k)``, the estimator's variance
+    E[X(t)^{2k}] - E[X(t)^k]^2 grows without bound in t and the standard
+    error is unreliable.  A kernel without eta (None) is flagged only when
+    the estimate or its standard error is not finite.  ``ensemble`` is
+    ``run_ensemble``'s array; without one it simulates one in this process.
     """
     k = check_count("moment order k", k)
     j = _grid_index(config, t)
@@ -243,36 +241,15 @@ def monte_carlo_moment(proc, config, k, t, ensemble=None):
         scale = top if 0.0 < top < math.inf and not 1e-140 < top < 1e140 else 1.0
         est = scale * float(np.mean(vals / scale))
         se = scale * float(np.std(vals / scale, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    heavy = _heavy_tailed(vals)
-    if heavy:
-        warnings.warn(
-            f"moment k={k} at t={t}: heavy-tail symptoms in the sample; "
-            "standard error unreliable, moment may be infinite",
-            MomentUnstable,
-        )
-    return EstimatorReport(est, se, n, heavy)
-
-
-def _heavy_tailed(vals):
-    if len(vals) < 16:
-        return False
-    absvals = np.abs(vals)
-    top = float(np.max(absvals))
-    if not math.isfinite(top):
-        return True  # an infinite or NaN value: no finite kurtosis, nor estimate
-    if top == 0.0:
-        return False
-    # kurtosis and share do not change with scale, and on vals / top every
-    # square fits the float range, whatever the scale of vals
-    scaled = vals / top
-    squared = (scaled - np.mean(scaled)) ** 2
-    m2 = float(np.mean(squared))
-    if m2 == 0.0:
-        return False
-    # (x**2 / m2)**2: no per-value pow as in x**4
-    kurtosis = float(np.mean(np.square(squared / m2))) - 3.0
-    share = 1.0 / float(np.sum(absvals / top))
-    return kurtosis > KURTOSIS_THRESHOLD or share > MAX_SHARE_THRESHOLD
+    eta = proc.base.moment_growth_rate(2 * k)
+    why = None
+    if eta is not None and proc.rate <= eta:
+        why = f"restart rate lam={proc.rate} <= eta_{2 * k}={eta}, so the estimator's variance grows without bound in t"
+    elif not (math.isfinite(est) and math.isfinite(se)):
+        why = "the estimate or its standard error is not finite"
+    if why:
+        warnings.warn(f"moment k={k} at t={t}: {why}; standard error unreliable", MomentUnstable)
+    return EstimatorReport(est, se, n, why is not None)
 
 
 def write_path_csv(proc, config, out):

@@ -192,8 +192,8 @@ def test_moment_finiteness_threshold_of_restarted_gbm():
         seed=101, horizon=30.0, record_grid=(30.0,), n_paths=100000,
         initial=PointMass(1.0),
     )
-    # var(X^1) needs eta_2 < lam, which fails here, so the heavy-tail
-    # diagnostic must fire; the mean itself is finite and well estimated
+    # var(X^1) needs eta_2 < lam, which fails here, so the MomentUnstable
+    # flag must fire; the mean itself is finite and well estimated
     with pytest.warns(MomentUnstable):
         rep1 = monte_carlo_moment(proc, config, 1, 30.0, ensemble=run_ensemble(proc, config, workers=2))
     z1 = (rep1.estimate - first) / rep1.std_error

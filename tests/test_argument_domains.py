@@ -485,8 +485,12 @@ WIDE = BrownianWithDrift(0.0, 1e308)
     (lambda: WIDE.sample_transition(4.0, 0.0, np.random.default_rng(3)), r"sigma\*W\(t\) .* by t = 4.0"),
     (lambda: WIDE.sample_transitions(_times(4.0), np.zeros(2), np.random.default_rng(3)),
      r"sigma\*W\(t\) .* by t = 4.0"),
+    # the mean fits, the spread sigma*sqrt(t) does not: 0.0, 0.0 and inf under numpy's overflow warning
+    (lambda: WIDE.transition_probability(10.0, 0.0, Interval(-1e300, 1e300)), r"spread sigma\*sqrt\(t\) .* by t = 10.0"),
+    (lambda: WIDE.transition_density(10.0, 0.0, 0.0), r"spread sigma\*sqrt\(t\) .* by t = 10.0"),
+    (lambda: WIDE.moment(2, 10.0, 0.0), r"spread sigma\*sqrt\(t\) .* by t = 10.0"),
 ], ids=["density", "densities", "moment", "moments", "moment-from-x", "sample", "samples", "sample-step",
-        "samples-step"])
+        "samples-step", "probability-spread", "density-spread", "moment-spread"])
 def test_bm_routes_refuse_a_mean_or_draw_past_the_float_range(call, message):
     with warnings.catch_warnings():
         warnings.simplefilter("error")

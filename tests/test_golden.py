@@ -6,10 +6,14 @@ its output file, exit code and stderr are compared with ``golden/expected/``
 Text cells, exit codes and stderr must match exactly.  Numeric cells must
 match to 1e-12 relative: numpy's SIMD exp and log can differ by an ulp
 between CPUs, so only a same-machine run can promise byte identity.
+
+Each expected output of a run that exits with 0 is also checked by the
+benchmark's oracle, ``perfbench/verify.py``, where that can read it.
 """
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -18,6 +22,15 @@ from restartk.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REL = 1e-12
+
+sys.path.append(str(GOLDEN.parents[1] / "perfbench"))
+import verify  # noqa: E402
+
+# goldens whose output the oracle cannot read, and why
+ORACLE_CANNOT_READ = {
+    "ergodicity-bm": "its t_grid holds 0.0, where verify.py's oracle raises 'math domain error'",
+    "moments-gbm-analytic": "it sets monte_carlo false and no n_paths, which verify.py reads (KeyError)",
+}
 
 
 def _numbers_match(got, want):
@@ -76,3 +89,13 @@ def test_golden_run(name, tmp_path, capsys, monkeypatch):
         assert _json_matches(json.loads(got, parse_constant=_refuse_constant), json.loads(want)), got
     else:
         assert _csv_matches(got, want), got
+
+
+@pytest.mark.parametrize("name", sorted(
+    p.stem for p in GOLDEN.glob("*.json") if (GOLDEN / "expected" / f"{p.stem}.status").read_text()[:2] == "0\n"
+))
+def test_golden_output_meets_the_benchmark_oracle(name):
+    if name in ORACLE_CANNOT_READ:
+        pytest.skip(ORACLE_CANNOT_READ[name])
+    config = json.loads((GOLDEN / f"{name}.json").read_text())
+    assert verify.check(config, 0, (GOLDEN / "expected" / config["output"]["path"]).read_bytes()) == []

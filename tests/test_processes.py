@@ -171,6 +171,29 @@ class TestGeometricBrownian:
             p.density_envelope(0.0, 0.1)
 
 
+@pytest.mark.parametrize("kernel, x", [(BrownianWithDrift(0.3, 1.5), 0.2), (GeometricBrownian(0.1, 0.4), 1.5)])
+def test_tail_window_masses_match_mpmath(kernel, x):
+    # windows one standard deviation wide, from near the mean to 30 of them
+    # away on either side: above the mean Phi(b) - Phi(a) of two values near
+    # 1 kept no digit past 8 standard deviations; 250 digits keep the
+    # reference's own difference exact there
+    mp = pytest.importorskip("mpmath")
+    t = 2.0
+    log = isinstance(kernel, GeometricBrownian)
+    with mp.workdps(250):
+        drift = mp.mpf(kernel.mu) - mp.mpf(kernel.sigma) ** 2 / 2 if log else mp.mpf(kernel.mu)
+        m = (mp.log(x) if log else mp.mpf(x)) + drift * t
+        sd = kernel.sigma * mp.sqrt(t)
+        for side in (-1.0, 1.0):
+            for u in (0.5, 3.0, 8.0, 15.0, 30.0):
+                a, b = sorted(float(m + side * v * sd) for v in (u, u + 1.0))
+                bounds = (math.exp(a), math.exp(b)) if log else (a, b)
+                got = kernel.transition_probability(t, x, Interval(*bounds))
+                z = [((mp.log(c) if log else mp.mpf(c)) - m) / sd for c in bounds]
+                want = mp.ncdf(z[1]) - mp.ncdf(z[0])
+                assert abs(got - want) <= 1e-12 * want, (side, u, got, want)
+
+
 class TestFiniteCTMC:
     def test_two_state_symmetric_closed_form(self):
         chain = FiniteCTMC([[-1.0, 1.0], [1.0, -1.0]])

@@ -43,8 +43,6 @@ from restartk.kernels import MarkovKernel
 from restartk.simulation import (
     BLOCK,
     DRAW_CHUNK,
-    KURTOSIS_THRESHOLD,
-    MAX_SHARE_THRESHOLD,
     POOL_BLOCKS_PER_WORKER,
     _Prefetched,
     _restart_clock,
@@ -589,6 +587,37 @@ class TestMonteCarloMoment:
             rep = monte_carlo_moment(proc, cfg, 2, 6.0)
         assert rep.heavy_tailed
 
+    @pytest.mark.parametrize("rate, flagged", [(1.99, True), (2.0, True), (2.01, False)])
+    def test_flag_is_the_threshold_lam_at_most_eta_2k(self, rate, flagged):
+        # GBM(0.5, 1) has eta_2 = 2: the first moment's estimator has a
+        # variance that grows without bound in t at and below lam = 2
+        proc = RestartedProcess(GeometricBrownian(0.5, 1.0), RestartSpec(rate, PointMass(1.0)))
+        cfg = PathConfig(seed=2, horizon=1.0, record_grid=(1.0,), n_paths=200, initial=PointMass(1.0))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", MomentUnstable)
+            rep = monte_carlo_moment(proc, cfg, 1, 1.0)
+        assert rep.heavy_tailed == flagged
+        assert [w.category for w in caught] == [MomentUnstable] * flagged
+        if flagged:
+            assert f"lam={rate} <= eta_2=2.0" in str(caught[0].message)
+
+    @pytest.mark.parametrize("rate", [1e-4, 1.0, 1e4])
+    def test_kernels_without_eta_never_flag_a_finite_sample(self, rate):
+        chain, nu = make_three_state_chain(), FiniteSupport(((0, 0.5), (2, 0.5)))
+        for proc, start in ((bm_process(rate=rate), 0.0), (RestartedProcess(chain, RestartSpec(rate, nu)), 0)):
+            cfg = PathConfig(seed=4, horizon=2.0, record_grid=(2.0,), n_paths=200, initial=PointMass(start))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", MomentUnstable)
+                for k in (1, 2, 4):
+                    assert not monte_carlo_moment(proc, cfg, k, 2.0).heavy_tailed
+
+    def test_non_finite_sample_flags_above_the_threshold(self):
+        proc = RestartedProcess(GeometricBrownian(0.5, 1.0), RestartSpec(2.01, PointMass(1.0)))
+        cfg = PathConfig(seed=0, horizon=1.0, record_grid=(1.0,), n_paths=3, initial=PointMass(1.0))
+        with pytest.warns(MomentUnstable, match="not finite"):
+            rep = monte_carlo_moment(proc, cfg, 1, 1.0, ensemble=np.array([[1.0], [math.inf], [2.0]]))
+        assert rep.heavy_tailed
+
     @staticmethod
     def gbm_squares(rate):
         proc = RestartedProcess(
@@ -644,9 +673,8 @@ class TestMonteCarloMoment:
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_values_are_flagged(self, bad):
-        # an infinite or NaN value makes the kurtosis NaN, and NaN > threshold
-        # is False: the flag must not rest on that comparison; numpy's own
-        # warnings on the mean and the standard error stay silent
+        # BM states no eta, so only the non-finite estimate flags it; numpy's
+        # own warnings on the mean and the standard error stay silent
         states = np.random.default_rng(3).normal(size=(3000, 1))
         states[17, 0] = bad
         rep, caught = self.moment_without_numpy_warnings(states)
@@ -668,47 +696,6 @@ class TestMonteCarloMoment:
         assert caught == [] and not rep.heavy_tailed
         for got, want in ((rep.estimate, np.mean(unit)), (rep.std_error, np.std(unit, ddof=1) / math.sqrt(3000))):
             assert math.isfinite(got) and abs(got - scale * float(want)) < 1e-12 * scale * float(want)
-
-    @pytest.mark.parametrize("scale", [1e-300, 1e-80, 1.0, 1e80, 1e160, 1e300])
-    def test_flag_is_scale_free(self, scale):
-        # raw squared deviations overflow near 1e160 and underflow near
-        # 1e-300, and raw fourth powers overflow near 1e80
-        rng = np.random.default_rng(3)
-        light = 1.0 + rng.normal(size=3000) ** 2
-        heavy = rng.lognormal(0.0, 3.0, 3000)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert not restartk.simulation._heavy_tailed(scale * light)
-            assert restartk.simulation._heavy_tailed(scale * heavy)
-
-    def test_heavy_tail_flag_matches_the_fourth_power_form(self):
-        # the fourth moment is a square of scaled squares, not numpy's
-        # per-value pow of centered**4: the two round differently, the flag
-        # must not move
-        rng = np.random.default_rng(11)
-        samples = [rng.lognormal(0.0, s, 3000) for s in np.linspace(1.0, 3.0, 200)]
-        samples += [rng.standard_t(df, 3000) for df in (2.5, 3.0, 5.0) for _ in range(30)]
-        samples += [rng.normal(size=n) for n in (15, 16, 17, 400)]
-        kurtoses = [frozen_kurtosis(v) for v in samples[:200]]
-        # lognormal samples on both sides of the threshold, some close to it
-        assert any(0.8 < k / KURTOSIS_THRESHOLD < 1.0 for k in kurtoses)
-        assert any(1.0 < k / KURTOSIS_THRESHOLD < 1.25 for k in kurtoses)
-        for vals in samples:
-            assert restartk.simulation._heavy_tailed(vals) == frozen_heavy_tailed(vals)
-
-
-def frozen_kurtosis(vals):
-    centered = vals - np.mean(vals)
-    return float(np.mean(centered**4)) / float(np.mean(centered**2)) ** 2 - 3.0
-
-
-def frozen_heavy_tailed(vals):
-    """simulation._heavy_tailed on finite samples, fourth powers by centered**4."""
-    if len(vals) < 16 or np.var(vals) == 0.0:
-        return False
-    absvals = np.abs(vals)
-    share = float(np.max(absvals)) / float(np.sum(absvals))
-    return frozen_kurtosis(vals) > KURTOSIS_THRESHOLD or share > MAX_SHARE_THRESHOLD
 
 
 def _hill_tail_index(vals, frac=0.01):
