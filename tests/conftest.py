@@ -1,4 +1,4 @@
-"""Shared fixtures: reference chains and generator-matrix factories."""
+"""Shared fixtures: reference chains, generator-matrix factories and the chains' 40-digit oracle."""
 
 import math
 
@@ -56,6 +56,53 @@ def cancelling_horizons(chain, lam, y, target, times):
     columns = list(target.indices)
     late = lambda s: math.exp(-lam * s) * (v @ expm(chain.Q * s))[columns].sum()
     return [s for s in times if s > 0.0 and late(s) > 0.5 * v[columns].sum()]
+
+
+def mp_restarted_row(chain, lam, w, t, x):
+    """Row x of P~(t) = exp(R*t), R = Q - lam*I + lam*1w the restarted
+    generator; the restart term r, its part beyond exp(-lam*t) exp(Q*t);
+    and q = lam*w(lam*I - Q)^(-1), the invariant law: each a list of the n
+    states' values at 40 digits.
+
+    r is one row whatever the start, and the chain's own stationary law pi
+    (pi Q = 0) sees exp(-lam*t) pi + r in pi exp(R*t); where r is small the
+    difference loses about log10(1/(lam*t)) digits.  Q's diagonal is taken
+    as minus its row's off-diagonal sum, exactly: the float diagonal misses
+    it by a rounding, and over t = 5000 a row that leaks that much mass
+    moves P~ by 2e-12 on a 12-state chain, which is the generator's
+    rounding, not the chain's route.  w is normalised exactly for the same
+    reason: the floats 0.3 and 0.7 add to 1 in float arithmetic but to
+    1 - 5.6e-17 exactly, and the restarted generator's rows would leak the
+    difference."""
+    mp = pytest.importorskip("mpmath")
+    n = chain.space.n
+    with mp.workdps(40):
+        l, h = mp.mpf(lam), mp.mpf(t)
+        w = [mp.mpf(v) for v in w]
+        w = [v / mp.fsum(w) for v in w]
+        Q = mp.matrix(chain.Q.tolist())
+        for i in range(n):
+            Q[i, i] = -mp.fsum(Q[i, j] for j in range(n) if j != i)
+        R = mp.matrix(n, n)
+        for i in range(n):
+            for j in range(n):
+                R[i, j] = Q[i, j] + l * w[j] - (l if i == j else 0)
+        E = mp.expm(R * h)
+        A = Q.T
+        for j in range(n):
+            A[n - 1, j] = 1
+        pi = mp.lu_solve(A, mp.matrix([0] * (n - 1) + [1]))
+        term = [mp.fsum(pi[i] * E[i, j] for i in range(n)) - mp.exp(-l * h) * pi[j] for j in range(n)]
+        q = mp.lu_solve((l * mp.eye(n) - Q).T, mp.matrix([l * v for v in w]))
+        return [E[x, j] for j in range(n)], term, [q[j] for j in range(n)]
+
+
+def mp_restarted_mass(chain, lam, w, t, x, columns):
+    """P~(t, x, G) and the restart term r_G of ``mp_restarted_row``, G the states in columns."""
+    mp = pytest.importorskip("mpmath")
+    row, term, _ = mp_restarted_row(chain, lam, w, t, x)
+    with mp.workdps(40):
+        return mp.fsum(row[j] for j in columns), mp.fsum(term[j] for j in columns)
 
 
 def random_restart_weights(rng, n):

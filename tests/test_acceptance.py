@@ -36,7 +36,7 @@ from restartk import (
     run_ensemble,
     small_lambda_sweep,
 )
-from restartk.analysis import ERGODICITY_SLACK
+from restartk.quadrature import DEFAULT_ABS_TOL, DEFAULT_REL_TOL
 from restartk.simulation import BLOCK, _restart_clock, block_rng
 
 
@@ -110,8 +110,9 @@ def test_invariant_law_is_fixed_by_the_kernel():
 
 
 def test_distance_to_invariant_law_is_dominated_by_restart_clock():
-    """Criterion 3: sup-deviation and chain TV sit under exp(-lam t), full matrix."""
-    slack = ERGODICITY_SLACK
+    """Criterion 3: sup-deviation and chain TV sit under exp(-lam t), full matrix,
+    within what each of the two masses compared may be off by at the default tolerance."""
+    slack = 2.0 * (DEFAULT_REL_TOL + DEFAULT_ABS_TOL)
     reports = []
 
     chain3 = FiniteCTMC(
@@ -142,15 +143,15 @@ def test_distance_to_invariant_law_is_dominated_by_restart_clock():
 
     rows = [r for rep in reports for r in rep.rows]
     worst_margin = max(r.sup_deviation - r.bound for r in rows)
-    tv_ok = all(
-        2.0 * r.tv <= 2.0 * r.tv_bound + slack for r in rows if r.tv is not None
+    within = all(
+        r.sup_deviation <= r.bound + slack and (r.tv is None or r.tv <= r.tv_bound + slack) for r in rows
     )
-    ok = all(rep.passed for rep in reports) and tv_ok
+    ok = all(rep.passed for rep in reports) and within
     _report(
         3,
         ok,
         f"{len(rows)} (process, t) rows, worst sup-deviation margin "
-        f"{worst_margin:.1e} (slack {slack:.0e}), chain TV under 2 exp(-lam t)",
+        f"{worst_margin:.1e} (slack {slack:.1e}), chain TV under exp(-lam t)",
     )
 
 

@@ -30,6 +30,7 @@ from restartk import (
     RestartSpec,
     RestartedProcess,
     Subset,
+    ergodicity_check,
     gaussian,
     lognormal,
 )
@@ -39,6 +40,8 @@ from restartk.kernels import MarkovKernel
 from conftest import (
     finite_support_from_weights,
     make_three_state_chain,
+    mp_restarted_mass,
+    mp_restarted_row,
     point_or_two_atom_laws,
     random_generator,
     random_restart_weights,
@@ -527,38 +530,6 @@ class TestChainResolvent:
                 assert abs(got - lam * resolvent(three_state_chain, lam, y, g)) < 1e-10
 
 
-def _mp_restarted_mass(chain, lam, w, t, x, columns):
-    """P~(t, x, G) from exp(R*t), R = Q - lam*I + lam*1w the restarted
-    generator, and the restart term r_G, its part beyond exp(-lam*t) exp(Q*t)
-    at 30 digits.  That part is one row r whatever the start, and the chain's
-    own stationary law pi (pi Q = 0) sees exp(-lam*t) pi + r in pi exp(R*t);
-    where r_G is small the difference loses about log10(1/(lam*t)) digits.
-
-    Q's diagonal is taken as minus its row's off-diagonal sum, exactly: the
-    float diagonal misses it by a rounding, and over t = 5000 a row that
-    leaks that much mass moves P~ by 2e-12 on a 12-state chain, which is the
-    generator's rounding, not the chain's route."""
-    mp = pytest.importorskip("mpmath")
-    n = chain.space.n
-    with mp.workdps(30):
-        l, h = mp.mpf(lam), mp.mpf(t)
-        Q = mp.matrix(chain.Q.tolist())
-        for i in range(n):
-            Q[i, i] = -mp.fsum(Q[i, j] for j in range(n) if j != i)
-        R = mp.matrix(n, n)
-        for i in range(n):
-            for j in range(n):
-                R[i, j] = Q[i, j] + l * mp.mpf(w[j]) - (l if i == j else 0)
-        E = mp.expm(R * h)
-        A = Q.T
-        for j in range(n):
-            A[n - 1, j] = 1
-        pi = mp.lu_solve(A, mp.matrix([0] * (n - 1) + [1]))
-        restarted = mp.fsum(E[x, j] for j in columns)
-        term = mp.fsum(mp.fsum(pi[i] * E[i, j] for i in range(n)) - mp.exp(-l * h) * pi[j] for j in columns)
-        return restarted, term
-
-
 class TestChainRestartTermAgainstMpmath:
     """The chain's finite-t restart term takes the resolvent identity where
     the subtracted term is at most half the first, and quadrature where it
@@ -583,7 +554,7 @@ class TestChainRestartTermAgainstMpmath:
 
         def compare(chain, lam, lam_t, x, target, nu):
             t = lam_t / lam
-            want, want_term = _mp_restarted_mass(chain, lam, nu.weights(chain.space), t, x, target.indices)
+            want, want_term = mp_restarted_mass(chain, lam, nu.weights(chain.space), t, x, target.indices)
             quadrature.clear()
             term = nu.expect(lambda y: chain.stationary_probability(lam, y, target, t))
             # one call per atom, each at t: by quadrature or by the identity
@@ -630,12 +601,61 @@ class TestChainRestartTermAgainstMpmath:
 
         monkeypatch.setattr(restartk.kernels, "exp_weighted_integral", counting)
         t, target = 1e-3, Subset([1])
-        _, want = _mp_restarted_mass(three_state_chain, lam, np.eye(3)[0], t, 0, [1])
+        _, want = mp_restarted_mass(three_state_chain, lam, np.eye(3)[0], t, 0, [1])
         got = three_state_chain.stationary_probability(lam, 0, target, t)
         assert abs(got - want) <= 4 * np.finfo(float).eps * want
         assert quadrature == [[t]]
         identity = three_state_chain.stationary_vector(lam, np.eye(3)[0], t)[1]
         assert abs(identity - want) > 1e-8 * want
+
+
+class TestChainErgodicityAgainstMpmath:
+    """The chain's distance to its invariant law, by the restart split
+    exp(-lam*t) (delta_x - q) exp(Q*t), against P~(t, x, .) - q at 40 digits,
+    with no absolute floor, while the base chain has not yet mixed
+    (t*||Q||_1 <= 3): past that both rows of the split near the chain's own
+    stationary law, and their difference cancels."""
+
+    def test_deviations_and_tv_match_the_restarted_generator(self, monkeypatch):
+        mp = pytest.importorskip("mpmath")
+        composed = []
+        monkeypatch.setattr(RestartedProcess, "transition_matrices", lambda *args, **kw: composed.append(args))
+
+        def compare(chain, lam, t, x, sets, nu):
+            row, _, q = mp_restarted_row(chain, lam, nu.weights(chain.space), t, x)
+            got = ergodicity_check(RestartedProcess(chain, RestartSpec(lam, nu)), x, (t,), sets).rows[0]
+            with mp.workdps(40):
+                gap = [r - v for r, v in zip(row, q)]
+                sup_deviation = max(abs(mp.fsum(gap[i] for i in g.indices)) for g in sets)
+                tv = mp.fsum(map(abs, gap)) / 2
+                assert abs(got.sup_deviation - sup_deviation) <= 1e-12 * sup_deviation, (got, sup_deviation)
+                assert abs(got.tv - tv) <= 1e-12 * tv, (got, tv)
+
+        def longest(chain, lam):
+            return min(30.0 / lam, 3.0 / float(np.abs(chain.Q).sum(axis=0).max()))
+
+        @settings(max_examples=20, deadline=None, derandomize=True, database=None)
+        @given(
+            chain=st.sampled_from(TestChainRestartTermAgainstMpmath.CHAINS),
+            lam=st.integers(-8, 8).map(lambda k: 10.0 ** (k / 4)),
+            shorter=st.integers(0, 12).map(lambda k: 10.0 ** (-k / 4)),
+            data=st.data(),
+        )
+        def check(chain, lam, shorter, data):
+            states = st.integers(0, chain.space.n - 1)
+            some = Subset(data.draw(st.lists(states, min_size=1, max_size=chain.space.n, unique=True)))
+            sets = [Subset([i]) for i in range(chain.space.n)] + [some]
+            nu = data.draw(point_or_two_atom_laws(states))
+            compare(chain, lam, shorter * longest(chain, lam), data.draw(states), sets, nu)
+
+        check()
+        # the longest horizon at the smallest and the largest rates: lam*t = 30 on the 3-state chain at 50 and 1e2
+        for chain in TestChainRestartTermAgainstMpmath.CHAINS:
+            n = chain.space.n
+            for lam in (1e-2, 50.0, 1e2):
+                nu = FiniteSupport(((0, 0.3), (n - 1, 0.7)))
+                compare(chain, lam, longest(chain, lam), n - 1, [Subset([0]), Subset([1]), Subset([0, n - 1])], nu)
+        assert composed == []
 
 
 class _CountingExpm:
